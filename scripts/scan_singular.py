@@ -7,7 +7,7 @@ Usage: scan_singular.py [MAX_DEGREE]   (default 4; values above 5 get slow)
 import sys
 
 from e6poly.polyops import format_poly
-from e6poly.singular import enumerate_singular, idx_to_poly, singular_space
+from e6poly.singular import enumerate_singular, singular_space
 
 
 def main() -> None:
@@ -17,7 +17,7 @@ def main() -> None:
         print(f"degree {degree}: {scan.total} singular line(s)")
         for weight, dim in scan.lines:
             for vec in singular_space(degree, weight):
-                body = format_poly(idx_to_poly(vec))
+                body = format_poly(vec)
                 if len(body) > 100:
                     body = body[:97] + "..."
                 print(f"  weight {weight} (dim {dim}): {body}")

@@ -20,7 +20,7 @@ from math import comb
 
 from . import decomp, golden, invariants, rep, rootsys, singular, weyl
 from .config import DEFAULTS, RunConfig
-from .polyops import format_poly, poly_to_json
+from .polyops import apply, format_poly, poly_to_json
 from .singular import expected_line_count
 
 PASS = "pass"
@@ -212,7 +212,7 @@ def _singular_degree(cfg: RunConfig, a: Assembler, m: int,
             "degree": str(m),
             "weight": ser(w),
             "dimension": str(d),
-            "generators": [poly_to_json(singular.idx_to_poly(v)) for v in vecs],
+            "generators": [poly_to_json(v) for v in vecs],
         }
         payload.append(entry)
     # pinned identifications at low degree
@@ -228,9 +228,7 @@ def _singular_degree(cfg: RunConfig, a: Assembler, m: int,
             vecs = singular.singular_space(2, lam6)
             if len(vecs) != 1:
                 return False
-            got = singular.idx_to_poly(vecs[0])
-            fam = invariants.build_zeta_family()
-            return got == fam.zeta(1)
+            return vecs[0] == invariants.build_zeta_family().zeta(1)
 
         a.check("singular.deg2.generator",
                 "the degree-2 singular line matches the printed quadratic exactly",
@@ -461,14 +459,9 @@ def cmd_decompose(cfg: RunConfig, a: Assembler, m: int,
         def verify_samples() -> bool:
             if m < 3:
                 return True
-            for vec in decomp.kernel_samples(m, max_blocks=8):
-                img: dict = {}
-                for mono, c in vec.items():
-                    for k, v in decomp._apply_cubic(mono).items():
-                        img[k] = img.get(k, 0) + c * v
-                if any(img.values()):
-                    return False
-            return True
+            D = decomp.cubic_operator()
+            return not any(apply(D, vec)
+                           for vec in decomp.kernel_samples(m, max_blocks=8))
 
         a.check(f"decompose.deg{m}.kernel-samples",
                 "sampled kernel vectors are exactly killed by D",
@@ -648,11 +641,14 @@ def main(argv=None) -> int:
         weight = None
         if args.weight is not None:
             parts = args.weight.split(",")
-            if len(parts) != 6:
+            try:
+                weight = tuple(int(x) for x in parts)
+            except ValueError:
+                weight = None
+            if len(parts) != 6 or weight is None:
                 print("weight must have 6 comma-separated integers",
                       file=sys.stderr)
                 return 2
-            weight = tuple(int(x) for x in parts)
         payload = cmd_singular(cfg, a, args.degree, weight)
     elif args.command == "invariant":
         payload = cmd_invariant(cfg, a, args.verify, args.dump)

@@ -16,14 +16,15 @@ from math import comb
 
 from .invariants import build_eta, x1_zeta1_power
 from .linalg import FractionSpan, IntEchelon, kernel_basis
-from .polyops import apply
+from .polyops import Monomial, WeylOp, apply, dualize
 from .rep import lowering_operator
-from .singular import IdxMono, weight_buckets
+from .singular import weight_buckets
 from .weyl import weyl_dim
 
 __all__ = [
     "KernelSummary",
     "WeylSumReport",
+    "cubic_operator",
     "kernel_samples",
     "lowering_closure",
     "phi_dim",
@@ -57,46 +58,26 @@ class KernelSummary:
 
 
 @lru_cache(maxsize=1)
-def _cubic_terms() -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _cubic_terms() -> tuple[tuple[int, Monomial], ...]:
     """The 45 terms of eta as (coefficient, variable triple)."""
-    out = []
-    for mono, c in build_eta().items():
-        vs = tuple(i + 1 for i, e in enumerate(mono) for _ in range(e))
-        out.append((int(c), vs))
-    return tuple(sorted(out, key=lambda t: t[1]))
+    return tuple(sorted(((int(c), m) for m, c in build_eta().items()),
+                        key=lambda t: t[1]))
 
 
-def _apply_cubic(mono: IdxMono) -> dict[IdxMono, int]:
-    """Image of a monomial under D, in sorted-index form."""
-    exp: dict[int, int] = {}
-    for v in mono:
-        exp[v] = exp.get(v, 0) + 1
-    out: dict[IdxMono, int] = {}
-    for c, (a, b, d) in _cubic_terms():
-        ea = exp.get(a, 0)
-        eb = exp.get(b, 0)
-        ed = exp.get(d, 0)
-        if not (ea and eb and ed):
-            continue
-        rest = list(mono)
-        rest.remove(a)
-        rest.remove(b)
-        rest.remove(d)
-        key = tuple(rest)
-        w = out.get(key, 0) + c * ea * eb * ed
-        if w:
-            out[key] = w
-        else:
-            out.pop(key, None)
-    return out
+@lru_cache(maxsize=1)
+def cubic_operator() -> WeylOp:
+    """D = dualize(eta) with integer coefficients, for fraction-free
+    elimination."""
+    return dualize({m: c for c, m in _cubic_terms()})
 
 
-def _block_rank(sources: list[IdxMono], full: int) -> int:
+def _block_rank(sources: list[Monomial], full: int) -> int:
+    D = cubic_operator()
     ech = IntEchelon(lambda k: k)
     for mono in sources:
         if ech.rank == full:
             break
-        img = _apply_cubic(mono)
+        img = apply(D, {mono: 1})
         if img:
             ech.insert(img)
     return ech.rank
@@ -104,23 +85,27 @@ def _block_rank(sources: list[IdxMono], full: int) -> int:
 
 def _composite_full_rank(m: int) -> bool:
     """Rank check for g -> D(eta g) on degree m - 3, block by block."""
+    D = cubic_operator()
     for monos in weight_buckets(m - 3).values():
         ech = IntEchelon(lambda k: k)
         for g in monos:
-            total: dict[IdxMono, int] = {}
-            for c, vs in _cubic_terms():
-                prod = tuple(sorted(g + vs))
-                for k, v in _apply_cubic(prod).items():
-                    w = total.get(k, 0) + c * v
-                    if w:
-                        total[k] = w
-                    else:
-                        total.pop(k, None)
+            eta_g = {tuple(sorted(g + vs)): c for c, vs in _cubic_terms()}
+            total = apply(D, eta_g)
             if total:
                 ech.insert(total)
         if ech.rank < len(monos):
             return False
     return True
+
+
+def _cubic_rows(monos: list[Monomial]) -> list[dict[Monomial, int]]:
+    """Rows of D on one weight block, indexed by image monomial."""
+    D = cubic_operator()
+    rows: dict[Monomial, dict[Monomial, int]] = {}
+    for mono in monos:
+        for k, v in apply(D, {mono: 1}).items():
+            rows.setdefault(k, {})[mono] = v
+    return list(rows.values())
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +162,7 @@ def weyl_sum_check(m: int) -> WeylSumReport:
     )
 
 
-def kernel_samples(m: int, max_blocks: int = 8) -> list[dict[IdxMono, int]]:
+def kernel_samples(m: int, max_blocks: int = 8) -> list[dict[Monomial, int]]:
     """Explicit kernel vectors of D from the first few weight blocks.
 
     Blocks are taken in increasing size so the samples stay small; every
@@ -186,14 +171,10 @@ def kernel_samples(m: int, max_blocks: int = 8) -> list[dict[IdxMono, int]]:
     if m < 3:
         raise ValueError("kernel is everything below degree 3")
     sources = weight_buckets(m)
-    out: list[dict[IdxMono, int]] = []
+    out: list[dict[Monomial, int]] = []
     by_size = sorted(sources.items(), key=lambda kv: (len(kv[1]), kv[0]))
     for _, monos in by_size[:max_blocks]:
-        rows: dict[IdxMono, dict[IdxMono, int]] = {}
-        for mono in monos:
-            for k, v in _apply_cubic(mono).items():
-                rows.setdefault(k, {})[mono] = v
-        out.extend(kernel_basis(rows.values(), monos))
+        out.extend(kernel_basis(_cubic_rows(monos), monos))
     return out
 
 
@@ -207,11 +188,7 @@ def materialized_kernel_dim(m: int) -> int:
         return comb(m + 26, 26)
     total = 0
     for monos in weight_buckets(m).values():
-        rows: dict[IdxMono, dict[IdxMono, int]] = {}
-        for mono in monos:
-            for k, v in _apply_cubic(mono).items():
-                rows.setdefault(k, {})[mono] = v
-        total += len(kernel_basis(rows.values(), monos))
+        total += len(kernel_basis(_cubic_rows(monos), monos))
     return total
 
 

@@ -49,7 +49,7 @@ from .polyops import (
     x,
 )
 from .rep import Root6, all_operators, raising_operator, lowering_operator, weight_table
-from .rootsys import NVARS, root_system
+from .rootsys import root_system
 
 ZERO_WEIGHT = (0, 0, 0, 0, 0, 0)
 LAMBDA1 = (1, 0, 0, 0, 0, 0)
@@ -63,14 +63,7 @@ def tau(f: Poly) -> Poly:
     not preserve the dual submodule (see plain_involution_defect), so
     the family construction uses tau_dual instead.
     """
-    out: Poly = {}
-    for mono, c in f.items():
-        moved = [0] * NVARS
-        for pos, e in enumerate(mono):
-            if e:
-                moved[golden.iota(pos + 1) - 1] = e
-        out[tuple(moved)] = c
-    return out
+    return {tuple(sorted(golden.iota(v) for v in mono)): c for mono, c in f.items()}
 
 
 def tau_dual(f: Poly) -> Poly:
@@ -87,13 +80,10 @@ def tau_dual(f: Poly) -> Poly:
     """
     out: Poly = {}
     for mono, c in f.items():
-        moved = [0] * NVARS
         sign = 1
-        for pos, e in enumerate(mono):
-            if e:
-                moved[golden.iota(pos + 1) - 1] = e
-                sign *= golden.DSIGNS[pos + 1] ** e
-        out[tuple(moved)] = sign * c
+        for v in mono:
+            sign *= golden.DSIGNS[v]
+        out[tuple(sorted(golden.iota(v) for v in mono))] = sign * c
     return out
 
 
@@ -112,9 +102,6 @@ class ZetaFamily:
 
     def items(self):
         return enumerate(self.zetas, start=1)
-
-    def involution(self, f: Poly) -> Poly:
-        return tau_dual(f)
 
 
 def _quadratic(terms) -> Poly:
@@ -156,12 +143,12 @@ def _in_dual_module(f: Poly) -> bool:
 
 
 def _quadratic_singular() -> Poly:
-    from .singular import idx_to_poly, singular_space
+    from .singular import singular_space
 
     lines = singular_space(2, LAMBDA6)
     if len(lines) != 1:
         raise ValueError(f"expected one quadratic singular line, got {len(lines)}")
-    z1 = idx_to_poly(lines[0])
+    z1 = poly(lines[0].items())
     lead = z1.get(monomial({1: 1, 14: 1}), 0)
     if not lead:
         raise ValueError("quadratic singular vector misses x_1 x_14")
@@ -356,12 +343,12 @@ ETA_LEAD = monomial({1: 1, 14: 1, 27: 1})
 @lru_cache(maxsize=1)
 def build_eta() -> Poly:
     """The cubic invariant, normalized to coefficient 3 on x_1 x_14 x_27."""
-    from .singular import idx_to_poly, singular_space
+    from .singular import singular_space
 
     lines = singular_space(3, ZERO_WEIGHT)
     if len(lines) != 1:
         raise ValueError(f"expected one cubic invariant line, got {len(lines)}")
-    f = idx_to_poly(lines[0])
+    f = poly(lines[0].items())
     lead = f.get(ETA_LEAD, 0)
     if not lead:
         raise ValueError("cubic invariant misses x_1 x_14 x_27")
@@ -562,11 +549,9 @@ def _cached_bracket_triple() -> BracketReport:
 
 def _bracket_triple(ops: InvariantOperators) -> BracketReport:
     C = commutator(ops.D, multiplication(ops.eta))
-    zero = (0,) * NVARS
-    e1 = tuple(1 if i == 0 else 0 for i in range(NVARS))
     pair = monomial({1: 1, 14: 1})
-    b0 = C.get((zero, zero), Fraction(0))
-    b1 = C.get((e1, e1), Fraction(0))
+    b0 = C.get(((), ()), Fraction(0))
+    b1 = C.get(((1,), (1,)), Fraction(0))
     b2 = C.get((pair, pair), Fraction(0)) / ops.D2[(pair, pair)]
     model = op_add(
         op_scale(b0, op_identity()),
@@ -659,12 +644,10 @@ def _cached_pairing_bracket() -> PairingBracketReport:
 
 def _pairing_bracket(ops: InvariantOperators) -> PairingBracketReport:
     C = commutator(ops.D2, multiplication(ops.eta))
-    zero = (0,) * NVARS
-    e1 = tuple(1 if i == 0 else 0 for i in range(NVARS))
     lead3 = Fraction(ops.eta[ETA_LEAD])
-    c1 = C.get((ETA_LEAD, zero), Fraction(0)) / lead3
-    lead_x1 = tuple(a + b for a, b in zip(ETA_LEAD, e1))
-    c2 = C.get((lead_x1, e1), Fraction(0)) / lead3
+    c1 = C.get((ETA_LEAD, ()), Fraction(0)) / lead3
+    lead_x1 = tuple(sorted(ETA_LEAD + (1,)))
+    c2 = C.get((lead_x1, (1,)), Fraction(0)) / lead3
     model = compose(
         multiplication(ops.eta),
         op_add(op_scale(c1, op_identity()), op_scale(c2, ops.D1)),

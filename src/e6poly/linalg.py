@@ -84,17 +84,6 @@ class IntEchelon:
             row = _eliminate(row, held, col)
         return False
 
-    def reduce_only(self, row: Row) -> Row:
-        """Reduce `row` without inserting it."""
-        row = strip_content(dict(row))
-        while row:
-            col = self._lead(row)
-            held = self.pivots.get(col)
-            if held is None:
-                return row
-            row = _eliminate(row, held, col)
-        return row
-
 
 def rank_of(rows: Iterable[Row], column_key: Callable[[Hashable], object]) -> int:
     ech = IntEchelon(column_key)

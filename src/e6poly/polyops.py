@@ -1,24 +1,32 @@
 """Sparse exact polynomials in x_1..x_27 and normal-ordered Weyl operators.
 
-A monomial is a 27-tuple of exponents; a polynomial is a dict mapping
-monomials to nonzero Fractions (the zero polynomial is the empty dict).
-A Weyl operator is a dict mapping (x-exponent, d-exponent) pairs to
-coefficients, always kept in normal order: all multiplications to the
-left of all derivatives.  Composition uses
+A monomial is the sorted tuple of its 1-based variable indices, one entry
+per factor: x_1^2 x_14 is (1, 1, 14) and the constant monomial is ().  A
+polynomial is a dict mapping monomials to nonzero coefficients (the zero
+polynomial is the empty dict).  A Weyl operator is a dict mapping
+(x-monomial, d-monomial) pairs to coefficients, always kept in normal
+order: all multiplications to the left of all derivatives.  Composition
+uses
 
     d^n x^m  =  sum_k  C(n, k) * m!/(m-k)! * x^(m-k) d^(n-k)
 
-applied coordinatewise, so products, commutators, and applications stay
-exact.  The canonical monomial order is graded lexicographic with
-x_1 > x_2 > ... > x_27; `lead_monomial` and the serialization helpers all
-use it.  Variable indices in the public helpers are 1-based.
+per variable, so products, commutators, and applications stay exact.
+`apply` is the one place where an operator acts on a polynomial; it keeps
+the coefficient type of its inputs, so integer operators on integer
+vectors give integer images for fraction-free elimination.
+
+The canonical monomial order is graded lexicographic with
+x_1 > x_2 > ... > x_27, which on index tuples is ascending (-degree,
+tuple).  The serialization helpers list terms in that order and are the
+only place where the 27-exponent form of a monomial appears.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb, perm
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .rootsys import NVARS
 
@@ -27,28 +35,17 @@ Poly = dict[Monomial, Fraction]
 OpKey = tuple[Monomial, Monomial]
 WeylOp = dict[OpKey, Fraction]
 
-MONO_ONE: Monomial = (0,) * NVARS
-
 
 def monomial(powers: dict[int, int]) -> Monomial:
     """Monomial from {1-based variable: exponent}."""
-    exps = [0] * NVARS
-    for var, e in powers.items():
+    for var in powers:
         if not 1 <= var <= NVARS:
             raise ValueError(f"variable index out of range: {var}")
-        exps[var - 1] += e
-    return tuple(exps)
-
-
-def from_vars(*vars_: int) -> Monomial:
-    exps = [0] * NVARS
-    for var in vars_:
-        exps[var - 1] += 1
-    return tuple(exps)
+    return tuple(sorted(v for v, e in powers.items() for _ in range(e)))
 
 
 def x(var: int, coeff: Fraction | int = 1) -> Poly:
-    return {from_vars(var): Fraction(coeff)}
+    return {(var,): Fraction(coeff)}
 
 
 def poly(terms: Iterable[tuple[Monomial, Fraction | int]]) -> Poly:
@@ -91,7 +88,7 @@ def pmul(f: Poly, g: Poly) -> Poly:
     out: Poly = {}
     for m1, c1 in f.items():
         for m2, c2 in g.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
+            m = tuple(sorted(m1 + m2))
             w = out.get(m, Fraction(0)) + c1 * c2
             if w:
                 out[m] = w
@@ -101,29 +98,19 @@ def pmul(f: Poly, g: Poly) -> Poly:
 
 
 def ppow(f: Poly, n: int) -> Poly:
-    out: Poly = {MONO_ONE: Fraction(1)}
+    out: Poly = {(): Fraction(1)}
     for _ in range(n):
         out = pmul(out, f)
     return out
 
 
 def degree(f: Poly) -> int:
-    return max((sum(m) for m in f), default=0)
-
-
-def mono_key(m: Monomial) -> tuple:
-    """Sort key: canonical order, biggest first when used with max()."""
-    return (sum(m), m)
-
-
-def lead_monomial(f: Poly) -> Monomial:
-    if not f:
-        raise ValueError("zero polynomial has no lead monomial")
-    return max(f, key=mono_key)
+    return max((len(m) for m in f), default=0)
 
 
 def sorted_terms(f: Poly) -> list[tuple[Monomial, Fraction]]:
-    return [(m, f[m]) for m in sorted(f, key=mono_key, reverse=True)]
+    """Terms in canonical order, biggest monomial first."""
+    return [(m, f[m]) for m in sorted(f, key=lambda m: (-len(m), m))]
 
 
 def format_poly(f: Poly) -> str:
@@ -132,9 +119,7 @@ def format_poly(f: Poly) -> str:
     chunks: list[str] = []
     for m, c in sorted_terms(f):
         vars_ = "*".join(
-            f"x{i+1}" + (f"^{e}" if e > 1 else "")
-            for i, e in enumerate(m)
-            if e
+            f"x{v}" + (f"^{e}" if e > 1 else "") for v, e in Counter(m).items()
         )
         body = vars_ or "1"
         if c == 1 and vars_:
@@ -152,15 +137,18 @@ def format_poly(f: Poly) -> str:
 
 def poly_to_json(f: Poly) -> list[dict]:
     # every number rides as a decimal string so JSON output stays exact
-    return [
-        {"exponents": [str(e) for e in m], "coefficient": str(c)}
-        for m, c in sorted_terms(f)
-    ]
+    out = []
+    for m, c in sorted_terms(f):
+        exps = [0] * NVARS
+        for v in m:
+            exps[v - 1] += 1
+        out.append({"exponents": [str(e) for e in exps], "coefficient": str(c)})
+    return out
 
 
 def poly_from_json(data: list[dict]) -> Poly:
     return poly(
-        (tuple(int(e) for e in entry["exponents"]),
+        (monomial({i: int(e) for i, e in enumerate(entry["exponents"], start=1)}),
          Fraction(entry["coefficient"]))
         for entry in data
     )
@@ -170,13 +158,14 @@ def poly_from_json(data: list[dict]) -> Poly:
 
 
 def op(terms: Iterable[tuple[Monomial, Monomial, Fraction | int]]) -> WeylOp:
+    """Operator from (x-monomial, d-monomial, coefficient) triples; integer
+    coefficients stay integers."""
     out: WeylOp = {}
     for xe, de, c in terms:
-        c = Fraction(c)
         if not c:
             continue
         key = (xe, de)
-        w = out.get(key, Fraction(0)) + c
+        w = out.get(key, 0) + c
         if w:
             out[key] = w
         else:
@@ -189,7 +178,7 @@ def op_zero() -> WeylOp:
 
 
 def op_identity() -> WeylOp:
-    return {(MONO_ONE, MONO_ONE): Fraction(1)}
+    return {((), ()): Fraction(1)}
 
 
 def op_add(a: WeylOp, b: WeylOp) -> WeylOp:
@@ -216,7 +205,7 @@ def op_sub(a: WeylOp, b: WeylOp) -> WeylOp:
 
 def first_order(terms: Iterable[tuple[int, int, Fraction | int]]) -> WeylOp:
     """Operator sum of c * x_i d_j from 1-based (c, i, j) triples."""
-    return op((from_vars(i), from_vars(j), c) for c, i, j in terms)
+    return op(((i,), (j,), c) for c, i, j in terms)
 
 
 def euler_operator() -> WeylOp:
@@ -224,60 +213,58 @@ def euler_operator() -> WeylOp:
 
 
 def multiplication(f: Poly) -> WeylOp:
-    return {(m, MONO_ONE): c for m, c in f.items()}
+    return {(m, ()): c for m, c in f.items()}
 
 
 def dualize(f: Poly) -> WeylOp:
     """Replace each x-monomial by the matching derivative monomial."""
-    return {(MONO_ONE, m): c for m, c in f.items()}
+    return {((), m): c for m, c in f.items()}
 
 
 def apply(a: WeylOp, f: Poly) -> Poly:
+    """Image of f under a, with the coefficient type of a and f kept."""
     out: Poly = {}
-    for (xe, de), c in a.items():
-        for m, cm in f.items():
-            coeff = c * cm
-            ok = True
-            for i in range(NVARS):
-                d = de[i]
-                if d:
-                    e = m[i]
-                    if e < d:
-                        ok = False
-                        break
-                    coeff *= perm(e, d)
-            if not ok:
+    for m, cm in f.items():
+        present = set(m)
+        for (xe, de), c in a.items():
+            if not present.issuperset(de):
                 continue
-            target = tuple(e - d + xx for e, d, xx in zip(m, de, xe))
-            w = out.get(target, Fraction(0)) + coeff
-            if w:
-                out[target] = w
+            rest = m
+            mult = 1
+            for v in de:
+                # d_v on x_v^e gives e x_v^(e-1); no x_v kills the term
+                e = rest.count(v)
+                if not e:
+                    break
+                mult *= e
+                rest = _drop(rest, v, 1)
             else:
-                out.pop(target, None)
+                target = tuple(sorted(rest + xe)) if xe else rest
+                w = out.get(target, 0) + c * cm * mult
+                if w:
+                    out[target] = w
+                else:
+                    out.pop(target, None)
     return out
 
 
-def _contractions(de: Monomial, xe: Monomial) -> Iterator[tuple[Monomial, Fraction]]:
-    """Normal-order d^de x^xe: yield (k, multiplier) over contraction vectors."""
-    hot = [i for i in range(NVARS) if de[i] and xe[i]]
-    if not hot:
-        yield MONO_ONE, Fraction(1)
-        return
+def _drop(m: Monomial, v: int, k: int) -> Monomial:
+    """m with k factors x_v removed (m holds at least k of them)."""
+    i = m.index(v)
+    return m[:i] + m[i + k:]
 
-    def rec(pos: int, current: list[int], mult: int) -> Iterator[tuple[Monomial, Fraction]]:
-        if pos == len(hot):
-            k = [0] * NVARS
-            for idx, i in enumerate(hot):
-                k[i] = current[idx]
-            yield tuple(k), Fraction(mult)
-            return
-        i = hot[pos]
-        for ki in range(min(de[i], xe[i]) + 1):
-            current.append(ki)
-            yield from rec(pos + 1, current, mult * comb(de[i], ki) * perm(xe[i], ki))
-            current.pop()
 
-    yield from rec(0, [], 1)
+def _contractions(de: Monomial, xe: Monomial) -> list[tuple[Monomial, Monomial, int]]:
+    """Normal-order d^de x^xe: (x left, d left, multiplier) per contraction."""
+    terms = [(xe, de, 1)]
+    for v in set(de).intersection(xe):
+        p, q = de.count(v), xe.count(v)
+        terms = [
+            (_drop(xm, v, k), _drop(dm, v, k), mult * comb(p, k) * perm(q, k))
+            for xm, dm, mult in terms
+            for k in range(min(p, q) + 1)
+        ]
+    return terms
 
 
 def compose(a: WeylOp, b: WeylOp) -> WeylOp:
@@ -286,10 +273,8 @@ def compose(a: WeylOp, b: WeylOp) -> WeylOp:
     for (xa, da), ca in a.items():
         for (xb, db), cb in b.items():
             c0 = ca * cb
-            for k, mult in _contractions(da, xb):
-                xnew = tuple(p + q - r for p, q, r in zip(xa, xb, k))
-                dnew = tuple(p + q - r for p, q, r in zip(da, db, k))
-                key = (xnew, dnew)
+            for xk, dk, mult in _contractions(da, xb):
+                key = (tuple(sorted(xa + xk)), tuple(sorted(dk + db)))
                 w = out.get(key, Fraction(0)) + c0 * mult
                 if w:
                     out[key] = w
@@ -300,43 +285,3 @@ def compose(a: WeylOp, b: WeylOp) -> WeylOp:
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
     return op_sub(compose(a, b), compose(b, a))
-
-
-def op_order(a: WeylOp) -> int:
-    return max((sum(de) for (_, de) in a), default=0)
-
-
-def op_to_json(a: WeylOp) -> list[dict]:
-    keys = sorted(a, key=lambda k: (mono_key(k[0]), mono_key(k[1])), reverse=True)
-    return [
-        {"x": [str(e) for e in k[0]], "d": [str(e) for e in k[1]],
-         "coefficient": str(a[k])}
-        for k in keys
-    ]
-
-
-def format_op(a: WeylOp) -> str:
-    if not a:
-        return "0"
-    keys = sorted(a, key=lambda k: (mono_key(k[0]), mono_key(k[1])), reverse=True)
-    chunks = []
-    for xe, de in keys:
-        c = a[(xe, de)]
-        xpart = "*".join(
-            f"x{i+1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(xe) if e
-        )
-        dpart = "*".join(
-            f"d{i+1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(de) if e
-        )
-        body = "*".join(p for p in (xpart, dpart) if p) or "1"
-        if c == 1 and body != "1":
-            term = body
-        elif c == -1 and body != "1":
-            term = f"-{body}"
-        else:
-            term = f"{c}*{body}" if body != "1" else str(c)
-        if chunks and not term.startswith("-"):
-            chunks.append("+" + term)
-        else:
-            chunks.append(term)
-    return "".join(chunks)

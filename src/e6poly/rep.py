@@ -16,7 +16,6 @@ homomorphism check of the whole assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import golden
@@ -29,7 +28,6 @@ from .rootsys import (
     bar_index,
     bilinear,
     root_system,
-    vadd,
     vneg,
 )
 
@@ -55,13 +53,6 @@ class RepOperator:
 
     def weyl(self) -> WeylOp:
         return first_order(self.terms)
-
-    def columns(self) -> dict[int, list[tuple[int, int]]]:
-        """Map j -> [(i, c)]: the image of x_j."""
-        out: dict[int, list[tuple[int, int]]] = {}
-        for c, i, j in self.terms:
-            out.setdefault(j, []).append((i, c))
-        return out
 
 
 def derive_root_action(root6: Root6) -> RepOperator:
@@ -236,14 +227,9 @@ class HomReport:
     failures: tuple[str, ...]
 
 
-def _as_weyl(elt_key) -> WeylOp:
-    return all_operators()[elt_key].weyl()
-
-
 def verify_homomorphism() -> HomReport:
     """[rho(a), rho(b)] = rho([a, b]) over all simple-generator pairs."""
-    from .liealg import add as lie_add
-    from .liealg import cartan_element, scale
+    from .liealg import cartan_element
     from .polyops import commutator, op_add, op_scale, op_sub
 
     gens: list[tuple[AlgElement, WeylOp]] = []

@@ -240,21 +240,6 @@ def bar_set_expressions() -> list[tuple[str, Vector, bool]]:
     return out
 
 
-def e6_positive_families() -> list[Vector]:
-    """The 36 positive E6 roots as four explicit families."""
-    out = [vadd(alpha(1), vscale(2, alpha(2)), vscale(2, alpha(3)),
-                vscale(3, alpha(4)), vscale(2, alpha(5)), alpha(6))]
-    for j in range(2, 7):
-        out.append(vadd(alpha(1), srange(3, j)))
-    for i, j in itertools.combinations(range(2, 7), 2):
-        out.append(srange(i + 1, j))
-    for j, k in itertools.combinations(range(2, 7), 2):
-        out.append(vadd(srange(2, j), srange(4, k)))
-    for i, j, k in itertools.combinations(range(2, 7), 3):
-        out.append(vadd(srange(1, i), srange(3, j), srange(4, k)))
-    return out
-
-
 def cocycle_F(a: Vector, b: Vector) -> int:
     exp = sum(a[i] * b[i] for i in range(7))
     for i in range(7):

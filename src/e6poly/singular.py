@@ -1,35 +1,34 @@
 """Weight spaces and singular vectors of the polynomial module.
 
-Monomials of degree m are handled as sorted index tuples (one entry per
-variable occurrence, values 1..27), which keeps degree-m enumeration and
-weight bucketing cheap.  A singular vector is a polynomial killed by all
-six simple raising operators; because the module algebra is completely
-reducible, that is equivalent to being a highest-weight vector, and
-`verify_annihilated` double-checks candidates against all 36 positive
-root operators.
+Degree-m monomials are enumerated as the sorted index tuples of
+`polyops` and bucketed by weight.  A singular vector is a polynomial
+killed by all six simple raising operators; because the module algebra
+is completely reducible, that is equivalent to being a highest-weight
+vector, and `verify_annihilated` double-checks candidates against all 36
+positive root operators.
 
 Kernels are computed per weight space: the six raising operators map a
-weight space into six other weight spaces, and the joint kernel of the
+weight space into six other weight spaces (each image comes from
+`polyops.apply` with integer coefficients), and the joint kernel of the
 stacked coefficient matrix is found by exact fraction-free elimination.
+Singular vectors are returned as integer polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .linalg import kernel_basis, rank_of
-from .polyops import Monomial, Poly, from_vars, poly
-from .rep import RepOperator, all_operators, raising_operator, weight_table
+from .polyops import Monomial, Poly, apply
+from .rep import all_operators, raising_operator, weight_table
 from .rootsys import root_system
 
 Weight = tuple[int, int, int, int, int, int]
-IdxMono = tuple[int, ...]  # sorted variable indices, 1-based
 
 
-def monomial_weight(mono: IdxMono) -> Weight:
+def monomial_weight(mono: Monomial) -> Weight:
     rows = weight_table()
     acc = (0, 0, 0, 0, 0, 0)
     for v in mono:
@@ -39,10 +38,10 @@ def monomial_weight(mono: IdxMono) -> Weight:
 
 
 @lru_cache(maxsize=None)
-def weight_buckets(degree: int) -> dict[Weight, list[IdxMono]]:
+def weight_buckets(degree: int) -> dict[Weight, list[Monomial]]:
     """All degree-m monomials grouped by weight."""
     rows = weight_table()
-    buckets: dict[Weight, list[IdxMono]] = {}
+    buckets: dict[Weight, list[Monomial]] = {}
     for mono in combinations_with_replacement(range(1, 28), degree):
         acc = [0, 0, 0, 0, 0, 0]
         for v in mono:
@@ -53,55 +52,21 @@ def weight_buckets(degree: int) -> dict[Weight, list[IdxMono]]:
     return buckets
 
 
-def weight_space(degree: int, weight: Weight) -> list[IdxMono]:
+def weight_space(degree: int, weight: Weight) -> list[Monomial]:
     return list(weight_buckets(degree).get(tuple(weight), []))
 
 
-def apply_first_order(op: RepOperator, mono: IdxMono) -> dict[IdxMono, int]:
-    """Image of a monomial under sum of c x_i d_j, as a sparse vector."""
-    cols = op.columns()
-    out: dict[IdxMono, int] = {}
-    seen_pos: set[int] = set()
-    for p, v in enumerate(mono):
-        if v in seen_pos:
-            continue  # repeated variables handled via multiplicity below
-        seen_pos.add(v)
-        mult = mono.count(v)
-        for i, c in cols.get(v, ()):
-            target = tuple(sorted(mono[:p] + (i,) + mono[p + 1 :]))
-            w = out.get(target, 0) + c * mult
-            if w:
-                out[target] = w
-            else:
-                del out[target]
-    return out
-
-
-def apply_first_order_poly(op: RepOperator, vec: dict[IdxMono, Fraction]) -> dict[IdxMono, Fraction]:
-    out: dict[IdxMono, Fraction] = {}
-    for mono, coeff in vec.items():
-        for target, c in apply_first_order(op, mono).items():
-            w = out.get(target, Fraction(0)) + coeff * c
-            if w:
-                out[target] = w
-            else:
-                del out[target]
-    return out
-
-
-def _constraint_rows(
-    basis: list[IdxMono], ops: list[RepOperator]
-) -> list[dict[IdxMono, int]]:
+def _constraint_rows(basis: list[Monomial], ops: list[WeylOp]) -> list[dict[Monomial, int]]:
     """Rows of the stacked constraint matrix, indexed by image monomial."""
-    rows: dict[tuple[int, IdxMono], dict[IdxMono, int]] = {}
-    for col, mono in enumerate(basis):
+    rows: dict[tuple[int, Monomial], dict[Monomial, int]] = {}
+    for mono in basis:
         for k, op in enumerate(ops):
-            for target, c in apply_first_order(op, mono).items():
+            for target, c in apply(op, {mono: 1}).items():
                 rows.setdefault((k, target), {})[mono] = c
     return [rows[key] for key in sorted(rows)]
 
 
-def singular_space(degree: int, weight: Weight) -> list[dict[IdxMono, int]]:
+def singular_space(degree: int, weight: Weight) -> list[dict[Monomial, int]]:
     """Basis of the singular vectors of given degree and weight.
 
     Vectors are integer, content 1, positive on their canonically
@@ -110,7 +75,7 @@ def singular_space(degree: int, weight: Weight) -> list[dict[IdxMono, int]]:
     basis = weight_space(degree, weight)
     if not basis:
         return []
-    ops = [raising_operator(k) for k in range(1, 7)]
+    ops = [raising_operator(k).weyl() for k in range(1, 7)]
     rows = _constraint_rows(basis, ops)
     columns = sorted(basis, reverse=True)  # graded-lex: larger tuple first
     return kernel_basis(rows, columns)
@@ -120,7 +85,7 @@ def singular_dimension(degree: int, weight: Weight) -> int:
     basis = weight_space(degree, weight)
     if not basis:
         return 0
-    ops = [raising_operator(k) for k in range(1, 7)]
+    ops = [raising_operator(k).weyl() for k in range(1, 7)]
     rows = _constraint_rows(basis, ops)
     order = {m: i for i, m in enumerate(sorted(basis, reverse=True))}
     return len(basis) - rank_of(rows, lambda c: order[c])
@@ -157,19 +122,10 @@ def enumerate_singular(degree: int) -> SingularScan:
     return SingularScan(degree=degree, lines=tuple(lines))
 
 
-def idx_to_poly(vec: dict[IdxMono, int]) -> Poly:
-    return poly((from_vars(*mono), c) for mono, c in vec.items())
-
-
-def verify_annihilated(vec: dict[IdxMono, Fraction | int]) -> bool:
+def verify_annihilated(vec: Poly) -> bool:
     """Check annihilation by all 36 positive-root operators."""
-    rs = root_system()
     ops = all_operators()
-    fvec = {m: Fraction(c) for m, c in vec.items()}
-    for r in rs.e6_positive:
-        if apply_first_order_poly(ops[r[:6]], fvec):
-            return False
-    return True
+    return not any(apply(ops[r[:6]].weyl(), vec) for r in root_system().e6_positive)
 
 
 def expected_line_count(degree: int) -> int:

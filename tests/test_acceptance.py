@@ -34,7 +34,6 @@ from e6poly.rootsys import check_cocycle_laws, root_system
 from e6poly.singular import (
     enumerate_singular,
     expected_line_count,
-    idx_to_poly,
     singular_space,
 )
 from e6poly.weyl import identity_check
@@ -123,12 +122,12 @@ def test_criterion_05_singular_scan():
     from e6poly.invariants import build_zeta_family
 
     (zvec,) = singular_space(2, lam6)
-    zeta_ok = idx_to_poly(zvec) == build_zeta_family().zeta(1)
+    zeta_ok = zvec == build_zeta_family().zeta(1)
     (cubic_vec,) = singular_space(3, (0,) * 6)
     from e6poly.invariants import build_eta
     from e6poly.polyops import pscale
 
-    f = idx_to_poly(cubic_vec)
+    f = cubic_vec
     eta = build_eta()
     k1 = min(eta)
     cubic_ok = k1 in f and pscale(eta[k1], f) == pscale(f[k1], eta)

@@ -88,9 +88,11 @@ def test_decompose_degree_guard(capsys):
 
 
 def test_bad_weight_argument(capsys):
-    code = cli.main(["singular", "--weight", "1,2"])
-    capsys.readouterr()
-    assert code == 2
+    for weight in ("1,2", "1,a,0,0,0,0"):
+        code = cli.main(["singular", "--weight", weight])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
 
 
 def test_singular_lists_the_quadratic_weight(capsys):

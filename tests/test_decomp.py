@@ -11,7 +11,6 @@ import pytest
 
 from e6poly.decomp import (
     CLOSURE_GUARD,
-    _apply_cubic,
     _cubic_terms,
     kernel_samples,
     lowering_closure,
@@ -20,7 +19,7 @@ from e6poly.decomp import (
     weyl_sum_check,
 )
 from e6poly.invariants import build_eta, build_operators
-from e6poly.polyops import apply, psub
+from e6poly.polyops import apply
 from e6poly.weyl import weyl_dim
 
 
@@ -29,28 +28,8 @@ def test_cubic_terms_match_the_invariant():
     assert len(_cubic_terms()) == 45
     rebuilt = {}
     for c, (a, b, d) in _cubic_terms():
-        key = [0] * 27
-        for v in (a, b, d):
-            key[v - 1] += 1
-        rebuilt[tuple(key)] = c
+        rebuilt[(a, b, d)] = c
     assert rebuilt == eta
-
-
-def test_apply_cubic_agrees_with_operator():
-    ops = build_operators()
-    probe = (1, 14, 27)
-    image = _apply_cubic(probe)
-    exponents = [0] * 27
-    for v in probe:
-        exponents[v - 1] += 1
-    direct = apply(ops.D, {tuple(exponents): 1})
-    translated = {}
-    for idx, c in image.items():
-        key = [0] * 27
-        for v in idx:
-            key[v - 1] += 1
-        translated[tuple(key)] = translated.get(tuple(key), 0) + c
-    assert not psub(direct, translated)
 
 
 def test_low_degrees_have_trivial_kernel_rank():
@@ -90,12 +69,9 @@ def test_weyl_sum_report():
 
 
 def test_kernel_samples_are_killed():
+    D = build_operators().D
     for vec in kernel_samples(3, max_blocks=6):
-        image = {}
-        for mono, c in vec.items():
-            for k, v in _apply_cubic(mono).items():
-                image[k] = image.get(k, 0) + c * v
-        assert not any(image.values())
+        assert not apply(D, vec)
 
 
 def test_materialized_kernel_matches_rank_count():

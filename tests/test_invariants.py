@@ -6,6 +6,7 @@ defective; those comparisons pin the size and location of each defect
 so that silent drift in either direction fails the suite.
 """
 
+import re
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -44,11 +45,13 @@ from e6poly.invariants import (
 from e6poly.polyops import (
     apply,
     commutator,
+    format_poly,
     monomial,
     multiplication,
     op_scale,
     op_sub,
     pmul,
+    poly_to_json,
     pscale,
     psub,
     x,
@@ -63,15 +66,14 @@ def test_eta_shape():
     eta = build_eta()
     assert len(eta) == 45
     assert set(eta.values()) == {3, -3}
-    assert all(sum(m) == 3 for m in eta)
-    assert all(max(m) == 1 for m in eta)  # squarefree
+    assert all(len(m) == 3 for m in eta)
+    assert all(len(set(m)) == 3 for m in eta)  # squarefree
 
 
 def test_eta_weight_zero():
     eta = build_eta()
     for m in eta:
-        idx = tuple(i + 1 for i, e in enumerate(m) if e)
-        assert monomial_weight(idx) == (0, 0, 0, 0, 0, 0)
+        assert monomial_weight(m) == (0, 0, 0, 0, 0, 0)
 
 
 def test_eta_report_is_clean():
@@ -108,6 +110,26 @@ def test_bilinear_terms_cover_all_members():
     for c, v, z in terms:
         assert z == iota(v)
         assert c == DSIGNS[v]
+
+
+def test_serialization_lists_terms_in_graded_lex_order():
+    # graded lexicographic with x1 > ... > x27: higher degree first, then
+    # larger exponent lists first; format_poly walks the same order
+    for f, first in ((build_zeta_family().zeta(1), "x1*x14"),
+                     (build_eta(), "3*x1*x14*x27")):
+        exps = [tuple(int(e) for e in t["exponents"]) for t in poly_to_json(f)]
+        assert len(exps) == len(set(exps)) == len(f)
+        assert all(len(e) == 27 for e in exps)
+        keys = [(sum(e), e) for e in exps]
+        assert keys == sorted(keys, reverse=True)
+        bodies = [
+            "*".join(f"x{i}" + (f"^{k}" if k > 1 else "")
+                     for i, k in enumerate(e, start=1) if k)
+            for e in exps
+        ]
+        text = format_poly(f)
+        assert text.startswith(first)
+        assert re.findall(r"x\d+(?:\^\d+)?(?:\*x\d+(?:\^\d+)?)*", text) == bodies
 
 
 # --- the dual quadratic family ---------------------------------------

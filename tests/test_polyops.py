@@ -110,7 +110,7 @@ def test_operator_linearity(a, b, f):
 def test_euler_operator_scales_by_degree(f):
     graded = {}
     for m, c in f.items():
-        graded.setdefault(sum(m), []).append((m, c))
+        graded.setdefault(len(m), []).append((m, c))
     out = apply(euler_operator(), f)
     expected = {}
     for d, terms in graded.items():
@@ -155,9 +155,8 @@ def test_format_poly_mentions_every_variable(f):
     s = format_poly(f)
     assert s
     for m in f:
-        for i, e in enumerate(m):
-            if e:
-                assert f"x{i + 1}" in s
+        for v in m:
+            assert f"x{v}" in s
 
 
 def test_dualize_pairs_monomial_with_itself():

@@ -98,8 +98,8 @@ def test_raising_lowering_shift_weights(k, v):
         image = apply(op_root.weyl(), x(v))
         weights = set()
         for m in image:
-            (idx,) = [i for i, e in enumerate(m) if e]
-            weights.add(table[idx])
+            (idx,) = m
+            weights.add(table[idx - 1])
         assert len(weights) <= 1
         if weights:
             (w,) = weights
