@@ -82,17 +82,26 @@ class Assembler:
         flag=True records a mismatch as a reference discrepancy rather
         than a failure; use it when the expected value is printed
         reference data already known to disagree with the derivation.
+        An exception raised by compute() becomes a "fail" row naming the
+        exception, and None is returned, so later checks still run.
         """
         t0 = time.perf_counter()
-        value = compute()
+        try:
+            value = compute()
+        except Exception as exc:
+            value = None
+            computed = f"{type(exc).__name__}: {exc}"
+            status = FAIL
+        else:
+            computed = ser(value)
+            status = PASS if value == expected else (FLAGGED if flag else FAIL)
         ms = round((time.perf_counter() - t0) * 1000)
-        status = PASS if value == expected else (FLAGGED if flag else FAIL)
         self.rows.append(
             VerificationReport(
                 check_id=check_id,
                 claim=claim,
                 expected=f"{ser(expected)} [{provenance}]",
-                computed=ser(value),
+                computed=computed,
                 status=status,
                 runtime_ms=ms,
             )

@@ -14,6 +14,10 @@ per variable, so products, commutators, and applications stay exact.
 `apply` is the one place where an operator acts on a polynomial; it keeps
 the coefficient type of its inputs, so integer operators on integer
 vectors give integer images for fraction-free elimination.
+`ad_first_order` is the bracket [w, a] for a first-order w = sum c x_i d_j:
+ad w is a derivation that sends x_j to sum c x_i and d_i to -sum c d_j,
+so it maps each normal-ordered term to normal-ordered terms with no
+reordering and no call to `compose`.
 
 The canonical monomial order is graded lexicographic with
 x_1 > x_2 > ... > x_27, which on index tuples is ascending (-degree,
@@ -285,3 +289,35 @@ def compose(a: WeylOp, b: WeylOp) -> WeylOp:
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
     return op_sub(compose(a, b), compose(b, a))
+
+
+def ad_first_order(w: WeylOp, a: WeylOp) -> WeylOp:
+    """Exact [w, a] for a first-order w = sum c x_i d_j.
+
+    ad w is a derivation: on x^A d^B it replaces one factor at a time,
+    x_j by sum c x_i and d_i by -sum c d_j, each distinct factor weighted
+    by its exponent.  Raises ValueError if w has a term of another shape.
+    """
+    xmap: dict[int, list[tuple[int, Fraction | int]]] = {}
+    dmap: dict[int, list[tuple[int, Fraction | int]]] = {}
+    for key, c in w.items():
+        xe, de = key
+        if len(xe) != 1 or len(de) != 1:
+            raise ValueError(f"not a first-order term x_i d_j: {key}")
+        xmap.setdefault(de[0], []).append((xe[0], c))
+        dmap.setdefault(xe[0], []).append((de[0], -c))
+    terms = []
+    for (xa, da), ca in a.items():
+        for k in dict.fromkeys(xa):
+            if k in xmap:
+                rest = _drop(xa, k, 1)
+                mult = ca * xa.count(k)
+                for i, c in xmap[k]:
+                    terms.append((tuple(sorted(rest + (i,))), da, mult * c))
+        for k in dict.fromkeys(da):
+            if k in dmap:
+                rest = _drop(da, k, 1)
+                mult = ca * da.count(k)
+                for j, c in dmap[k]:
+                    terms.append((xa, tuple(sorted(rest + (j,))), mult * c))
+    return op(terms)

@@ -228,9 +228,13 @@ class HomReport:
 
 
 def verify_homomorphism() -> HomReport:
-    """[rho(a), rho(b)] = rho([a, b]) over all simple-generator pairs."""
+    """[rho(a), rho(b)] = rho([a, b]) over all simple-generator pairs.
+
+    Every rho(a) is first order, so the left side comes from the
+    derivation route `ad_first_order`, not from generic composition.
+    """
     from .liealg import cartan_element
-    from .polyops import commutator, op_add, op_scale, op_sub
+    from .polyops import ad_first_order, op_add, op_scale, op_sub
 
     gens: list[tuple[AlgElement, WeylOp]] = []
     for k in range(1, 7):
@@ -252,7 +256,7 @@ def verify_homomorphism() -> HomReport:
     for ea, wa in gens:
         for eb, wb in gens:
             pairs += 1
-            lhs = commutator(wa, wb)
+            lhs = ad_first_order(wa, wb)
             rhs = rho(bracket(ea, eb))
             if op_sub(lhs, rhs):
                 fails.append(f"pair #{pairs}")

@@ -2,6 +2,10 @@
 serialization contract (every JSON leaf is a string)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,3 +157,37 @@ def test_closure_command(capsys):
     assert code == 0
     assert "closure.1-0" in out
     assert "closure.0-1" in out
+
+
+def test_raising_check_does_not_end_the_run(capsys, monkeypatch):
+    from e6poly import rep
+
+    def boom():
+        raise ZeroDivisionError("injected")
+
+    _code, clean = run_json(capsys, "rep")
+    monkeypatch.setattr(rep, "compare_weight_tables", boom)
+    code, doc = run_json(capsys, "rep")
+    assert code == 1
+    first, *rest = doc["reports"]
+    assert first["check_id"] == "rep.weight-table"
+    assert first["status"] == "fail"
+    assert first["computed"] == "ZeroDivisionError: injected"
+    assert first["expected"] == clean["reports"][0]["expected"]
+    # every later check still ran and gave its usual row
+    assert rest == clean["reports"][1:]
+    assert doc["payload"] == clean["payload"]
+
+
+def test_all_json_is_independent_of_hash_seed():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "e6poly.cli", "all", "--json"],
+            env=env, capture_output=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

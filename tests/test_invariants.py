@@ -6,8 +6,10 @@ defective; those comparisons pin the size and location of each defect
 so that silent drift in either direction fails the suite.
 """
 
+import random
 import re
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -30,6 +32,7 @@ from e6poly.invariants import (
     build_zeta_family,
     derived_cubic_scalar,
     eta_report,
+    generator_operators,
     lemma_bracket_triple,
     lemma_cubic_action,
     lemma_pairing_bracket,
@@ -43,8 +46,10 @@ from e6poly.invariants import (
     x1_zeta1_power,
 )
 from e6poly.polyops import (
+    ad_first_order,
     apply,
     commutator,
+    dualize,
     format_poly,
     monomial,
     multiplication,
@@ -52,11 +57,12 @@ from e6poly.polyops import (
     op_sub,
     pmul,
     poly_to_json,
+    ppow,
     pscale,
     psub,
     x,
 )
-from e6poly.rep import all_operators
+from e6poly.rep import all_operators, weight_table
 from e6poly.singular import monomial_weight
 
 # --- the cubic invariant ---------------------------------------------
@@ -74,6 +80,18 @@ def test_eta_weight_zero():
     eta = build_eta()
     for m in eta:
         assert monomial_weight(m) == (0, 0, 0, 0, 0, 0)
+
+
+def test_eta_support_is_every_zero_weight_triple():
+    # independent of the singular-space solver: the support of eta is
+    # exactly the set of index triples whose x-weights sum to zero
+    table = weight_table()
+    zero_triples = {
+        m for m in combinations_with_replacement(range(1, 28), 3)
+        if not any(sum(col) for col in zip(*(table[v - 1] for v in m)))
+    }
+    assert len(zero_triples) == 45
+    assert zero_triples == set(build_eta())
 
 
 def test_eta_report_is_clean():
@@ -222,6 +240,37 @@ def test_operators_commute_with_every_generator():
         rep = verify_invariance(op, label)
         assert rep.ok, rep.failures
         assert rep.ops_checked == 78
+
+
+def test_derivation_route_matches_commutator_on_invariant_operators():
+    # oracle for the fast route of verify_invariance: 12 seeded generators
+    # against D, D1, D2, compared with generic normal-ordered composition
+    ops = build_operators()
+    gens = random.Random(20240823).sample(generator_operators(), 12)
+    for _name, w in gens:
+        for op in (ops.D, ops.D1, ops.D2):
+            assert ad_first_order(w, op) == op_scale(-1, commutator(op, w))
+
+
+def test_derivation_route_matches_commutator_on_generator_pairs():
+    gens = generator_operators()
+    rng = random.Random(7)
+    for _ in range(50):
+        (_na, wa), (_nb, wb) = rng.choice(gens), rng.choice(gens)
+        assert ad_first_order(wa, wb) == commutator(wa, wb)
+
+
+def test_invariance_failures_match_commutator_loop():
+    # operators that do not commute: the fast route names the same
+    # generators, in the same order, as a commutator-based loop
+    for label, op in (("mult x1", multiplication(x(1))),
+                      ("dual x1^3", dualize(ppow(x(1), 3)))):
+        expected = tuple(name for name, w in generator_operators()
+                         if commutator(op, w))
+        rep = verify_invariance(op, label)
+        assert expected
+        assert rep.failures == expected
+        assert not rep.ok
 
 
 def test_euler_bracket_with_cubic_multiplication():

@@ -7,10 +7,12 @@ application, which is the only semantics the rest of the package needs.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from e6poly.polyops import (
+    ad_first_order,
     apply,
     commutator,
     compose,
@@ -141,6 +143,41 @@ def test_first_order_acts_as_substitution(i, j):
     other = 1 + j % 6
     if other != j:
         assert apply(a, x(other)) == {}
+
+
+@st.composite
+def first_order_ops(draw, max_terms=4):
+    terms = draw(st.lists(st.tuples(_coeff, _var, _var), min_size=1,
+                          max_size=max_terms))
+    return first_order(terms)
+
+
+@settings(max_examples=200)
+@given(first_order_ops(), operators())
+def test_ad_first_order_matches_commutator(w, a):
+    # the derivation route agrees with generic composition: [w, a] = -[a, w]
+    assert ad_first_order(w, a) == op_scale(-1, commutator(a, w))
+
+
+def test_ad_first_order_weights_repeated_factors():
+    # x_2 d_1 meets x_1 twice in x_1^2 d_1^2; x_1 d_2 meets d_1 twice
+    a = {((1, 1), (1, 1)): Fraction(1)}
+    assert ad_first_order(first_order([(1, 2, 1)]), a) == {((1, 2), (1, 1)): 2}
+    assert ad_first_order(first_order([(1, 1, 2)]), a) == {((1, 1), (1, 2)): -2}
+    # x_1 d_1 is the grading on x_1 minus the grading on d_1
+    assert ad_first_order(first_order([(1, 1, 1)]), a) == {}
+
+
+@pytest.mark.parametrize("w", [
+    multiplication(x(1)),
+    dualize(x(1)),
+    op_identity(),
+    {((1, 2), (3,)): 1},
+    op_add(first_order([(1, 1, 2)]), dualize(pmul(x(1), x(2)))),
+])
+def test_ad_first_order_rejects_other_shapes(w):
+    with pytest.raises(ValueError):
+        ad_first_order(w, euler_operator())
 
 
 @settings(max_examples=100)
