@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
+from operator import attrgetter
 
 from . import decomp, golden, invariants, rep, rootsys, singular, weyl
 from .config import DEFAULTS, RunConfig
@@ -76,39 +77,35 @@ class Assembler:
     def __init__(self) -> None:
         self.rows: list[VerificationReport] = []
 
-    def check(self, check_id, claim, expected, provenance, compute, flag=False):
-        """Run compute() and compare with expected.
+    def check(self, check_id, claim, expected, provenance, compute,
+              pick=lambda report: report, flag=False):
+        """Run compute(), compare pick(report) with expected, and return
+        the report.
 
         flag=True records a mismatch as a reference discrepancy rather
         than a failure; use it when the expected value is printed
         reference data already known to disagree with the derivation.
-        An exception raised by compute() becomes a "fail" row naming the
-        exception, and None is returned, so later checks still run.
+        An exception raised by compute() or pick() becomes a "fail" row
+        naming the exception, and None is returned, so later checks
+        still run; callers skip whatever reads a None report.
         """
         t0 = time.perf_counter()
         try:
-            value = compute()
+            report = compute()
+            computed = pick(report)
         except Exception as exc:
-            value = None
+            report = None
             computed = f"{type(exc).__name__}: {exc}"
             status = FAIL
         else:
-            computed = ser(value)
-            status = PASS if value == expected else (FLAGGED if flag else FAIL)
+            status = PASS if computed == expected else (FLAGGED if flag else FAIL)
         ms = round((time.perf_counter() - t0) * 1000)
-        self.rows.append(
-            VerificationReport(
-                check_id=check_id,
-                claim=claim,
-                expected=f"{ser(expected)} [{provenance}]",
-                computed=computed,
-                status=status,
-                runtime_ms=ms,
-            )
-        )
-        return value
+        self.note(check_id, claim, expected, provenance, computed, status, ms)
+        return report
 
-    def note(self, check_id, claim, expected, provenance, computed, status):
+    def note(self, check_id, claim, expected, provenance, computed, status,
+             runtime_ms=0):
+        """Record a row whose computed value and status are already known."""
         self.rows.append(
             VerificationReport(
                 check_id=check_id,
@@ -116,7 +113,7 @@ class Assembler:
                 expected=f"{ser(expected)} [{provenance}]",
                 computed=ser(computed),
                 status=status,
-                runtime_ms=0,
+                runtime_ms=runtime_ms,
             )
         )
 
@@ -145,18 +142,13 @@ def cmd_roots(cfg: RunConfig, a: Assembler) -> dict:
     a.note("roots.basis-expressions-defective",
            "printed composite expressions that are not norm-2 vectors",
            0, REFERENCE, len(bad_exprs), FLAGGED)
-    state: dict = {}
-
-    def run_cocycle() -> bool:
-        state["c"] = rootsys.check_cocycle_laws(
-            seed=cfg.seed, n_random=cfg.cocycle_samples)
-        return state["c"].ok
-
-    a.check("roots.cocycle-laws",
-            "sign-factor bimultiplicativity and symmetry on full sweep plus samples",
-            True, DERIVED, run_cocycle)
-    c = state["c"]
-    return {
+    c = a.check("roots.cocycle-laws",
+                "sign-factor bimultiplicativity and symmetry on full sweep plus samples",
+                True, DERIVED,
+                lambda: rootsys.check_cocycle_laws(
+                    seed=cfg.seed, n_random=cfg.cocycle_samples),
+                pick=attrgetter("ok"))
+    payload = {
         "e7_roots": "126",
         "e6_roots": "72",
         "e6_positive": "36",
@@ -164,32 +156,29 @@ def cmd_roots(cfg: RunConfig, a: Assembler) -> dict:
         "defective_basis_expressions": [
             f"{label}: {ser(v)} has norm 4" for label, v in bad_exprs
         ],
-        "cocycle_pairs_checked": str(c.pairs_checked),
-        "cocycle_triples_checked": str(c.triples_checked),
-        "seed": str(cfg.seed),
     }
+    if c is not None:
+        payload["cocycle_pairs_checked"] = str(c.pairs_checked)
+        payload["cocycle_triples_checked"] = str(c.triples_checked)
+    payload["seed"] = str(cfg.seed)
+    return payload
 
 
 def cmd_rep(cfg: RunConfig, a: Assembler) -> dict:
     a.check("rep.weight-table", "27 x 6 diagonal action table matches the reference",
             True, REFERENCE, lambda: rep.compare_weight_tables().ok)
-    state: dict = {}
-
-    def run_ops() -> bool:
-        state["t"] = rep.compare_reference_operators()
-        return state["t"].ok
-
-    a.check("rep.operators",
-            "72 root operators match the reference after typo normalization",
-            True, REFERENCE, run_ops)
-    t = state["t"]
-    if t.flagged:
+    t = a.check("rep.operators",
+                "72 root operators match the reference after typo normalization",
+                True, REFERENCE, rep.compare_reference_operators, pick=attrgetter("ok"))
+    if t is not None and t.flagged:
         a.note("rep.operators-defective-rows",
                "printed rows consistent with the derived bracket closure",
                0, REFERENCE, len(t.flagged), FLAGGED)
     a.check("rep.homomorphism",
             "operator brackets equal algebra brackets on all generator pairs",
             True, DERIVED, lambda: rep.verify_homomorphism().ok)
+    if t is None:
+        return {}
     return {
         "rows_compared": str(t.rows_compared),
         "typo_normalized_rows": [ser(r) for r in t.normalized_rows],
@@ -200,17 +189,13 @@ def cmd_rep(cfg: RunConfig, a: Assembler) -> dict:
 
 def _singular_degree(cfg: RunConfig, a: Assembler, m: int,
                      weight_filter=None) -> list[dict]:
-    state: dict = {}
-
-    def run_scan() -> int:
-        state["scan"] = singular.enumerate_singular(m)
-        return len(state["scan"].lines)
-
-    a.check(f"singular.deg{m}.line-count",
-            f"singular lines at degree {m} count solutions of a+2b+3c={m}",
-            expected_line_count(m), DERIVED, run_scan)
+    scan = a.check(f"singular.deg{m}.line-count",
+                   f"singular lines at degree {m} count solutions of a+2b+3c={m}",
+                   expected_line_count(m), DERIVED,
+                   lambda: singular.enumerate_singular(m),
+                   pick=lambda s: len(s.lines))
     payload = []
-    for w, d in state["scan"].lines:
+    for w, d in scan.lines if scan is not None else ():
         if weight_filter is not None and tuple(w) != weight_filter:
             continue
         a.check(f"singular.deg{m}.weight{ser(w).replace(' ', '')}.dim",
@@ -243,63 +228,46 @@ def _singular_degree(cfg: RunConfig, a: Assembler, m: int,
                 "the degree-2 singular line matches the printed quadratic exactly",
                 True, REFERENCE, match_zeta)
     if m == 3:
-        def eta_diffs() -> int:
-            return len(invariants.eta_report().expansion_diffs)
-
         a.check("singular.deg3.invariant-vs-printed",
                 "coefficient differences between the degree-3 invariant and its printed form",
-                0, REFERENCE, eta_diffs, flag=True)
+                0, REFERENCE, lambda: len(invariants.eta_report().expansion_diffs),
+                flag=True)
     return payload
 
 
-def cmd_singular(cfg: RunConfig, a: Assembler, degree: int,
-                 weight=None) -> dict:
-    return {"spaces": _singular_degree(cfg, a, degree, weight)}
-
-
 def _invariant_summary(cfg: RunConfig, a: Assembler) -> dict:
-    state: dict = {}
-
-    def run_eta() -> bool:
-        state["eta"] = invariants.eta_report()
-        return state["eta"].ok
-
-    a.check("invariant.eta",
-            "cubic invariant: 45 monomials, annihilated, bilinear identity",
-            True, DERIVED, run_eta)
-    er = state["eta"]
-    a.note("invariant.eta.printed-expansion",
-           "coefficient differences against the printed 45-term cubic",
-           0, REFERENCE, len(er.expansion_diffs), FLAGGED)
-    a.note("invariant.eta.printed-expansion-annihilated",
-           "the printed cubic is itself killed by all raising operators",
-           True, REFERENCE, er.printed_expansion_invariant, FLAGGED)
-    a.note("invariant.eta.printed-bilinear-residual",
-           "monomials missed by the printed 26-product bilinear form",
-           0, REFERENCE, er.printed_bilinear_residual_terms, FLAGGED)
-
-    def run_dual() -> bool:
-        state["dual"] = invariants.verify_dual_module()
-        return state["dual"].ok
-
-    a.check("invariant.dual-family",
-            "27 independent quadratics spanning a stable dual copy, action law exact",
-            True, DERIVED, run_dual)
-    dm = state["dual"]
-    a.check("invariant.dual-family.weights",
-            "family weights match the printed weight table",
-            True, REFERENCE, lambda: dm.cartan_reference_ok)
+    payload = {}
+    er = a.check("invariant.eta",
+                 "cubic invariant: 45 monomials, annihilated, bilinear identity",
+                 True, DERIVED, invariants.eta_report, pick=attrgetter("ok"))
+    if er is not None:
+        a.note("invariant.eta.printed-expansion",
+               "coefficient differences against the printed 45-term cubic",
+               0, REFERENCE, len(er.expansion_diffs), FLAGGED)
+        a.note("invariant.eta.printed-expansion-annihilated",
+               "the printed cubic is itself killed by all raising operators",
+               True, REFERENCE, er.printed_expansion_invariant, FLAGGED)
+        a.note("invariant.eta.printed-bilinear-residual",
+               "monomials missed by the printed 26-product bilinear form",
+               0, REFERENCE, er.printed_bilinear_residual_terms, FLAGGED)
+        payload["eta_monomials"] = str(er.monomial_count)
+        payload["eta_coefficients"] = [ser(c) for c in er.coefficient_values]
+        payload["bilinear_relation_dim"] = str(er.bilinear_relation_dim)
+    dm = a.check("invariant.dual-family",
+                 "27 independent quadratics spanning a stable dual copy, action law exact",
+                 True, DERIVED, invariants.verify_dual_module, pick=attrgetter("ok"))
+    if dm is not None:
+        a.check("invariant.dual-family.weights",
+                "family weights match the printed weight table",
+                True, REFERENCE, lambda: dm.cartan_reference_ok)
     defect = [i for i, ok in invariants.plain_involution_defect() if not ok]
     a.note("invariant.dual-family.plain-relabeling-defect",
            "high members produced by the unsigned relabeling rule stay in the module",
            0, REFERENCE, len(defect), FLAGGED)
-    return {
-        "eta_monomials": str(er.monomial_count),
-        "eta_coefficients": [ser(c) for c in er.coefficient_values],
-        "bilinear_relation_dim": str(er.bilinear_relation_dim),
-        "plain_relabeling_escapees": [str(i) for i in defect],
-        "dual_rank": str(dm.rank),
-    }
+    payload["plain_relabeling_escapees"] = [str(i) for i in defect]
+    if dm is not None:
+        payload["dual_rank"] = str(dm.rank)
+    return payload
 
 
 def _invariant_lemmas(cfg: RunConfig, a: Assembler) -> dict:
@@ -309,34 +277,29 @@ def _invariant_lemmas(cfg: RunConfig, a: Assembler) -> dict:
                 f"{label} commutes with all 78 generator operators",
                 True, DERIVED,
                 lambda op=op, label=label: invariants.verify_invariance(op, label).ok)
-    state: dict = {}
-
-    def run_bracket() -> bool:
-        state["b"] = invariants.lemma_bracket_triple()
-        return state["b"].structural_ok
-
-    a.check("invariant.bracket.structure",
-            "[D, mult(eta)] lies exactly in span{Id, D1, D2}",
-            True, DERIVED, run_bracket)
-    br = state["b"]
-    a.note("invariant.bracket.constants",
-           "printed constants of [D, mult(eta)]",
-           br.claimed, REFERENCE, tuple(br.triple), FLAGGED)
-
-    def run_pairing() -> bool:
-        state["p"] = invariants.lemma_pairing_bracket()
-        return state["p"].ok
-
-    a.check("invariant.pairing.structure",
-            "[D2, mult(eta)] = mult(eta)(c1 + c2 D1) with consistent instances",
-            True, DERIVED, run_pairing)
-    pb = state["p"]
-    a.note("invariant.pairing.constants",
-           "printed constants of [D2, mult(eta)]",
-           pb.claimed, REFERENCE, tuple(pb.pair), FLAGGED)
-    a.note("invariant.pairing.instances",
-           "printed eigenvalues of D2 on eta and eta*x_1",
-           (3, 5), REFERENCE, (pb.eta_scalar, pb.eta_x1_scalar), FLAGGED)
+    payload = {}
+    br = a.check("invariant.bracket.structure",
+                 "[D, mult(eta)] lies exactly in span{Id, D1, D2}",
+                 True, DERIVED, invariants.lemma_bracket_triple,
+                 pick=attrgetter("structural_ok"))
+    if br is not None:
+        a.note("invariant.bracket.constants",
+               "printed constants of [D, mult(eta)]",
+               br.claimed, REFERENCE, tuple(br.triple), FLAGGED)
+        payload["bracket_triple"] = ser(tuple(br.triple))
+        payload["bracket_triple_printed"] = ser(br.claimed)
+    pb = a.check("invariant.pairing.structure",
+                 "[D2, mult(eta)] = mult(eta)(c1 + c2 D1) with consistent instances",
+                 True, DERIVED, invariants.lemma_pairing_bracket, pick=attrgetter("ok"))
+    if pb is not None:
+        a.note("invariant.pairing.constants",
+               "printed constants of [D2, mult(eta)]",
+               pb.claimed, REFERENCE, tuple(pb.pair), FLAGGED)
+        a.note("invariant.pairing.instances",
+               "printed eigenvalues of D2 on eta and eta*x_1",
+               (3, 5), REFERENCE, (pb.eta_scalar, pb.eta_x1_scalar), FLAGGED)
+        payload["pairing"] = ser(tuple(pb.pair))
+        payload["pairing_printed"] = ser(pb.claimed)
 
     def eigen_sweep() -> bool:
         n = cfg.eigenvalue_degree
@@ -362,44 +325,38 @@ def _invariant_lemmas(cfg: RunConfig, a: Assembler) -> dict:
             f"D kills x_1^m1 zeta_1^m2 for m1+2m2 <= {cfg.annihilation_degree}",
             True, REFERENCE, kill_sweep)
 
-    def cubic_sweep() -> bool:
-        state["cubic"] = []
+    def cubic_sweep() -> list:
         n = cfg.cubic_degree
-        ok = True
-        for m in range(1, n // 3 + 1):
-            rem = n - 3 * m
-            for m1 in range(rem + 1):
-                for m2 in range((rem - m1) // 2 + 1):
-                    r = invariants.lemma_cubic_action(m, m1, m2)
-                    state["cubic"].append(r)
-                    ok = ok and r.ok
-        return ok
+        return [
+            invariants.lemma_cubic_action(m, m1, m2)
+            for m in range(1, n // 3 + 1)
+            for m1 in range(n - 3 * m + 1)
+            for m2 in range((n - 3 * m - m1) // 2 + 1)
+        ]
 
-    a.check("invariant.cubic-action-sweep",
-            "D(eta^m x_1^m1 zeta_1^m2) nonzero, proportional, scalar matches derivation",
-            True, DERIVED, cubic_sweep)
-    claimed_diffs = [r for r in state["cubic"] if not r.matches_claimed]
+    cubic = a.check("invariant.cubic-action-sweep",
+                    "D(eta^m x_1^m1 zeta_1^m2) nonzero, proportional, scalar matches derivation",
+                    True, DERIVED, cubic_sweep,
+                    pick=lambda rs: all(r.ok for r in rs))
+    if cubic is None:
+        return payload
+    claimed_diffs = [r for r in cubic if not r.matches_claimed]
     a.note("invariant.cubic-action.printed-scalars",
            "cases where the printed closed form matches the computed scalar",
-           len(state["cubic"]), REFERENCE,
-           len(state["cubic"]) - len(claimed_diffs), FLAGGED)
-    base = next(r for r in state["cubic"] if (r.m, r.m1, r.m2) == (1, 0, 0))
-    return {
-        "bracket_triple": ser(tuple(br.triple)),
-        "bracket_triple_printed": ser(br.claimed),
-        "pairing": ser(tuple(pb.pair)),
-        "pairing_printed": ser(pb.claimed),
+           len(cubic), REFERENCE, len(cubic) - len(claimed_diffs), FLAGGED)
+    if br is not None:
+        base = next(r for r in cubic if (r.m, r.m1, r.m2) == (1, 0, 0))
         # the three competing values for the bracket's constant term:
         # the printed bracket text, the direct evaluation on the
         # invariant itself, and the printed closed form at its base case
-        "base_constant_candidates": {
+        payload["base_constant_candidates"] = {
             "printed_bracket": ser(br.claimed[0]),
             "direct_evaluation": ser(base.scalar),
             "printed_closed_form": ser(base.claimed_scalar),
-        },
-        "cubic_cases": str(len(state["cubic"])),
-        "cubic_printed_mismatches": str(len(claimed_diffs)),
-    }
+        }
+    payload["cubic_cases"] = str(len(cubic))
+    payload["cubic_printed_mismatches"] = str(len(claimed_diffs))
+    return payload
 
 
 def cmd_invariant(cfg: RunConfig, a: Assembler, verify: bool,
@@ -431,40 +388,35 @@ def cmd_invariant(cfg: RunConfig, a: Assembler, verify: bool,
 
 def cmd_decompose(cfg: RunConfig, a: Assembler, m: int,
                   materialize: bool) -> dict:
-    state: dict = {}
-
-    def run_phi() -> int:
-        state["s"] = decomp.phi_dim(m)
-        return state["s"].dim_phi
-
     lower = comb(m + 23, 26) if m >= 3 else 0
-    a.check(f"decompose.deg{m}.kernel-dim",
-            "kernel dimension equals the binomial difference",
-            comb(m + 26, 26) - lower, DERIVED, run_phi)
-    s = state["s"]
-    a.check(f"decompose.deg{m}.rank",
-            "rank of the cubic operator equals the lower space dimension",
-            lower, DERIVED, lambda: s.rank_D)
-    a.check(f"decompose.deg{m}.directness",
-            "composite map g -> D(eta g) has full rank",
-            True, DERIVED, lambda: s.direct_sum_ok)
-    a.check(f"decompose.deg{m}.weyl-sum",
-            "kernel dimension equals the irreducible dimension sum",
-            s.dim_phi, DERIVED, lambda: s.weyl_sum)
-    payload = {
-        "degree": str(m),
-        "dim_total": str(s.dim_Am),
-        "rank": str(s.rank_D),
-        "dim_kernel": str(s.dim_phi),
-        "weyl_sum": str(s.weyl_sum),
-        "weyl_terms": [ser(t) for t in decomp.weyl_sum_check(m).terms],
-        "direct_sum_ok": ser(s.direct_sum_ok),
-    }
+    s = a.check(f"decompose.deg{m}.kernel-dim",
+                "kernel dimension equals the binomial difference",
+                comb(m + 26, 26) - lower, DERIVED, lambda: decomp.phi_dim(m),
+                pick=attrgetter("dim_phi"))
+    payload = {"degree": str(m)}
+    if s is not None:
+        a.check(f"decompose.deg{m}.rank",
+                "rank of the cubic operator equals the lower space dimension",
+                lower, DERIVED, lambda: s.rank_D)
+        a.check(f"decompose.deg{m}.directness",
+                "composite map g -> D(eta g) has full rank",
+                True, DERIVED, lambda: s.direct_sum_ok)
+        a.check(f"decompose.deg{m}.weyl-sum",
+                "kernel dimension equals the irreducible dimension sum",
+                s.dim_phi, DERIVED, lambda: s.weyl_sum)
+        payload.update({
+            "dim_total": str(s.dim_Am),
+            "rank": str(s.rank_D),
+            "dim_kernel": str(s.dim_phi),
+            "weyl_sum": str(s.weyl_sum),
+            "weyl_terms": [ser(t) for t in decomp.weyl_sum_check(m).terms],
+            "direct_sum_ok": ser(s.direct_sum_ok),
+        })
+        if materialize:
+            a.check(f"decompose.deg{m}.materialized-dim",
+                    "explicit kernel bases reproduce the rank-derived dimension",
+                    s.dim_phi, DERIVED, lambda: decomp.materialized_kernel_dim(m))
     if materialize:
-        a.check(f"decompose.deg{m}.materialized-dim",
-                "explicit kernel bases reproduce the rank-derived dimension",
-                s.dim_phi, DERIVED, lambda: decomp.materialized_kernel_dim(m))
-
         def verify_samples() -> bool:
             if m < 3:
                 return True
@@ -480,16 +432,11 @@ def cmd_decompose(cfg: RunConfig, a: Assembler, m: int,
 
 
 def cmd_identity(cfg: RunConfig, a: Assembler, max_degree: int) -> dict:
-    state: dict = {}
-
-    def run_series() -> tuple:
-        state["r"] = weyl.identity_check(max_degree)
-        return state["r"].series_coefficients
-
     expected = tuple(1 if k <= 2 else 0 for k in range(max_degree + 1))
-    a.check("identity.series",
-            "(1-q)^26 times the dimension series truncates to 1 + q + q^2",
-            expected, REFERENCE, run_series)
+    r = a.check("identity.series",
+                "(1-q)^26 times the dimension series truncates to 1 + q + q^2",
+                expected, REFERENCE, lambda: weyl.identity_check(max_degree),
+                pick=attrgetter("series_coefficients"))
     for m in range(max_degree + 1):
         def coeff(m=m) -> int:
             return sum(
@@ -502,10 +449,10 @@ def cmd_identity(cfg: RunConfig, a: Assembler, max_degree: int) -> dict:
         a.check(f"identity.coeff-q{m}",
                 "degree count matches the partitioned dimension sum",
                 comb(m + 26, 26), DEFINITION, coeff)
-    return {
-        "max_degree": str(max_degree),
-        "series": [str(c) for c in state["r"].series_coefficients],
-    }
+    payload = {"max_degree": str(max_degree)}
+    if r is not None:
+        payload["series"] = [str(c) for c in r.series_coefficients]
+    return payload
 
 
 def cmd_closure(cfg: RunConfig, a: Assembler, force: bool) -> dict:
@@ -628,6 +575,63 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+class UsageError(Exception):
+    """A bad argument value: one line on stderr and exit status 2."""
+
+
+def _degree(degree: int, guard: int, force: bool) -> int:
+    if degree < 0:
+        raise UsageError("degree must be nonnegative")
+    if degree > guard and not force:
+        raise UsageError(f"degree {degree} exceeds the cost guard "
+                         f"{guard}; pass --force to run")
+    return degree
+
+
+def _identity_degree(max_degree: int) -> int:
+    if not 0 <= max_degree <= weyl.MAX_IDENTITY_DEGREE:
+        raise UsageError(f"max degree must lie in 0..{weyl.MAX_IDENTITY_DEGREE}")
+    return max_degree
+
+
+def _weight(text: str | None):
+    if text is None:
+        return None
+    try:
+        weight = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        weight = ()
+    if len(weight) != 6:
+        raise UsageError("weight must have 6 comma-separated integers")
+    return weight
+
+
+def _run_decompose(cfg: RunConfig, a: Assembler, args) -> dict:
+    m = _degree(args.degree, cfg.decompose_guard, args.force)
+    if args.materialize and m > 4 and not args.force:
+        raise UsageError("materializing above degree 4 needs --force")
+    return cmd_decompose(cfg, a, m, args.materialize)
+
+
+# command -> handler(cfg, assembler, parsed args) returning the payload;
+# argument values are validated before the first check runs
+COMMANDS = {
+    "roots": lambda cfg, a, args: cmd_roots(cfg, a),
+    "rep": lambda cfg, a, args: cmd_rep(cfg, a),
+    "singular": lambda cfg, a, args: {"spaces": _singular_degree(
+        cfg, a, _degree(args.degree, cfg.singular_degree, args.force),
+        _weight(args.weight))},
+    "invariant": lambda cfg, a, args: cmd_invariant(cfg, a, args.verify, args.dump),
+    "decompose": _run_decompose,
+    "identity": lambda cfg, a, args: cmd_identity(
+        cfg, a, _identity_degree(args.max_degree)),
+    "closure": lambda cfg, a, args: cmd_closure(cfg, a, args.force),
+    "all": lambda cfg, a, args: cmd_all(
+        replace(cfg, identity_degree=_identity_degree(args.max_degree)),
+        a, args.force),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # shared flags use SUPPRESS defaults, so absent ones need fallbacks
@@ -635,54 +639,11 @@ def main(argv=None) -> int:
     timings = getattr(args, "timings", False)
     cfg = replace(DEFAULTS, seed=getattr(args, "seed", DEFAULTS.seed))
     a = Assembler()
-    if args.command == "roots":
-        payload = cmd_roots(cfg, a)
-    elif args.command == "rep":
-        payload = cmd_rep(cfg, a)
-    elif args.command == "singular":
-        if args.degree < 0:
-            print("degree must be nonnegative", file=sys.stderr)
-            return 2
-        if args.degree > cfg.singular_degree and not args.force:
-            print(f"degree {args.degree} exceeds the cost guard "
-                  f"{cfg.singular_degree}; pass --force to run", file=sys.stderr)
-            return 2
-        weight = None
-        if args.weight is not None:
-            parts = args.weight.split(",")
-            try:
-                weight = tuple(int(x) for x in parts)
-            except ValueError:
-                weight = None
-            if len(parts) != 6 or weight is None:
-                print("weight must have 6 comma-separated integers",
-                      file=sys.stderr)
-                return 2
-        payload = cmd_singular(cfg, a, args.degree, weight)
-    elif args.command == "invariant":
-        payload = cmd_invariant(cfg, a, args.verify, args.dump)
-    elif args.command == "decompose":
-        if args.degree < 0:
-            print("degree must be nonnegative", file=sys.stderr)
-            return 2
-        if args.degree > cfg.decompose_guard and not args.force:
-            print(f"degree {args.degree} exceeds the cost guard "
-                  f"{cfg.decompose_guard}; pass --force to run", file=sys.stderr)
-            return 2
-        if args.materialize and args.degree > 4 and not args.force:
-            print("materializing above degree 4 needs --force", file=sys.stderr)
-            return 2
-        payload = cmd_decompose(cfg, a, args.degree, args.materialize)
-    elif args.command == "identity":
-        if args.max_degree < 0 or (args.max_degree > 12):
-            print("max degree must lie in 0..12", file=sys.stderr)
-            return 2
-        payload = cmd_identity(cfg, a, args.max_degree)
-    elif args.command == "closure":
-        payload = cmd_closure(cfg, a, args.force)
-    else:
-        payload = cmd_all(replace(cfg, identity_degree=args.max_degree),
-                          a, args.force)
+    try:
+        payload = COMMANDS[args.command](cfg, a, args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     emit(args.command, cfg, a.rows, payload, as_json, timings)
     return 1 if any(r.status == FAIL for r in a.rows) else 0
 

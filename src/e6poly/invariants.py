@@ -266,13 +266,12 @@ def _coordinate_matrix(
     return out
 
 
-def verify_dual_module(fam: ZetaFamily | None = None) -> DualModuleReport:
+def verify_dual_module() -> DualModuleReport:
     """Span stability under all 78 operators, the dual-action law for
     the raising operators through the diagram automorphism, and the
     diagonal Cartan action against both the derived and the reference
     weight tables."""
-    if fam is None:
-        fam = build_zeta_family()
+    fam = build_zeta_family()
     coords = ZetaCoordinates(fam)
     rs = root_system()
     ops = all_operators()
@@ -534,7 +533,8 @@ class BracketReport:
         )
 
 
-def lemma_bracket_triple(ops: InvariantOperators | None = None) -> BracketReport:
+@lru_cache(maxsize=1)
+def lemma_bracket_triple() -> BracketReport:
     """Solve [D, mult(eta)] = b0 + b1 D1 + b2 D2 exactly.
 
     The three coefficients are read off disjoint normal-ordered keys
@@ -543,17 +543,7 @@ def lemma_bracket_triple(ops: InvariantOperators | None = None) -> BracketReport
     triple is compared with the reference constants downstream; a
     mismatch there is a finding about the reference, not a failure.
     """
-    if ops is None:
-        return _cached_bracket_triple()
-    return _bracket_triple(ops)
-
-
-@lru_cache(maxsize=1)
-def _cached_bracket_triple() -> BracketReport:
-    return _bracket_triple(build_operators())
-
-
-def _bracket_triple(ops: InvariantOperators) -> BracketReport:
+    ops = build_operators()
     C = commutator(ops.D, multiplication(ops.eta))
     pair = monomial({1: 1, 14: 1})
     b0 = C.get(((), ()), Fraction(0))
@@ -636,19 +626,10 @@ class PairingBracketReport:
         return tuple(self.pair) == self.claimed
 
 
-def lemma_pairing_bracket(ops: InvariantOperators | None = None) -> PairingBracketReport:
-    """Solve [D2, mult(eta)] = mult(eta) (c1 + c2 D1) exactly."""
-    if ops is None:
-        return _cached_pairing_bracket()
-    return _pairing_bracket(ops)
-
-
 @lru_cache(maxsize=1)
-def _cached_pairing_bracket() -> PairingBracketReport:
-    return _pairing_bracket(build_operators())
-
-
-def _pairing_bracket(ops: InvariantOperators) -> PairingBracketReport:
+def lemma_pairing_bracket() -> PairingBracketReport:
+    """Solve [D2, mult(eta)] = mult(eta) (c1 + c2 D1) exactly."""
+    ops = build_operators()
     C = commutator(ops.D2, multiplication(ops.eta))
     lead3 = Fraction(ops.eta[ETA_LEAD])
     c1 = C.get((ETA_LEAD, ()), Fraction(0)) / lead3

@@ -56,14 +56,20 @@ def weight_space(degree: int, weight: Weight) -> list[Monomial]:
     return list(weight_buckets(degree).get(tuple(weight), []))
 
 
-def _constraint_rows(basis: list[Monomial], ops: list[WeylOp]) -> list[dict[Monomial, int]]:
-    """Rows of the stacked constraint matrix, indexed by image monomial."""
+def _raising_system(degree: int, weight: Weight):
+    """Constraint rows of the six simple raising operators on one weight
+    space, indexed by image monomial, and the weight-space basis in
+    graded-lex column order (larger tuple first)."""
+    basis = weight_space(degree, weight)
+    if not basis:
+        return [], []
+    ops = [raising_operator(k).weyl() for k in range(1, 7)]
     rows: dict[tuple[int, Monomial], dict[Monomial, int]] = {}
     for mono in basis:
         for k, op in enumerate(ops):
             for target, c in apply(op, {mono: 1}).items():
                 rows.setdefault((k, target), {})[mono] = c
-    return [rows[key] for key in sorted(rows)]
+    return [rows[key] for key in sorted(rows)], sorted(basis, reverse=True)
 
 
 def singular_space(degree: int, weight: Weight) -> list[dict[Monomial, int]]:
@@ -72,23 +78,16 @@ def singular_space(degree: int, weight: Weight) -> list[dict[Monomial, int]]:
     Vectors are integer, content 1, positive on their canonically
     earliest monomial (largest in graded-lex order).
     """
-    basis = weight_space(degree, weight)
-    if not basis:
-        return []
-    ops = [raising_operator(k).weyl() for k in range(1, 7)]
-    rows = _constraint_rows(basis, ops)
-    columns = sorted(basis, reverse=True)  # graded-lex: larger tuple first
-    return kernel_basis(rows, columns)
+    rows, columns = _raising_system(degree, weight)
+    return kernel_basis(rows, columns) if columns else []
 
 
 def singular_dimension(degree: int, weight: Weight) -> int:
-    basis = weight_space(degree, weight)
-    if not basis:
+    rows, columns = _raising_system(degree, weight)
+    if not columns:
         return 0
-    ops = [raising_operator(k).weyl() for k in range(1, 7)]
-    rows = _constraint_rows(basis, ops)
-    order = {m: i for i, m in enumerate(sorted(basis, reverse=True))}
-    return len(basis) - rank_of(rows, lambda c: order[c])
+    order = {m: i for i, m in enumerate(columns)}
+    return len(columns) - rank_of(rows, lambda c: order[c])
 
 
 def dominant_weights(degree: int) -> list[Weight]:

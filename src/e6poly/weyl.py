@@ -20,6 +20,7 @@ from .rootsys import root_system
 
 __all__ = [
     "DimCalculator",
+    "MAX_IDENTITY_DEGREE",
     "SeriesReport",
     "calculator",
     "identity_check",
@@ -67,6 +68,11 @@ def weyl_dim(m1: int, m2: int) -> int:
     return calculator().dim(m1, m2)
 
 
+# degree bound of the series identity: the default of identity_check and
+# the largest bound the command line accepts
+MAX_IDENTITY_DEGREE = 12
+
+
 @dataclass(frozen=True)
 class SeriesReport:
     """Truncated check that (1-q)^26 sum dim q^(m1+2m2) = 1 + q + q^2.
@@ -87,7 +93,7 @@ class SeriesReport:
         return self.series_coefficients == self.expected_series and self.binomial_ok
 
 
-def identity_check(max_degree: int = 12) -> SeriesReport:
+def identity_check(max_degree: int = MAX_IDENTITY_DEGREE) -> SeriesReport:
     """Verify the dimension generating identity through max_degree."""
     n = max_degree
     if n < 0:

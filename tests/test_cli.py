@@ -1,15 +1,23 @@
 """Command-line interface tests: exit codes, determinism, and the
 serialization contract (every JSON leaf is a string)."""
 
+import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from e6poly import cli
+from e6poly.config import DEFAULTS
+from e6poly.weyl import MAX_IDENTITY_DEGREE
 
 
 def run(capsys, *argv):
@@ -177,6 +185,100 @@ def test_raising_check_does_not_end_the_run(capsys, monkeypatch):
     # every later check still ran and gave its usual row
     assert rest == clean["reports"][1:]
     assert doc["payload"] == clean["payload"]
+
+
+# (module, producer, cheapest command reaching it, row of the producer,
+#  payload key built from its report)
+PRODUCERS = [
+    ("rootsys", "check_cocycle_laws", ["roots"], "roots.cocycle-laws",
+     "cocycle_pairs_checked"),
+    ("rep", "compare_reference_operators", ["rep"], "rep.operators",
+     "rows_compared"),
+    ("singular", "enumerate_singular", ["singular", "--degree", "2"],
+     "singular.deg2.line-count", None),
+    ("invariants", "eta_report", ["invariant"], "invariant.eta",
+     "eta_monomials"),
+    ("invariants", "verify_dual_module", ["invariant"],
+     "invariant.dual-family", "dual_rank"),
+    ("invariants", "lemma_bracket_triple", ["invariant", "--verify"],
+     "invariant.bracket.structure", "bracket_triple"),
+    ("invariants", "lemma_pairing_bracket", ["invariant", "--verify"],
+     "invariant.pairing.structure", "pairing"),
+    ("invariants", "lemma_cubic_action", ["invariant", "--verify"],
+     "invariant.cubic-action-sweep", "cubic_cases"),
+    ("decomp", "phi_dim", ["decompose", "--degree", "3"],
+     "decompose.deg3.kernel-dim", "rank"),
+    ("weyl", "identity_check", ["identity", "--max-degree", "3"],
+     "identity.series", "series"),
+]
+
+
+@pytest.mark.parametrize("module, producer, argv, check_id, key", PRODUCERS,
+                         ids=[p[1] for p in PRODUCERS])
+def test_raising_producer_becomes_a_fail_row(capsys, monkeypatch, module,
+                                             producer, argv, check_id, key):
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(importlib.import_module(f"e6poly.{module}"), producer, boom)
+    code = cli.main([*argv, "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    (row,) = [r for r in doc["reports"] if r["check_id"] == check_id]
+    assert row["status"] == "fail"
+    assert row["computed"] == "ZeroDivisionError: injected"
+    if key is None:
+        assert doc["payload"] == {"spaces": []}
+    else:
+        assert key not in doc["payload"]
+
+
+NEGATIVE = st.integers(max_value=-1)
+MALFORMED_WEIGHT = st.one_of(
+    st.lists(st.integers(), max_size=12)
+    .filter(lambda xs: len(xs) != 6)
+    .map(lambda xs: ",".join(map(str, xs))),
+    st.builds(
+        lambda xs, bad, i: ",".join([*map(str, xs[:i]), bad, *map(str, xs[i:])]),
+        st.lists(st.integers(), min_size=5, max_size=5),
+        st.from_regex(r"[a-z. ]*", fullmatch=True),
+        st.integers(0, 5),
+    ),
+)
+BAD_ARGV = st.one_of(
+    st.builds(lambda d, extra: ["singular", f"--degree={d}", *extra],
+              NEGATIVE, st.sampled_from([[], ["--force"]])),
+    st.builds(lambda d: ["singular", f"--degree={d}"],
+              st.integers(min_value=DEFAULTS.singular_degree + 1)),
+    st.builds(lambda w: ["singular", f"--weight={w}"], MALFORMED_WEIGHT),
+    st.builds(lambda d, extra: ["decompose", f"--degree={d}", *extra],
+              NEGATIVE, st.sampled_from([[], ["--force"], ["--materialize", "--force"]])),
+    st.builds(lambda d, extra: ["decompose", f"--degree={d}", *extra],
+              st.integers(min_value=DEFAULTS.decompose_guard + 1),
+              st.sampled_from([[], ["--materialize"]])),
+    st.builds(lambda d: ["decompose", f"--degree={d}", "--materialize"],
+              st.integers(min_value=5)),
+    st.builds(lambda cmd, d: [cmd, f"--max-degree={d}"],
+              st.sampled_from(["identity", "all"]),
+              NEGATIVE | st.integers(min_value=MAX_IDENTITY_DEGREE + 1)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=BAD_ARGV)
+def test_bad_argument_values_exit_2_before_any_check(argv):
+    out, err = io.StringIO(), io.StringIO()
+    computed = AssertionError(f"a check ran for {argv}")
+    with mock.patch.object(cli.Assembler, "check", side_effect=computed), \
+            mock.patch.object(cli.Assembler, "note", side_effect=computed), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().count("\n") == 1
+    assert err.getvalue().endswith("\n")
 
 
 def test_all_json_is_independent_of_hash_seed():
