@@ -119,29 +119,30 @@ class Assembler:
 
 
 def cmd_roots(cfg: RunConfig, a: Assembler) -> dict:
-    rs = rootsys.root_system()
+    rs = rootsys.root_system  # called inside each check, so a raise is a row
     a.check("roots.e7-count", "norm-2 vectors in the rank-7 lattice",
-            126, REFERENCE, lambda: len(rs.roots))
+            126, REFERENCE, lambda: len(rs().roots))
     a.check("roots.e6-count", "vectors with final coordinate zero",
-            72, REFERENCE, lambda: len(rs.e6_roots))
+            72, REFERENCE, lambda: len(rs().e6_roots))
     a.check("roots.e6-positive-count", "positive vectors in the rank-6 subsystem",
-            36, REFERENCE, lambda: len(rs.e6_positive))
+            36, REFERENCE, lambda: len(rs().e6_positive))
     a.check("roots.basis-count", "positive vectors with final coordinate one",
-            27, REFERENCE, lambda: len(rs.bar_positive))
+            27, REFERENCE, lambda: len(rs().bar_positive))
     a.check("roots.positive-partition",
             "rank-7 positives split into rank-6 positives plus the basis set",
             True, DERIVED,
-            lambda: set(rs.positive) == set(rs.e6_positive) | set(rs.bar_positive)
-            and len(rs.positive) == 63)
-    exprs = rootsys.bar_set_expressions()
-    bad_exprs = [(label, v) for label, v, ok in exprs if not ok]
-    a.check("roots.basis-expressions",
-            "valid printed composite expressions pin down the basis set exactly",
-            True, DERIVED,
-            lambda: {v for _l, v, ok in exprs if ok} == set(rs.bar_positive))
-    a.note("roots.basis-expressions-defective",
-           "printed composite expressions that are not norm-2 vectors",
-           0, REFERENCE, len(bad_exprs), FLAGGED)
+            lambda: set(rs().positive) == set(rs().e6_positive) | set(rs().bar_positive)
+            and len(rs().positive) == 63)
+    exprs = a.check("roots.basis-expressions",
+                    "valid printed composite expressions pin down the basis set exactly",
+                    True, DERIVED, rootsys.bar_set_expressions,
+                    pick=lambda exprs: {v for _l, v, ok in exprs if ok}
+                    == set(rs().bar_positive))
+    if exprs is not None:
+        bad_exprs = [(label, v) for label, v, ok in exprs if not ok]
+        a.note("roots.basis-expressions-defective",
+               "printed composite expressions that are not norm-2 vectors",
+               0, REFERENCE, len(bad_exprs), FLAGGED)
     c = a.check("roots.cocycle-laws",
                 "sign-factor bimultiplicativity and symmetry on full sweep plus samples",
                 True, DERIVED,
@@ -153,10 +154,11 @@ def cmd_roots(cfg: RunConfig, a: Assembler) -> dict:
         "e6_roots": "72",
         "e6_positive": "36",
         "basis_vectors": "27",
-        "defective_basis_expressions": [
-            f"{label}: {ser(v)} has norm 4" for label, v in bad_exprs
-        ],
     }
+    if exprs is not None:
+        payload["defective_basis_expressions"] = [
+            f"{label}: {ser(v)} has norm 4" for label, v in bad_exprs
+        ]
     if c is not None:
         payload["cocycle_pairs_checked"] = str(c.pairs_checked)
         payload["cocycle_triples_checked"] = str(c.triples_checked)
@@ -198,16 +200,15 @@ def _singular_degree(cfg: RunConfig, a: Assembler, m: int,
     for w, d in scan.lines if scan is not None else ():
         if weight_filter is not None and tuple(w) != weight_filter:
             continue
-        a.check(f"singular.deg{m}.weight{ser(w).replace(' ', '')}.dim",
-                "each singular weight space is a single line",
-                1, DERIVED, lambda d=d: d)
-        vecs = singular.singular_space(m, w)
-        entry = {
-            "degree": str(m),
-            "weight": ser(w),
-            "dimension": str(d),
-            "generators": [poly_to_json(v) for v in vecs],
-        }
+        # the row checks the scan's dimension; the generators are solved
+        # inside it, so a raising solver gives a fail row
+        vecs = a.check(f"singular.deg{m}.weight{ser(w).replace(' ', '')}.dim",
+                       "each singular weight space is a single line",
+                       1, DERIVED, lambda w=w: singular.singular_space(m, w),
+                       pick=lambda vecs, d=d: d)
+        entry = {"degree": str(m), "weight": ser(w), "dimension": str(d)}
+        if vecs is not None:
+            entry["generators"] = [poly_to_json(v) for v in vecs]
         payload.append(entry)
     # pinned identifications at low degree
     lam1 = tuple(1 if i == 0 else 0 for i in range(6))
@@ -260,23 +261,25 @@ def _invariant_summary(cfg: RunConfig, a: Assembler) -> dict:
         a.check("invariant.dual-family.weights",
                 "family weights match the printed weight table",
                 True, REFERENCE, lambda: dm.cartan_reference_ok)
-    defect = [i for i, ok in invariants.plain_involution_defect() if not ok]
-    a.note("invariant.dual-family.plain-relabeling-defect",
-           "high members produced by the unsigned relabeling rule stay in the module",
-           0, REFERENCE, len(defect), FLAGGED)
-    payload["plain_relabeling_escapees"] = [str(i) for i in defect]
+    defect = a.check("invariant.dual-family.plain-relabeling-defect",
+                     "high members produced by the unsigned relabeling rule stay in the module",
+                     0, REFERENCE,
+                     lambda: [i for i, ok in invariants.plain_involution_defect() if not ok],
+                     pick=len, flag=True)
+    if defect is not None:
+        payload["plain_relabeling_escapees"] = [str(i) for i in defect]
     if dm is not None:
         payload["dual_rank"] = str(dm.rank)
     return payload
 
 
 def _invariant_lemmas(cfg: RunConfig, a: Assembler) -> dict:
-    ops = invariants.build_operators()
-    for label, op in (("D", ops.D), ("D1", ops.D1), ("D2", ops.D2)):
+    for label in ("D", "D1", "D2"):
         a.check(f"invariant.commutes.{label}",
                 f"{label} commutes with all 78 generator operators",
                 True, DERIVED,
-                lambda op=op, label=label: invariants.verify_invariance(op, label).ok)
+                lambda label=label: invariants.verify_invariance(
+                    getattr(invariants.build_operators(), label), label).ok)
     payload = {}
     br = a.check("invariant.bracket.structure",
                  "[D, mult(eta)] lies exactly in span{Id, D1, D2}",
@@ -362,14 +365,17 @@ def _invariant_lemmas(cfg: RunConfig, a: Assembler) -> dict:
 def cmd_invariant(cfg: RunConfig, a: Assembler, verify: bool,
                   dump: str | None) -> dict:
     if dump == "eta":
-        eta = invariants.build_eta()
-        a.check("invariant.eta.monomials", "number of cubic monomials",
-                45, DERIVED, lambda: len(eta))
+        eta = a.check("invariant.eta.monomials", "number of cubic monomials",
+                      45, DERIVED, invariants.build_eta, pick=len)
+        if eta is None:
+            return {}
         return {"eta": poly_to_json(eta), "eta_text": format_poly(eta)}
     if dump == "zeta":
-        fam = invariants.build_zeta_family()
-        a.check("invariant.zeta.count", "number of family members",
-                27, DERIVED, lambda: len(fam.zetas))
+        fam = a.check("invariant.zeta.count", "number of family members",
+                      27, DERIVED, invariants.build_zeta_family,
+                      pick=lambda fam: len(fam.zetas))
+        if fam is None:
+            return {}
         return {
             "zeta": {
                 str(i): {
@@ -401,17 +407,19 @@ def cmd_decompose(cfg: RunConfig, a: Assembler, m: int,
         a.check(f"decompose.deg{m}.directness",
                 "composite map g -> D(eta g) has full rank",
                 True, DERIVED, lambda: s.direct_sum_ok)
-        a.check(f"decompose.deg{m}.weyl-sum",
-                "kernel dimension equals the irreducible dimension sum",
-                s.dim_phi, DERIVED, lambda: s.weyl_sum)
+        ws = a.check(f"decompose.deg{m}.weyl-sum",
+                     "kernel dimension equals the irreducible dimension sum",
+                     s.dim_phi, DERIVED, lambda: decomp.weyl_sum_check(m),
+                     pick=attrgetter("weyl_sum"))
         payload.update({
             "dim_total": str(s.dim_Am),
             "rank": str(s.rank_D),
             "dim_kernel": str(s.dim_phi),
             "weyl_sum": str(s.weyl_sum),
-            "weyl_terms": [ser(t) for t in decomp.weyl_sum_check(m).terms],
-            "direct_sum_ok": ser(s.direct_sum_ok),
         })
+        if ws is not None:
+            payload["weyl_terms"] = [ser(t) for t in ws.terms]
+        payload["direct_sum_ok"] = ser(s.direct_sum_ok)
         if materialize:
             a.check(f"decompose.deg{m}.materialized-dim",
                     "explicit kernel bases reproduce the rank-derived dimension",

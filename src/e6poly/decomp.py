@@ -1,10 +1,16 @@
 """Kernel decomposition for the cubic invariant operator.
 
 Phi_m is the kernel of D on the degree-m polynomials.  D preserves
-weight, so its matrix is block-diagonal over weight classes; ranks are
-accumulated block by block, with an early exit once a block reaches
-full row rank.  That blocking, plus the fact that the rank is bounded
-by the much smaller target space, is what keeps degree 5 tractable.
+weight, so its matrix is block-diagonal over weight classes.  Two
+independently built matrices give its dimension:
+
+- the rank route (phi_dim) applies D to every source monomial and
+  accumulates ranks block by block, with an early exit once a block
+  reaches full row rank, bounded by the much smaller target space;
+- the materialized route (materialized_kernel_dim, kernel_samples)
+  builds each row from its target t, whose only sources are t times
+  the 45 terms of eta, so only blocks whose weight occurs at degree
+  m - 3 have rows, and takes explicit kernel bases.
 """
 
 from __future__ import annotations
@@ -12,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from .invariants import build_eta, x1_zeta1_power
 from .linalg import FractionSpan, IntEchelon, kernel_basis
 from .polyops import Monomial, WeylOp, apply, dualize
 from .rep import lowering_operator
-from .singular import weight_buckets
+from .singular import Weight, weight_buckets
 from .weyl import weyl_dim
 
 __all__ = [
@@ -98,14 +104,22 @@ def _composite_full_rank(m: int) -> bool:
     return True
 
 
-def _cubic_rows(monos: list[Monomial]) -> list[dict[Monomial, int]]:
-    """Rows of D on one weight block, indexed by image monomial."""
-    D = cubic_operator()
-    rows: dict[Monomial, dict[Monomial, int]] = {}
-    for mono in monos:
-        for k, v in apply(D, {mono: 1}).items():
-            rows.setdefault(k, {})[mono] = v
-    return list(rows.values())
+def _cubic_rows(m: int, weight: Weight) -> list[dict[Monomial, int]]:
+    """Rows of D on the degree-m block of one weight, one per target.
+
+    The only sources reaching a target t are t * x_a x_b x_c over the 45
+    terms c x_a x_b x_c of eta, where c d_a d_b d_c takes the source to
+    c * count_a * count_b * count_c * t (a, b, c are distinct).  A block
+    with no target of its weight has no rows.
+    """
+    rows = []
+    for t in weight_buckets(m - 3).get(weight, []):
+        row = {}
+        for c, abc in _cubic_terms():
+            source = tuple(sorted(t + abc))
+            row[source] = c * prod(source.count(v) for v in abc)
+        rows.append(row)
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -163,33 +177,39 @@ def weyl_sum_check(m: int) -> WeylSumReport:
 
 
 def kernel_samples(m: int, max_blocks: int = 8) -> list[dict[Monomial, int]]:
-    """Explicit kernel vectors of D from the first few weight blocks.
+    """Explicit kernel vectors of D from the first few weight blocks that D
+    does not kill outright.
 
-    Blocks are taken in increasing size so the samples stay small; every
+    Only blocks whose weight also occurs at degree m - 3 have rows; they
+    are taken in increasing size so the samples stay small.  Every
     returned vector is an exact integer kernel element.
     """
     if m < 3:
         raise ValueError("kernel is everything below degree 3")
-    sources = weight_buckets(m)
+    targets = weight_buckets(m - 3)
+    blocks = sorted(
+        ((w, monos) for w, monos in weight_buckets(m).items() if w in targets),
+        key=lambda kv: (len(kv[1]), kv[0]),
+    )
     out: list[dict[Monomial, int]] = []
-    by_size = sorted(sources.items(), key=lambda kv: (len(kv[1]), kv[0]))
-    for _, monos in by_size[:max_blocks]:
-        out.extend(kernel_basis(_cubic_rows(monos), monos))
+    for w, monos in blocks[:max_blocks]:
+        out.extend(kernel_basis(_cubic_rows(m, w), monos))
     return out
 
 
 def materialized_kernel_dim(m: int) -> int:
     """Dimension of Phi_m by explicit kernel bases over every block.
 
-    Slower than phi_dim's rank route; used to cross-check it and to
-    drive the materializing CLI path.
+    Its rows are built from the targets, independently of phi_dim's
+    source-side matrix, so the two dimensions cross-check each other;
+    also drives the materializing CLI path.
     """
     if m < 3:
         return comb(m + 26, 26)
-    total = 0
-    for monos in weight_buckets(m).values():
-        total += len(kernel_basis(_cubic_rows(monos), monos))
-    return total
+    return sum(
+        len(kernel_basis(_cubic_rows(m, w), monos))
+        for w, monos in weight_buckets(m).items()
+    )
 
 
 def lowering_closure(m1: int, m2: int, force: bool = False) -> int:

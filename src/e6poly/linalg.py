@@ -3,7 +3,8 @@
 Matrices are kept as lists of sparse rows (dict mapping column key ->
 integer).  Elimination is fraction-free: a row is combined with a pivot row
 by integer cross-multiplication and the result is divided by its content,
-so no Fraction ever appears during the forward pass.  Column keys can be
+so no Fraction appears in the forward pass or in the back-substitution
+that yields kernel bases.  Column keys can be
 any hashable values; an explicit column order fixes pivots and makes every
 result reproducible.
 """
@@ -11,7 +12,7 @@ result reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Sequence
 
 Row = dict[Hashable, int]
@@ -103,65 +104,46 @@ def kernel_basis(
     the earliest column (in the order of `columns`) they touch.  One basis
     vector is produced per free column, in column order.
     """
+    rows = [row for row in rows if row]
+    if not rows:
+        return [{c: 1} for c in columns]
     order = {c: i for i, c in enumerate(columns)}
-    ech = IntEchelon(lambda c: order[c])
+    ech = IntEchelon(order.__getitem__)
     for row in rows:
-        if row:
-            ech.insert(row)
+        ech.insert(row)
 
-    pivot_cols = set(ech.pivots)
-    free_cols = [c for c in columns if c not in pivot_cols]
-    # Back-substitution per free column, over Fractions for clarity.
-    reduced: dict[Hashable, dict[Hashable, Fraction]] = {}
-    for col in sorted(pivot_cols, key=lambda c: -order[c]):
+    # Integer back-substitution to reduced echelon form: working from the
+    # last pivot backwards, each pivot row loses its entries in the later
+    # pivot columns, so it keeps only its own pivot and free columns.
+    reduced: dict[Hashable, Row] = {}
+    for col in sorted(ech.pivots, key=order.__getitem__, reverse=True):
         row = ech.pivots[col]
-        lead = Fraction(row[col])
-        vec = {c: Fraction(v) / lead for c, v in row.items() if c != col}
-        # Substitute previously solved pivots: with x_col = -sum(S_col * x_free)
-        # and x_c = -sum(S_c * x_free), a pivot term v * x_c contributes
-        # -v * S_c to S_col.
-        out: dict[Hashable, Fraction] = {}
-        for c, v in vec.items():
-            if c in reduced:
-                for cc, vv in reduced[c].items():
-                    w = out.get(cc, Fraction(0)) - v * vv
-                    if w:
-                        out[cc] = w
-                    else:
-                        out.pop(cc, None)
-            else:
-                w = out.get(c, Fraction(0)) + v
-                if w:
-                    out[c] = w
-                else:
-                    out.pop(c, None)
-        reduced[col] = out
+        for c in [c for c in row if c in reduced]:
+            row = _eliminate(row, reduced[c], c)
+        reduced[col] = row
+    touching: dict[Hashable, list[Hashable]] = {}
+    for col, row in reduced.items():
+        for c in row:
+            if c != col:
+                touching.setdefault(c, []).append(col)
 
+    # Free column f: x_f = L and x_p = -r_p[f] * L / r_p[p] for each pivot
+    # p whose row touches f, with L the lcm of those pivots.
     basis: list[dict[Hashable, int]] = []
-    for free in free_cols:
-        vec: dict[Hashable, Fraction] = {free: Fraction(1)}
-        for col, expr in reduced.items():
-            v = expr.get(free)
-            if v:
-                vec[col] = -v
-        basis.append(_integerize(vec, order))
+    for free in columns:
+        if free in reduced:
+            continue
+        pivots = touching.get(free, ())
+        scale = lcm(*(reduced[p][p] for p in pivots))
+        vec = {free: scale}
+        for p in pivots:
+            vec[p] = -reduced[p][free] * scale // reduced[p][p]
+        vec = strip_content(vec)
+        lead = min(vec, key=order.__getitem__)
+        if vec[lead] < 0:
+            vec = {c: -v for c, v in vec.items()}
+        basis.append(vec)
     return basis
-
-
-def _integerize(
-    vec: dict[Hashable, Fraction], order: dict[Hashable, int]
-) -> dict[Hashable, int]:
-    denom = 1
-    for v in vec.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = {c: int(v * denom) for c, v in vec.items()}
-    g = row_content(ints)
-    if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    lead = min(ints, key=lambda c: order[c])
-    if ints[lead] < 0:
-        ints = {c: -v for c, v in ints.items()}
-    return ints
 
 
 class FractionSpan:

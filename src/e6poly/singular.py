@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from operator import add
 
 from .linalg import kernel_basis, rank_of
 from .polyops import Monomial, Poly, apply
@@ -39,16 +39,26 @@ def monomial_weight(mono: Monomial) -> Weight:
 
 @lru_cache(maxsize=None)
 def weight_buckets(degree: int) -> dict[Weight, list[Monomial]]:
-    """All degree-m monomials grouped by weight."""
+    """All degree-m monomials grouped by weight.
+
+    Monomials are built factor by factor in lex order, each prefix
+    carrying its weight, so keys and lists come out in the order of
+    combinations_with_replacement(range(1, 28), degree).
+    """
+    if degree == 0:
+        return {(0, 0, 0, 0, 0, 0): [()]}
     rows = weight_table()
     buckets: dict[Weight, list[Monomial]] = {}
-    for mono in combinations_with_replacement(range(1, 28), degree):
-        acc = [0, 0, 0, 0, 0, 0]
-        for v in mono:
-            row = rows[v - 1]
-            for t in range(6):
-                acc[t] += row[t]
-        buckets.setdefault(tuple(acc), []).append(mono)
+
+    def extend(mono: Monomial, acc: Weight, first: int, left: int) -> None:
+        for v in range(first, 28):
+            w = tuple(map(add, acc, rows[v - 1]))
+            if left == 1:
+                buckets.setdefault(w, []).append(mono + (v,))
+            else:
+                extend(mono + (v,), w, v, left - 1)
+
+    extend((), (0, 0, 0, 0, 0, 0), 1, degree)
     return buckets
 
 

@@ -188,7 +188,7 @@ def test_raising_check_does_not_end_the_run(capsys, monkeypatch):
 
 
 # (module, producer, cheapest command reaching it, row of the producer,
-#  payload key built from its report)
+#  payload key built from its report, or None if the row feeds no key)
 PRODUCERS = [
     ("rootsys", "check_cocycle_laws", ["roots"], "roots.cocycle-laws",
      "cocycle_pairs_checked"),
@@ -210,6 +210,23 @@ PRODUCERS = [
      "decompose.deg3.kernel-dim", "rank"),
     ("weyl", "identity_check", ["identity", "--max-degree", "3"],
      "identity.series", "series"),
+    ("rootsys", "root_system", ["roots"], "roots.e7-count",
+     "cocycle_pairs_checked"),
+    ("rootsys", "bar_set_expressions", ["roots"], "roots.basis-expressions",
+     "defective_basis_expressions"),
+    ("singular", "singular_space", ["singular", "--degree", "2"],
+     "singular.deg2.weight(0,0,0,0,0,1).dim", "generators"),
+    ("invariants", "plain_involution_defect", ["invariant"],
+     "invariant.dual-family.plain-relabeling-defect",
+     "plain_relabeling_escapees"),
+    ("invariants", "build_operators", ["invariant", "--verify"],
+     "invariant.commutes.D2", None),
+    ("invariants", "build_eta", ["invariant", "--dump", "eta"],
+     "invariant.eta.monomials", "eta"),
+    ("invariants", "build_zeta_family", ["invariant", "--dump", "zeta"],
+     "invariant.zeta.count", "zeta"),
+    ("decomp", "weyl_sum_check", ["decompose", "--degree", "3"],
+     "decompose.deg3.weyl-sum", "weyl_terms"),
 ]
 
 
@@ -229,9 +246,11 @@ def test_raising_producer_becomes_a_fail_row(capsys, monkeypatch, module,
     (row,) = [r for r in doc["reports"] if r["check_id"] == check_id]
     assert row["status"] == "fail"
     assert row["computed"] == "ZeroDivisionError: injected"
-    if key is None:
+    if producer == "enumerate_singular":
         assert doc["payload"] == {"spaces": []}
-    else:
+    elif argv[0] == "singular":
+        assert all(key not in entry for entry in doc["payload"]["spaces"])
+    elif key is not None:
         assert key not in doc["payload"]
 
 

@@ -11,7 +11,9 @@ import pytest
 
 from e6poly.decomp import (
     CLOSURE_GUARD,
+    _cubic_rows,
     _cubic_terms,
+    cubic_operator,
     kernel_samples,
     lowering_closure,
     materialized_kernel_dim,
@@ -20,7 +22,22 @@ from e6poly.decomp import (
 )
 from e6poly.invariants import build_eta, build_operators
 from e6poly.polyops import apply
+from e6poly.singular import monomial_weight, weight_buckets
 from e6poly.weyl import weyl_dim
+
+
+def _source_rows(monos):
+    """Rows of D on one block, built the way phi_dim builds its matrix:
+    D applied to each source monomial, indexed by image monomial."""
+    rows = {}
+    for mono in monos:
+        for k, v in apply(cubic_operator(), {mono: 1}).items():
+            rows.setdefault(k, {})[mono] = v
+    return list(rows.values())
+
+
+def _as_set(rows):
+    return {frozenset(row.items()) for row in rows}
 
 
 def test_cubic_terms_match_the_invariant():
@@ -74,6 +91,31 @@ def test_kernel_samples_are_killed():
         assert not apply(D, vec)
 
 
+@pytest.mark.parametrize("m", [3, 4])
+def test_target_rows_equal_source_rows_on_every_block(m):
+    # the materialized route builds rows from targets; phi_dim applies D
+    # to sources; both must give the same matrix on every weight block
+    targets = weight_buckets(m - 3)
+    for w, monos in weight_buckets(m).items():
+        rows = _cubic_rows(m, w)
+        assert _as_set(rows) == _as_set(_source_rows(monos))
+        assert len(rows) == len(targets.get(w, []))
+
+
+@pytest.mark.parametrize("m, size", [(3, 45), (4, 85), (5, 85)])
+def test_kernel_samples_come_from_blocks_with_rows(m, size):
+    # a block whose weight is absent at degree m - 3 has no rows and only
+    # gives unit vectors, which D kills trivially; samples skip those
+    targets = weight_buckets(m - 3)
+    samples = kernel_samples(m)
+    assert any(len(vec) > 1 for vec in samples)
+    for vec in samples:
+        (w,) = {monomial_weight(mono) for mono in vec}
+        assert w in targets
+        assert len(weight_buckets(m)[w]) == size
+        assert not apply(cubic_operator(), vec)
+
+
 def test_materialized_kernel_matches_rank_count():
     assert materialized_kernel_dim(3) == 3653
 
@@ -105,6 +147,5 @@ def test_degree_five_decomposition():
     assert s.rank_D == comb(28, 26)
 
 
-@pytest.mark.slow
 def test_materialized_kernel_degree_four():
     assert materialized_kernel_dim(4) == 27378

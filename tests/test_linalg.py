@@ -1,6 +1,7 @@
 """Exact linear algebra tests: echelon rank, kernel bases, spans."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -29,8 +30,6 @@ def test_kernel_basis_simple_relation():
 def test_kernel_basis_content_one():
     rows = [{"a": 2, "b": 4}]
     (vec,) = kernel_basis(rows, ["a", "b"])
-    from math import gcd
-
     assert gcd(*[abs(v) for v in vec.values()]) == 1
 
 
@@ -92,3 +91,53 @@ def test_kernel_vectors_annihilate_rows(mat):
     for vec in kernel_basis(rows, list(range(_dim))):
         for row in rows:
             assert sum(row.get(j, 0) * vec.get(j, 0) for j in range(_dim)) == 0
+
+def _fraction_kernel(rows, columns):
+    """Kernel basis by Fraction reduced row echelon form: for each free
+    column f, x_f = 1 and x_p = -R[p][f] on the pivots, then scaled to a
+    primitive integer vector positive on its earliest column."""
+    mat = [[Fraction(row.get(c, 0)) for c in columns] for row in rows]
+    pivots = []
+    for j in range(len(columns)):
+        r = len(pivots)
+        k = next((i for i in range(r, len(mat)) if mat[i][j]), None)
+        if k is None:
+            continue
+        mat[r], mat[k] = mat[k], mat[r]
+        mat[r] = [v / mat[r][j] for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][j]:
+                f = mat[i][j]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(j)
+    basis = []
+    for f in range(len(columns)):
+        if f in pivots:
+            continue
+        vec = {f: Fraction(1)}
+        for r, p in enumerate(pivots):
+            if mat[r][f]:
+                vec[p] = -mat[r][f]
+        denom = lcm(*(v.denominator for v in vec.values()))
+        ints = {j: int(v * denom) for j, v in vec.items()}
+        g = gcd(*ints.values())
+        sign = 1 if ints[min(ints)] > 0 else -1
+        basis.append({columns[j]: sign * v // g for j, v in ints.items()})
+    return basis
+
+
+@st.composite
+def integer_systems(draw):
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    entries = st.integers(min_value=-4, max_value=4) | st.just(0)
+    matrix = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                           max_size=6))
+    rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
+    return rows, draw(st.permutations(range(ncols)))
+
+
+@settings(max_examples=300)
+@given(integer_systems())
+def test_kernel_basis_matches_fraction_rref(system):
+    rows, columns = system
+    assert kernel_basis(rows, columns) == _fraction_kernel(rows, columns)

@@ -5,6 +5,8 @@ operators; each one generates a highest-weight submodule.  The scan
 enumerates them degree by degree over dominant weight spaces.
 """
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from e6poly.invariants import build_eta, build_zeta_family
@@ -32,6 +34,16 @@ def test_weight_buckets_partition_monomials():
         buckets = weight_buckets(degree)
         total = sum(len(v) for v in buckets.values())
         assert total == comb(degree + 26, 26)
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_weight_buckets_follow_combinations_order(degree):
+    # same keys, same lists, both in the order of
+    # combinations_with_replacement, as the prefix-sum build promises
+    expected = {}
+    for mono in combinations_with_replacement(range(1, 28), degree):
+        expected.setdefault(monomial_weight(mono), []).append(mono)
+    assert list(weight_buckets(degree).items()) == list(expected.items())
 
 
 def test_line_counts_through_degree_five():
