@@ -15,7 +15,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import comb
 from operator import attrgetter
 
@@ -57,15 +56,10 @@ class VerificationReport:
 
 
 def ser(v) -> str:
-    """Serialize a value as a decimal string (tuples recursively)."""
+    """Serialize a value as a decimal string (tuples recursively); an
+    int and a Fraction of equal value print alike, as n or n/d."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, int):
-        return str(v)
     if isinstance(v, (tuple, list)):
         return "(" + ", ".join(ser(x) for x in v) + ")"
     return str(v)

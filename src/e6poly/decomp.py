@@ -16,12 +16,11 @@ independently built matrices give its dimension:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
 
 from .invariants import build_eta, x1_zeta1_power
-from .linalg import FractionSpan, IntEchelon, kernel_basis
+from .linalg import IntEchelon, kernel_basis
 from .polyops import Monomial, WeylOp, apply, dualize
 from .rep import lowering_operator
 from .singular import Weight, weight_buckets
@@ -223,17 +222,14 @@ def lowering_closure(m1: int, m2: int, force: bool = False) -> int:
             f"{CLOSURE_GUARD}; pass force=True to run anyway"
         )
     ops = [lowering_operator(k).weyl() for k in range(1, 7)]
-    span = FractionSpan(lambda k: k)
-    start = {k: Fraction(c) for k, c in x1_zeta1_power(m1, m2).items()}
-    span.add(start)
+    span = IntEchelon(lambda k: k)
+    start = x1_zeta1_power(m1, m2)
+    span.insert(start)
     queue = [start]
     while queue:
         vec = queue.pop()
         for w in ops:
             img = apply(w, vec)
-            if not img:
-                continue
-            img = {k: Fraction(c) for k, c in img.items()}
-            if span.add(img):
+            if img and span.insert(img):
                 queue.append(img)
-    return span.dim
+    return span.rank

@@ -14,6 +14,9 @@ D1, and the pairing operator D2 = sum_i mult(zeta_i) dualize(zeta_i).
 The lemma routines establish exact operator identities among them and
 record where the computed constants disagree with the hand-entered
 reference constants (those disagreements are reported, never patched).
+All of these have `int` coefficients, spans use the integer echelon,
+and both bracket lemmas use the Leibniz rule; `Fraction` appears only
+where a lemma divides (b2, c1, c2 and the proportionality scalars).
 """
 
 from __future__ import annotations
@@ -23,25 +26,24 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import golden
-from .linalg import FractionSpan
+from .linalg import IntEchelon
 from .polyops import (
     Monomial,
     Poly,
     WeylOp,
     ad_first_order,
     apply,
-    commutator,
-    compose,
     dualize,
     euler_operator,
+    leibniz_bracket,
     monomial,
-    multiplication,
+    op,
     op_add,
     op_identity,
     op_scale,
     op_sub,
-    op_zero,
     padd,
+    pdiv_exact,
     poly,
     ppow,
     pmul,
@@ -121,26 +123,25 @@ def zeta_reference_diff(fam: ZetaFamily) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=1)
-def dual_module_span() -> FractionSpan:
+def dual_module_span() -> IntEchelon:
     """Lowering closure of the quadratic singular vector: the actual
     27-dimensional dual submodule, built independently of the family's
     high-index construction rule."""
     z1 = _quadratic_singular()
-    span = FractionSpan(lambda k: k)
-    span.add({m: Fraction(c) for m, c in z1.items()})
+    span = IntEchelon(lambda k: k)
+    span.insert(z1)
     work = [z1]
     while work:
         v = work.pop()
         for k in range(1, 7):
             img = apply(lowering_operator(k).weyl(), v)
-            if img and span.add({m: Fraction(c) for m, c in img.items()}):
+            if img and span.insert(img):
                 work.append(img)
     return span
 
 
 def _in_dual_module(f: Poly) -> bool:
-    span = dual_module_span()
-    return not span.reduce({m: Fraction(c) for m, c in f.items()})
+    return not dual_module_span().reduce(f)
 
 
 def _quadratic_singular() -> Poly:
@@ -153,7 +154,7 @@ def _quadratic_singular() -> Poly:
     lead = z1.get(monomial({1: 1, 14: 1}), 0)
     if not lead:
         raise ValueError("quadratic singular vector misses x_1 x_14")
-    return pscale(Fraction(1, lead), z1)
+    return pdiv_exact(z1, lead)
 
 
 @lru_cache(maxsize=1)
@@ -202,30 +203,31 @@ def plain_involution_defect() -> tuple[tuple[int, bool], ...]:
 class ZetaCoordinates:
     """Express degree-2 polynomials in the zeta basis, exactly.
 
-    Rows of the echelon carry bookkeeping keys ("z", i) alongside the
-    monomial keys ("m", mono), so reducing a polynomial against the span
-    leaves exactly its zeta coordinates when it lies in the span.
+    Rows of the integer echelon carry bookkeeping keys ("z", i) alongside
+    the monomial keys ("m", mono), and f carries a tag key.  If f lies in
+    the span, its remainder r has no monomial key left and its i-th
+    coordinate is r[("z", i)] / r[("t", 0)], the one division.
     """
 
     def __init__(self, fam: ZetaFamily):
-        def key(k):
-            tag, payload = k
-            return (0, payload) if tag == "m" else (1, payload)
-
-        self.span = FractionSpan(key)
+        order = {"m": 0, "z": 1, "t": 2}
+        self.span = IntEchelon(lambda k: (order[k[0]], k[1]))
         for i, z in fam.items():
-            row = {("m", mono): Fraction(c) for mono, c in z.items()}
-            row[("z", i)] = Fraction(-1)
-            self.span.add(row)
-        self.rank = self.span.dim
+            row = {("m", mono): c for mono, c in z.items()}
+            row[("z", i)] = -1
+            self.span.insert(row)
+        self.rank = self.span.rank
 
     def express(self, f: Poly) -> dict[int, Fraction] | None:
         if not f:
             return {}
-        rem = self.span.reduce({("m", mono): Fraction(c) for mono, c in f.items()})
+        row = {("m", mono): c for mono, c in f.items()}
+        row[("t", 0)] = 1
+        rem = self.span.reduce(row)
         if any(tag == "m" for tag, _ in rem):
             return None
-        return {i: c for (_, i), c in rem.items() if c}
+        t = rem[("t", 0)]
+        return {i: Fraction(c, t) for (tag, i), c in rem.items() if tag == "z"}
 
 
 @dataclass(frozen=True)
@@ -295,7 +297,7 @@ def verify_dual_module() -> DualModuleReport:
     for r in rs.e6_positive:
         root6 = r[:6]
         mat = _coordinate_matrix(coords, ops[root6].weyl(), fam)
-        ref = {(i, j): Fraction(c) for c, i, j in ops[sigma_root(root6)].terms}
+        ref = {(i, j): c for c, i, j in ops[sigma_root(root6)].terms}
         if mat == ref:
             sign = 1
         elif mat == {k: -v for k, v in ref.items()}:
@@ -352,7 +354,7 @@ def build_eta() -> Poly:
     lead = f.get(ETA_LEAD, 0)
     if not lead:
         raise ValueError("cubic invariant misses x_1 x_14 x_27")
-    return pscale(Fraction(3, lead), f)
+    return pdiv_exact(pscale(3, f), lead)
 
 
 def _reference_eta() -> Poly:
@@ -388,11 +390,10 @@ def bilinear_relation_dim() -> int:
     from unique; the d-signed one is the symmetric choice.
     """
     fam = build_zeta_family()
-    span = FractionSpan(lambda k: k)
+    span = IntEchelon(lambda k: k)
     for i in range(1, 28):
-        prod = pmul(x(i), fam.zeta(golden.iota(i)))
-        span.add({mono: Fraction(c) for mono, c in prod.items()})
-    return 27 - span.dim
+        span.insert(pmul(x(i), fam.zeta(golden.iota(i))))
+    return 27 - span.rank
 
 
 @dataclass(frozen=True)
@@ -403,7 +404,7 @@ class EtaReport:
     bilinear_signs_match: bool
     bilinear_relation_dim: int
     printed_bilinear_residual_terms: int
-    expansion_diffs: tuple[tuple[Monomial, Fraction, Fraction], ...]
+    expansion_diffs: tuple[tuple[Monomial, int, int], ...]
     printed_expansion_invariant: bool
     printed_residual_terms: int
 
@@ -426,7 +427,7 @@ def eta_report() -> EtaReport:
     defects that are reported as data, never patched.
     """
     eta = build_eta()
-    coeffs = sorted({int(c) for c in eta.values()})
+    coeffs = sorted(set(eta.values()))
     annihilated = not any(
         apply(w, eta) for _, w in generator_operators()
     )
@@ -434,7 +435,7 @@ def eta_report() -> EtaReport:
     printed_residual = psub(bilinear_eta(golden.ETA_BILINEAR_REFERENCE), eta)
     ref = _reference_eta()
     diffs = tuple(
-        (mono, Fraction(eta.get(mono, 0)), Fraction(ref.get(mono, 0)))
+        (mono, eta.get(mono, 0), ref.get(mono, 0))
         for mono in sorted(set(eta) | set(ref))
         if eta.get(mono, 0) != ref.get(mono, 0)
     )
@@ -483,11 +484,17 @@ class InvariantOperators:
 
 @lru_cache(maxsize=1)
 def build_operators() -> InvariantOperators:
+    """D = dualize(eta), D1 the Euler operator and
+    D2 = sum_i mult(zeta_i) dualize(zeta_i), whose products are already
+    normal ordered, so its terms are written down directly."""
     fam = build_zeta_family()
     eta = build_eta()
-    d2 = op_zero()
-    for _, z in fam.items():
-        d2 = op_add(d2, compose(multiplication(z), dualize(z)))
+    d2 = op(
+        (xm, dm, cx * cd)
+        for _, z in fam.items()
+        for xm, cx in z.items()
+        for dm, cd in z.items()
+    )
     return InvariantOperators(
         eta=eta, D=dualize(eta), D1=euler_operator(), D2=d2
     )
@@ -528,27 +535,26 @@ class BracketReport:
 
     @property
     def matches_claimed(self) -> bool:
-        return self.structural_ok and tuple(self.triple) == tuple(
-            Fraction(v) for v in self.claimed
-        )
+        return self.structural_ok and tuple(self.triple) == self.claimed
 
 
 @lru_cache(maxsize=1)
 def lemma_bracket_triple() -> BracketReport:
     """Solve [D, mult(eta)] = b0 + b1 D1 + b2 D2 exactly.
 
-    The three coefficients are read off disjoint normal-ordered keys
-    (constant, x_1 d_1, and a pure second-order key unique to D2), then
-    membership is confirmed by exact operator equality.  The computed
+    The bracket comes from `leibniz_bracket`; the three coefficients
+    are read off disjoint normal-ordered keys (constant, x_1 d_1, and a
+    pure second-order key unique to D2), then membership is confirmed
+    by exact operator equality.  The computed
     triple is compared with the reference constants downstream; a
     mismatch there is a finding about the reference, not a failure.
     """
     ops = build_operators()
-    C = commutator(ops.D, multiplication(ops.eta))
+    C = leibniz_bracket(ops.D, ops.eta)
     pair = monomial({1: 1, 14: 1})
-    b0 = C.get(((), ()), Fraction(0))
-    b1 = C.get(((1,), (1,)), Fraction(0))
-    b2 = C.get((pair, pair), Fraction(0)) / ops.D2[(pair, pair)]
+    b0 = C.get(((), ()), 0)
+    b1 = C.get(((1,), (1,)), 0)
+    b2 = Fraction(C.get((pair, pair), 0), ops.D2[(pair, pair)])
     model = op_add(
         op_scale(b0, op_identity()),
         op_add(op_scale(b1, ops.D1), op_scale(b2, ops.D2)),
@@ -628,16 +634,21 @@ class PairingBracketReport:
 
 @lru_cache(maxsize=1)
 def lemma_pairing_bracket() -> PairingBracketReport:
-    """Solve [D2, mult(eta)] = mult(eta) (c1 + c2 D1) exactly."""
+    """Solve [D2, mult(eta)] = mult(eta) (c1 + c2 D1) exactly.
+
+    The bracket comes from `leibniz_bracket`; the model, c1 eta plus
+    c2 eta x_i d_i summed over i, is normal ordered as written.
+    """
     ops = build_operators()
-    C = commutator(ops.D2, multiplication(ops.eta))
-    lead3 = Fraction(ops.eta[ETA_LEAD])
-    c1 = C.get((ETA_LEAD, ()), Fraction(0)) / lead3
+    C = leibniz_bracket(ops.D2, ops.eta)
+    lead3 = ops.eta[ETA_LEAD]
+    c1 = Fraction(C.get((ETA_LEAD, ()), 0), lead3)
     lead_x1 = tuple(sorted(ETA_LEAD + (1,)))
-    c2 = C.get((lead_x1, (1,)), Fraction(0)) / lead3
-    model = compose(
-        multiplication(ops.eta),
-        op_add(op_scale(c1, op_identity()), op_scale(c2, ops.D1)),
+    c2 = Fraction(C.get((lead_x1, (1,)), 0), lead3)
+    model = op(
+        [(m, (), c1 * c) for m, c in ops.eta.items()]
+        + [(tuple(sorted(m + (i,))), (i,), c2 * c)
+           for m, c in ops.eta.items() for i in range(1, 28)]
     )
     residual = op_sub(C, model)
     eta_x1 = pmul(ops.eta, x(1))

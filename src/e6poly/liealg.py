@@ -1,7 +1,8 @@
 """The rank-7 Lie algebra spanned by the Cartan lattice and root vectors.
 
-An element is a rational combination of Cartan vectors h_v (v a lattice
-vector, embedded linearly) and root vectors e_r (r a root).  The bracket:
+An element is an exact (`int` or Fraction) combination of Cartan vectors
+h_v (v a lattice vector, embedded linearly) and root vectors e_r (r a
+root).  The structure constants are integers.  The bracket:
 
     [h, e_r]     = (h, r) e_r
     [e_r, e_-r]  = -h_r
@@ -15,17 +16,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import lru_cache
 
-from .rootsys import Vector, bilinear, cocycle_F, root_system, vadd, vneg
+from .polyops import Coeff
+from .rootsys import CARTAN_E7, Vector, cocycle_F, root_system, vadd, vneg
 
 
 @dataclass
 class AlgElement:
     """cartan: coefficients on alpha_1..alpha_7; roots: root -> coefficient."""
 
-    cartan: dict[int, Fraction] = field(default_factory=dict)
-    roots: dict[Vector, Fraction] = field(default_factory=dict)
+    cartan: dict[int, Coeff] = field(default_factory=dict)
+    roots: dict[Vector, Coeff] = field(default_factory=dict)
 
     def normalized(self) -> "AlgElement":
         return AlgElement(
@@ -43,78 +45,62 @@ class AlgElement:
         return a.cartan == b.cartan and a.roots == b.roots
 
 
-def cartan_element(v: Vector, coeff: Fraction = Fraction(1)) -> AlgElement:
-    out: dict[int, Fraction] = {}
+def cartan_element(v: Vector, coeff: Coeff = 1) -> AlgElement:
+    out: dict[int, Coeff] = {}
     for i, c in enumerate(v):
         if c:
             out[i] = coeff * c
     return AlgElement(cartan=out)
 
 
-def root_element(r: Vector, coeff: Fraction = Fraction(1)) -> AlgElement:
+def root_element(r: Vector, coeff: Coeff = 1) -> AlgElement:
     return AlgElement(roots={r: coeff})
 
 
 def add(a: AlgElement, b: AlgElement) -> AlgElement:
     cart = dict(a.cartan)
     for i, c in b.cartan.items():
-        cart[i] = cart.get(i, Fraction(0)) + c
+        cart[i] = cart.get(i, 0) + c
     roots = dict(a.roots)
     for r, c in b.roots.items():
-        roots[r] = roots.get(r, Fraction(0)) + c
+        roots[r] = roots.get(r, 0) + c
     return AlgElement(cartan=cart, roots=roots).normalized()
 
 
-def scale(k: Fraction, a: AlgElement) -> AlgElement:
+def scale(k: Coeff, a: AlgElement) -> AlgElement:
     return AlgElement(
         cartan={i: k * c for i, c in a.cartan.items()},
         roots={r: k * c for r, c in a.roots.items()},
     ).normalized()
 
 
-def _cartan_vector(a: AlgElement) -> Vector:
-    return tuple(a.cartan.get(i, Fraction(0)) for i in range(7))
-
-
 def bracket(a: AlgElement, b: AlgElement) -> AlgElement:
-    rset = root_system().root_set()
-    cart: dict[int, Fraction] = {}
-    roots: dict[Vector, Fraction] = {}
-
-    def add_root(r: Vector, c: Fraction) -> None:
-        roots[r] = roots.get(r, Fraction(0)) + c
-
-    def add_cartan(v: Vector, c: Fraction) -> None:
-        for i, vi in enumerate(v):
-            if vi:
-                cart[i] = cart.get(i, Fraction(0)) + c * vi
-
-    ha = _cartan_vector(a)
-    hb = _cartan_vector(b)
-    for r, cb in b.roots.items():
-        pairing = sum(ha[i] * row_b for i, row_b in enumerate(_pair_row(r)))
-        if pairing:
-            add_root(r, cb * pairing)
-    for r, ca in a.roots.items():
-        pairing = sum(hb[i] * row_b for i, row_b in enumerate(_pair_row(r)))
-        if pairing:
-            add_root(r, -ca * pairing)
+    rset = root_system().root_set
+    cart: dict[int, Coeff] = {}
+    roots: dict[Vector, Coeff] = {}
+    # [h, e_r] = (h, r) e_r, both ways round
+    for h, elem, sign in ((a.cartan, b, 1), (b.cartan, a, -1)):
+        for r, c in elem.roots.items():
+            row = _pair_row(r)
+            pairing = sum(hc * row[i] for i, hc in h.items())
+            if pairing:
+                roots[r] = roots.get(r, 0) + sign * c * pairing
     for r, ca in a.roots.items():
         for s, cb in b.roots.items():
-            c = ca * cb
-            if vadd(r, s) == (0,) * 7:
-                add_cartan(vneg(r), c)
-            else:
-                t = vadd(r, s)
-                if t in rset:
-                    add_root(t, c * cocycle_F(r, s))
+            t = vadd(r, s)
+            if not any(t):
+                # [e_r, e_-r] = -h_r
+                for i, ri in enumerate(r):
+                    if ri:
+                        cart[i] = cart.get(i, 0) - ca * cb * ri
+            elif t in rset:
+                roots[t] = roots.get(t, 0) + ca * cb * cocycle_F(r, s)
     return AlgElement(cartan=cart, roots=roots).normalized()
 
 
+@lru_cache(maxsize=None)
 def _pair_row(r: Vector) -> Vector:
     """(alpha_i, r) for i = 1..7."""
-    from .rootsys import CARTAN_E7
-
     return tuple(sum(CARTAN_E7[i][j] * r[j] for j in range(7)) for i in range(7))
 
 

@@ -4,14 +4,15 @@ Matrices are kept as lists of sparse rows (dict mapping column key ->
 integer).  Elimination is fraction-free: a row is combined with a pivot row
 by integer cross-multiplication and the result is divided by its content,
 so no Fraction appears in the forward pass or in the back-substitution
-that yields kernel bases.  Column keys can be
-any hashable values; an explicit column order fixes pivots and makes every
-result reproducible.
+that yields kernel bases.  `IntEchelon` is the one eliminator: ranks,
+spans, closures and membership tests insert into it or reduce against
+it, and a caller that needs rational coordinates divides once at the
+end.  Column keys can be any hashable values; an explicit column order
+fixes pivots and makes every result reproducible.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -69,6 +70,19 @@ class IntEchelon:
 
     def _lead(self, row: Row) -> Hashable:
         return min(row, key=self.column_key)
+
+    def reduce(self, row: Row) -> Row:
+        """Remainder of `row` against the pivots, up to a nonzero integer
+        factor; empty exactly when `row` lies in their span.  The pivots
+        are left unchanged."""
+        row = strip_content(dict(row))
+        while row:
+            col = self._lead(row)
+            held = self.pivots.get(col)
+            if held is None:
+                break
+            row = _eliminate(row, held, col)
+        return row
 
     def insert(self, row: Row) -> bool:
         """Reduce `row` against the pivots; return True if it adds rank."""
@@ -144,49 +158,6 @@ def kernel_basis(
             vec = {c: -v for c, v in vec.items()}
         basis.append(vec)
     return basis
-
-
-class FractionSpan:
-    """Span tracker over arbitrary sparse Fraction vectors.
-
-    Used for closure computations: `add` reduces a vector against the
-    current echelon set and inserts the remainder (lead coefficient scaled
-    to 1) if nonzero.  The key function orders basis keys; the lead key of
-    a vector is its minimum.
-    """
-
-    def __init__(self, key: Callable[[Hashable], object]):
-        self.key = key
-        self.pivots: dict[Hashable, dict[Hashable, Fraction]] = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def reduce(self, vec: dict[Hashable, Fraction]) -> dict[Hashable, Fraction]:
-        vec = dict(vec)
-        while vec:
-            lead = min(vec, key=self.key)
-            held = self.pivots.get(lead)
-            if held is None:
-                return vec
-            coef = vec[lead]
-            for c, v in held.items():
-                w = vec.get(c, Fraction(0)) - coef * v
-                if w:
-                    vec[c] = w
-                else:
-                    vec.pop(c, None)
-        return vec
-
-    def add(self, vec: dict[Hashable, Fraction]) -> bool:
-        rem = self.reduce(vec)
-        if not rem:
-            return False
-        lead = min(rem, key=self.key)
-        coef = rem[lead]
-        self.pivots[lead] = {c: v / coef for c, v in rem.items()}
-        return True
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:

@@ -11,13 +11,14 @@ uses
     d^n x^m  =  sum_k  C(n, k) * m!/(m-k)! * x^(m-k) d^(n-k)
 
 per variable, so products, commutators, and applications stay exact.
-`apply` is the one place where an operator acts on a polynomial; it keeps
-the coefficient type of its inputs, so integer operators on integer
-vectors give integer images for fraction-free elimination.
-`ad_first_order` is the bracket [w, a] for a first-order w = sum c x_i d_j:
-ad w is a derivation that sends x_j to sum c x_i and d_i to -sum c d_j,
-so it maps each normal-ordered term to normal-ordered terms with no
-reordering and no call to `compose`.
+Every helper keeps the coefficient type of its inputs, so integer
+data stays `int`; `Fraction` enters only with a caller's data or from
+`poly_from_json`.  `apply` is the one place where an operator acts on a
+polynomial.  Two brackets skip the `compose` contraction, which stays
+as the oracle behind `commutator`: `ad_first_order` is [w, a] for a
+first-order w = sum c x_i d_j, a derivation sending x_j to sum c x_i and
+d_i to -sum c d_j; `leibniz_bracket` is [a, mult(f)] by the Leibniz rule
+[x^A d^B, f] = sum_{0 < C <= B} C(B, C) (d^C f) x^A d^(B-C).
 
 The canonical monomial order is graded lexicographic with
 x_1 > x_2 > ... > x_27, which on index tuples is ascending (-degree,
@@ -35,9 +36,10 @@ from typing import Iterable
 from .rootsys import NVARS
 
 Monomial = tuple[int, ...]
-Poly = dict[Monomial, Fraction]
+Coeff = int | Fraction
+Poly = dict[Monomial, Coeff]
 OpKey = tuple[Monomial, Monomial]
-WeylOp = dict[OpKey, Fraction]
+WeylOp = dict[OpKey, Coeff]
 
 
 def monomial(powers: dict[int, int]) -> Monomial:
@@ -48,17 +50,16 @@ def monomial(powers: dict[int, int]) -> Monomial:
     return tuple(sorted(v for v, e in powers.items() for _ in range(e)))
 
 
-def x(var: int, coeff: Fraction | int = 1) -> Poly:
-    return {(var,): Fraction(coeff)}
+def x(var: int, coeff: Coeff = 1) -> Poly:
+    return {(var,): coeff}
 
 
-def poly(terms: Iterable[tuple[Monomial, Fraction | int]]) -> Poly:
+def poly(terms: Iterable[tuple[Monomial, Coeff]]) -> Poly:
     out: Poly = {}
     for m, c in terms:
-        c = Fraction(c)
         if not c:
             continue
-        w = out.get(m, Fraction(0)) + c
+        w = out.get(m, 0) + c
         if w:
             out[m] = w
         else:
@@ -69,7 +70,7 @@ def poly(terms: Iterable[tuple[Monomial, Fraction | int]]) -> Poly:
 def padd(f: Poly, g: Poly) -> Poly:
     out = dict(f)
     for m, c in g.items():
-        w = out.get(m, Fraction(0)) + c
+        w = out.get(m, 0) + c
         if w:
             out[m] = w
         else:
@@ -77,8 +78,7 @@ def padd(f: Poly, g: Poly) -> Poly:
     return out
 
 
-def pscale(k: Fraction | int, f: Poly) -> Poly:
-    k = Fraction(k)
+def pscale(k: Coeff, f: Poly) -> Poly:
     if not k:
         return {}
     return {m: k * c for m, c in f.items()}
@@ -88,12 +88,19 @@ def psub(f: Poly, g: Poly) -> Poly:
     return padd(f, pscale(-1, g))
 
 
+def pdiv_exact(f: Poly, d: int) -> Poly:
+    """f / d, raising ValueError unless d divides every coefficient."""
+    if any(c % d for c in f.values()):
+        raise ValueError(f"{d} does not divide every coefficient")
+    return {m: c // d for m, c in f.items()}
+
+
 def pmul(f: Poly, g: Poly) -> Poly:
     out: Poly = {}
     for m1, c1 in f.items():
         for m2, c2 in g.items():
             m = tuple(sorted(m1 + m2))
-            w = out.get(m, Fraction(0)) + c1 * c2
+            w = out.get(m, 0) + c1 * c2
             if w:
                 out[m] = w
             else:
@@ -102,7 +109,7 @@ def pmul(f: Poly, g: Poly) -> Poly:
 
 
 def ppow(f: Poly, n: int) -> Poly:
-    out: Poly = {(): Fraction(1)}
+    out: Poly = {(): 1}
     for _ in range(n):
         out = pmul(out, f)
     return out
@@ -112,7 +119,7 @@ def degree(f: Poly) -> int:
     return max((len(m) for m in f), default=0)
 
 
-def sorted_terms(f: Poly) -> list[tuple[Monomial, Fraction]]:
+def sorted_terms(f: Poly) -> list[tuple[Monomial, Coeff]]:
     """Terms in canonical order, biggest monomial first."""
     return [(m, f[m]) for m in sorted(f, key=lambda m: (-len(m), m))]
 
@@ -161,7 +168,7 @@ def poly_from_json(data: list[dict]) -> Poly:
 # -- Weyl operators ---------------------------------------------------------
 
 
-def op(terms: Iterable[tuple[Monomial, Monomial, Fraction | int]]) -> WeylOp:
+def op(terms: Iterable[tuple[Monomial, Monomial, Coeff]]) -> WeylOp:
     """Operator from (x-monomial, d-monomial, coefficient) triples; integer
     coefficients stay integers."""
     out: WeylOp = {}
@@ -177,18 +184,14 @@ def op(terms: Iterable[tuple[Monomial, Monomial, Fraction | int]]) -> WeylOp:
     return out
 
 
-def op_zero() -> WeylOp:
-    return {}
-
-
 def op_identity() -> WeylOp:
-    return {((), ()): Fraction(1)}
+    return {((), ()): 1}
 
 
 def op_add(a: WeylOp, b: WeylOp) -> WeylOp:
     out = dict(a)
     for k, c in b.items():
-        w = out.get(k, Fraction(0)) + c
+        w = out.get(k, 0) + c
         if w:
             out[k] = w
         else:
@@ -196,8 +199,7 @@ def op_add(a: WeylOp, b: WeylOp) -> WeylOp:
     return out
 
 
-def op_scale(k: Fraction | int, a: WeylOp) -> WeylOp:
-    k = Fraction(k)
+def op_scale(k: Coeff, a: WeylOp) -> WeylOp:
     if not k:
         return {}
     return {key: k * c for key, c in a.items()}
@@ -207,7 +209,7 @@ def op_sub(a: WeylOp, b: WeylOp) -> WeylOp:
     return op_add(a, op_scale(-1, b))
 
 
-def first_order(terms: Iterable[tuple[int, int, Fraction | int]]) -> WeylOp:
+def first_order(terms: Iterable[tuple[int, int, Coeff]]) -> WeylOp:
     """Operator sum of c * x_i d_j from 1-based (c, i, j) triples."""
     return op(((i,), (j,), c) for c, i, j in terms)
 
@@ -279,7 +281,7 @@ def compose(a: WeylOp, b: WeylOp) -> WeylOp:
             c0 = ca * cb
             for xk, dk, mult in _contractions(da, xb):
                 key = (tuple(sorted(xa + xk)), tuple(sorted(dk + db)))
-                w = out.get(key, Fraction(0)) + c0 * mult
+                w = out.get(key, 0) + c0 * mult
                 if w:
                     out[key] = w
                 else:
@@ -291,6 +293,38 @@ def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
     return op_sub(compose(a, b), compose(b, a))
 
 
+def _splits(de: Monomial) -> list[tuple[Monomial, Monomial, int]]:
+    """(C, de - C, C(de, C)) for every nonempty sub-multiset C of de,
+    with C(de, C) the product of the per-variable binomials."""
+    splits = [((), (), 1)]
+    for v, n in Counter(de).items():
+        splits = [
+            (c + (v,) * k, r + (v,) * (n - k), mult * comb(n, k))
+            for c, r, mult in splits
+            for k in range(n + 1)
+        ]
+    return splits[1:]
+
+
+def leibniz_bracket(a: WeylOp, f: Poly) -> WeylOp:
+    """Exact [a, mult(f)] by the Leibniz rule.
+
+    On a normal-ordered term, [x^A d^B, f] is the sum over nonempty
+    sub-multisets C of B of C(B, C) (d^C f) x^A d^(B-C); each d^C f is
+    computed once.
+    """
+    partials: dict[Monomial, Poly] = {}
+    terms = []
+    for (xa, db), ca in a.items():
+        for dc, rest, mult in _splits(db):
+            df = partials.get(dc)
+            if df is None:
+                df = partials[dc] = apply({((), dc): 1}, f)
+            for m, cf in df.items():
+                terms.append((tuple(sorted(xa + m)), rest, ca * mult * cf))
+    return op(terms)
+
+
 def ad_first_order(w: WeylOp, a: WeylOp) -> WeylOp:
     """Exact [w, a] for a first-order w = sum c x_i d_j.
 
@@ -298,8 +332,8 @@ def ad_first_order(w: WeylOp, a: WeylOp) -> WeylOp:
     x_j by sum c x_i and d_i by -sum c d_j, each distinct factor weighted
     by its exponent.  Raises ValueError if w has a term of another shape.
     """
-    xmap: dict[int, list[tuple[int, Fraction | int]]] = {}
-    dmap: dict[int, list[tuple[int, Fraction | int]]] = {}
+    xmap: dict[int, list[tuple[int, Coeff]]] = {}
+    dmap: dict[int, list[tuple[int, Coeff]]] = {}
     for key, c in w.items():
         xe, de = key
         if len(xe) != 1 or len(de) != 1:

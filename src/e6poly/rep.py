@@ -59,7 +59,7 @@ def derive_root_action(root6: Root6) -> RepOperator:
     """Operator of e_r on the x-basis, from the cocycle bracket."""
     r7 = _embed(root6)
     rs = root_system()
-    if r7 not in rs.root_set():
+    if r7 not in rs.root_set:
         raise ValueError(f"not an E6 root: {root6}")
     basis = bar_basis()
     index = bar_index()

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -125,6 +125,7 @@ class RootSystem:
     e6_positive: tuple[Vector, ...]
     bar_positive: tuple[Vector, ...]  # k_7 = 1, in x_1..x_27 basis order
 
+    @cached_property
     def root_set(self) -> frozenset[Vector]:
         return frozenset(self.roots)
 
@@ -268,7 +269,7 @@ def check_cocycle_laws(seed: int = 20240823, n_random: int = 1000) -> CocycleRep
     triples.  F(a,a) = (-1)^((a,a)/2) is checked on every root.
     """
     rs = root_system()
-    rset = rs.root_set()
+    rset = rs.root_set
     fails: list[str] = []
     pairs = 0
 

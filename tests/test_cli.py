@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, determinism, and the
 serialization contract (every JSON leaf is a string)."""
 
+import hashlib
 import importlib
 import io
 import json
@@ -312,3 +313,17 @@ def test_all_json_is_independent_of_hash_seed():
             env=env, capture_output=True, check=True)
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+    # golden bytes: integer and Fraction coefficients must print alike
+    assert hashlib.sha256(outs[0]).hexdigest() == (
+        "330141fe435122470b3cd618d15ccebfcae3a60499ae6377602b30f8c782e09f")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("invariant", "--dump", "eta", "--json"),
+     "c1f1a19bc80b93d2c454b56d9f8285be484618b62c285b77fc0578f0c341b454"),
+    (("invariant", "--dump", "eta"),
+     "aeb4df6457e885d1fe8d2c7080c68d4c1449befe138adcbbc05320c66f41e85c"),
+])
+def test_eta_dump_golden_bytes(capsys, argv, digest):
+    _code, out = run(capsys, *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

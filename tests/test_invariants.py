@@ -51,6 +51,7 @@ from e6poly.polyops import (
     commutator,
     dualize,
     format_poly,
+    leibniz_bracket,
     monomial,
     multiplication,
     op_scale,
@@ -271,6 +272,24 @@ def test_invariance_failures_match_commutator_loop():
         assert expected
         assert rep.failures == expected
         assert not rep.ok
+
+
+def test_invariant_calculus_is_integer():
+    ops = build_operators()
+    objects = [ops.eta, ops.D, ops.D1, ops.D2]
+    objects += [z for _, z in build_zeta_family().items()]
+    for obj in objects:
+        assert obj
+        assert all(type(c) is int for c in obj.values())
+
+
+def test_leibniz_route_matches_commutator_on_eta():
+    # oracle for the two bracket lemmas: the real D and D2 against
+    # generic normal-ordered composition
+    ops = build_operators()
+    m_eta = multiplication(ops.eta)
+    for a in (ops.D, ops.D2):
+        assert leibniz_bracket(a, ops.eta) == commutator(a, m_eta)
 
 
 def test_euler_bracket_with_cubic_multiplication():

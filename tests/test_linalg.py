@@ -6,7 +6,7 @@ from math import gcd, lcm
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from e6poly.linalg import FractionSpan, IntEchelon, int_det, kernel_basis, rank_of
+from e6poly.linalg import IntEchelon, int_det, kernel_basis, rank_of
 
 
 def test_echelon_rank_of_identity():
@@ -38,13 +38,19 @@ def test_rank_of_dependent_rows():
     assert rank_of(rows, lambda c: c) == 2
 
 
-def test_fraction_span_dedup():
-    span = FractionSpan(lambda k: k)
-    assert span.add({0: Fraction(1), 1: Fraction(2)})
-    assert not span.add({0: Fraction(2), 1: Fraction(4)})
-    assert span.add({1: Fraction(1)})
-    assert span.dim == 2
-    assert span.reduce({0: Fraction(3), 1: Fraction(7)}) == {}
+def test_echelon_reduce_dedup():
+    span = IntEchelon(lambda k: k)
+    assert span.insert({0: 1, 1: 2})
+    assert not span.insert({0: 2, 1: 4})
+    # outside the span of the one row: a nonzero remainder, pivots untouched
+    pivots = {c: dict(r) for c, r in span.pivots.items()}
+    rem = span.reduce({0: 3, 1: 7})
+    assert rem and set(rem) == {1}
+    assert span.pivots == pivots
+    assert span.insert({1: 1})
+    assert span.rank == 2
+    assert span.reduce({0: 3, 1: 7}) == {}
+    assert span.pivots.keys() == {0, 1}
 
 
 _dim = 4

@@ -21,13 +21,16 @@ from e6poly.polyops import (
     euler_operator,
     first_order,
     format_poly,
+    leibniz_bracket,
     monomial,
     multiplication,
+    op,
     op_add,
     op_identity,
     op_scale,
     op_sub,
     padd,
+    pdiv_exact,
     pmul,
     poly,
     poly_from_json,
@@ -60,8 +63,6 @@ def operators(draw, max_terms=3):
         mult = draw(st.dictionaries(_var, st.integers(1, 2), max_size=2))
         diff = draw(st.dictionaries(_var, st.integers(1, 2), max_size=2))
         terms.append((monomial(mult), monomial(diff), Fraction(draw(_coeff))))
-    from e6poly.polyops import op
-
     return op(terms)
 
 
@@ -206,3 +207,67 @@ def test_degree_of_product_adds():
     f = ppow(padd(x(1), x(2)), 3)
     g = ppow(x(3), 2)
     assert degree(pmul(f, g)) == 5
+
+
+# --- the Leibniz route for [a, mult(f)] --------------------------------
+
+_small_var = st.integers(min_value=1, max_value=3)  # forces repeated indices
+
+
+@st.composite
+def coefficients(draw, fraction):
+    n = draw(_coeff)
+    return Fraction(n, draw(st.integers(1, 3))) if fraction else n
+
+
+@st.composite
+def leibniz_cases(draw):
+    """Normal-ordered a of d-order up to 3 and f of degree up to 3, both
+    with int or both with Fraction coefficients."""
+    fraction = draw(st.booleans())
+    a = op(
+        (tuple(sorted(draw(st.lists(_small_var, max_size=2)))),
+         tuple(sorted(draw(st.lists(_small_var, max_size=3)))),
+         draw(coefficients(fraction)))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    f = poly(
+        (tuple(sorted(draw(st.lists(_small_var, max_size=3)))),
+         draw(coefficients(fraction)))
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    return a, f
+
+
+@settings(max_examples=200, deadline=None)
+@given(leibniz_cases())
+def test_leibniz_bracket_matches_commutator(case):
+    a, f = case
+    assert leibniz_bracket(a, f) == commutator(a, multiplication(f))
+
+
+def test_leibniz_bracket_weights_repeated_derivatives():
+    # [d_1^2, x_1^2] = 4 x_1 d_1 + 2, with d_1 f = 2 x_1 and d_1^2 f = 2
+    out = leibniz_bracket(dualize(ppow(x(1), 2)), ppow(x(1), 2))
+    assert out == {((1,), (1,)): 4, ((), ()): 2}
+    assert all(type(c) is int for c in out.values())
+
+
+def test_helpers_keep_int_coefficients():
+    f = padd(x(1, 2), poly([((1, 2), 3), ((), -1)]))
+    a = op_add(first_order([(2, 1, 2)]), op_scale(3, dualize(f)))
+    results = [
+        x(1), f, pscale(2, f), psub(f, x(2)), pmul(f, f), ppow(f, 3),
+        pdiv_exact(pscale(6, f), 3), apply(a, f),
+        a, op_identity(), op_scale(-1, a), compose(a, a),
+        commutator(a, multiplication(f)), leibniz_bracket(a, f),
+    ]
+    for r in results:
+        assert r
+        assert all(type(c) is int for c in r.values()), r
+
+
+def test_pdiv_exact_raises_on_a_remainder():
+    assert pdiv_exact(poly([((1,), -6), ((2,), 3)]), -3) == {(1,): 2, (2,): -1}
+    with pytest.raises(ValueError):
+        pdiv_exact(poly([((1,), 6), ((2,), 4)]), 3)
