@@ -3,9 +3,17 @@
 Vectors are 7-tuples of integers: coordinates with respect to the simple
 roots alpha_1..alpha_7, numbered so that the Dynkin diagram has edges
 1-3, 3-4, 2-4, 4-5, 5-6, 6-7 (node 2 is the short branch).  The symmetric
-bilinear form is the one that gives every root squared length 2.  Roots
-are found by an exhaustive scan of the coefficient box |k_i| <= 4, which
-is large enough to contain the highest root (2,2,3,4,3,2,1).
+bilinear form is the one that gives every root squared length 2.
+
+The roots come from two independent routes that must agree.  The first
+closes the 7 simple roots under the simple reflections
+s_i(v) = v - (A v)_i alpha_i; every root is W-conjugate to a simple root
+(Humphreys, Reflection Groups and Coxeter Groups, 1.5).  The second is an
+exhaustive scan of every lattice vector of norm 2.  On a positive definite
+form A, the maximum of k_i^2 over k^T A k <= c is c (A^-1)_ii (Fincke and
+Pohst, Math. Comp. 44, 1985), so every norm-2 vector lies in the box
+|k_i| <= isqrt(2 minor_ii(A) // det(A)) = (2,2,3,4,3,2,1), the exact
+inverse being read off integer determinants.
 
 The subsystem generated by alpha_1..alpha_6 is of type E6, and the set of
 positive roots with k_7 = 1 carries the 27-dimensional basic E6 module.
@@ -24,6 +32,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -43,7 +52,9 @@ CARTAN_E7: tuple[tuple[int, ...], ...] = (
 
 Vector = tuple[int, ...]
 
-COEFF_BOUND = 4
+# Seeded random lattice vectors for the cocycle laws are drawn from
+# [-COCYCLE_SAMPLE_BOUND, COCYCLE_SAMPLE_BOUND]^7.
+COCYCLE_SAMPLE_BOUND = 4
 
 
 def bilinear(a: Vector, b: Vector) -> int:
@@ -83,27 +94,46 @@ def vscale(k: int, v: Vector) -> Vector:
 
 
 def leading_minors_positive() -> bool:
-    m = [list(row) for row in CARTAN_E7]
-    return all(int_det([r[: k + 1] for r in m[: k + 1]]) > 0 for k in range(7))
+    return all(int_det([r[: k + 1] for r in CARTAN_E7[: k + 1]]) > 0 for k in range(7))
 
 
-def _scan_norm2(bound: int = COEFF_BOUND) -> list[Vector]:
-    width = 2 * bound + 1
-    n = width**7
+def certified_bounds() -> Vector:
+    """Per-coordinate bounds b_i with |k_i| <= b_i for every k of norm 2.
+
+    b_i = isqrt(2 (A^-1)_ii), with (A^-1)_ii = minor_ii(A) / det(A) taken
+    from exact integer determinants.  The bound needs A positive definite.
+    """
+    if not leading_minors_positive():
+        raise ValueError("the form is not positive definite, so no box holds its roots")
+    det = int_det(CARTAN_E7)
+    bounds = []
+    for i in range(7):
+        rows = CARTAN_E7[:i] + CARTAN_E7[i + 1:]
+        minor = [row[:i] + row[i + 1:] for row in rows]
+        bounds.append(isqrt(2 * int_det(minor) // det))
+    return tuple(bounds)
+
+
+def _scan_norm2() -> list[Vector]:
+    axes = [np.arange(-b, b + 1, dtype=np.int32) for b in certified_bounds()]
+    block = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 7)
     a = np.array(CARTAN_E7, dtype=np.int32)
-    found: list[Vector] = []
-    chunk = 1 << 19
-    divisors = [width**k for k in range(6, -1, -1)]
-    for start in range(0, n, chunk):
-        idx = np.arange(start, min(start + chunk, n), dtype=np.int64)
-        block = np.empty((idx.size, 7), dtype=np.int32)
-        for col, div in enumerate(divisors):
-            block[:, col] = (idx // div) % width - bound
-        norms = np.einsum("ij,jk,ik->i", block, a, block)
-        for row in block[norms == 2]:
-            found.append(tuple(int(c) for c in row))
-    found.sort()
-    return found
+    norms = np.einsum("ij,jk,ik->i", block, a, block)
+    return sorted(tuple(int(c) for c in row) for row in block[norms == 2])
+
+
+def _reflection_closure() -> list[Vector]:
+    """Orbit of the simple roots under s_i(v) = v - (A v)_i alpha_i."""
+    seen = {alpha(i) for i in range(1, 8)}
+    todo = list(seen)
+    while todo:
+        v = todo.pop()
+        for i, row in enumerate(CARTAN_E7):
+            w = v[:i] + (v[i] - sum(a * c for a, c in zip(row, v)),) + v[i + 1:]
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return sorted(seen)
 
 
 def _is_positive_by_sign_pattern(v: Vector) -> bool:
@@ -133,6 +163,8 @@ class RootSystem:
 @lru_cache(maxsize=None)
 def root_system() -> RootSystem:
     roots = _scan_norm2()
+    if _reflection_closure() != roots:
+        raise ValueError("reflection closure of the simple roots disagrees with the norm-2 scan")
     positive = []
     for v in roots:
         p1 = _is_positive_by_sign_pattern(v)
@@ -289,7 +321,7 @@ def check_cocycle_laws(seed: int = 20240823, n_random: int = 1000) -> CocycleRep
     rng = random.Random(seed)
 
     def rand_vec() -> Vector:
-        return tuple(rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(7))
+        return tuple(rng.randint(-COCYCLE_SAMPLE_BOUND, COCYCLE_SAMPLE_BOUND) for _ in range(7))
 
     for _ in range(n_random):
         check_pair(rand_vec(), rand_vec())

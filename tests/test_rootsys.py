@@ -1,11 +1,18 @@
 """Root enumeration and sign-factor law tests."""
 
+import json
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from e6poly import cli, rootsys
 from e6poly.rootsys import (
+    CARTAN_E7,
     bar_basis,
     bilinear,
+    certified_bounds,
     check_cocycle_laws,
     cocycle_F,
     leading_minors_positive,
@@ -17,6 +24,71 @@ from e6poly.rootsys import (
 
 def test_form_is_positive_definite():
     assert leading_minors_positive()
+
+
+def test_certified_bounds_are_tight():
+    bounds = certified_bounds()
+    assert bounds == (2, 2, 3, 4, 3, 2, 1)
+    roots = root_system().roots
+    assert tuple(max(abs(r[i]) for r in roots) for i in range(7)) == bounds
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(-6, 6), min_size=7, max_size=7),
+       st.integers(0, 6), st.integers(1, 30), st.booleans())
+def test_vectors_outside_the_box_are_longer_than_roots(k, i, excess, negate):
+    b = certified_bounds()[i]
+    k[i] = -(b + excess) if negate else b + excess
+    assert bilinear(tuple(k), tuple(k)) > 2
+
+
+def test_reflection_closure_equals_scan():
+    closure = rootsys._reflection_closure()
+    assert len(closure) == 126
+    assert closure == rootsys._scan_norm2()
+
+
+def test_closure_scan_disagreement_raises(monkeypatch, capsys):
+    real = rootsys._reflection_closure
+    monkeypatch.setattr(rootsys, "_reflection_closure", lambda: real()[1:])
+    root_system.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="reflection closure"):
+            root_system()
+        code = cli.main(["roots", "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        (row,) = [r for r in doc["reports"] if r["check_id"] == "roots.e7-count"]
+        assert code == 1
+        assert row["status"] == "fail"
+        assert row["computed"].startswith("ValueError: reflection closure")
+    finally:
+        monkeypatch.undo()
+        root_system.cache_clear()
+
+
+def _full_box_scan(bound=4):
+    """The scan of |k_i| <= 4 that predates the certified bounds."""
+    width = 2 * bound + 1
+    n = width**7
+    a = np.array(CARTAN_E7, dtype=np.int32)
+    found = []
+    chunk = 1 << 19
+    divisors = [width**k for k in range(6, -1, -1)]
+    for start in range(0, n, chunk):
+        idx = np.arange(start, min(start + chunk, n), dtype=np.int64)
+        block = np.empty((idx.size, 7), dtype=np.int32)
+        for col, div in enumerate(divisors):
+            block[:, col] = (idx // div) % width - bound
+        norms = np.einsum("ij,jk,ik->i", block, a, block)
+        for row in block[norms == 2]:
+            found.append(tuple(int(c) for c in row))
+    found.sort()
+    return found
+
+
+@pytest.mark.slow
+def test_roots_equal_the_full_box_scan():
+    assert root_system().roots == tuple(_full_box_scan())
 
 
 def test_root_counts():
