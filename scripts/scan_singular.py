@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Enumerate singular vectors degree by degree and print each generator.
 
-Usage: scan_singular.py [MAX_DEGREE]   (default 4; values above 5 get slow)
+Usage: scan_singular.py [MAX_DEGREE]   (default 4; degree 8 takes about half a minute)
 """
 
 import sys

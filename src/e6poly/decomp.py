@@ -4,13 +4,17 @@ Phi_m is the kernel of D on the degree-m polynomials.  D preserves
 weight, so its matrix is block-diagonal over weight classes.  Two
 independently built matrices give its dimension:
 
-- the rank route (phi_dim) applies D to every source monomial and
-  accumulates ranks block by block, with an early exit once a block
-  reaches full row rank, bounded by the much smaller target space;
+- the rank route (phi_dim) applies D to every source monomial of the
+  dominant blocks whose weight occurs at degree m - 3, with an early
+  exit once a block reaches full row rank, and weights each block rank
+  by the size of its Weyl orbit: D commutes with all 78 generators, so
+  Weyl-conjugate blocks have equal rank.  The direct-sum check runs on
+  the same dominant blocks;
 - the materialized route (materialized_kernel_dim, kernel_samples)
-  builds each row from its target t, whose only sources are t times
-  the 45 terms of eta, so only blocks whose weight occurs at degree
-  m - 3 have rows, and takes explicit kernel bases.
+  enumerates every block of degree m and builds each row from its
+  target t, whose only sources are t times the 45 terms of eta, so only
+  blocks whose weight occurs at degree m - 3 have rows, and takes
+  explicit kernel bases.
 """
 
 from __future__ import annotations
@@ -23,7 +27,13 @@ from .invariants import build_eta, x1_zeta1_power
 from .linalg import IntEchelon, kernel_basis
 from .polyops import Monomial, WeylOp, apply, dualize
 from .rep import lowering_operator
-from .singular import Weight, weight_buckets
+from .singular import (
+    Weight,
+    dominant_weights,
+    orbit_size,
+    weight_buckets,
+    weight_space,
+)
 from .weyl import weyl_dim
 
 __all__ = [
@@ -88,19 +98,16 @@ def _block_rank(sources: list[Monomial], full: int) -> int:
     return ech.rank
 
 
-def _composite_full_rank(m: int) -> bool:
-    """Rank check for g -> D(eta g) on degree m - 3, block by block."""
+def _composite_full_rank(monos: list[Monomial]) -> bool:
+    """Rank check for g -> D(eta g) on one degree-(m - 3) block."""
     D = cubic_operator()
-    for monos in weight_buckets(m - 3).values():
-        ech = IntEchelon(lambda k: k)
-        for g in monos:
-            eta_g = {tuple(sorted(g + vs)): c for c, vs in _cubic_terms()}
-            total = apply(D, eta_g)
-            if total:
-                ech.insert(total)
-        if ech.rank < len(monos):
-            return False
-    return True
+    ech = IntEchelon(lambda k: k)
+    for g in monos:
+        eta_g = {tuple(sorted(g + vs)): c for c, vs in _cubic_terms()}
+        total = apply(D, eta_g)
+        if total:
+            ech.insert(total)
+    return ech.rank == len(monos)
 
 
 def _cubic_rows(m: int, weight: Weight) -> list[dict[Monomial, int]]:
@@ -132,12 +139,15 @@ def phi_dim(m: int) -> KernelSummary:
         rank = 0
         composite_ok = True
     else:
-        targets = weight_buckets(m - 3)
-        sources = weight_buckets(m)
+        # D and mult(eta) commute with the group, so every block has the
+        # rank of the dominant block in its Weyl orbit; dominant_weights
+        # certifies the blocks of both degrees by its count
+        targets = {w: weight_space(m - 3, w) for w in dominant_weights(m - 3)}
         rank = sum(
-            _block_rank(sources.get(w, []), len(t)) for w, t in targets.items()
+            orbit_size(w) * _block_rank(weight_space(m, w), len(targets[w]))
+            for w in dominant_weights(m) if w in targets
         )
-        composite_ok = _composite_full_rank(m)
+        composite_ok = all(map(_composite_full_rank, targets.values()))
     wsum = sum(weyl_dim(m - 2 * i, i) for i in range(m // 2 + 1))
     return KernelSummary(
         degree=m,

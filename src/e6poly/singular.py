@@ -1,11 +1,21 @@
 """Weight spaces and singular vectors of the polynomial module.
 
-Degree-m monomials are enumerated as the sorted index tuples of
-`polyops` and bucketed by weight.  A singular vector is a polynomial
-killed by all six simple raising operators; because the module algebra
-is completely reducible, that is equivalent to being a highest-weight
-vector, and `verify_annihilated` double-checks candidates against all 36
-positive root operators.
+Degree-m monomials are the sorted index tuples of `polyops`.
+`weight_buckets` lists all of them by weight; it is kept for small
+degrees and for routes that need every block.  `weight_space` lists one
+weight only, joining two half-degree bucketings, so the scan never
+holds all C(m + 26, 26) monomials.
+
+Weight multiplicities are Weyl-invariant, so the dominant weights
+carry all the information: `dominant_weights` builds them degree by
+degree by simple-reflection walks, and certifies them by checking that
+the blocks, each counted `orbit_size` times, add up to every monomial.
+
+A singular vector is a polynomial killed by all six simple raising
+operators; because the module algebra is completely reducible, that is
+equivalent to being a highest-weight vector, and `verify_annihilated`
+double-checks candidates against all 36 positive root operators.
+Highest weights are dominant, so only dominant blocks are scanned.
 
 Kernels are computed per weight space: the six raising operators map a
 weight space into six other weight spaces (each image comes from
@@ -16,14 +26,16 @@ Singular vectors are returned as integer polynomials.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from math import comb
+from operator import add, sub
 
 from .linalg import kernel_basis, rank_of
 from .polyops import Monomial, Poly, apply
 from .rep import all_operators, raising_operator, weight_table
-from .rootsys import root_system
+from .rootsys import CARTAN_E7, root_system
 
 Weight = tuple[int, int, int, int, int, int]
 
@@ -63,7 +75,23 @@ def weight_buckets(degree: int) -> dict[Weight, list[Monomial]]:
 
 
 def weight_space(degree: int, weight: Weight) -> list[Monomial]:
-    return list(weight_buckets(degree).get(tuple(weight), []))
+    """The degree-m monomials of one weight, in lex order.
+
+    Meet in the middle: each monomial splits into a low half of degree
+    m // 2 and a high half whose first index is at least the low half's
+    last, and the high half's weight is the complement of the low one's.
+    """
+    weight = tuple(weight)
+    low = weight_buckets(degree // 2)
+    high = weight_buckets(degree - degree // 2)
+    out = []
+    for w, halves in low.items():
+        rest = high.get(tuple(map(sub, weight, w)))
+        if rest:
+            for p in halves:
+                # rest is in lex order: skip the q with q[0] < p[-1]
+                out.extend(p + q for q in rest[bisect_left(rest, p[-1:]):])
+    return sorted(out)
 
 
 def _raising_system(degree: int, weight: Weight):
@@ -100,10 +128,69 @@ def singular_dimension(degree: int, weight: Weight) -> int:
     return len(columns) - rank_of(rows, lambda c: order[c])
 
 
-def dominant_weights(degree: int) -> list[Weight]:
-    return sorted(
-        w for w in weight_buckets(degree) if all(c >= 0 for c in w)
-    )
+WEYL_ORDER = 51840  # |W(E6)|
+
+
+def orbit_size(weight: Weight) -> int:
+    """Size of the Weyl orbit of a dominant weight.
+
+    Its stabiliser is the parabolic subgroup W_J on the zero coordinates
+    J, whose order is the product of (ht a + 1) / ht a over the positive
+    roots a supported on J (Macdonald's height formula).
+    """
+    num = den = 1
+    for root in root_system().e6_positive:
+        if not any(c and w for c, w in zip(root, weight)):
+            h = sum(root)
+            num *= h + 1
+            den *= h
+    q, rem = divmod(WEYL_ORDER * den, num)
+    if rem:
+        raise ArithmeticError(f"non-integral orbit size for {weight}")
+    return q
+
+
+def _dominant(weight) -> Weight:
+    """The dominant weight of a weight's Weyl orbit, reached by simple
+    reflections s_i(w) = w - w_i alpha_i in fundamental coordinates."""
+    w = list(weight)
+    while True:
+        i = next((i for i, c in enumerate(w) if c < 0), None)
+        if i is None:
+            return tuple(w)
+        c = w[i]
+        for j, a in enumerate(CARTAN_E7[i][:6]):
+            w[j] -= c * a
+
+
+@lru_cache(maxsize=None)
+def dominant_weights(degree: int) -> tuple[Weight, ...]:
+    """The dominant weights of the degree-m monomials, sorted.
+
+    A weight of degree m is a weight of degree m - 1 plus one of the 27
+    variable weights, and the weight set is W-stable, so the dominant
+    ones are the dominant representatives of mu + eps over the dominant
+    mu of degree m - 1.  Certified by counting: the orbit-weighted block
+    sizes must add up to C(m + 26, 26).
+    """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    if degree == 0:
+        found = {(0, 0, 0, 0, 0, 0)}
+    else:
+        found = {
+            _dominant(map(add, mu, eps))
+            for mu in dominant_weights(degree - 1)
+            for eps in weight_table()
+        }
+    weights = tuple(sorted(found))
+    count = sum(orbit_size(w) * len(weight_space(degree, w)) for w in weights)
+    if count != comb(degree + 26, 26):
+        raise ValueError(
+            f"dominant blocks of degree {degree} count {count} monomials, "
+            f"not C({degree + 26}, 26)"
+        )
+    return weights
 
 
 @dataclass(frozen=True)

@@ -259,13 +259,12 @@ def test_criterion_12_kernel_dimensions():
     )
 
 
-@pytest.mark.slow
 def test_criterion_12_kernel_dimension_degree_five():
     t0 = time.perf_counter()
     s = phi_dim(5)
     _criterion(
         12,
-        "degree-5 kernel dimension (opt-in extension)",
+        "degree-5 kernel dimension",
         s.ok and s.dim_phi == 169533,
         f"{time.perf_counter() - t0:.2f}s",
     )

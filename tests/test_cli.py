@@ -327,3 +327,11 @@ def test_all_json_is_independent_of_hash_seed():
 def test_eta_dump_golden_bytes(capsys, argv, digest):
     _code, out = run(capsys, *argv)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_decompose_degree_six_golden_bytes(capsys):
+    # the output of the kernel-m6 benchmark workload
+    code, out = run(capsys, "decompose", "--degree", "6", "--force", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9272cfd044f6767e6bdc89de25fedfae72e8270d186d85c1034579709ea801f2")

@@ -11,6 +11,8 @@ import pytest
 
 from e6poly.decomp import (
     CLOSURE_GUARD,
+    _block_rank,
+    _composite_full_rank,
     _cubic_rows,
     _cubic_terms,
     cubic_operator,
@@ -22,7 +24,12 @@ from e6poly.decomp import (
 )
 from e6poly.invariants import build_eta, build_operators
 from e6poly.polyops import apply
-from e6poly.singular import monomial_weight, weight_buckets
+from e6poly.singular import (
+    enumerate_singular,
+    expected_line_count,
+    monomial_weight,
+    weight_buckets,
+)
 from e6poly.weyl import weyl_dim
 
 
@@ -139,7 +146,6 @@ def test_adjoint_closure():
     assert lowering_closure(1, 1, force=True) == weyl_dim(1, 1) == 650
 
 
-@pytest.mark.slow
 def test_degree_five_decomposition():
     s = phi_dim(5)
     assert s.ok
@@ -149,3 +155,26 @@ def test_degree_five_decomposition():
 
 def test_materialized_kernel_degree_four():
     assert materialized_kernel_dim(4) == 27378
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_dominant_blocks_give_the_full_block_rank(m):
+    # the rank over every weight block, as phi_dim computed it before it
+    # weighted the dominant blocks by orbit size
+    targets = weight_buckets(m - 3)
+    sources = weight_buckets(m)
+    rank = sum(_block_rank(sources.get(w, []), len(t)) for w, t in targets.items())
+    direct = all(_composite_full_rank(monos) for monos in targets.values())
+    s = phi_dim(m)
+    assert (s.rank_D, s.direct_sum_ok) == (rank, direct)
+    assert rank == comb(m + 23, 26)
+
+
+@pytest.mark.slow
+def test_degree_eight_decomposition_and_singular_lines():
+    s = phi_dim(8)
+    assert s.ok
+    assert s.dim_phi == 17986293
+    assert s.rank_D == 169911
+    assert s.direct_sum_ok
+    assert enumerate_singular(8).total == expected_line_count(8) == 10

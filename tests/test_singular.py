@@ -5,21 +5,28 @@ operators; each one generates a highest-weight submodule.  The scan
 enumerates them degree by degree over dominant weight spaces.
 """
 
+import json
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
+from e6poly import cli, singular
+from e6poly.decomp import phi_dim
 from e6poly.invariants import build_eta, build_zeta_family
 from e6poly.polyops import pscale, x
+from e6poly.rootsys import CARTAN_E7
 from e6poly.singular import (
     dominant_weights,
     enumerate_singular,
     expected_line_count,
     monomial_weight,
+    orbit_size,
     singular_dimension,
     singular_space,
     verify_annihilated,
     weight_buckets,
+    weight_space,
 )
 
 LAM1 = (1, 0, 0, 0, 0, 0)
@@ -103,7 +110,93 @@ def test_nondominant_weight_has_no_singular_vector():
     assert singular_dimension(1, (0, 0, 1, 0, 0, 0)) == 0
 
 
-@pytest.mark.slow
 def test_line_counts_degrees_six_and_seven():
     assert enumerate_singular(6).total == expected_line_count(6) == 7
     assert enumerate_singular(7).total == expected_line_count(7) == 8
+
+
+# Oracles for the dominant-weight route: the full bucketing by weight
+# and a breadth-first Weyl orbit, neither of which the route uses.
+
+
+def _reflect(weight, i):
+    return tuple(w - weight[i] * a for w, a in zip(weight, CARTAN_E7[i][:6]))
+
+
+def _orbit(weight):
+    seen = {weight}
+    queue = [weight]
+    while queue:
+        w = queue.pop()
+        for i in range(6):
+            image = _reflect(w, i)
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return seen
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_weight_space_equals_the_bucket_of_every_weight(degree):
+    for w, monos in weight_buckets(degree).items():
+        assert weight_space(degree, w) == monos
+
+
+def test_weight_space_equals_the_bucket_of_every_dominant_weight_at_five():
+    buckets = weight_buckets(5)
+    for w in dominant_weights(5):
+        assert weight_space(5, w) == buckets[w]
+
+
+def test_weight_space_of_an_absent_weight_is_empty():
+    assert weight_space(2, (1, 0, 0, 0, 0, 0)) == []
+    assert weight_space(0, (0, 0, 0, 0, 0, 0)) == [()]
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_dominant_weights_equal_the_filtered_buckets(degree):
+    old = sorted(w for w in weight_buckets(degree) if all(c >= 0 for c in w))
+    assert list(dominant_weights(degree)) == old
+
+
+def test_orbit_sizes_equal_the_reflection_closure():
+    weights = {w for m in range(6) for w in dominant_weights(m)}
+    for w in weights:
+        assert orbit_size(w) == len(_orbit(w))
+    # the trivial weight is fixed; the 27 weights of x_i form one orbit
+    assert orbit_size((0, 0, 0, 0, 0, 0)) == 1
+    assert orbit_size((1, 0, 0, 0, 0, 0)) == 27
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_orbit_weighted_blocks_count_every_monomial(degree):
+    total = sum(orbit_size(w) * len(weight_space(degree, w))
+                for w in dominant_weights(degree))
+    assert total == comb(degree + 26, 26)
+
+
+def test_wrong_orbit_size_fails_the_certification(monkeypatch, capsys):
+    real = singular.orbit_size
+    monkeypatch.setattr(singular, "orbit_size", lambda w: real(w) + 1)
+    dominant_weights.cache_clear()
+    phi_dim.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="dominant blocks of degree 0"):
+            dominant_weights(3)
+        for argv, check_id in [
+            (["singular", "--degree", "3"], "singular.deg3.line-count"),
+            (["decompose", "--degree", "4"], "decompose.deg4.kernel-dim"),
+        ]:
+            code = cli.main([*argv, "--json"])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.err == ""
+            assert "Traceback" not in captured.out
+            doc = json.loads(captured.out)
+            (row,) = [r for r in doc["reports"] if r["check_id"] == check_id]
+            assert row["status"] == "fail"
+            assert row["computed"].startswith("ValueError: dominant blocks")
+    finally:
+        monkeypatch.undo()
+        dominant_weights.cache_clear()
+        phi_dim.cache_clear()
