@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Enumerate singular vectors degree by degree and print each generator.
 
-Usage: scan_singular.py [MAX_DEGREE]   (default 4; degree 8 takes about half a minute)
+Usage: scan_singular.py [MAX_DEGREE]   (default 4; up to degree 8 takes about 20 s)
 """
 
 import sys
 
 from e6poly.polyops import format_poly
-from e6poly.singular import enumerate_singular, singular_space
+from e6poly.singular import enumerate_singular
 
 
 def main() -> None:
@@ -15,12 +15,12 @@ def main() -> None:
     for degree in range(max_degree + 1):
         scan = enumerate_singular(degree)
         print(f"degree {degree}: {scan.total} singular line(s)")
-        for weight, dim in scan.lines:
-            for vec in singular_space(degree, weight):
+        for weight, basis in scan.bases:
+            for vec in basis:
                 body = format_poly(vec)
                 if len(body) > 100:
                     body = body[:97] + "..."
-                print(f"  weight {weight} (dim {dim}): {body}")
+                print(f"  weight {weight} (dim {len(basis)}): {body}")
 
 
 if __name__ == "__main__":

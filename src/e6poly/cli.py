@@ -191,19 +191,15 @@ def _singular_degree(cfg: RunConfig, a: Assembler, m: int,
                    lambda: singular.enumerate_singular(m),
                    pick=lambda s: len(s.lines))
     payload = []
-    for w, d in scan.lines if scan is not None else ():
+    for w, basis in scan.bases if scan is not None else ():
         if weight_filter is not None and tuple(w) != weight_filter:
             continue
-        # the row checks the scan's dimension; the generators are solved
-        # inside it, so a raising solver gives a fail row
-        vecs = a.check(f"singular.deg{m}.weight{ser(w).replace(' ', '')}.dim",
-                       "each singular weight space is a single line",
-                       1, DERIVED, lambda w=w: singular.singular_space(m, w),
-                       pick=lambda vecs, d=d: d)
-        entry = {"degree": str(m), "weight": ser(w), "dimension": str(d)}
-        if vecs is not None:
-            entry["generators"] = [poly_to_json(v) for v in vecs]
-        payload.append(entry)
+        a.check(f"singular.deg{m}.weight{ser(w).replace(' ', '')}.dim",
+                "each singular weight space is a single line",
+                1, DERIVED, lambda: len(basis))
+        payload.append({"degree": str(m), "weight": ser(w),
+                        "dimension": str(len(basis)),
+                        "generators": [poly_to_json(v) for v in basis]})
     # pinned identifications at low degree
     lam1 = tuple(1 if i == 0 else 0 for i in range(6))
     lam6 = tuple(1 if i == 5 else 0 for i in range(6))

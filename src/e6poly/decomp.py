@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
 
-from .invariants import build_eta, x1_zeta1_power
+from .invariants import build_eta, lowering_span, x1_zeta1_power
 from .linalg import IntEchelon, kernel_basis
 from .polyops import Monomial, WeylOp, apply, dualize
-from .rep import lowering_operator
 from .singular import (
     Weight,
     dominant_weights,
@@ -231,15 +230,4 @@ def lowering_closure(m1: int, m2: int, force: bool = False) -> int:
             f"m1 + 2*m2 = {m1 + 2 * m2} exceeds the cost guard "
             f"{CLOSURE_GUARD}; pass force=True to run anyway"
         )
-    ops = [lowering_operator(k).weyl() for k in range(1, 7)]
-    span = IntEchelon(lambda k: k)
-    start = x1_zeta1_power(m1, m2)
-    span.insert(start)
-    queue = [start]
-    while queue:
-        vec = queue.pop()
-        for w in ops:
-            img = apply(w, vec)
-            if img and span.insert(img):
-                queue.append(img)
-    return span.rank
+    return lowering_span(x1_zeta1_power(m1, m2)).rank

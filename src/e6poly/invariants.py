@@ -122,22 +122,28 @@ def zeta_reference_diff(fam: ZetaFamily) -> tuple[str, ...]:
     return tuple(diffs)
 
 
+def lowering_span(start: Poly) -> IntEchelon:
+    """Span of `start` and its images under the six simple lowering
+    operators, applied until nothing new enters the span."""
+    ops = [lowering_operator(k).weyl() for k in range(1, 7)]
+    span = IntEchelon(lambda k: k)
+    span.insert(start)
+    work = [start]
+    while work:
+        v = work.pop()
+        for op in ops:
+            img = apply(op, v)
+            if img and span.insert(img):
+                work.append(img)
+    return span
+
+
 @lru_cache(maxsize=1)
 def dual_module_span() -> IntEchelon:
     """Lowering closure of the quadratic singular vector: the actual
     27-dimensional dual submodule, built independently of the family's
     high-index construction rule."""
-    z1 = _quadratic_singular()
-    span = IntEchelon(lambda k: k)
-    span.insert(z1)
-    work = [z1]
-    while work:
-        v = work.pop()
-        for k in range(1, 7):
-            img = apply(lowering_operator(k).weyl(), v)
-            if img and span.insert(img):
-                work.append(img)
-    return span
+    return lowering_span(_quadratic_singular())
 
 
 def _in_dual_module(f: Poly) -> bool:

@@ -100,14 +100,6 @@ class IntEchelon:
         return False
 
 
-def rank_of(rows: Iterable[Row], column_key: Callable[[Hashable], object]) -> int:
-    ech = IntEchelon(column_key)
-    for row in rows:
-        if row:
-            ech.insert(row)
-    return ech.rank
-
-
 def kernel_basis(
     rows: Iterable[Row],
     columns: Sequence[Hashable],
@@ -125,6 +117,8 @@ def kernel_basis(
     ech = IntEchelon(order.__getitem__)
     for row in rows:
         ech.insert(row)
+    if ech.rank == len(columns):
+        return []  # every column is a pivot: no free column, no kernel
 
     # Integer back-substitution to reduced echelon form: working from the
     # last pivot backwards, each pivot row loses its entries in the later

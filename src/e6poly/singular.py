@@ -13,15 +13,17 @@ the blocks, each counted `orbit_size` times, add up to every monomial.
 
 A singular vector is a polynomial killed by all six simple raising
 operators; because the module algebra is completely reducible, that is
-equivalent to being a highest-weight vector, and `verify_annihilated`
-double-checks candidates against all 36 positive root operators.
-Highest weights are dominant, so only dominant blocks are scanned.
+equivalent to being a highest-weight vector.  `verify_annihilated`
+checks a vector against all 36 positive root operators; the tests run it
+on the scanned generators.  Highest weights are dominant, so only
+dominant blocks are scanned.
 
-Kernels are computed per weight space: the six raising operators map a
-weight space into six other weight spaces (each image comes from
-`polyops.apply` with integer coefficients), and the joint kernel of the
-stacked coefficient matrix is found by exact fraction-free elimination.
-Singular vectors are returned as integer polynomials.
+Kernels are computed per weight space by `singular_space`, the one
+block solver: the six raising operators map a weight space into six
+other weight spaces (each image comes from `polyops.apply` with integer
+coefficients), and the joint kernel of the stacked coefficient matrix is
+found by exact fraction-free elimination.  Singular vectors are returned
+as integer polynomials, and the scan keeps each block's basis.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from functools import lru_cache
 from math import comb
 from operator import add, sub
 
-from .linalg import kernel_basis, rank_of
+from .linalg import kernel_basis
 from .polyops import Monomial, Poly, apply
 from .rep import all_operators, raising_operator, weight_table
 from .rootsys import CARTAN_E7, root_system
@@ -120,14 +122,6 @@ def singular_space(degree: int, weight: Weight) -> list[dict[Monomial, int]]:
     return kernel_basis(rows, columns) if columns else []
 
 
-def singular_dimension(degree: int, weight: Weight) -> int:
-    rows, columns = _raising_system(degree, weight)
-    if not columns:
-        return 0
-    order = {m: i for i, m in enumerate(columns)}
-    return len(columns) - rank_of(rows, lambda c: order[c])
-
-
 WEYL_ORDER = 51840  # |W(E6)|
 
 
@@ -196,11 +190,16 @@ def dominant_weights(degree: int) -> tuple[Weight, ...]:
 @dataclass(frozen=True)
 class SingularScan:
     degree: int
-    lines: tuple[tuple[Weight, int], ...]  # (weight, dimension), dim > 0
+    bases: tuple[tuple[Weight, list[Poly]], ...]  # (weight, basis), basis nonempty
+
+    @property
+    def lines(self) -> tuple[tuple[Weight, int], ...]:
+        """(weight, dimension) of each weight space holding singular vectors."""
+        return tuple((w, len(basis)) for w, basis in self.bases)
 
     @property
     def total(self) -> int:
-        return sum(d for _, d in self.lines)
+        return sum(len(basis) for _, basis in self.bases)
 
 
 def enumerate_singular(degree: int) -> SingularScan:
@@ -208,14 +207,11 @@ def enumerate_singular(degree: int) -> SingularScan:
 
     A singular vector generates a highest-weight line, and highest
     weights are dominant, so scanning all dominant weights realized by
-    degree-m monomials finds every singular line.
+    degree-m monomials finds every singular line.  Each block is solved
+    once, and its basis is kept.
     """
-    lines = []
-    for w in dominant_weights(degree):
-        d = singular_dimension(degree, w)
-        if d:
-            lines.append((w, d))
-    return SingularScan(degree=degree, lines=tuple(lines))
+    spaces = ((w, singular_space(degree, w)) for w in dominant_weights(degree))
+    return SingularScan(degree=degree, bases=tuple((w, b) for w, b in spaces if b))
 
 
 def verify_annihilated(vec: Poly) -> bool:

@@ -216,7 +216,7 @@ PRODUCERS = [
     ("rootsys", "bar_set_expressions", ["roots"], "roots.basis-expressions",
      "defective_basis_expressions"),
     ("singular", "singular_space", ["singular", "--degree", "2"],
-     "singular.deg2.weight(0,0,0,0,0,1).dim", "generators"),
+     "singular.deg2.line-count", None),
     ("invariants", "plain_involution_defect", ["invariant"],
      "invariant.dual-family.plain-relabeling-defect",
      "plain_relabeling_escapees"),
@@ -247,10 +247,8 @@ def test_raising_producer_becomes_a_fail_row(capsys, monkeypatch, module,
     (row,) = [r for r in doc["reports"] if r["check_id"] == check_id]
     assert row["status"] == "fail"
     assert row["computed"] == "ZeroDivisionError: injected"
-    if producer == "enumerate_singular":
+    if argv[0] == "singular":
         assert doc["payload"] == {"spaces": []}
-    elif argv[0] == "singular":
-        assert all(key not in entry for entry in doc["payload"]["spaces"])
     elif key is not None:
         assert key not in doc["payload"]
 
@@ -327,6 +325,26 @@ def test_all_json_is_independent_of_hash_seed():
 def test_eta_dump_golden_bytes(capsys, argv, digest):
     _code, out = run(capsys, *argv)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_singular_degree_five_golden_bytes(capsys):
+    # the generators are in no tier-1 golden file but this one
+    code, out = run(capsys, "singular", "--degree", "5", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "301cd3121f18fd9dd4f75cd231fa4e8af0bf92e7e6dc63e82d9fa9e6d35e2089")
+
+
+def test_scan_singular_script_golden_bytes():
+    root = Path(cli.__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "scan_singular.py"), "4"],
+        env=env, capture_output=True, check=True)
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "10769592abee683419d46f334d6e014abca22f0f72c3f2afd00557357d39b19c")
 
 
 def test_decompose_degree_six_golden_bytes(capsys):

@@ -5,10 +5,12 @@ the new irreducible content at each degree; the complement is exactly
 eta times the lower degree, which the directness check certifies.
 """
 
+import hashlib
 from math import comb
 
 import pytest
 
+from e6poly import cli
 from e6poly.decomp import (
     CLOSURE_GUARD,
     _block_rank,
@@ -171,10 +173,14 @@ def test_dominant_blocks_give_the_full_block_rank(m):
 
 
 @pytest.mark.slow
-def test_degree_eight_decomposition_and_singular_lines():
+def test_degree_eight_decomposition_and_singular_lines(capsys):
     s = phi_dim(8)
     assert s.ok
     assert s.dim_phi == 17986293
     assert s.rank_D == 169911
     assert s.direct_sum_ok
     assert enumerate_singular(8).total == expected_line_count(8) == 10
+    assert cli.main(["singular", "--degree", "8", "--force", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d96cb7e5168667a736998ba3138f7c45d9018f2a65ab28bf83a54cf10223d5f8")

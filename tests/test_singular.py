@@ -22,7 +22,6 @@ from e6poly.singular import (
     expected_line_count,
     monomial_weight,
     orbit_size,
-    singular_dimension,
     singular_space,
     verify_annihilated,
     weight_buckets,
@@ -85,10 +84,37 @@ def test_degree_three_weight_zero_generator_is_the_cubic_invariant():
 
 
 def test_scanned_generators_are_annihilated():
-    for degree in range(4):
-        for w, _dim in enumerate_singular(degree).lines:
-            for vec in singular_space(degree, w):
+    for degree in range(6):
+        for _w, basis in enumerate_singular(degree).bases:
+            for vec in basis:
                 assert verify_annihilated(vec)
+
+
+def test_scan_keeps_the_block_solver_bases():
+    scan = enumerate_singular(4)
+    assert scan.lines == tuple((w, len(b)) for w, b in scan.bases)
+    assert scan.total == 4
+    for w, basis in scan.bases:
+        assert basis == singular_space(4, w)
+
+
+@pytest.mark.parametrize("degree, pinned", [(1, 1), (5, 0)])
+def test_singular_command_solves_each_dominant_block_once(monkeypatch, capsys,
+                                                          degree, pinned):
+    # pinned: the independent low-degree generator check's own solve
+    calls = []
+    real = singular._raising_system
+
+    def counted(m, w):
+        calls.append((m, w))
+        return real(m, w)
+
+    monkeypatch.setattr(singular, "_raising_system", counted)
+    assert cli.main(["singular", "--degree", str(degree), "--json"]) == 0
+    capsys.readouterr()
+    blocks = [(degree, w) for w in dominant_weights(degree)]
+    assert len(calls) == len(blocks) + pinned
+    assert sorted(set(calls)) == sorted(blocks)
 
 
 def test_singular_weights_are_dominant():
@@ -107,7 +133,7 @@ def test_monomial_weight_is_additive():
 
 
 def test_nondominant_weight_has_no_singular_vector():
-    assert singular_dimension(1, (0, 0, 1, 0, 0, 0)) == 0
+    assert singular_space(1, (0, 0, 1, 0, 0, 0)) == []
 
 
 def test_line_counts_degrees_six_and_seven():
