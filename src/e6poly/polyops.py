@@ -14,10 +14,14 @@ per variable, so products, commutators, and applications stay exact.
 Every helper keeps the coefficient type of its inputs, so integer
 data stays `int`; `Fraction` enters only with a caller's data or from
 `poly_from_json`.  `apply` is the one place where an operator acts on a
-polynomial.  Two brackets skip the `compose` contraction, which stays
-as the oracle behind `commutator`: `ad_first_order` is [w, a] for a
-first-order w = sum c x_i d_j, a derivation sending x_j to sum c x_i and
-d_i to -sum c d_j; `leibniz_bracket` is [a, mult(f)] by the Leibniz rule
+polynomial; it indexes the monomials of f by variable, so each operator
+term visits only the monomials that hold all of its derivative
+variables.  Two brackets skip the `compose` contraction, which stays as
+the oracle behind `commutator`.  `first_order_brackets` gives [w, a]
+for each of several first-order w = sum c x_i d_j, a derivation sending
+x_j to sum c x_i and d_i to -sum c d_j; it indexes the factors of a by
+variable once, and a term x_i d_j of w visits only the x_j and d_i
+entries.  `leibniz_bracket` is [a, mult(f)] by the Leibniz rule
 [x^A d^B, f] = sum_{0 < C <= B} C(B, C) (d^C f) x^A d^(B-C).
 
 The canonical monomial order is graded lexicographic with
@@ -228,13 +232,35 @@ def dualize(f: Poly) -> WeylOp:
 
 
 def apply(a: WeylOp, f: Poly) -> Poly:
-    """Image of f under a, with the coefficient type of a and f kept."""
+    """Image of f under a, with the coefficient type of a and f kept.
+
+    A term of a is tried only if f holds all of its derivative variables
+    (one subset test).  When f has more than one monomial, they are
+    indexed by variable once per call, and the term visits only the
+    monomials that hold every one of its derivative variables; a term
+    without derivatives visits all of them.  A single monomial passes
+    the subset test exactly when it holds them, so it is not indexed.
+    """
+    present = set().union(*f)
+    holders: dict[int, set[Monomial]] = {}
+    if len(f) > 1:
+        for m in f:
+            for v in m:
+                held = holders.get(v)
+                if held is None:
+                    holders[v] = {m}
+                else:
+                    held.add(m)
     out: Poly = {}
-    for m, cm in f.items():
-        present = set(m)
-        for (xe, de), c in a.items():
-            if not present.issuperset(de):
-                continue
+    for (xe, de), c in a.items():
+        if not present.issuperset(de):
+            continue
+        hits = f
+        if de and holders:
+            hits = holders[de[0]]
+            for v in de[1:]:
+                hits = hits & holders[v]
+        for m in hits:
             rest = m
             mult = 1
             for v in de:
@@ -246,7 +272,7 @@ def apply(a: WeylOp, f: Poly) -> Poly:
                 rest = _drop(rest, v, 1)
             else:
                 target = tuple(sorted(rest + xe)) if xe else rest
-                w = out.get(target, 0) + c * cm * mult
+                w = out.get(target, 0) + c * f[m] * mult
                 if w:
                     out[target] = w
                 else:
@@ -325,33 +351,53 @@ def leibniz_bracket(a: WeylOp, f: Poly) -> WeylOp:
     return op(terms)
 
 
-def ad_first_order(w: WeylOp, a: WeylOp) -> WeylOp:
-    """Exact [w, a] for a first-order w = sum c x_i d_j.
+FactorIndex = dict[int, list[tuple[Monomial, Monomial, Coeff]]]
+
+
+def _factor_index(a: WeylOp) -> tuple[FactorIndex, FactorIndex]:
+    """The factors of a by variable: x_k -> [(x^A / x_k, d^B, c * A_k)]
+    and d_k -> [(x^A, d^B / d_k, c * B_k)] over the terms c x^A d^B."""
+    xs: FactorIndex = {}
+    ds: FactorIndex = {}
+    for (xa, da), ca in a.items():
+        for k in dict.fromkeys(xa):
+            xs.setdefault(k, []).append((_drop(xa, k, 1), da, ca * xa.count(k)))
+        for k in dict.fromkeys(da):
+            ds.setdefault(k, []).append((xa, _drop(da, k, 1), ca * da.count(k)))
+    return xs, ds
+
+
+def first_order_brackets(ws: Iterable[WeylOp], a: WeylOp) -> list[WeylOp]:
+    """Exact [w, a] for each first-order w = sum c x_i d_j in ws.
 
     ad w is a derivation: on x^A d^B it replaces one factor at a time,
     x_j by sum c x_i and d_i by -sum c d_j, each distinct factor weighted
-    by its exponent.  Raises ValueError if w has a term of another shape.
+    by its exponent.  The factors of a are indexed by variable once, so
+    a term c x_i d_j of w visits only the x_j and d_i entries.  Raises
+    ValueError if a w has a term of another shape.
     """
-    xmap: dict[int, list[tuple[int, Coeff]]] = {}
-    dmap: dict[int, list[tuple[int, Coeff]]] = {}
-    for key, c in w.items():
-        xe, de = key
-        if len(xe) != 1 or len(de) != 1:
-            raise ValueError(f"not a first-order term x_i d_j: {key}")
-        xmap.setdefault(de[0], []).append((xe[0], c))
-        dmap.setdefault(xe[0], []).append((de[0], -c))
-    terms = []
-    for (xa, da), ca in a.items():
-        for k in dict.fromkeys(xa):
-            if k in xmap:
-                rest = _drop(xa, k, 1)
-                mult = ca * xa.count(k)
-                for i, c in xmap[k]:
-                    terms.append((tuple(sorted(rest + (i,))), da, mult * c))
-        for k in dict.fromkeys(da):
-            if k in dmap:
-                rest = _drop(da, k, 1)
-                mult = ca * da.count(k)
-                for j, c in dmap[k]:
-                    terms.append((xa, tuple(sorted(rest + (j,))), mult * c))
-    return op(terms)
+    xs, ds = _factor_index(a)
+    brackets = []
+    for w in ws:
+        out: WeylOp = {}
+        for key, c in w.items():
+            xe, de = key
+            if len(xe) != 1 or len(de) != 1:
+                raise ValueError(f"not a first-order term x_i d_j: {key}")
+            i, j = xe[0], de[0]
+            for xa, da, mult in xs.get(j, ()):
+                k = (tuple(sorted(xa + xe)), da)
+                v = out.get(k, 0) + mult * c
+                if v:
+                    out[k] = v
+                else:
+                    out.pop(k, None)
+            for xa, da, mult in ds.get(i, ()):
+                k = (xa, tuple(sorted(da + de)))
+                v = out.get(k, 0) - mult * c
+                if v:
+                    out[k] = v
+                else:
+                    out.pop(k, None)
+        brackets.append(out)
+    return brackets

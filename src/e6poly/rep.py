@@ -231,10 +231,11 @@ def verify_homomorphism() -> HomReport:
     """[rho(a), rho(b)] = rho([a, b]) over all simple-generator pairs.
 
     Every rho(a) is first order, so the left side comes from the
-    derivation route `ad_first_order`, not from generic composition.
+    derivation route `first_order_brackets`, not from generic
+    composition; each rho(b) is indexed once for all 18 rho(a).
     """
     from .liealg import cartan_element
-    from .polyops import ad_first_order, op_add, op_scale, op_sub
+    from .polyops import first_order_brackets, op_add, op_scale, op_sub
 
     gens: list[tuple[AlgElement, WeylOp]] = []
     for k in range(1, 7):
@@ -251,13 +252,14 @@ def verify_homomorphism() -> HomReport:
             out = op_add(out, op_scale(c, all_operators()[_restrict(r)].weyl()))
         return out
 
+    weyls = [w for _, w in gens]
+    # lhs[b][a] = [rho(a), rho(b)]
+    lhs = [first_order_brackets(weyls, wb) for wb in weyls]
     fails = []
     pairs = 0
-    for ea, wa in gens:
-        for eb, wb in gens:
+    for ia, (ea, _) in enumerate(gens):
+        for ib, (eb, _) in enumerate(gens):
             pairs += 1
-            lhs = ad_first_order(wa, wb)
-            rhs = rho(bracket(ea, eb))
-            if op_sub(lhs, rhs):
+            if op_sub(lhs[ib][ia], rho(bracket(ea, eb))):
                 fails.append(f"pair #{pairs}")
     return HomReport(ok=not fails, pairs_checked=pairs, failures=tuple(fails[:10]))

@@ -33,6 +33,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt
+from operator import mul
 
 import numpy as np
 
@@ -59,11 +60,9 @@ COCYCLE_SAMPLE_BOUND = 4
 
 def bilinear(a: Vector, b: Vector) -> int:
     total = 0
-    for i in range(7):
-        ai = a[i]
+    for ai, row in zip(a, CARTAN_E7):
         if ai:
-            row = CARTAN_E7[i]
-            total += ai * sum(row[j] * b[j] for j in range(7) if b[j])
+            total += ai * sum(map(mul, row, b))
     return total
 
 
@@ -273,13 +272,25 @@ def bar_set_expressions() -> list[tuple[str, Vector, bool]]:
     return out
 
 
+# Row i of I + strictly-lower(A): the exponent of F(a, b) is
+# sum_i a_i (row_i . b).
+_COCYCLE_ROWS: tuple[tuple[int, ...], ...] = tuple(
+    tuple(int(i == j) + (CARTAN_E7[i][j] if j < i else 0) for j in range(7))
+    for i in range(7)
+)
+
+
 def cocycle_F(a: Vector, b: Vector) -> int:
-    exp = sum(a[i] * b[i] for i in range(7))
-    for i in range(7):
-        ai = a[i]
-        if ai:
-            row = CARTAN_E7[i]
-            exp += ai * sum(row[j] * b[j] for j in range(i))
+    """F(a, b) from the rows of I + strictly-lower(A).
+
+    Only the parity of the exponent matters, and a_i (row_i . b) has the
+    parity of row_i . b when a_i is odd and is even otherwise, so only
+    the rows where a_i is odd are added.
+    """
+    exp = 0
+    for ai, row in zip(a, _COCYCLE_ROWS):
+        if ai & 1:
+            exp += sum(map(mul, row, b))
     return -1 if exp & 1 else 1
 
 

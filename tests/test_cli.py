@@ -327,6 +327,19 @@ def test_eta_dump_golden_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("invariant", "--verify"),
+     "9dd558932b4854c8eaf6b963d84761c229c5c80daa61e6c2eba04d990c8e790f"),
+    (("roots",),
+     "931bd6b9c6be861c0e35effd9dfe453144405980b91fb485702e6d59ddbb7b47"),
+])
+def test_text_report_golden_bytes(capsys, argv, digest):
+    # the invariance checks and the sign-factor laws print in these
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_singular_degree_five_golden_bytes(capsys):
     # the generators are in no tier-1 golden file but this one
     code, out = run(capsys, "singular", "--degree", "5", "--json")

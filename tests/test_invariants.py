@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from e6poly import golden
+from e6poly import golden, polyops
 from e6poly.golden import (
     CLAIMED_BRACKET_TRIPLE,
     CLAIMED_PAIRING_BRACKET,
@@ -46,10 +46,10 @@ from e6poly.invariants import (
     x1_zeta1_power,
 )
 from e6poly.polyops import (
-    ad_first_order,
     apply,
     commutator,
     dualize,
+    first_order_brackets,
     format_poly,
     leibniz_bracket,
     monomial,
@@ -243,14 +243,32 @@ def test_operators_commute_with_every_generator():
         assert rep.ops_checked == 78
 
 
+def test_verify_invariance_indexes_each_operator_once(monkeypatch):
+    ops = build_operators()
+    generator_operators()
+    calls = []
+    real = polyops._factor_index
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(polyops, "_factor_index", counted)
+    for label, op in (("D", ops.D), ("D1", ops.D1), ("D2", ops.D2)):
+        assert verify_invariance(op, label).ops_checked == 78
+    # one index per operator, shared by its 78 generator brackets
+    assert calls == [ops.D, ops.D1, ops.D2]
+
+
 def test_derivation_route_matches_commutator_on_invariant_operators():
     # oracle for the fast route of verify_invariance: 12 seeded generators
     # against D, D1, D2, compared with generic normal-ordered composition
     ops = build_operators()
-    gens = random.Random(20240823).sample(generator_operators(), 12)
-    for _name, w in gens:
-        for op in (ops.D, ops.D1, ops.D2):
-            assert ad_first_order(w, op) == op_scale(-1, commutator(op, w))
+    sample = random.Random(20240823).sample(generator_operators(), 12)
+    gens = [w for _name, w in sample]
+    for op in (ops.D, ops.D1, ops.D2):
+        for w, b in zip(gens, first_order_brackets(gens, op), strict=True):
+            assert b == op_scale(-1, commutator(op, w))
 
 
 def test_derivation_route_matches_commutator_on_generator_pairs():
@@ -258,7 +276,7 @@ def test_derivation_route_matches_commutator_on_generator_pairs():
     rng = random.Random(7)
     for _ in range(50):
         (_na, wa), (_nb, wb) = rng.choice(gens), rng.choice(gens)
-        assert ad_first_order(wa, wb) == commutator(wa, wb)
+        assert first_order_brackets([wa], wb) == [commutator(wa, wb)]
 
 
 def test_invariance_failures_match_commutator_loop():

@@ -8,11 +8,10 @@ application, which is the only semantics the rest of the package needs.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from e6poly.polyops import (
-    ad_first_order,
     apply,
     commutator,
     compose,
@@ -20,6 +19,7 @@ from e6poly.polyops import (
     dualize,
     euler_operator,
     first_order,
+    first_order_brackets,
     format_poly,
     leibniz_bracket,
     monomial,
@@ -157,16 +157,23 @@ def first_order_ops(draw, max_terms=4):
 @given(first_order_ops(), operators())
 def test_ad_first_order_matches_commutator(w, a):
     # the derivation route agrees with generic composition: [w, a] = -[a, w]
-    assert ad_first_order(w, a) == op_scale(-1, commutator(a, w))
+    assert first_order_brackets([w], a) == [op_scale(-1, commutator(a, w))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(first_order_ops(), max_size=5), operators())
+def test_one_factor_index_serves_every_first_order_bracket(ws, a):
+    brackets = first_order_brackets(ws, a)
+    assert brackets == [op_scale(-1, commutator(a, w)) for w in ws]
 
 
 def test_ad_first_order_weights_repeated_factors():
-    # x_2 d_1 meets x_1 twice in x_1^2 d_1^2; x_1 d_2 meets d_1 twice
-    a = {((1, 1), (1, 1)): Fraction(1)}
-    assert ad_first_order(first_order([(1, 2, 1)]), a) == {((1, 2), (1, 1)): 2}
-    assert ad_first_order(first_order([(1, 1, 2)]), a) == {((1, 1), (1, 2)): -2}
+    # x_2 d_1 meets x_1 twice in x_1^2 d_1^2; x_1 d_2 meets d_1 twice;
     # x_1 d_1 is the grading on x_1 minus the grading on d_1
-    assert ad_first_order(first_order([(1, 1, 1)]), a) == {}
+    a = {((1, 1), (1, 1)): Fraction(1)}
+    ws = [first_order([(1, 2, 1)]), first_order([(1, 1, 2)]), first_order([(1, 1, 1)])]
+    assert first_order_brackets(ws, a) == [
+        {((1, 2), (1, 1)): 2}, {((1, 1), (1, 2)): -2}, {}]
 
 
 @pytest.mark.parametrize("w", [
@@ -178,7 +185,7 @@ def test_ad_first_order_weights_repeated_factors():
 ])
 def test_ad_first_order_rejects_other_shapes(w):
     with pytest.raises(ValueError):
-        ad_first_order(w, euler_operator())
+        first_order_brackets([euler_operator(), w], euler_operator())
 
 
 @settings(max_examples=100)
@@ -271,3 +278,65 @@ def test_pdiv_exact_raises_on_a_remainder():
     assert pdiv_exact(poly([((1,), -6), ((2,), 3)]), -3) == {(1,): 2, (2,): -1}
     with pytest.raises(ValueError):
         pdiv_exact(poly([((1,), 6), ((2,), 4)]), 3)
+
+
+# --- the variable-indexed applier against a scan of every term ----------
+
+
+def _scan_apply(a, f):
+    """Oracle: try every term of a on every monomial of f."""
+    out = {}
+    for m, cm in f.items():
+        for (xe, de), c in a.items():
+            rest = m
+            mult = 1
+            for v in de:
+                e = rest.count(v)
+                if not e:
+                    break
+                mult *= e
+                i = rest.index(v)
+                rest = rest[:i] + rest[i + 1:]
+            else:
+                target = tuple(sorted(rest + xe))
+                w = out.get(target, 0) + c * cm * mult
+                if w:
+                    out[target] = w
+                else:
+                    out.pop(target, None)
+    return out
+
+
+@st.composite
+def apply_cases(draw):
+    """a with derivative parts of order 0..3 over three variables (so
+    d_1^2 and the like are common) and f of up to 5 terms, possibly
+    empty; both int or both Fraction."""
+    fraction = draw(st.booleans())
+    a = op(
+        (tuple(sorted(draw(st.lists(_small_var, max_size=2)))),
+         tuple(sorted(draw(st.lists(_small_var, max_size=3)))),
+         draw(coefficients(fraction)))
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    f = poly(
+        (tuple(sorted(draw(st.lists(_small_var, max_size=4)))),
+         draw(coefficients(fraction)))
+        for _ in range(draw(st.integers(0, 5)))
+    )
+    return a, f
+
+
+@settings(max_examples=300, deadline=None)
+@given(apply_cases())
+# x_1 d_2 - x_2 d_1 kills x_1^2 + x_2^2: the image cancels to {}
+@example((first_order([(1, 1, 2), (-1, 2, 1)]), poly([((1, 1), 1), ((2, 2), 1)])))
+# an empty f, and a term with no derivative part
+@example((op_identity(), {}))
+@example((op([((2,), (), Fraction(1, 2)), ((), (1, 1), 3)]), {(1, 1, 2): Fraction(2, 3)}))
+def test_apply_matches_the_term_scan(case):
+    a, f = case
+    out = apply(a, f)
+    assert out == _scan_apply(a, f)
+    assert all(out.values())
+

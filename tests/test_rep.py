@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from e6poly import polyops
 from e6poly.golden import (
     AMBIGUOUS_REFERENCE_ROWS,
     DISCREPANT_REFERENCE_ROWS,
@@ -70,6 +71,20 @@ def test_homomorphism_report():
     assert rep.ok
     assert rep.pairs_checked == 324
     assert rep.failures == ()
+
+
+def test_homomorphism_indexes_each_generator_once(monkeypatch):
+    calls = []
+    real = polyops._factor_index
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(polyops, "_factor_index", counted)
+    assert verify_homomorphism().ok
+    # 18 simple generators, one index each, not one per pair
+    assert len(calls) == 18
 
 
 _k = st.integers(min_value=1, max_value=6)

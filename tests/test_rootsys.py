@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from e6poly import cli, rootsys
@@ -164,3 +164,42 @@ def test_cocycle_symmetry_law(i, j):
 def test_cocycle_diagonal_norm_law(i):
     a = root_system().roots[i]
     assert cocycle_F(a, a) == (-1) ** (bilinear(a, a) // 2)
+
+
+# --- the row form of the sign factor against the defining sums ----------
+
+
+def _sum_bilinear(a, b):
+    """Oracle: the loop form of (a, b) = sum_{i,j} a_i A_ij b_j."""
+    total = 0
+    for i in range(7):
+        ai = a[i]
+        if ai:
+            row = CARTAN_E7[i]
+            total += ai * sum(row[j] * b[j] for j in range(7) if b[j])
+    return total
+
+
+def _sum_cocycle_F(a, b):
+    """Oracle: the full exponent sum_i a_i b_i + sum_{i>j} a_i b_j A_ij."""
+    exp = sum(a[i] * b[i] for i in range(7))
+    for i in range(7):
+        ai = a[i]
+        if ai:
+            row = CARTAN_E7[i]
+            exp += ai * sum(row[j] * b[j] for j in range(i))
+    return -1 if exp & 1 else 1
+
+
+_lattice = st.tuples(*[st.integers(-9, 9)] * 7)
+
+
+@settings(max_examples=500)
+@given(_lattice, _lattice)
+@example((-3, 0, -1, 0, 0, 0, -9), (1, -1, 0, 2, -7, 0, 1))
+@example((1, -1, 0, 2, -7, 0, 1), (-3, 0, -1, 0, 0, 0, -9))
+def test_row_form_matches_the_defining_sums(a, b):
+    # negative odd entries included: the row form takes parity with & 1
+    assert bilinear(a, b) == _sum_bilinear(a, b)
+    assert cocycle_F(a, b) == _sum_cocycle_F(a, b)
+
