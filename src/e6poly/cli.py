@@ -14,14 +14,24 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 from operator import attrgetter
 
 from . import decomp, golden, invariants, rep, rootsys, singular, weyl
-from .config import DEFAULTS, RunConfig
 from .polyops import apply, format_poly, poly_to_json
 from .singular import expected_line_count
+
+# Run defaults and cost guards; degrees past a guard need --force.
+SEED = 20240823             # default --seed for the sampled law checks
+COCYCLE_SAMPLES = 1000
+SINGULAR_DEGREE = 5         # singular scan sweep bound
+EIGENVALUE_DEGREE = 8       # m1 + 2*m2 bound for the eigenvalue sweep
+ANNIHILATION_DEGREE = 6     # m1 + 2*m2 bound for the kill sweep
+CUBIC_DEGREE = 8            # 3*m + m1 + 2*m2 bound for the cubic sweep
+DECOMPOSE_DEGREE = 4        # default kernel decomposition degree
+DECOMPOSE_GUARD = 5         # highest degree allowed without --force
+IDENTITY_DEGREE = 10        # default series identity bound
 
 PASS = "pass"
 FAIL = "fail"
@@ -112,7 +122,7 @@ class Assembler:
         )
 
 
-def cmd_roots(cfg: RunConfig, a: Assembler) -> dict:
+def cmd_roots(a: Assembler, seed: int) -> dict:
     rs = rootsys.root_system  # called inside each check, so a raise is a row
     a.check("roots.e7-count", "norm-2 vectors in the rank-7 lattice",
             126, REFERENCE, lambda: len(rs().roots))
@@ -141,7 +151,7 @@ def cmd_roots(cfg: RunConfig, a: Assembler) -> dict:
                 "sign-factor bimultiplicativity and symmetry on full sweep plus samples",
                 True, DERIVED,
                 lambda: rootsys.check_cocycle_laws(
-                    seed=cfg.seed, n_random=cfg.cocycle_samples),
+                    seed=seed, n_random=COCYCLE_SAMPLES),
                 pick=attrgetter("ok"))
     payload = {
         "e7_roots": "126",
@@ -156,11 +166,11 @@ def cmd_roots(cfg: RunConfig, a: Assembler) -> dict:
     if c is not None:
         payload["cocycle_pairs_checked"] = str(c.pairs_checked)
         payload["cocycle_triples_checked"] = str(c.triples_checked)
-    payload["seed"] = str(cfg.seed)
+    payload["seed"] = str(seed)
     return payload
 
 
-def cmd_rep(cfg: RunConfig, a: Assembler) -> dict:
+def cmd_rep(a: Assembler) -> dict:
     a.check("rep.weight-table", "27 x 6 diagonal action table matches the reference",
             True, REFERENCE, lambda: rep.compare_weight_tables().ok)
     t = a.check("rep.operators",
@@ -183,8 +193,7 @@ def cmd_rep(cfg: RunConfig, a: Assembler) -> dict:
     }
 
 
-def _singular_degree(cfg: RunConfig, a: Assembler, m: int,
-                     weight_filter=None) -> list[dict]:
+def _singular_degree(a: Assembler, m: int, weight_filter=None) -> list[dict]:
     scan = a.check(f"singular.deg{m}.line-count",
                    f"singular lines at degree {m} count solutions of a+2b+3c={m}",
                    expected_line_count(m), DERIVED,
@@ -226,7 +235,7 @@ def _singular_degree(cfg: RunConfig, a: Assembler, m: int,
     return payload
 
 
-def _invariant_summary(cfg: RunConfig, a: Assembler) -> dict:
+def _invariant_summary(a: Assembler) -> dict:
     payload = {}
     er = a.check("invariant.eta",
                  "cubic invariant: 45 monomials, annihilated, bilinear identity",
@@ -263,7 +272,7 @@ def _invariant_summary(cfg: RunConfig, a: Assembler) -> dict:
     return payload
 
 
-def _invariant_lemmas(cfg: RunConfig, a: Assembler) -> dict:
+def _invariant_lemmas(a: Assembler) -> dict:
     for label in ("D", "D1", "D2"):
         a.check(f"invariant.commutes.{label}",
                 f"{label} commutes with all 78 generator operators",
@@ -295,7 +304,7 @@ def _invariant_lemmas(cfg: RunConfig, a: Assembler) -> dict:
         payload["pairing_printed"] = ser(pb.claimed)
 
     def eigen_sweep() -> bool:
-        n = cfg.eigenvalue_degree
+        n = EIGENVALUE_DEGREE
         return all(
             invariants.lemma_pairing_eigenvalue(m1, m2).ok
             for m1 in range(n + 1)
@@ -303,11 +312,11 @@ def _invariant_lemmas(cfg: RunConfig, a: Assembler) -> dict:
         )
 
     a.check("invariant.eigenvalue-sweep",
-            f"D2 eigenvalue m2(m1+m2+4) for m1+2m2 <= {cfg.eigenvalue_degree}",
+            f"D2 eigenvalue m2(m1+m2+4) for m1+2m2 <= {EIGENVALUE_DEGREE}",
             True, REFERENCE, eigen_sweep)
 
     def kill_sweep() -> bool:
-        n = cfg.annihilation_degree
+        n = ANNIHILATION_DEGREE
         return all(
             invariants.annihilation(m1, m2)
             for m1 in range(n + 1)
@@ -315,11 +324,11 @@ def _invariant_lemmas(cfg: RunConfig, a: Assembler) -> dict:
         )
 
     a.check("invariant.annihilation-sweep",
-            f"D kills x_1^m1 zeta_1^m2 for m1+2m2 <= {cfg.annihilation_degree}",
+            f"D kills x_1^m1 zeta_1^m2 for m1+2m2 <= {ANNIHILATION_DEGREE}",
             True, REFERENCE, kill_sweep)
 
     def cubic_sweep() -> list:
-        n = cfg.cubic_degree
+        n = CUBIC_DEGREE
         return [
             invariants.lemma_cubic_action(m, m1, m2)
             for m in range(1, n // 3 + 1)
@@ -352,8 +361,7 @@ def _invariant_lemmas(cfg: RunConfig, a: Assembler) -> dict:
     return payload
 
 
-def cmd_invariant(cfg: RunConfig, a: Assembler, verify: bool,
-                  dump: str | None) -> dict:
+def cmd_invariant(a: Assembler, verify: bool, dump: str | None) -> dict:
     if dump == "eta":
         eta = a.check("invariant.eta.monomials", "number of cubic monomials",
                       45, DERIVED, invariants.build_eta, pick=len)
@@ -376,14 +384,13 @@ def cmd_invariant(cfg: RunConfig, a: Assembler, verify: bool,
                 for i in range(1, 28)
             }
         }
-    payload = _invariant_summary(cfg, a)
+    payload = _invariant_summary(a)
     if verify:
-        payload.update(_invariant_lemmas(cfg, a))
+        payload.update(_invariant_lemmas(a))
     return payload
 
 
-def cmd_decompose(cfg: RunConfig, a: Assembler, m: int,
-                  materialize: bool) -> dict:
+def cmd_decompose(a: Assembler, m: int, materialize: bool) -> dict:
     lower = comb(m + 23, 26) if m >= 3 else 0
     s = a.check(f"decompose.deg{m}.kernel-dim",
                 "kernel dimension equals the binomial difference",
@@ -429,7 +436,7 @@ def cmd_decompose(cfg: RunConfig, a: Assembler, m: int,
     return payload
 
 
-def cmd_identity(cfg: RunConfig, a: Assembler, max_degree: int) -> dict:
+def cmd_identity(a: Assembler, max_degree: int) -> dict:
     expected = tuple(1 if k <= 2 else 0 for k in range(max_degree + 1))
     r = a.check("identity.series",
                 "(1-q)^26 times the dimension series truncates to 1 + q + q^2",
@@ -453,7 +460,7 @@ def cmd_identity(cfg: RunConfig, a: Assembler, max_degree: int) -> dict:
     return payload
 
 
-def cmd_closure(cfg: RunConfig, a: Assembler, force: bool) -> dict:
+def cmd_closure(a: Assembler, force: bool) -> dict:
     pairs = [(1, 0, 27), (0, 1, 27)]
     if force:
         pairs.append((1, 1, 650))
@@ -465,30 +472,30 @@ def cmd_closure(cfg: RunConfig, a: Assembler, force: bool) -> dict:
     return {"pairs": [ser((m1, m2, w)) for m1, m2, w in pairs]}
 
 
-def cmd_all(cfg: RunConfig, a: Assembler, force: bool) -> dict:
-    payload = {"roots": cmd_roots(cfg, a), "rep": cmd_rep(cfg, a)}
+def cmd_all(a: Assembler, seed: int, force: bool, max_degree: int) -> dict:
+    payload = {"roots": cmd_roots(a, seed), "rep": cmd_rep(a)}
     spaces: list[dict] = []
-    for m in range(cfg.singular_degree + 1):
-        spaces.extend(_singular_degree(cfg, a, m))
+    for m in range(SINGULAR_DEGREE + 1):
+        spaces.extend(_singular_degree(a, m))
     payload["singular"] = {"spaces_scanned": str(len(spaces))}
-    payload["invariant"] = cmd_invariant(cfg, a, verify=True, dump=None)
-    degrees = list(range(3, cfg.decompose_degree + 1))
+    payload["invariant"] = cmd_invariant(a, verify=True, dump=None)
+    degrees = list(range(3, DECOMPOSE_DEGREE + 1))
     if force:
-        degrees.append(cfg.decompose_guard)
+        degrees.append(DECOMPOSE_GUARD)
     payload["decompose"] = {
-        str(m): cmd_decompose(cfg, a, m, materialize=False) for m in degrees
+        str(m): cmd_decompose(a, m, materialize=False) for m in degrees
     }
-    payload["identity"] = cmd_identity(cfg, a, cfg.identity_degree)
-    payload["closure"] = cmd_closure(cfg, a, force)
+    payload["identity"] = cmd_identity(a, max_degree)
+    payload["closure"] = cmd_closure(a, force)
     return payload
 
 
-def emit(command: str, cfg: RunConfig, rows, payload, as_json: bool,
+def emit(command: str, seed: int, rows, payload, as_json: bool,
          timings: bool) -> None:
     if as_json:
         doc = {
             "command": command,
-            "seed": str(cfg.seed),
+            "seed": str(seed),
             "reports": [r.to_dict(timings) for r in rows],
             "payload": payload,
         }
@@ -554,12 +561,12 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--dump", choices=("eta", "zeta"), default=None)
     pd = sub.add_parser("decompose", parents=[common],
                         help="kernel decomposition at one degree")
-    pd.add_argument("--degree", type=int, default=DEFAULTS.decompose_degree)
+    pd.add_argument("--degree", type=int, default=DECOMPOSE_DEGREE)
     pd.add_argument("--materialize", action="store_true")
     pd.add_argument("--force", action="store_true")
     pid = sub.add_parser("identity", parents=[common],
                          help="dimension series identity")
-    pid.add_argument("--max-degree", type=int, default=DEFAULTS.identity_degree)
+    pid.add_argument("--max-degree", type=int, default=IDENTITY_DEGREE)
     pc = sub.add_parser("closure", parents=[common],
                         help="lowering closures of highest vectors")
     pc.add_argument("--force", action="store_true",
@@ -568,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="full verification suite")
     pa.add_argument("--force", action="store_true",
                     help="include opt-in heavy checks")
-    pa.add_argument("--max-degree", type=int, default=DEFAULTS.identity_degree,
+    pa.add_argument("--max-degree", type=int, default=IDENTITY_DEGREE,
                     help="series identity bound")
     return p
 
@@ -604,29 +611,28 @@ def _weight(text: str | None):
     return weight
 
 
-def _run_decompose(cfg: RunConfig, a: Assembler, args) -> dict:
-    m = _degree(args.degree, cfg.decompose_guard, args.force)
+def _run_decompose(a: Assembler, seed: int, args) -> dict:
+    m = _degree(args.degree, DECOMPOSE_GUARD, args.force)
     if args.materialize and m > 4 and not args.force:
         raise UsageError("materializing above degree 4 needs --force")
-    return cmd_decompose(cfg, a, m, args.materialize)
+    return cmd_decompose(a, m, args.materialize)
 
 
-# command -> handler(cfg, assembler, parsed args) returning the payload;
+# command -> handler(assembler, seed, parsed args) returning the payload;
 # argument values are validated before the first check runs
 COMMANDS = {
-    "roots": lambda cfg, a, args: cmd_roots(cfg, a),
-    "rep": lambda cfg, a, args: cmd_rep(cfg, a),
-    "singular": lambda cfg, a, args: {"spaces": _singular_degree(
-        cfg, a, _degree(args.degree, cfg.singular_degree, args.force),
+    "roots": lambda a, seed, args: cmd_roots(a, seed),
+    "rep": lambda a, seed, args: cmd_rep(a),
+    "singular": lambda a, seed, args: {"spaces": _singular_degree(
+        a, _degree(args.degree, SINGULAR_DEGREE, args.force),
         _weight(args.weight))},
-    "invariant": lambda cfg, a, args: cmd_invariant(cfg, a, args.verify, args.dump),
+    "invariant": lambda a, seed, args: cmd_invariant(a, args.verify, args.dump),
     "decompose": _run_decompose,
-    "identity": lambda cfg, a, args: cmd_identity(
-        cfg, a, _identity_degree(args.max_degree)),
-    "closure": lambda cfg, a, args: cmd_closure(cfg, a, args.force),
-    "all": lambda cfg, a, args: cmd_all(
-        replace(cfg, identity_degree=_identity_degree(args.max_degree)),
-        a, args.force),
+    "identity": lambda a, seed, args: cmd_identity(
+        a, _identity_degree(args.max_degree)),
+    "closure": lambda a, seed, args: cmd_closure(a, args.force),
+    "all": lambda a, seed, args: cmd_all(
+        a, seed, args.force, _identity_degree(args.max_degree)),
 }
 
 
@@ -635,14 +641,14 @@ def main(argv=None) -> int:
     # shared flags use SUPPRESS defaults, so absent ones need fallbacks
     as_json = getattr(args, "json", False) and not getattr(args, "text", False)
     timings = getattr(args, "timings", False)
-    cfg = replace(DEFAULTS, seed=getattr(args, "seed", DEFAULTS.seed))
+    seed = getattr(args, "seed", SEED)
     a = Assembler()
     try:
-        payload = COMMANDS[args.command](cfg, a, args)
+        payload = COMMANDS[args.command](a, seed, args)
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
-    emit(args.command, cfg, a.rows, payload, as_json, timings)
+    emit(args.command, seed, a.rows, payload, as_json, timings)
     return 1 if any(r.status == FAIL for r in a.rows) else 0
 
 

@@ -38,10 +38,7 @@ from .polyops import (
     leibniz_bracket,
     monomial,
     op,
-    op_add,
     op_identity,
-    op_scale,
-    op_sub,
     padd,
     pdiv_exact,
     poly,
@@ -51,7 +48,14 @@ from .polyops import (
     psub,
     x,
 )
-from .rep import Root6, all_operators, raising_operator, lowering_operator, weight_table
+from .rep import (
+    Root6,
+    all_operators,
+    lowering_operator,
+    matrix,
+    raising_operator,
+    weight_table,
+)
 from .rootsys import root_system
 
 ZERO_WEIGHT = (0, 0, 0, 0, 0, 0)
@@ -125,7 +129,7 @@ def zeta_reference_diff(fam: ZetaFamily) -> tuple[str, ...]:
 def lowering_span(start: Poly) -> IntEchelon:
     """Span of `start` and its images under the six simple lowering
     operators, applied until nothing new enters the span."""
-    ops = [lowering_operator(k).weyl() for k in range(1, 7)]
+    ops = [lowering_operator(k) for k in range(1, 7)]
     span = IntEchelon(lambda k: k)
     span.insert(start)
     work = [start]
@@ -173,7 +177,7 @@ def build_zeta_family() -> ZetaFamily:
     plain_involution_defect)."""
     zetas: dict[int, Poly] = {1: _quadratic_singular()}
     for target, k, source, sign in golden.ZETA_CHAIN:
-        image = apply(lowering_operator(k).weyl(), zetas[source])
+        image = apply(lowering_operator(k), zetas[source])
         zetas[target] = pscale(sign, image)
     for i in range(16, 28):
         # member sign -d_i on top of the signed relabeling; this is the
@@ -290,9 +294,8 @@ def verify_dual_module() -> DualModuleReport:
     for r in rs.e6_roots:
         root6 = r[:6]
         checked += 1
-        weyl = ops[root6].weyl()
         for j, z in fam.items():
-            if coords.express(apply(weyl, z)) is None:
+            if coords.express(apply(ops[root6], z)) is None:
                 span_failures.append(f"root {root6} on zeta_{j}")
 
     # Dual action law: coordinates of E_alpha on the zeta basis equal the
@@ -302,8 +305,8 @@ def verify_dual_module() -> DualModuleReport:
     simple_roots = {tuple(1 if t == k else 0 for t in range(6)) for k in range(6)}
     for r in rs.e6_positive:
         root6 = r[:6]
-        mat = _coordinate_matrix(coords, ops[root6].weyl(), fam)
-        ref = {(i, j): c for c, i, j in ops[sigma_root(root6)].terms}
+        mat = _coordinate_matrix(coords, ops[root6], fam)
+        ref = matrix(ops[sigma_root(root6)])
         if mat == ref:
             sign = 1
         elif mat == {k: -v for k, v in ref.items()}:
@@ -321,7 +324,7 @@ def verify_dual_module() -> DualModuleReport:
     cartan_derived_ok = True
     cartan_reference_ok = True
     for j in range(1, 7):
-        h = ops[("h", j)].weyl()
+        h = ops[("h", j)]
         sig = golden.SIGMA[j - 1]
         for i, z in fam.items():
             expect = a[i - 1][sig - 1]
@@ -463,7 +466,7 @@ def _raising_residual(f: Poly) -> Poly:
     """Combined image of f under the 6 simple raising operators."""
     out: Poly = {}
     for k in range(1, 7):
-        out = padd(out, apply(raising_operator(k).weyl(), f))
+        out = padd(out, apply(raising_operator(k), f))
     return out
 
 
@@ -474,9 +477,9 @@ def generator_operators() -> tuple[tuple[str, WeylOp], ...]:
     ops = all_operators()
     out = []
     for r in rs.e6_roots:
-        out.append((f"root {r[:6]}", ops[r[:6]].weyl()))
+        out.append((f"root {r[:6]}", ops[r[:6]]))
     for j in range(1, 7):
-        out.append((f"cartan {j}", ops[("h", j)].weyl()))
+        out.append((f"cartan {j}", ops[("h", j)]))
     return tuple(out)
 
 
@@ -560,11 +563,11 @@ def lemma_bracket_triple() -> BracketReport:
     b0 = C.get(((), ()), 0)
     b1 = C.get(((1,), (1,)), 0)
     b2 = Fraction(C.get((pair, pair), 0), ops.D2[(pair, pair)])
-    model = op_add(
-        op_scale(b0, op_identity()),
-        op_add(op_scale(b1, ops.D1), op_scale(b2, ops.D2)),
+    model = padd(
+        pscale(b0, op_identity()),
+        padd(pscale(b1, ops.D1), pscale(b2, ops.D2)),
     )
-    residual = op_sub(C, model)
+    residual = psub(C, model)
     return BracketReport(
         triple=(b0, b1, b2),
         structural_ok=not residual,
@@ -655,7 +658,7 @@ def lemma_pairing_bracket() -> PairingBracketReport:
         + [(tuple(sorted(m + (i,))), (i,), c2 * c)
            for m, c in ops.eta.items() for i in range(1, 28)]
     )
-    residual = op_sub(C, model)
+    residual = psub(C, model)
     eta_x1 = pmul(ops.eta, x(1))
     return PairingBracketReport(
         pair=(c1, c2),

@@ -5,23 +5,21 @@ per factor: x_1^2 x_14 is (1, 1, 14) and the constant monomial is ().  A
 polynomial is a dict mapping monomials to nonzero coefficients (the zero
 polynomial is the empty dict).  A Weyl operator is a dict mapping
 (x-monomial, d-monomial) pairs to coefficients, always kept in normal
-order: all multiplications to the left of all derivatives.  Composition
-uses
+order: all multiplications to the left of all derivatives.  `padd`,
+`psub` and `pscale` read only the coefficients of a sparse dict, so they
+serve polynomials and operators alike.
 
-    d^n x^m  =  sum_k  C(n, k) * m!/(m-k)! * x^(m-k) d^(n-k)
-
-per variable, so products, commutators, and applications stay exact.
 Every helper keeps the coefficient type of its inputs, so integer
 data stays `int`; `Fraction` enters only with a caller's data or from
 `poly_from_json`.  `apply` is the one place where an operator acts on a
 polynomial; it indexes the monomials of f by variable, so each operator
 term visits only the monomials that hold all of its derivative
-variables.  Two brackets skip the `compose` contraction, which stays as
-the oracle behind `commutator`.  `first_order_brackets` gives [w, a]
-for each of several first-order w = sum c x_i d_j, a derivation sending
-x_j to sum c x_i and d_i to -sum c d_j; it indexes the factors of a by
-variable once, and a term x_i d_j of w visits only the x_j and d_i
-entries.  `leibniz_bracket` is [a, mult(f)] by the Leibniz rule
+variables.  Two brackets are formed without any operator product.
+`first_order_brackets` gives [w, a] for each of several first-order
+w = sum c x_i d_j, a derivation sending x_j to sum c x_i and d_i to
+-sum c d_j; it indexes the factors of a by variable once, and a term
+x_i d_j of w visits only the x_j and d_i entries.  `leibniz_bracket`
+is [a, mult(f)] by the Leibniz rule
 [x^A d^B, f] = sum_{0 < C <= B} C(B, C) (d^C f) x^A d^(B-C).
 
 The canonical monomial order is graded lexicographic with
@@ -34,7 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, perm
+from math import comb
 from typing import Iterable
 
 from .rootsys import NVARS
@@ -72,6 +70,7 @@ def poly(terms: Iterable[tuple[Monomial, Coeff]]) -> Poly:
 
 
 def padd(f: Poly, g: Poly) -> Poly:
+    """f + g for sparse dicts of one key shape, polynomials or operators."""
     out = dict(f)
     for m, c in g.items():
         w = out.get(m, 0) + c
@@ -192,38 +191,8 @@ def op_identity() -> WeylOp:
     return {((), ()): 1}
 
 
-def op_add(a: WeylOp, b: WeylOp) -> WeylOp:
-    out = dict(a)
-    for k, c in b.items():
-        w = out.get(k, 0) + c
-        if w:
-            out[k] = w
-        else:
-            del out[k]
-    return out
-
-
-def op_scale(k: Coeff, a: WeylOp) -> WeylOp:
-    if not k:
-        return {}
-    return {key: k * c for key, c in a.items()}
-
-
-def op_sub(a: WeylOp, b: WeylOp) -> WeylOp:
-    return op_add(a, op_scale(-1, b))
-
-
-def first_order(terms: Iterable[tuple[int, int, Coeff]]) -> WeylOp:
-    """Operator sum of c * x_i d_j from 1-based (c, i, j) triples."""
-    return op(((i,), (j,), c) for c, i, j in terms)
-
-
 def euler_operator() -> WeylOp:
-    return first_order((1, i, i) for i in range(1, NVARS + 1))
-
-
-def multiplication(f: Poly) -> WeylOp:
-    return {(m, ()): c for m, c in f.items()}
+    return {((i,), (i,)): 1 for i in range(1, NVARS + 1)}
 
 
 def dualize(f: Poly) -> WeylOp:
@@ -286,39 +255,6 @@ def _drop(m: Monomial, v: int, k: int) -> Monomial:
     return m[:i] + m[i + k:]
 
 
-def _contractions(de: Monomial, xe: Monomial) -> list[tuple[Monomial, Monomial, int]]:
-    """Normal-order d^de x^xe: (x left, d left, multiplier) per contraction."""
-    terms = [(xe, de, 1)]
-    for v in set(de).intersection(xe):
-        p, q = de.count(v), xe.count(v)
-        terms = [
-            (_drop(xm, v, k), _drop(dm, v, k), mult * comb(p, k) * perm(q, k))
-            for xm, dm, mult in terms
-            for k in range(min(p, q) + 1)
-        ]
-    return terms
-
-
-def compose(a: WeylOp, b: WeylOp) -> WeylOp:
-    """Normal-ordered product a . b (apply b first)."""
-    out: WeylOp = {}
-    for (xa, da), ca in a.items():
-        for (xb, db), cb in b.items():
-            c0 = ca * cb
-            for xk, dk, mult in _contractions(da, xb):
-                key = (tuple(sorted(xa + xk)), tuple(sorted(dk + db)))
-                w = out.get(key, 0) + c0 * mult
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
-    return out
-
-
-def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
-    return op_sub(compose(a, b), compose(b, a))
-
-
 def _splits(de: Monomial) -> list[tuple[Monomial, Monomial, int]]:
     """(C, de - C, C(de, C)) for every nonempty sub-multiset C of de,
     with C(de, C) the product of the per-variable binomials."""
@@ -337,16 +273,20 @@ def leibniz_bracket(a: WeylOp, f: Poly) -> WeylOp:
 
     On a normal-ordered term, [x^A d^B, f] is the sum over nonempty
     sub-multisets C of B of C(B, C) (d^C f) x^A d^(B-C); each d^C f is
-    computed once.
+    computed once, as d_v of the smaller partial d^(C - v) f.
     """
-    partials: dict[Monomial, Poly] = {}
+    partials: dict[Monomial, Poly] = {(): f}
+
+    def partial(dc: Monomial) -> Poly:
+        df = partials.get(dc)
+        if df is None:
+            df = partials[dc] = apply({((), dc[-1:]): 1}, partial(dc[:-1]))
+        return df
+
     terms = []
     for (xa, db), ca in a.items():
         for dc, rest, mult in _splits(db):
-            df = partials.get(dc)
-            if df is None:
-                df = partials[dc] = apply({((), dc): 1}, f)
-            for m, cf in df.items():
+            for m, cf in partial(dc).items():
                 terms.append((tuple(sorted(xa + m)), rest, ca * mult * cf))
     return op(terms)
 

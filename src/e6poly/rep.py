@@ -8,8 +8,11 @@ root beta_j is read off from the bracket
 
 which lands on another basis root whenever r + beta_j is a root and
 vanishes otherwise.  Cartan elements act diagonally by the bilinear form.
-The module exposes the derived operators, the weight tables they imply,
-comparison against the hand-entered reference table in `golden`, and a
+Each operator is kept in one form only: the first-order `WeylOp`
+{((i,), (j,)): c} of sum c x_i d_j, with `int` coefficients; `matrix`
+reads it as {(i, j): c} for the reference comparisons.  The module
+exposes the derived operators, the weight tables they imply, comparison
+against the hand-entered reference table in `golden`, and a
 homomorphism check of the whole assignment.
 """
 
@@ -20,7 +23,7 @@ from functools import lru_cache
 
 from . import golden
 from .liealg import AlgElement, bracket, root_element
-from .polyops import WeylOp, first_order
+from .polyops import WeylOp, op
 from .rootsys import (
     Vector,
     alpha,
@@ -44,45 +47,36 @@ def _restrict(root7: Vector) -> Root6:
     return root7[:6]
 
 
-@dataclass(frozen=True)
-class RepOperator:
-    """First-order operator sum of c * x_i d_j, with its source label."""
-
-    label: str
-    terms: tuple[tuple[int, int, int], ...]  # (coefficient, i, j)
-
-    def weyl(self) -> WeylOp:
-        return first_order(self.terms)
-
-
-def derive_root_action(root6: Root6) -> RepOperator:
-    """Operator of e_r on the x-basis, from the cocycle bracket."""
+def derive_root_action(root6: Root6) -> WeylOp:
+    """Operator sum of c x_i d_j of e_r on the x-basis, from the cocycle
+    bracket, with int coefficients."""
     r7 = _embed(root6)
     rs = root_system()
     if r7 not in rs.root_set:
         raise ValueError(f"not an E6 root: {root6}")
-    basis = bar_basis()
     index = bar_index()
-    terms: list[tuple[int, int, int]] = []
-    for j, beta in enumerate(basis, start=1):
+    terms = []
+    for j, beta in enumerate(bar_basis(), start=1):
         out = bracket(root_element(r7), root_element(beta))
         if out.is_zero():
             continue
         (target, coeff), = out.roots.items()
-        terms.append((int(coeff), index[target], j))
-    terms.sort(key=lambda t: t[2])
-    return RepOperator(label=f"e{root6}", terms=tuple(terms))
+        terms.append(((index[target],), (j,), int(coeff)))
+    return op(terms)
 
 
-def derive_cartan_action(j: int) -> RepOperator:
-    """Diagonal operator of alpha_j (1 <= j <= 6)."""
+def derive_cartan_action(j: int) -> WeylOp:
+    """Diagonal operator sum of c x_i d_i of alpha_j (1 <= j <= 6)."""
     a = alpha(j)
-    terms = tuple(
-        (bilinear(a, beta), i, i)
+    return op(
+        ((i,), (i,), bilinear(a, beta))
         for i, beta in enumerate(bar_basis(), start=1)
-        if bilinear(a, beta)
     )
-    return RepOperator(label=f"h{j}", terms=terms)
+
+
+def matrix(w: WeylOp) -> dict[tuple[int, int], int]:
+    """{(i, j): c} of a first-order operator sum of c x_i d_j."""
+    return {(i, j): c for ((i,), (j,)), c in w.items()}
 
 
 @lru_cache(maxsize=None)
@@ -108,11 +102,11 @@ def all_operators() -> dict:
     return out
 
 
-def raising_operator(k: int) -> RepOperator:
+def raising_operator(k: int) -> WeylOp:
     return all_operators()[_restrict(alpha(k))]
 
 
-def lowering_operator(k: int) -> RepOperator:
+def lowering_operator(k: int) -> WeylOp:
     return all_operators()[_restrict(vneg(alpha(k)))]
 
 
@@ -149,7 +143,7 @@ def compare_reference_operators() -> TableComparison:
     diffs: dict[Root6, tuple] = {}
     for root6, terms in golden.RAISING_OPERATORS + golden.LOWERING_OPERATORS:
         rows += 1
-        mine = {(i, j): c for c, i, j in derived[root6].terms}
+        mine = matrix(derived[root6])
         ref = {(i, j): c for c, i, j in terms}
         if mine != ref:
             diffs[root6] = (mine, ref)
@@ -180,7 +174,7 @@ def _diagonal_sign_fit(derived: dict) -> tuple[int, ...] | None:
     # Propagate constraints eps_i * eps_j = ref/derived over term graph.
     edges: list[tuple[int, int, int]] = []
     for root6, terms in rows.items():
-        mine = {(i, j): c for c, i, j in derived[root6].terms}
+        mine = matrix(derived[root6])
         if set(mine) != {(i, j) for _, i, j in terms}:
             return None
         for c, i, j in terms:
@@ -235,21 +229,22 @@ def verify_homomorphism() -> HomReport:
     composition; each rho(b) is indexed once for all 18 rho(a).
     """
     from .liealg import cartan_element
-    from .polyops import first_order_brackets, op_add, op_scale, op_sub
+    from .polyops import first_order_brackets, padd, pscale, psub
 
+    ops = all_operators()
     gens: list[tuple[AlgElement, WeylOp]] = []
     for k in range(1, 7):
-        gens.append((root_element(alpha(k)), raising_operator(k).weyl()))
-        gens.append((root_element(vneg(alpha(k))), lowering_operator(k).weyl()))
-        gens.append((cartan_element(alpha(k)), derive_cartan_action(k).weyl()))
+        gens.append((root_element(alpha(k)), raising_operator(k)))
+        gens.append((root_element(vneg(alpha(k))), lowering_operator(k)))
+        gens.append((cartan_element(alpha(k)), ops[("h", k)]))
 
     def rho(elt: AlgElement) -> WeylOp:
         out: WeylOp = {}
         cart = elt.normalized().cartan
         for i, c in cart.items():
-            out = op_add(out, op_scale(c, derive_cartan_action(i + 1).weyl()))
+            out = padd(out, pscale(c, ops[("h", i + 1)]))
         for r, c in elt.normalized().roots.items():
-            out = op_add(out, op_scale(c, all_operators()[_restrict(r)].weyl()))
+            out = padd(out, pscale(c, ops[_restrict(r)]))
         return out
 
     weyls = [w for _, w in gens]
@@ -260,6 +255,6 @@ def verify_homomorphism() -> HomReport:
     for ia, (ea, _) in enumerate(gens):
         for ib, (eb, _) in enumerate(gens):
             pairs += 1
-            if op_sub(lhs[ib][ia], rho(bracket(ea, eb))):
+            if psub(lhs[ib][ia], rho(bracket(ea, eb))):
                 fails.append(f"pair #{pairs}")
     return HomReport(ok=not fails, pairs_checked=pairs, failures=tuple(fails[:10]))

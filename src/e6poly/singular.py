@@ -13,10 +13,8 @@ the blocks, each counted `orbit_size` times, add up to every monomial.
 
 A singular vector is a polynomial killed by all six simple raising
 operators; because the module algebra is completely reducible, that is
-equivalent to being a highest-weight vector.  `verify_annihilated`
-checks a vector against all 36 positive root operators; the tests run it
-on the scanned generators.  Highest weights are dominant, so only
-dominant blocks are scanned.
+equivalent to being a highest-weight vector.  Highest weights are
+dominant, so only dominant blocks are scanned.
 
 Kernels are computed per weight space by `singular_space`, the one
 block solver: the six raising operators map a weight space into six
@@ -36,19 +34,10 @@ from operator import add, sub
 
 from .linalg import kernel_basis
 from .polyops import Monomial, Poly, apply
-from .rep import all_operators, raising_operator, weight_table
+from .rep import raising_operator, weight_table
 from .rootsys import CARTAN_E7, root_system
 
 Weight = tuple[int, int, int, int, int, int]
-
-
-def monomial_weight(mono: Monomial) -> Weight:
-    rows = weight_table()
-    acc = (0, 0, 0, 0, 0, 0)
-    for v in mono:
-        row = rows[v - 1]
-        acc = tuple(a + b for a, b in zip(acc, row))
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +92,7 @@ def _raising_system(degree: int, weight: Weight):
     basis = weight_space(degree, weight)
     if not basis:
         return [], []
-    ops = [raising_operator(k).weyl() for k in range(1, 7)]
+    ops = [raising_operator(k) for k in range(1, 7)]
     rows: dict[tuple[int, Monomial], dict[Monomial, int]] = {}
     for mono in basis:
         for k, op in enumerate(ops):
@@ -212,12 +201,6 @@ def enumerate_singular(degree: int) -> SingularScan:
     """
     spaces = ((w, singular_space(degree, w)) for w in dominant_weights(degree))
     return SingularScan(degree=degree, bases=tuple((w, b) for w, b in spaces if b))
-
-
-def verify_annihilated(vec: Poly) -> bool:
-    """Check annihilation by all 36 positive-root operators."""
-    ops = all_operators()
-    return not any(apply(ops[r[:6]].weyl(), vec) for r in root_system().e6_positive)
 
 
 def expected_line_count(degree: int) -> int:

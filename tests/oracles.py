@@ -1,0 +1,73 @@
+"""Slow, independent routes that the tests compare the package against.
+
+None of these is called by the package itself.  `compose` is the
+general normal-ordered product of two Weyl operators, which uses
+
+    d^n x^m  =  sum_k  C(n, k) * m!/(m-k)! * x^(m-k) d^(n-k)
+
+per variable, so products and commutators stay exact; `commutator`
+builds on it, and `multiplication` is the operator of multiplying by a
+polynomial.  `monomial_weight` sums the weight table one factor at a
+time, and `verify_annihilated` applies all 36 positive-root operators.
+"""
+
+from __future__ import annotations
+
+from math import comb, perm
+
+from e6poly.polyops import Monomial, Poly, WeylOp, _drop, apply, psub
+from e6poly.rep import all_operators, weight_table
+from e6poly.rootsys import root_system
+from e6poly.singular import Weight
+
+
+def _contractions(de: Monomial, xe: Monomial) -> list[tuple[Monomial, Monomial, int]]:
+    """Normal-order d^de x^xe: (x left, d left, multiplier) per contraction."""
+    terms = [(xe, de, 1)]
+    for v in set(de).intersection(xe):
+        p, q = de.count(v), xe.count(v)
+        terms = [
+            (_drop(xm, v, k), _drop(dm, v, k), mult * comb(p, k) * perm(q, k))
+            for xm, dm, mult in terms
+            for k in range(min(p, q) + 1)
+        ]
+    return terms
+
+
+def compose(a: WeylOp, b: WeylOp) -> WeylOp:
+    """Normal-ordered product a . b (apply b first)."""
+    out: WeylOp = {}
+    for (xa, da), ca in a.items():
+        for (xb, db), cb in b.items():
+            c0 = ca * cb
+            for xk, dk, mult in _contractions(da, xb):
+                key = (tuple(sorted(xa + xk)), tuple(sorted(dk + db)))
+                w = out.get(key, 0) + c0 * mult
+                if w:
+                    out[key] = w
+                else:
+                    out.pop(key, None)
+    return out
+
+
+def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
+    return psub(compose(a, b), compose(b, a))
+
+
+def multiplication(f: Poly) -> WeylOp:
+    return {(m, ()): c for m, c in f.items()}
+
+
+def monomial_weight(mono: Monomial) -> Weight:
+    rows = weight_table()
+    acc = (0, 0, 0, 0, 0, 0)
+    for v in mono:
+        row = rows[v - 1]
+        acc = tuple(a + b for a, b in zip(acc, row))
+    return acc
+
+
+def verify_annihilated(vec: Poly) -> bool:
+    """Check annihilation by all 36 positive-root operators."""
+    ops = all_operators()
+    return not any(apply(ops[r[:6]], vec) for r in root_system().e6_positive)

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 
 from e6poly import cli
-from e6poly.config import DEFAULTS
 from e6poly.weyl import MAX_IDENTITY_DEGREE
 
 
@@ -269,12 +268,12 @@ BAD_ARGV = st.one_of(
     st.builds(lambda d, extra: ["singular", f"--degree={d}", *extra],
               NEGATIVE, st.sampled_from([[], ["--force"]])),
     st.builds(lambda d: ["singular", f"--degree={d}"],
-              st.integers(min_value=DEFAULTS.singular_degree + 1)),
+              st.integers(min_value=cli.SINGULAR_DEGREE + 1)),
     st.builds(lambda w: ["singular", f"--weight={w}"], MALFORMED_WEIGHT),
     st.builds(lambda d, extra: ["decompose", f"--degree={d}", *extra],
               NEGATIVE, st.sampled_from([[], ["--force"], ["--materialize", "--force"]])),
     st.builds(lambda d, extra: ["decompose", f"--degree={d}", *extra],
-              st.integers(min_value=DEFAULTS.decompose_guard + 1),
+              st.integers(min_value=cli.DECOMPOSE_GUARD + 1),
               st.sampled_from([[], ["--materialize"]])),
     st.builds(lambda d: ["decompose", f"--degree={d}", "--materialize"],
               st.integers(min_value=5)),

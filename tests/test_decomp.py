@@ -29,10 +29,10 @@ from e6poly.polyops import apply
 from e6poly.singular import (
     enumerate_singular,
     expected_line_count,
-    monomial_weight,
     weight_buckets,
 )
 from e6poly.weyl import weyl_dim
+from oracles import monomial_weight
 
 
 def _source_rows(monos):

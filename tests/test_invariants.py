@@ -47,15 +47,11 @@ from e6poly.invariants import (
 )
 from e6poly.polyops import (
     apply,
-    commutator,
     dualize,
     first_order_brackets,
     format_poly,
     leibniz_bracket,
     monomial,
-    multiplication,
-    op_scale,
-    op_sub,
     pmul,
     poly_to_json,
     ppow,
@@ -64,7 +60,7 @@ from e6poly.polyops import (
     x,
 )
 from e6poly.rep import all_operators, weight_table
-from e6poly.singular import monomial_weight
+from oracles import commutator, monomial_weight, multiplication
 
 # --- the cubic invariant ---------------------------------------------
 
@@ -268,7 +264,7 @@ def test_derivation_route_matches_commutator_on_invariant_operators():
     gens = [w for _name, w in sample]
     for op in (ops.D, ops.D1, ops.D2):
         for w, b in zip(gens, first_order_brackets(gens, op), strict=True):
-            assert b == op_scale(-1, commutator(op, w))
+            assert b == pscale(-1, commutator(op, w))
 
 
 def test_derivation_route_matches_commutator_on_generator_pairs():
@@ -315,7 +311,7 @@ def test_euler_bracket_with_cubic_multiplication():
     ops = build_operators()
     m_eta = multiplication(build_eta())
     c = commutator(ops.D1, m_eta)
-    assert op_sub(c, op_scale(3, m_eta)) == {}
+    assert psub(c, pscale(3, m_eta)) == {}
 
 
 def test_bracket_triple_value():

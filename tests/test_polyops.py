@@ -1,8 +1,9 @@
 """Polynomial and operator algebra tests.
 
-The operator composition keeps multiplications left of derivatives; the
-properties below pin down that normal ordering against direct
-application, which is the only semantics the rest of the package needs.
+The composition oracle (`oracles.compose`) keeps multiplications left of
+derivatives; the properties below pin down that normal ordering against
+direct application, which is the only semantics the rest of the package
+needs.
 """
 
 from fractions import Fraction
@@ -13,22 +14,15 @@ import hypothesis.strategies as st
 
 from e6poly.polyops import (
     apply,
-    commutator,
-    compose,
     degree,
     dualize,
     euler_operator,
-    first_order,
     first_order_brackets,
     format_poly,
     leibniz_bracket,
     monomial,
-    multiplication,
     op,
-    op_add,
     op_identity,
-    op_scale,
-    op_sub,
     padd,
     pdiv_exact,
     pmul,
@@ -40,6 +34,7 @@ from e6poly.polyops import (
     psub,
     x,
 )
+from oracles import commutator, compose, multiplication
 
 _var = st.integers(min_value=1, max_value=6)
 _coeff = st.integers(min_value=-4, max_value=4).filter(lambda c: c != 0)
@@ -64,6 +59,11 @@ def operators(draw, max_terms=3):
         diff = draw(st.dictionaries(_var, st.integers(1, 2), max_size=2))
         terms.append((monomial(mult), monomial(diff), Fraction(draw(_coeff))))
     return op(terms)
+
+
+def first_order(terms):
+    """Operator sum of c x_i d_j from (c, i, j) triples."""
+    return op(((i,), (j,), c) for c, i, j in terms)
 
 
 @settings(max_examples=200)
@@ -103,9 +103,9 @@ def test_compose_matches_sequential_application(a, b, f):
 @settings(max_examples=150, deadline=None)
 @given(operators(), operators(), polys())
 def test_operator_linearity(a, b, f):
-    assert apply(op_add(a, b), f) == padd(apply(a, f), apply(b, f))
-    assert apply(op_scale(5, a), f) == pscale(5, apply(a, f))
-    assert apply(op_sub(a, b), f) == psub(apply(a, f), apply(b, f))
+    assert apply(padd(a, b), f) == padd(apply(a, f), apply(b, f))
+    assert apply(pscale(5, a), f) == pscale(5, apply(a, f))
+    assert apply(psub(a, b), f) == psub(apply(a, f), apply(b, f))
 
 
 @settings(max_examples=100, deadline=None)
@@ -157,14 +157,14 @@ def first_order_ops(draw, max_terms=4):
 @given(first_order_ops(), operators())
 def test_ad_first_order_matches_commutator(w, a):
     # the derivation route agrees with generic composition: [w, a] = -[a, w]
-    assert first_order_brackets([w], a) == [op_scale(-1, commutator(a, w))]
+    assert first_order_brackets([w], a) == [pscale(-1, commutator(a, w))]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(first_order_ops(), max_size=5), operators())
 def test_one_factor_index_serves_every_first_order_bracket(ws, a):
     brackets = first_order_brackets(ws, a)
-    assert brackets == [op_scale(-1, commutator(a, w)) for w in ws]
+    assert brackets == [pscale(-1, commutator(a, w)) for w in ws]
 
 
 def test_ad_first_order_weights_repeated_factors():
@@ -181,7 +181,7 @@ def test_ad_first_order_weights_repeated_factors():
     dualize(x(1)),
     op_identity(),
     {((1, 2), (3,)): 1},
-    op_add(first_order([(1, 1, 2)]), dualize(pmul(x(1), x(2)))),
+    padd(first_order([(1, 1, 2)]), dualize(pmul(x(1), x(2)))),
 ])
 def test_ad_first_order_rejects_other_shapes(w):
     with pytest.raises(ValueError):
@@ -262,11 +262,11 @@ def test_leibniz_bracket_weights_repeated_derivatives():
 
 def test_helpers_keep_int_coefficients():
     f = padd(x(1, 2), poly([((1, 2), 3), ((), -1)]))
-    a = op_add(first_order([(2, 1, 2)]), op_scale(3, dualize(f)))
+    a = padd(first_order([(2, 1, 2)]), pscale(3, dualize(f)))
     results = [
         x(1), f, pscale(2, f), psub(f, x(2)), pmul(f, f), ppow(f, 3),
         pdiv_exact(pscale(6, f), 3), apply(a, f),
-        a, op_identity(), op_scale(-1, a), compose(a, a),
+        a, op_identity(), pscale(-1, a), compose(a, a),
         commutator(a, multiplication(f)), leibniz_bracket(a, f),
     ]
     for r in results:

@@ -9,7 +9,7 @@ from e6poly.golden import (
     DISCREPANT_REFERENCE_ROWS,
     WEIGHT_TABLE_X,
 )
-from e6poly.polyops import apply, commutator, op_scale, op_sub, x
+from e6poly.polyops import apply, pscale, psub, x
 from e6poly.rep import (
     all_operators,
     compare_reference_operators,
@@ -20,12 +20,29 @@ from e6poly.rep import (
     verify_homomorphism,
     weight_table,
 )
+from e6poly.rootsys import alpha, vneg
+from oracles import commutator
 
 
 def test_operator_inventory():
     ops = all_operators()
     # 72 root operators plus 6 diagonal ones
     assert len(ops) == 78
+
+
+def test_operators_are_stored_in_one_first_order_form():
+    # every derived operator is the WeylOp {((i,), (j,)): c} with int c,
+    # and the simple raising/lowering operators are the stored objects
+    ops = all_operators()
+    for w in ops.values():
+        assert type(w) is dict and w
+        for key, c in w.items():
+            (i,), (j,) = key
+            assert 1 <= i <= 27 and 1 <= j <= 27
+            assert type(c) is int and c
+    for k in range(1, 7):
+        assert raising_operator(k) is ops[alpha(k)[:6]]
+        assert lowering_operator(k) is ops[vneg(alpha(k))[:6]]
 
 
 def test_weight_table_matches_reference():
@@ -44,7 +61,7 @@ def test_weight_table_shape():
 
 def test_diagonal_action_is_diagonal():
     for j in range(1, 7):
-        op = derive_cartan_action(j).weyl()
+        op = derive_cartan_action(j)
         for v in range(1, 28):
             image = apply(op, x(v))
             assert set(image) <= {next(iter(x(v)))}
@@ -94,12 +111,12 @@ _k = st.integers(min_value=1, max_value=6)
 @given(_k, _k)
 def test_simple_bracket_relations(i, j):
     # [e_i, f_j] = -delta_ij h_i: the sign factor on (alpha, -alpha) is -1
-    e = raising_operator(i).weyl()
-    f = lowering_operator(j).weyl()
+    e = raising_operator(i)
+    f = lowering_operator(j)
     c = commutator(e, f)
     if i == j:
-        h = op_scale(-1, derive_cartan_action(i).weyl())
-        assert op_sub(c, h) == {}
+        h = pscale(-1, derive_cartan_action(i))
+        assert psub(c, h) == {}
     else:
         assert c == {}
 
@@ -110,7 +127,7 @@ def test_raising_lowering_shift_weights(k, v):
     # a nonzero image of a weight vector lands in a single weight again
     table = weight_table()
     for op_root in (raising_operator(k), lowering_operator(k)):
-        image = apply(op_root.weyl(), x(v))
+        image = apply(op_root, x(v))
         weights = set()
         for m in image:
             (idx,) = m

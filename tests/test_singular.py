@@ -20,13 +20,12 @@ from e6poly.singular import (
     dominant_weights,
     enumerate_singular,
     expected_line_count,
-    monomial_weight,
     orbit_size,
     singular_space,
-    verify_annihilated,
     weight_buckets,
     weight_space,
 )
+from oracles import monomial_weight, verify_annihilated
 
 LAM1 = (1, 0, 0, 0, 0, 0)
 LAM6 = (0, 0, 0, 0, 0, 1)
