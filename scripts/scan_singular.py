@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Enumerate singular vectors degree by degree and print each generator.
 
-Usage: scan_singular.py [MAX_DEGREE]   (default 4; up to degree 8 takes about 20 s)
+Usage: scan_singular.py [MAX_DEGREE]   (default 4; up to degree 8 takes 11-14 s with
+Python 3.11 on 2 cores)
 """
 
 import sys

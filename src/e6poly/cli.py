@@ -210,16 +210,14 @@ def _singular_degree(a: Assembler, m: int, weight_filter=None) -> list[dict]:
                         "dimension": str(len(basis)),
                         "generators": [poly_to_json(v) for v in basis]})
     # pinned identifications at low degree
-    lam1 = tuple(1 if i == 0 else 0 for i in range(6))
-    lam6 = tuple(1 if i == 5 else 0 for i in range(6))
     if m == 1:
         a.check("singular.deg1.generator",
                 "the degree-1 singular line is spanned by x_1",
                 True, REFERENCE,
-                lambda: singular.singular_space(1, lam1) == [{(1,): 1}])
+                lambda: singular.singular_space(1, invariants.LAMBDA1) == [{(1,): 1}])
     if m == 2:
         def match_zeta() -> bool:
-            vecs = singular.singular_space(2, lam6)
+            vecs = singular.singular_space(2, invariants.LAMBDA6)
             if len(vecs) != 1:
                 return False
             return vecs[0] == invariants.build_zeta_family().zeta(1)
@@ -425,7 +423,7 @@ def cmd_decompose(a: Assembler, m: int, materialize: bool) -> dict:
         def verify_samples() -> bool:
             if m < 3:
                 return True
-            D = decomp.cubic_operator()
+            D = invariants.cubic_operator()
             return not any(apply(D, vec)
                            for vec in decomp.kernel_samples(m, max_blocks=8))
 

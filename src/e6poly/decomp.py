@@ -15,6 +15,9 @@ independently built matrices give its dimension:
   target t, whose only sources are t times the 45 terms of eta, so only
   blocks whose weight occurs at degree m - 3 have rows, and takes
   explicit kernel bases.
+
+Both routes read eta and D from `invariants` (`build_eta`,
+`cubic_operator`); this module builds no copy of either.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
 
-from .invariants import build_eta, lowering_span, x1_zeta1_power
+from .invariants import build_eta, cubic_operator, lowering_span, x1_zeta1_power
 from .linalg import IntEchelon, kernel_basis
-from .polyops import Monomial, WeylOp, apply, dualize
+from .polyops import Monomial, apply
 from .singular import (
     Weight,
     dominant_weights,
@@ -38,7 +41,6 @@ from .weyl import weyl_dim
 __all__ = [
     "KernelSummary",
     "WeylSumReport",
-    "cubic_operator",
     "kernel_samples",
     "lowering_closure",
     "phi_dim",
@@ -71,20 +73,6 @@ class KernelSummary:
         )
 
 
-@lru_cache(maxsize=1)
-def _cubic_terms() -> tuple[tuple[int, Monomial], ...]:
-    """The 45 terms of eta as (coefficient, variable triple)."""
-    return tuple(sorted(((int(c), m) for m, c in build_eta().items()),
-                        key=lambda t: t[1]))
-
-
-@lru_cache(maxsize=1)
-def cubic_operator() -> WeylOp:
-    """D = dualize(eta) with integer coefficients, for fraction-free
-    elimination."""
-    return dualize({m: c for c, m in _cubic_terms()})
-
-
 def _block_rank(sources: list[Monomial], full: int) -> int:
     D = cubic_operator()
     ech = IntEchelon(lambda k: k)
@@ -102,7 +90,7 @@ def _composite_full_rank(monos: list[Monomial]) -> bool:
     D = cubic_operator()
     ech = IntEchelon(lambda k: k)
     for g in monos:
-        eta_g = {tuple(sorted(g + vs)): c for c, vs in _cubic_terms()}
+        eta_g = {tuple(sorted(g + vs)): c for vs, c in build_eta().items()}
         total = apply(D, eta_g)
         if total:
             ech.insert(total)
@@ -120,7 +108,7 @@ def _cubic_rows(m: int, weight: Weight) -> list[dict[Monomial, int]]:
     rows = []
     for t in weight_buckets(m - 3).get(weight, []):
         row = {}
-        for c, abc in _cubic_terms():
+        for abc, c in build_eta().items():
             source = tuple(sorted(t + abc))
             row[source] = c * prod(source.count(v) for v in abc)
         rows.append(row)

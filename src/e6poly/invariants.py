@@ -6,11 +6,14 @@ come from a fixed chain of simple lowering operators, and the rest arise
 from the variable relabeling tau induced by the index involution iota.
 The cubic invariant eta is taken from the degree-3 weight-0 singular
 space (one-dimensional) and normalized so the coefficient of
-x_1 x_14 x_27 is 3.
+x_1 x_14 x_27 is 3; one normalizer, `_singular_line`, builds both
+zeta_1 and eta.
 
 Three invariant operators are assembled from these polynomials: the
 constant-coefficient cubic operator D = dualize(eta), the Euler operator
 D1, and the pairing operator D2 = sum_i mult(zeta_i) dualize(zeta_i).
+D is built once, by `cubic_operator`; `build_operators` and the kernel
+decomposition in `decomp` both read that copy.
 The lemma routines establish exact operator identities among them and
 record where the computed constants disagree with the hand-entered
 reference constants (those disagreements are reported, never patched).
@@ -24,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from . import golden
 from .linalg import IntEchelon
@@ -57,10 +61,13 @@ from .rep import (
     weight_table,
 )
 from .rootsys import root_system
+from .singular import singular_space
 
 ZERO_WEIGHT = (0, 0, 0, 0, 0, 0)
 LAMBDA1 = (1, 0, 0, 0, 0, 0)
 LAMBDA6 = (0, 0, 0, 0, 0, 1)
+ZETA1_LEAD = monomial({1: 1, 14: 1})
+ETA_LEAD = monomial({1: 1, 14: 1, 27: 1})
 
 
 def tau(f: Poly) -> Poly:
@@ -83,15 +90,11 @@ def tau_dual(f: Poly) -> Poly:
     9 of the 12 high-index members (no variable-wise sign vector fixes
     those 9 alone; the d-signs plus a per-member sign do, and the
     dual-action law certifies the result).  Since d_v d_{iota(v)} = 1
-    for every v, this is still an involution.
+    for every v, d_v = d_{iota(v)}: the sign is the d-sign of each image
+    monomial of `tau`, and this is still an involution.
     """
-    out: Poly = {}
-    for mono, c in f.items():
-        sign = 1
-        for v in mono:
-            sign *= golden.DSIGNS[v]
-        out[tuple(sorted(golden.iota(v) for v in mono))] = sign * c
-    return out
+    return {mono: prod(golden.DSIGNS[v] for v in mono) * c
+            for mono, c in tau(f).items()}
 
 
 def sigma_root(root6: Root6) -> Root6:
@@ -102,7 +105,6 @@ def sigma_root(root6: Root6) -> Root6:
 @dataclass(frozen=True)
 class ZetaFamily:
     zetas: tuple[Poly, ...]
-    iota: tuple[int, ...]  # 1-based involution, iota[i-1] = iota(i)
 
     def zeta(self, i: int) -> Poly:
         return self.zetas[i - 1]
@@ -147,24 +149,25 @@ def dual_module_span() -> IntEchelon:
     """Lowering closure of the quadratic singular vector: the actual
     27-dimensional dual submodule, built independently of the family's
     high-index construction rule."""
-    return lowering_span(_quadratic_singular())
+    return lowering_span(_singular_line(2, LAMBDA6, ZETA1_LEAD, 1))
 
 
 def _in_dual_module(f: Poly) -> bool:
     return not dual_module_span().reduce(f)
 
 
-def _quadratic_singular() -> Poly:
-    from .singular import singular_space
-
-    lines = singular_space(2, LAMBDA6)
+def _singular_line(degree: int, weight: Root6, lead: Monomial, value: int) -> Poly:
+    """The one singular line of this degree and weight, scaled so the
+    coefficient of `lead` is `value`."""
+    lines = singular_space(degree, weight)
     if len(lines) != 1:
-        raise ValueError(f"expected one quadratic singular line, got {len(lines)}")
-    z1 = poly(lines[0].items())
-    lead = z1.get(monomial({1: 1, 14: 1}), 0)
-    if not lead:
-        raise ValueError("quadratic singular vector misses x_1 x_14")
-    return pdiv_exact(z1, lead)
+        raise ValueError(f"expected one singular line of degree {degree} and "
+                         f"weight {weight}, got {len(lines)}")
+    f = poly(lines[0].items())
+    c = f.get(lead, 0)
+    if not c:
+        raise ValueError(f"the singular line of degree {degree} misses {lead}")
+    return pdiv_exact(pscale(value, f), c)
 
 
 @lru_cache(maxsize=1)
@@ -175,7 +178,7 @@ def build_zeta_family() -> ZetaFamily:
     signed involution tau_dual, and each is validated to lie in the
     dual submodule (the unsigned rule fails this, see
     plain_involution_defect)."""
-    zetas: dict[int, Poly] = {1: _quadratic_singular()}
+    zetas: dict[int, Poly] = {1: _singular_line(2, LAMBDA6, ZETA1_LEAD, 1)}
     for target, k, source, sign in golden.ZETA_CHAIN:
         image = apply(lowering_operator(k), zetas[source])
         zetas[target] = pscale(sign, image)
@@ -186,10 +189,7 @@ def build_zeta_family() -> ZetaFamily:
         zetas[i] = pscale(-golden.DSIGNS[i], tau_dual(zetas[28 - i]))
         if not _in_dual_module(zetas[i]):
             raise ValueError(f"zeta_{i} escapes the dual submodule")
-    fam = ZetaFamily(
-        zetas=tuple(zetas[i] for i in range(1, 28)),
-        iota=tuple(golden.iota(i) for i in range(1, 28)),
-    )
+    fam = ZetaFamily(zetas=tuple(zetas[i] for i in range(1, 28)))
     diffs = zeta_reference_diff(fam)
     if diffs:
         raise ValueError("zeta family mismatch: " + "; ".join(diffs))
@@ -263,40 +263,31 @@ class DualModuleReport:
         )
 
 
-def _coordinate_matrix(
-    coords: ZetaCoordinates, op_weyl: WeylOp, fam: ZetaFamily
-) -> dict[tuple[int, int], Fraction] | None:
-    """Matrix M with op(zeta_j) = sum_i M[i,j] zeta_i, or None if the
-    image escapes the span."""
-    out: dict[tuple[int, int], Fraction] = {}
-    for j, z in fam.items():
-        expr = coords.express(apply(op_weyl, z))
-        if expr is None:
-            return None
-        for i, c in expr.items():
-            out[(i, j)] = c
-    return out
-
-
 def verify_dual_module() -> DualModuleReport:
     """Span stability under all 78 operators, the dual-action law for
     the raising operators through the diagram automorphism, and the
     diagonal Cartan action against both the derived and the reference
-    weight tables."""
+    weight tables.
+
+    Each operator is applied to each zeta_j once: columns[key][j - 1]
+    holds the zeta coordinates of the image, or None if the image
+    escapes the span, and all three checks read those columns.
+    """
     fam = build_zeta_family()
     coords = ZetaCoordinates(fam)
     rs = root_system()
     ops = all_operators()
-    span_failures: list[str] = []
+    columns = {
+        key: [coords.express(apply(w, z)) for _, z in fam.items()]
+        for key, w in ops.items()
+    }
+    span_failures = [
+        f"root {r[:6]} on zeta_{j}"
+        for r in rs.e6_roots
+        for j, col in enumerate(columns[r[:6]], start=1)
+        if col is None
+    ]
     failures: list[str] = []
-    checked = 0
-
-    for r in rs.e6_roots:
-        root6 = r[:6]
-        checked += 1
-        for j, z in fam.items():
-            if coords.express(apply(ops[root6], z)) is None:
-                span_failures.append(f"root {root6} on zeta_{j}")
 
     # Dual action law: coordinates of E_alpha on the zeta basis equal the
     # coefficient matrix of E_{sigma(alpha)} on the x basis.
@@ -305,7 +296,10 @@ def verify_dual_module() -> DualModuleReport:
     simple_roots = {tuple(1 if t == k else 0 for t in range(6)) for k in range(6)}
     for r in rs.e6_positive:
         root6 = r[:6]
-        mat = _coordinate_matrix(coords, ops[root6], fam)
+        cols = columns[root6]
+        mat = None if None in cols else {
+            (i, j): c for j, col in enumerate(cols, start=1) for i, c in col.items()
+        }
         ref = matrix(ops[sigma_root(root6)])
         if mat == ref:
             sign = 1
@@ -324,21 +318,19 @@ def verify_dual_module() -> DualModuleReport:
     cartan_derived_ok = True
     cartan_reference_ok = True
     for j in range(1, 7):
-        h = ops[("h", j)]
         sig = golden.SIGMA[j - 1]
-        for i, z in fam.items():
+        for i, col in enumerate(columns[("h", j)], start=1):
             expect = a[i - 1][sig - 1]
-            if psub(apply(h, z), pscale(expect, z)):
+            if col != ({i: expect} if expect else {}):
                 cartan_derived_ok = False
                 failures.append(f"h_{j} not scalar {expect} on zeta_{i}")
             if expect != golden.WEIGHT_TABLE_ZETA[i - 1][j - 1]:
                 cartan_reference_ok = False
                 failures.append(f"b[{i},{j}] reference disagrees")
-        checked += 1
 
     return DualModuleReport(
         rank=coords.rank,
-        ops_checked=checked,
+        ops_checked=len(columns),
         span_failures=tuple(span_failures),
         nu_simple_ok=nu_simple_ok,
         nu_signs=tuple(nu_signs),
@@ -348,22 +340,17 @@ def verify_dual_module() -> DualModuleReport:
     )
 
 
-ETA_LEAD = monomial({1: 1, 14: 1, 27: 1})
-
-
 @lru_cache(maxsize=1)
 def build_eta() -> Poly:
     """The cubic invariant, normalized to coefficient 3 on x_1 x_14 x_27."""
-    from .singular import singular_space
+    return _singular_line(3, ZERO_WEIGHT, ETA_LEAD, 3)
 
-    lines = singular_space(3, ZERO_WEIGHT)
-    if len(lines) != 1:
-        raise ValueError(f"expected one cubic invariant line, got {len(lines)}")
-    f = poly(lines[0].items())
-    lead = f.get(ETA_LEAD, 0)
-    if not lead:
-        raise ValueError("cubic invariant misses x_1 x_14 x_27")
-    return pdiv_exact(pscale(3, f), lead)
+
+@lru_cache(maxsize=1)
+def cubic_operator() -> WeylOp:
+    """D = dualize(eta), the one copy: `build_operators` and the kernel
+    decomposition in `decomp` both read it."""
+    return dualize(build_eta())
 
 
 def _reference_eta() -> Poly:
@@ -505,7 +492,7 @@ def build_operators() -> InvariantOperators:
         for dm, cd in z.items()
     )
     return InvariantOperators(
-        eta=eta, D=dualize(eta), D1=euler_operator(), D2=d2
+        eta=eta, D=cubic_operator(), D1=euler_operator(), D2=d2
     )
 
 

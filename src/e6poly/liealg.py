@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .polyops import Coeff
-from .rootsys import CARTAN_E7, Vector, cocycle_F, root_system, vadd, vneg
+from .rootsys import CARTAN_E7, Vector, alpha, cocycle_F, root_system, vadd, vneg
 
 
 @dataclass
@@ -121,8 +121,6 @@ class JacobiReport:
 
 def jacobi_check(seed: int = 20240823, n_random: int = 500) -> JacobiReport:
     """Jacobi identity on simple-generator triples plus random basis triples."""
-    from .rootsys import alpha
-
     gens: list[AlgElement] = []
     for i in range(1, 7):
         gens.append(root_element(alpha(i)))

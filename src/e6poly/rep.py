@@ -2,18 +2,21 @@
 
 Every operator here is derived, not transcribed: the action of a root
 vector e_r (r an E6 root) on the basis vector x_j attached to the k_7 = 1
-root beta_j is read off from the bracket
+root beta_j is the bracket
 
     [e_r, e_beta_j] = F(r, beta_j) e_{r + beta_j},
 
-which lands on another basis root whenever r + beta_j is a root and
-vanishes otherwise.  Cartan elements act diagonally by the bilinear form.
+read straight off the sign factor F of `rootsys`: it lands on another
+basis root whenever r + beta_j is a root (so r + beta_j has k_7 = 1) and
+vanishes otherwise.  Cartan elements act diagonally by the weight table.
 Each operator is kept in one form only: the first-order `WeylOp`
 {((i,), (j,)): c} of sum c x_i d_j, with `int` coefficients; `matrix`
 reads it as {(i, j): c} for the reference comparisons.  The module
 exposes the derived operators, the weight tables they imply, comparison
 against the hand-entered reference table in `golden`, and a
-homomorphism check of the whole assignment.
+homomorphism check of the whole assignment.  Only that check uses the
+algebra of `liealg`, for the right side rho([a, b]), so it does not
+share its route with the operators it checks.
 """
 
 from __future__ import annotations
@@ -22,15 +25,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import golden
-from .liealg import AlgElement, bracket, root_element
-from .polyops import WeylOp, op
+from .liealg import AlgElement, bracket, cartan_element, root_element
+from .polyops import WeylOp, first_order_brackets, op, padd, pscale, psub
 from .rootsys import (
     Vector,
     alpha,
     bar_basis,
     bar_index,
     bilinear,
+    cocycle_F,
     root_system,
+    vadd,
     vneg,
 )
 
@@ -48,29 +53,24 @@ def _restrict(root7: Vector) -> Root6:
 
 
 def derive_root_action(root6: Root6) -> WeylOp:
-    """Operator sum of c x_i d_j of e_r on the x-basis, from the cocycle
-    bracket, with int coefficients."""
+    """Operator sum of c x_i d_j of e_r on the x-basis: x_j goes to
+    F(r, beta_j) x_i when beta_i = r + beta_j is a basis root."""
     r7 = _embed(root6)
-    rs = root_system()
-    if r7 not in rs.root_set:
+    if r7 not in root_system().root_set:
         raise ValueError(f"not an E6 root: {root6}")
     index = bar_index()
-    terms = []
-    for j, beta in enumerate(bar_basis(), start=1):
-        out = bracket(root_element(r7), root_element(beta))
-        if out.is_zero():
-            continue
-        (target, coeff), = out.roots.items()
-        terms.append(((index[target],), (j,), int(coeff)))
-    return op(terms)
+    return op(
+        ((index[t],), (j,), cocycle_F(r7, beta))
+        for j, beta in enumerate(bar_basis(), start=1)
+        if (t := vadd(r7, beta)) in index
+    )
 
 
 def derive_cartan_action(j: int) -> WeylOp:
     """Diagonal operator sum of c x_i d_i of alpha_j (1 <= j <= 6)."""
-    a = alpha(j)
     return op(
-        ((i,), (i,), bilinear(a, beta))
-        for i, beta in enumerate(bar_basis(), start=1)
+        ((i,), (i,), row[j - 1])
+        for i, row in enumerate(weight_table(), start=1)
     )
 
 
@@ -228,9 +228,6 @@ def verify_homomorphism() -> HomReport:
     derivation route `first_order_brackets`, not from generic
     composition; each rho(b) is indexed once for all 18 rho(a).
     """
-    from .liealg import cartan_element
-    from .polyops import first_order_brackets, padd, pscale, psub
-
     ops = all_operators()
     gens: list[tuple[AlgElement, WeylOp]] = []
     for k in range(1, 7):

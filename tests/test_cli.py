@@ -320,6 +320,8 @@ def test_all_json_is_independent_of_hash_seed():
      "c1f1a19bc80b93d2c454b56d9f8285be484618b62c285b77fc0578f0c341b454"),
     (("invariant", "--dump", "eta"),
      "aeb4df6457e885d1fe8d2c7080c68d4c1449befe138adcbbc05320c66f41e85c"),
+    (("invariant", "--dump", "zeta", "--json"),
+     "fbb339147c4eafa8d6c64ea26e7dc46d27a2f2cca1fc90cf48a79c42de897b7e"),
 ])
 def test_eta_dump_golden_bytes(capsys, argv, digest):
     _code, out = run(capsys, *argv)
@@ -347,16 +349,28 @@ def test_singular_degree_five_golden_bytes(capsys):
         "301cd3121f18fd9dd4f75cd231fa4e8af0bf92e7e6dc63e82d9fa9e6d35e2089")
 
 
-def test_scan_singular_script_golden_bytes():
+def _script_stdout(name: str, *args: str) -> bytes:
     root = Path(cli.__file__).resolve().parents[2]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "scan_singular.py"), "4"],
+        [sys.executable, str(root / "scripts" / name), *args],
         env=env, capture_output=True, check=True)
-    assert hashlib.sha256(proc.stdout).hexdigest() == (
+    return proc.stdout
+
+
+def test_scan_singular_script_golden_bytes():
+    out = _script_stdout("scan_singular.py", "4")
+    assert hashlib.sha256(out).hexdigest() == (
         "10769592abee683419d46f334d6e014abca22f0f72c3f2afd00557357d39b19c")
+
+
+def test_kernel_table_script_golden_bytes():
+    # the script reads phi_dim and weyl_sum_check from decomp
+    out = _script_stdout("kernel_table.py", "4")
+    assert hashlib.sha256(out).hexdigest() == (
+        "c5b49ae0eb8261c85548533a6a7408a38bdbc20bb0b681a7b5cbe4c4b5b6c41d")
 
 
 def test_decompose_degree_six_golden_bytes(capsys):

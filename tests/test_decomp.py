@@ -10,21 +10,19 @@ from math import comb
 
 import pytest
 
-from e6poly import cli
+from e6poly import cli, decomp
 from e6poly.decomp import (
     CLOSURE_GUARD,
     _block_rank,
     _composite_full_rank,
     _cubic_rows,
-    _cubic_terms,
-    cubic_operator,
     kernel_samples,
     lowering_closure,
     materialized_kernel_dim,
     phi_dim,
     weyl_sum_check,
 )
-from e6poly.invariants import build_eta, build_operators
+from e6poly.invariants import build_operators, cubic_operator
 from e6poly.polyops import apply
 from e6poly.singular import (
     enumerate_singular,
@@ -49,13 +47,11 @@ def _as_set(rows):
     return {frozenset(row.items()) for row in rows}
 
 
-def test_cubic_terms_match_the_invariant():
-    eta = build_eta()
-    assert len(_cubic_terms()) == 45
-    rebuilt = {}
-    for c, (a, b, d) in _cubic_terms():
-        rebuilt[(a, b, d)] = c
-    assert rebuilt == eta
+def test_decomp_reads_the_one_cubic_operator():
+    # decomp builds no D of its own: it applies the object that
+    # build_operators holds
+    assert decomp.cubic_operator is cubic_operator
+    assert decomp.cubic_operator() is build_operators().D
 
 
 def test_low_degrees_have_trivial_kernel_rank():

@@ -6,6 +6,7 @@ defective; those comparisons pin the size and location of each defect
 so that silent drift in either direction fails the suite.
 """
 
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -13,8 +14,9 @@ from itertools import combinations_with_replacement
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
+import pytest
 
-from e6poly import golden, polyops
+from e6poly import golden, invariants, polyops
 from e6poly.golden import (
     CLAIMED_BRACKET_TRIPLE,
     CLAIMED_PAIRING_BRACKET,
@@ -60,6 +62,7 @@ from e6poly.polyops import (
     x,
 )
 from e6poly.rep import all_operators, weight_table
+from e6poly.rootsys import root_system
 from oracles import commutator, monomial_weight, multiplication
 
 # --- the cubic invariant ---------------------------------------------
@@ -178,6 +181,99 @@ def test_nu_signs():
     assert all(s in (1, -1) for s in signs)
     assert len(signs) == 36
     assert signs.count(-1) == 14
+
+
+def test_dual_module_applies_each_operator_to_each_member_once(monkeypatch):
+    build_zeta_family()
+    all_operators()
+    counts = {"apply": 0, "express": 0}
+    real_apply = invariants.apply
+    real_express = invariants.ZetaCoordinates.express
+
+    def counted_apply(w, f):
+        counts["apply"] += 1
+        return real_apply(w, f)
+
+    def counted_express(self, f):
+        counts["express"] += 1
+        return real_express(self, f)
+
+    monkeypatch.setattr(invariants, "apply", counted_apply)
+    monkeypatch.setattr(invariants.ZetaCoordinates, "express", counted_express)
+    assert verify_dual_module().ok
+    # one image and one coordinate column per (operator, member) pair
+    assert counts == {"apply": 78 * 27, "express": 78 * 27}
+
+
+_N = None
+CORRUPTED_FAMILIES = {
+    "flip-zeta2": dict(
+        member=2, corrupt=lambda z: pscale(-1, z),
+        signs=(_N, _N, -1, 1, _N, 1, 1, -1, _N, -1, 1, 1, _N, 1, -1, _N, -1, _N,
+               -1, _N, 1, -1, 1, _N, 1, 1, _N, 1, _N, 1, _N, _N, -1, _N, _N, _N),
+        span_failures=(),
+        failures=(
+            "dual action law fails at simple root (0, 0, 0, 0, 0, 1)",
+            "dual action law fails at simple root (0, 0, 0, 0, 1, 0)",
+        ),
+    ),
+    "x1-squared-zeta5": dict(
+        member=5, corrupt=lambda z: pmul(x(1), x(1)),
+        signs=(1, 1, -1, 1, -1, 1, _N, _N, _N, _N, _N, _N, _N, _N, -1, 1, -1, 1,
+               -1, 1, _N, -1, 1, -1, 1, _N, _N, _N, _N, _N, _N, 1, -1, 1, 1, _N),
+        span_failures=tuple(
+            f"root {root} on zeta_5" for root in (
+                (-1, -2, -2, -3, -2, -1), (-1, -1, -2, -3, -2, -1),
+                (-1, -1, -2, -2, -2, -1), (-1, -1, -2, -2, -1, -1),
+                (-1, -1, -2, -2, -1, 0), (-1, -1, -1, -2, -2, -1),
+                (-1, -1, -1, -2, -1, -1), (-1, -1, -1, -2, -1, 0),
+                (-1, -1, -1, -1, -1, -1), (-1, -1, -1, -1, -1, 0),
+                (-1, -1, -1, -1, 0, 0), (-1, 0, -1, -1, -1, -1),
+                (-1, 0, -1, -1, -1, 0), (-1, 0, -1, -1, 0, 0),
+                (-1, 0, -1, 0, 0, 0), (-1, 0, 0, 0, 0, 0),
+            )
+        ) + tuple(
+            f"root {root} on zeta_{j}" for root, j in (
+                ((0, 0, -1, -1, -1, -1), 1), ((0, 0, -1, -1, -1, 0), 2),
+                ((0, 0, -1, -1, 0, 0), 3), ((0, 0, -1, 0, 0, 0), 4),
+                ((0, 1, 0, 0, 0, 0), 7), ((0, 1, 0, 1, 0, 0), 9),
+                ((0, 1, 0, 1, 1, 0), 11), ((0, 1, 0, 1, 1, 1), 14),
+                ((1, 0, 0, 0, 0, 0), 8), ((1, 1, 1, 1, 0, 0), 13),
+                ((1, 1, 1, 1, 1, 0), 16), ((1, 1, 1, 1, 1, 1), 19),
+                ((1, 1, 1, 2, 1, 0), 18), ((1, 1, 1, 2, 1, 1), 21),
+                ((1, 1, 1, 2, 2, 1), 22), ((1, 2, 2, 3, 2, 1), 26),
+            )
+        ),
+        failures=(
+            "dual action law fails at simple root (0, 0, 1, 0, 0, 0)",
+            "dual action law fails at simple root (0, 1, 0, 0, 0, 0)",
+            "dual action law fails at simple root (1, 0, 0, 0, 0, 0)",
+            "h_1 not scalar 1 on zeta_5",
+            "h_2 not scalar 1 on zeta_5",
+            "h_3 not scalar -1 on zeta_5",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTED_FAMILIES))
+def test_dual_module_reports_a_corrupted_family(monkeypatch, case):
+    # a sign flip breaks only the dual-action law; x_1^2 also leaves the
+    # span and breaks the Cartan eigenvalues on its member
+    want = CORRUPTED_FAMILIES[case]
+    fam = build_zeta_family()
+    zetas = list(fam.zetas)
+    k = want["member"] - 1
+    zetas[k] = want["corrupt"](zetas[k])
+    monkeypatch.setattr(invariants, "build_zeta_family",
+                        lambda: dataclasses.replace(fam, zetas=tuple(zetas)))
+    r = verify_dual_module()
+    positive = [p[:6] for p in root_system().e6_positive]
+    assert r.nu_signs == tuple(zip(positive, want["signs"]))
+    assert r.span_failures == want["span_failures"]
+    assert r.failures == want["failures"]
+    assert not r.nu_simple_ok
+    assert r.rank == 27 and r.ops_checked == 78 and not r.ok
 
 
 def test_plain_relabeling_rule_escapes_on_nine_members():

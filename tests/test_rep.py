@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from e6poly import polyops
+from e6poly import liealg, polyops, rep
 from e6poly.golden import (
     AMBIGUOUS_REFERENCE_ROWS,
     DISCREPANT_REFERENCE_ROWS,
@@ -15,12 +15,13 @@ from e6poly.rep import (
     compare_reference_operators,
     compare_weight_tables,
     derive_cartan_action,
+    derive_root_action,
     lowering_operator,
     raising_operator,
     verify_homomorphism,
     weight_table,
 )
-from e6poly.rootsys import alpha, vneg
+from e6poly.rootsys import alpha, root_system, vneg
 from oracles import commutator
 
 
@@ -28,6 +29,22 @@ def test_operator_inventory():
     ops = all_operators()
     # 72 root operators plus 6 diagonal ones
     assert len(ops) == 78
+
+
+def test_root_action_is_read_off_the_sign_factor(monkeypatch):
+    # the operators come from rootsys.cocycle_F alone; the algebra
+    # bracket serves only the other side of the homomorphism check
+    ops = all_operators()
+
+    def no_bracket(a, b):
+        raise AssertionError("derive_root_action called liealg.bracket")
+
+    monkeypatch.setattr(liealg, "bracket", no_bracket)
+    monkeypatch.setattr(rep, "bracket", no_bracket)
+    roots = [r[:6] for r in root_system().e6_roots]
+    assert len(roots) == 72
+    for root6 in roots:
+        assert derive_root_action(root6) == ops[root6]
 
 
 def test_operators_are_stored_in_one_first_order_form():
