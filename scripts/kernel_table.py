@@ -8,7 +8,7 @@ Usage: kernel_table.py [MAX_DEGREE]   (default 5)
 import sys
 from math import comb
 
-from e6poly.decomp import phi_dim, weyl_sum_check
+from e6poly.decomp import phi_dim
 
 
 def main() -> None:
@@ -23,8 +23,7 @@ def main() -> None:
             f"{m:>2}  {s.dim_Am:>10}  {s.rank_D:>8}  {s.dim_phi:>10}  "
             f"{predicted:>10}  {s.weyl_sum:>10}"
         )
-        terms = weyl_sum_check(m).terms
-        parts = " + ".join(f"dim({m1},{m2})={d}" for m1, m2, d in terms)
+        parts = " + ".join(f"dim({m1},{m2})={d}" for m1, m2, d in s.weyl_terms)
         print(f"    {parts}")
 
 

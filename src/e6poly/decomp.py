@@ -9,7 +9,8 @@ independently built matrices give its dimension:
   exit once a block reaches full row rank, and weights each block rank
   by the size of its Weyl orbit: D commutes with all 78 generators, so
   Weyl-conjugate blocks have equal rank.  The direct-sum check runs on
-  the same dominant blocks;
+  the same dominant blocks, and the summary also carries the Weyl
+  dimension terms whose sum the kernel dimension must match;
 - the materialized route (materialized_kernel_dim, kernel_samples)
   enumerates every block of degree m and builds each row from its
   target t, whose only sources are t times the 45 terms of eta, so only
@@ -40,14 +41,13 @@ from .weyl import weyl_dim
 
 __all__ = [
     "KernelSummary",
-    "WeylSumReport",
     "kernel_samples",
     "lowering_closure",
+    "materialized_kernel_dim",
     "phi_dim",
-    "weyl_sum_check",
 ]
 
-CLOSURE_GUARD = 4  # cost guard on m1 + 2*m2 for lowering_closure
+SAMPLE_BLOCKS = 8  # weight blocks that kernel_samples solves
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,12 @@ class KernelSummary:
     dim_Am: int
     rank_D: int
     dim_phi: int
-    weyl_sum: int
+    weyl_terms: tuple[tuple[int, int, int], ...]  # (m1, m2, weyl_dim(m1, m2))
     direct_sum_ok: bool
+
+    @property
+    def weyl_sum(self) -> int:
+        return sum(d for _, _, d in self.weyl_terms)
 
     @property
     def ok(self) -> bool:
@@ -135,46 +139,21 @@ def phi_dim(m: int) -> KernelSummary:
             for w in dominant_weights(m) if w in targets
         )
         composite_ok = all(map(_composite_full_rank, targets.values()))
-    wsum = sum(weyl_dim(m - 2 * i, i) for i in range(m // 2 + 1))
     return KernelSummary(
         degree=m,
         dim_Am=dim_am,
         rank_D=rank,
         dim_phi=dim_am - rank,
-        weyl_sum=wsum,
+        weyl_terms=tuple(
+            (m - 2 * i, i, weyl_dim(m - 2 * i, i)) for i in range(m // 2 + 1)
+        ),
         direct_sum_ok=composite_ok,
     )
 
 
-@dataclass(frozen=True)
-class WeylSumReport:
-    degree: int
-    dim_phi: int
-    weyl_sum: int
-    terms: tuple[tuple[int, int, int], ...]  # (m1, m2, dim)
-
-    @property
-    def ok(self) -> bool:
-        return self.dim_phi == self.weyl_sum
-
-
-def weyl_sum_check(m: int) -> WeylSumReport:
-    """Compare dim Phi_m with the sum of weyl_dim(m - 2i, i)."""
-    summary = phi_dim(m)
-    terms = tuple(
-        (m - 2 * i, i, weyl_dim(m - 2 * i, i)) for i in range(m // 2 + 1)
-    )
-    return WeylSumReport(
-        degree=m,
-        dim_phi=summary.dim_phi,
-        weyl_sum=summary.weyl_sum,
-        terms=terms,
-    )
-
-
-def kernel_samples(m: int, max_blocks: int = 8) -> list[dict[Monomial, int]]:
-    """Explicit kernel vectors of D from the first few weight blocks that D
-    does not kill outright.
+def kernel_samples(m: int) -> list[dict[Monomial, int]]:
+    """Explicit kernel vectors of D from the first SAMPLE_BLOCKS weight
+    blocks that D does not kill outright.
 
     Only blocks whose weight also occurs at degree m - 3 have rows; they
     are taken in increasing size so the samples stay small.  Every
@@ -188,7 +167,7 @@ def kernel_samples(m: int, max_blocks: int = 8) -> list[dict[Monomial, int]]:
         key=lambda kv: (len(kv[1]), kv[0]),
     )
     out: list[dict[Monomial, int]] = []
-    for w, monos in blocks[:max_blocks]:
+    for w, monos in blocks[:SAMPLE_BLOCKS]:
         out.extend(kernel_basis(_cubic_rows(m, w), monos))
     return out
 
@@ -208,14 +187,11 @@ def materialized_kernel_dim(m: int) -> int:
     )
 
 
-def lowering_closure(m1: int, m2: int, force: bool = False) -> int:
+def lowering_closure(m1: int, m2: int) -> int:
     """Dimension of the span generated from x_1^m1 zeta_1^m2 by the six
-    simple lowering operators; expected to match weyl_dim(m1, m2)."""
+    simple lowering operators; expected to match weyl_dim(m1, m2).  The
+    cost grows with that dimension: the command line runs only fixed
+    pairs, and the 650-dimensional (1, 1) only with `closure --force`."""
     if m1 < 0 or m2 < 0:
         raise ValueError("powers must be nonnegative")
-    if m1 + 2 * m2 > CLOSURE_GUARD and not force:
-        raise ValueError(
-            f"m1 + 2*m2 = {m1 + 2 * m2} exceeds the cost guard "
-            f"{CLOSURE_GUARD}; pass force=True to run anyway"
-        )
     return lowering_span(x1_zeta1_power(m1, m2)).rank

@@ -7,13 +7,15 @@ from the variable relabeling tau induced by the index involution iota.
 The cubic invariant eta is taken from the degree-3 weight-0 singular
 space (one-dimensional) and normalized so the coefficient of
 x_1 x_14 x_27 is 3; one normalizer, `_singular_line`, builds both
-zeta_1 and eta.
+zeta_1 and eta from the bases kept by the cached singular scan
+`enumerate_singular`, so no singular block is solved twice.
 
 Three invariant operators are assembled from these polynomials: the
 constant-coefficient cubic operator D = dualize(eta), the Euler operator
 D1, and the pairing operator D2 = sum_i mult(zeta_i) dualize(zeta_i).
-D is built once, by `cubic_operator`; `build_operators` and the kernel
-decomposition in `decomp` both read that copy.
+Each has one producer, read directly by every caller: `cubic_operator`
+(also read by the kernel decomposition in `decomp`), `euler_operator`
+and `pairing_operator`.
 The lemma routines establish exact operator identities among them and
 record where the computed constants disagree with the hand-entered
 reference constants (those disagreements are reported, never patched).
@@ -41,7 +43,6 @@ from .polyops import (
     first_order_brackets,
     leibniz_bracket,
     monomial,
-    op,
     op_identity,
     padd,
     pdiv_exact,
@@ -61,7 +62,7 @@ from .rep import (
     weight_table,
 )
 from .rootsys import root_system
-from .singular import singular_space
+from .singular import enumerate_singular
 
 ZERO_WEIGHT = (0, 0, 0, 0, 0, 0)
 LAMBDA1 = (1, 0, 0, 0, 0, 0)
@@ -159,7 +160,7 @@ def _in_dual_module(f: Poly) -> bool:
 def _singular_line(degree: int, weight: Root6, lead: Monomial, value: int) -> Poly:
     """The one singular line of this degree and weight, scaled so the
     coefficient of `lead` is `value`."""
-    lines = singular_space(degree, weight)
+    lines = dict(enumerate_singular(degree).bases).get(weight, [])
     if len(lines) != 1:
         raise ValueError(f"expected one singular line of degree {degree} and "
                          f"weight {weight}, got {len(lines)}")
@@ -348,9 +349,21 @@ def build_eta() -> Poly:
 
 @lru_cache(maxsize=1)
 def cubic_operator() -> WeylOp:
-    """D = dualize(eta), the one copy: `build_operators` and the kernel
-    decomposition in `decomp` both read it."""
+    """D = dualize(eta), the one copy; the kernel decomposition in
+    `decomp` reads it too."""
     return dualize(build_eta())
+
+
+@lru_cache(maxsize=1)
+def pairing_operator() -> WeylOp:
+    """D2 = sum_i mult(zeta_i) dualize(zeta_i), whose products are
+    already normal ordered, so its terms are written down directly."""
+    return poly(
+        ((xm, dm), cx * cd)
+        for _, z in build_zeta_family().items()
+        for xm, cx in z.items()
+        for dm, cd in z.items()
+    )
 
 
 def _reference_eta() -> Poly:
@@ -424,9 +437,7 @@ def eta_report() -> EtaReport:
     """
     eta = build_eta()
     coeffs = sorted(set(eta.values()))
-    annihilated = not any(
-        apply(w, eta) for _, w in generator_operators()
-    )
+    annihilated = not any(apply(w, eta) for w in all_operators().values())
     full = bilinear_eta(bilinear_reference_full())
     printed_residual = psub(bilinear_eta(golden.ETA_BILINEAR_REFERENCE), eta)
     ref = _reference_eta()
@@ -457,50 +468,11 @@ def _raising_residual(f: Poly) -> Poly:
     return out
 
 
-@lru_cache(maxsize=1)
-def generator_operators() -> tuple[tuple[str, WeylOp], ...]:
-    """All 78 representation operators as labeled first-order WeylOps."""
-    rs = root_system()
-    ops = all_operators()
-    out = []
-    for r in rs.e6_roots:
-        out.append((f"root {r[:6]}", ops[r[:6]]))
-    for j in range(1, 7):
-        out.append((f"cartan {j}", ops[("h", j)]))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class InvariantOperators:
-    eta: Poly
-    D: WeylOp
-    D1: WeylOp
-    D2: WeylOp
-
-
-@lru_cache(maxsize=1)
-def build_operators() -> InvariantOperators:
-    """D = dualize(eta), D1 the Euler operator and
-    D2 = sum_i mult(zeta_i) dualize(zeta_i), whose products are already
-    normal ordered, so its terms are written down directly."""
-    fam = build_zeta_family()
-    eta = build_eta()
-    d2 = op(
-        (xm, dm, cx * cd)
-        for _, z in fam.items()
-        for xm, cx in z.items()
-        for dm, cd in z.items()
-    )
-    return InvariantOperators(
-        eta=eta, D=cubic_operator(), D1=euler_operator(), D2=d2
-    )
-
-
 @dataclass(frozen=True)
 class InvarianceReport:
     label: str
     ops_checked: int
-    failures: tuple[str, ...]
+    failures: tuple  # keys of `all_operators` whose bracket is nonzero
 
     @property
     def ok(self) -> bool:
@@ -515,9 +487,9 @@ def verify_invariance(op: WeylOp, label: str = "operator") -> InvarianceReport:
     commutes with w; no normal-ordering `compose` runs.  The factors of
     op are indexed once and that index serves all 78 generators.
     """
-    gens = generator_operators()
-    brackets = first_order_brackets([w for _, w in gens], op)
-    failures = tuple(name for (name, _), b in zip(gens, brackets) if b)
+    gens = all_operators()
+    brackets = first_order_brackets(gens.values(), op)
+    failures = tuple(key for key, b in zip(gens, brackets) if b)
     return InvarianceReport(label=label, ops_checked=len(gens), failures=failures)
 
 
@@ -544,15 +516,15 @@ def lemma_bracket_triple() -> BracketReport:
     triple is compared with the reference constants downstream; a
     mismatch there is a finding about the reference, not a failure.
     """
-    ops = build_operators()
-    C = leibniz_bracket(ops.D, ops.eta)
+    D2 = pairing_operator()
+    C = leibniz_bracket(cubic_operator(), build_eta())
     pair = monomial({1: 1, 14: 1})
     b0 = C.get(((), ()), 0)
     b1 = C.get(((1,), (1,)), 0)
-    b2 = Fraction(C.get((pair, pair), 0), ops.D2[(pair, pair)])
+    b2 = Fraction(C.get((pair, pair), 0), D2[(pair, pair)])
     model = padd(
         pscale(b0, op_identity()),
-        padd(pscale(b1, ops.D1), pscale(b2, ops.D2)),
+        padd(pscale(b1, euler_operator()), pscale(b2, D2)),
     )
     residual = psub(C, model)
     return BracketReport(
@@ -582,9 +554,8 @@ class EigenvalueReport:
 
 def lemma_pairing_eigenvalue(m1: int, m2: int) -> EigenvalueReport:
     """D2 acts on x_1^m1 zeta_1^m2 by the scalar m2(m1+m2+4)."""
-    ops = build_operators()
     g = x1_zeta1_power(m1, m2)
-    image = apply(ops.D2, g)
+    image = apply(pairing_operator(), g)
     expected = golden.claimed_pairing_eigenvalue(m1, m2)
     value = _proportionality(image, g)
     return EigenvalueReport(m1=m1, m2=m2, eigenvalue=value, expected=expected)
@@ -634,33 +605,33 @@ def lemma_pairing_bracket() -> PairingBracketReport:
     The bracket comes from `leibniz_bracket`; the model, c1 eta plus
     c2 eta x_i d_i summed over i, is normal ordered as written.
     """
-    ops = build_operators()
-    C = leibniz_bracket(ops.D2, ops.eta)
-    lead3 = ops.eta[ETA_LEAD]
+    eta = build_eta()
+    D2 = pairing_operator()
+    C = leibniz_bracket(D2, eta)
+    lead3 = eta[ETA_LEAD]
     c1 = Fraction(C.get((ETA_LEAD, ()), 0), lead3)
     lead_x1 = tuple(sorted(ETA_LEAD + (1,)))
     c2 = Fraction(C.get((lead_x1, (1,)), 0), lead3)
-    model = op(
-        [(m, (), c1 * c) for m, c in ops.eta.items()]
-        + [(tuple(sorted(m + (i,))), (i,), c2 * c)
-           for m, c in ops.eta.items() for i in range(1, 28)]
+    model = poly(
+        [((m, ()), c1 * c) for m, c in eta.items()]
+        + [((tuple(sorted(m + (i,))), (i,)), c2 * c)
+           for m, c in eta.items() for i in range(1, 28)]
     )
     residual = psub(C, model)
-    eta_x1 = pmul(ops.eta, x(1))
+    eta_x1 = pmul(eta, x(1))
     return PairingBracketReport(
         pair=(c1, c2),
         structural_ok=not residual,
         residual_terms=len(residual),
         claimed=golden.CLAIMED_PAIRING_BRACKET,
-        eta_scalar=_proportionality(apply(ops.D2, ops.eta), ops.eta),
-        eta_x1_scalar=_proportionality(apply(ops.D2, eta_x1), eta_x1),
+        eta_scalar=_proportionality(apply(D2, eta), eta),
+        eta_x1_scalar=_proportionality(apply(D2, eta_x1), eta_x1),
     )
 
 
 def annihilation(m1: int, m2: int) -> bool:
     """D kills x_1^m1 zeta_1^m2 exactly."""
-    ops = build_operators()
-    return not apply(ops.D, x1_zeta1_power(m1, m2))
+    return not apply(cubic_operator(), x1_zeta1_power(m1, m2))
 
 
 def derived_cubic_scalar(
@@ -718,11 +689,11 @@ def lemma_cubic_action(m: int, m1: int, m2: int) -> CubicActionReport:
     the reference closed form and the derived one."""
     if m < 1:
         raise ValueError("m must be positive")
-    ops = build_operators()
+    eta = build_eta()
     tail = x1_zeta1_power(m1, m2)
-    g = pmul(ppow(ops.eta, m), tail)
-    image = apply(ops.D, g)
-    base = pmul(ppow(ops.eta, m - 1), tail)
+    g = pmul(ppow(eta, m), tail)
+    image = apply(cubic_operator(), g)
+    base = pmul(ppow(eta, m - 1), tail)
     scalar = _proportionality(image, base)
     triple = lemma_bracket_triple().triple
     pairing = lemma_pairing_bracket().pair

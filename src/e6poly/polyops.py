@@ -5,9 +5,10 @@ per factor: x_1^2 x_14 is (1, 1, 14) and the constant monomial is ().  A
 polynomial is a dict mapping monomials to nonzero coefficients (the zero
 polynomial is the empty dict).  A Weyl operator is a dict mapping
 (x-monomial, d-monomial) pairs to coefficients, always kept in normal
-order: all multiplications to the left of all derivatives.  `padd`,
-`psub` and `pscale` read only the coefficients of a sparse dict, so they
-serve polynomials and operators alike.
+order: all multiplications to the left of all derivatives.  `poly`,
+`padd`, `psub` and `pscale` read only the coefficients of a sparse dict,
+so they serve polynomials and operators alike: an operator is built by
+`poly` from ((x-monomial, d-monomial), coefficient) pairs.
 
 Every helper keeps the coefficient type of its inputs, so integer
 data stays `int`; `Fraction` enters only with a caller's data or from
@@ -57,6 +58,8 @@ def x(var: int, coeff: Coeff = 1) -> Poly:
 
 
 def poly(terms: Iterable[tuple[Monomial, Coeff]]) -> Poly:
+    """Sparse dict summing (key, coefficient) pairs, zeros dropped; the
+    keys are monomials, or (x-monomial, d-monomial) for an operator."""
     out: Poly = {}
     for m, c in terms:
         if not c:
@@ -171,22 +174,6 @@ def poly_from_json(data: list[dict]) -> Poly:
 # -- Weyl operators ---------------------------------------------------------
 
 
-def op(terms: Iterable[tuple[Monomial, Monomial, Coeff]]) -> WeylOp:
-    """Operator from (x-monomial, d-monomial, coefficient) triples; integer
-    coefficients stay integers."""
-    out: WeylOp = {}
-    for xe, de, c in terms:
-        if not c:
-            continue
-        key = (xe, de)
-        w = out.get(key, 0) + c
-        if w:
-            out[key] = w
-        else:
-            del out[key]
-    return out
-
-
 def op_identity() -> WeylOp:
     return {((), ()): 1}
 
@@ -287,8 +274,8 @@ def leibniz_bracket(a: WeylOp, f: Poly) -> WeylOp:
     for (xa, db), ca in a.items():
         for dc, rest, mult in _splits(db):
             for m, cf in partial(dc).items():
-                terms.append((tuple(sorted(xa + m)), rest, ca * mult * cf))
-    return op(terms)
+                terms.append(((tuple(sorted(xa + m)), rest), ca * mult * cf))
+    return poly(terms)
 
 
 FactorIndex = dict[int, list[tuple[Monomial, Monomial, Coeff]]]

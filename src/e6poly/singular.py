@@ -21,7 +21,9 @@ block solver: the six raising operators map a weight space into six
 other weight spaces (each image comes from `polyops.apply` with integer
 coefficients), and the joint kernel of the stacked coefficient matrix is
 found by exact fraction-free elimination.  Singular vectors are returned
-as integer polynomials, and the scan keeps each block's basis.
+as integer polynomials.  The scan `enumerate_singular` keeps each
+block's basis and is cached per degree; every other reader of a singular
+line reads those bases, so each block is solved once.
 """
 
 from __future__ import annotations
@@ -191,6 +193,7 @@ class SingularScan:
         return sum(len(basis) for _, basis in self.bases)
 
 
+@lru_cache(maxsize=None)
 def enumerate_singular(degree: int) -> SingularScan:
     """Scan every dominant weight of the degree-m monomial set.
 

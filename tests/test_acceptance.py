@@ -15,16 +15,18 @@ import pytest
 from e6poly import golden
 from e6poly.invariants import (
     annihilation,
-    build_operators,
+    cubic_operator,
     eta_report,
     lemma_bracket_triple,
     lemma_cubic_action,
     lemma_pairing_bracket,
     lemma_pairing_eigenvalue,
+    pairing_operator,
     verify_dual_module,
     verify_invariance,
 )
 from e6poly.decomp import lowering_closure, phi_dim
+from e6poly.polyops import euler_operator
 from e6poly.rep import (
     compare_reference_operators,
     compare_weight_tables,
@@ -159,10 +161,10 @@ def test_criterion_06_dual_family():
 def test_criterion_07_invariance():
     t0 = time.perf_counter()
     er = eta_report()
-    ops = build_operators()
     reports = [
         verify_invariance(op, label)
-        for label, op in (("D", ops.D), ("D1", ops.D1), ("D2", ops.D2))
+        for label, op in (("D", cubic_operator()), ("D1", euler_operator()),
+                          ("D2", pairing_operator()))
     ]
     _criterion(
         7,
@@ -296,7 +298,7 @@ def test_criterion_14_lowering_closures():
 @pytest.mark.slow
 def test_criterion_14_adjoint_closure():
     t0 = time.perf_counter()
-    dim = lowering_closure(1, 1, force=True)
+    dim = lowering_closure(1, 1)
     _criterion(
         14,
         "lowering closure of the composite highest vector (opt-in extension)",

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, determinism, and the
 serialization contract (every JSON leaf is a string)."""
 
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -8,7 +9,9 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +19,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from e6poly import cli
+from e6poly import cli, invariants, singular, weyl
 from e6poly.weyl import MAX_IDENTITY_DEGREE
 
 
@@ -219,14 +222,12 @@ PRODUCERS = [
     ("invariants", "plain_involution_defect", ["invariant"],
      "invariant.dual-family.plain-relabeling-defect",
      "plain_relabeling_escapees"),
-    ("invariants", "build_operators", ["invariant", "--verify"],
+    ("invariants", "pairing_operator", ["invariant", "--verify"],
      "invariant.commutes.D2", None),
     ("invariants", "build_eta", ["invariant", "--dump", "eta"],
      "invariant.eta.monomials", "eta"),
     ("invariants", "build_zeta_family", ["invariant", "--dump", "zeta"],
      "invariant.zeta.count", "zeta"),
-    ("decomp", "weyl_sum_check", ["decompose", "--degree", "3"],
-     "decompose.deg3.weyl-sum", "weyl_terms"),
 ]
 
 
@@ -237,6 +238,9 @@ def test_raising_producer_becomes_a_fail_row(capsys, monkeypatch, module,
     def boom(*args, **kwargs):
         raise ZeroDivisionError("injected")
 
+    # the scan is cached: start it afresh, so a patched singular_space,
+    # which only the scan calls, is reached
+    singular.enumerate_singular.cache_clear()
     monkeypatch.setattr(importlib.import_module(f"e6poly.{module}"), producer, boom)
     code = cli.main([*argv, "--json"])
     captured = capsys.readouterr()
@@ -250,6 +254,47 @@ def test_raising_producer_becomes_a_fail_row(capsys, monkeypatch, module,
         assert doc["payload"] == {"spaces": []}
     elif key is not None:
         assert key not in doc["payload"]
+
+
+def test_all_solves_each_singular_block_once(capsys, monkeypatch):
+    # the scan is the one caller of singular_space: zeta_1, eta and the
+    # generator rows read its bases instead of solving their blocks again
+    for cached in (singular.enumerate_singular, invariants.build_eta,
+                   invariants.build_zeta_family, invariants.dual_module_span):
+        cached.cache_clear()
+    calls = Counter()
+    real = singular.singular_space
+
+    def counted(degree, weight):
+        calls[degree, tuple(weight)] += 1
+        return real(degree, weight)
+
+    monkeypatch.setattr(singular, "singular_space", counted)
+    code, _doc = run_json(capsys, "all")
+    assert code == 0
+    blocks = {(m, w) for m in range(cli.SINGULAR_DEGREE + 1)
+              for w in singular.dominant_weights(m)}
+    assert len(blocks) == 41
+    assert calls == Counter(dict.fromkeys(blocks, 1))
+
+
+def test_identity_rows_read_the_degree_sums(capsys, monkeypatch):
+    # the per-degree rows report identity_check's own sums, not a recount
+    real = weyl.identity_check
+
+    def shifted(max_degree):
+        r = real(max_degree)
+        return dataclasses.replace(
+            r, degree_sums=tuple(v + 1 for v in r.degree_sums))
+
+    monkeypatch.setattr(weyl, "identity_check", shifted)
+    code, doc = run_json(capsys, "identity", "--max-degree", "3")
+    assert code == 1
+    rows = {r["check_id"]: r for r in doc["reports"]}
+    for m in range(4):
+        row = rows[f"identity.coeff-q{m}"]
+        assert row["computed"] == str(comb(m + 26, 26) + 1)
+        assert row["status"] == "fail"
 
 
 NEGATIVE = st.integers(max_value=-1)
@@ -367,7 +412,7 @@ def test_scan_singular_script_golden_bytes():
 
 
 def test_kernel_table_script_golden_bytes():
-    # the script reads phi_dim and weyl_sum_check from decomp
+    # the script reads phi_dim and its Weyl terms from decomp
     out = _script_stdout("kernel_table.py", "4")
     assert hashlib.sha256(out).hexdigest() == (
         "c5b49ae0eb8261c85548533a6a7408a38bdbc20bb0b681a7b5cbe4c4b5b6c41d")

@@ -12,7 +12,6 @@ import pytest
 
 from e6poly import cli, decomp
 from e6poly.decomp import (
-    CLOSURE_GUARD,
     _block_rank,
     _composite_full_rank,
     _cubic_rows,
@@ -20,9 +19,8 @@ from e6poly.decomp import (
     lowering_closure,
     materialized_kernel_dim,
     phi_dim,
-    weyl_sum_check,
 )
-from e6poly.invariants import build_operators, cubic_operator
+from e6poly.invariants import cubic_operator
 from e6poly.polyops import apply
 from e6poly.singular import (
     enumerate_singular,
@@ -48,10 +46,10 @@ def _as_set(rows):
 
 
 def test_decomp_reads_the_one_cubic_operator():
-    # decomp builds no D of its own: it applies the object that
-    # build_operators holds
+    # decomp builds no D of its own: it applies the cached object that
+    # invariants holds
     assert decomp.cubic_operator is cubic_operator
-    assert decomp.cubic_operator() is build_operators().D
+    assert decomp.cubic_operator() is cubic_operator()
 
 
 def test_low_degrees_have_trivial_kernel_rank():
@@ -80,19 +78,27 @@ def test_degree_four_decomposition():
 
 
 def test_weyl_sum_report():
-    r = weyl_sum_check(4)
+    r = phi_dim(4)
     assert r.ok
     assert r.dim_phi == 27378
-    assert set(r.terms) == {
+    assert set(r.weyl_terms) == {
         (4, 0, weyl_dim(4, 0)),
         (2, 1, weyl_dim(2, 1)),
         (0, 2, weyl_dim(0, 2)),
     }
 
 
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_phi_dim_carries_its_weyl_terms(m):
+    s = phi_dim(m)
+    assert s.weyl_terms == tuple(
+        (m - 2 * i, i, weyl_dim(m - 2 * i, i)) for i in range(m // 2 + 1))
+    assert s.weyl_sum == sum(d for _, _, d in s.weyl_terms) == s.dim_phi
+
+
 def test_kernel_samples_are_killed():
-    D = build_operators().D
-    for vec in kernel_samples(3, max_blocks=6):
+    D = cubic_operator()
+    for vec in kernel_samples(3):
         assert not apply(D, vec)
 
 
@@ -125,14 +131,6 @@ def test_materialized_kernel_matches_rank_count():
     assert materialized_kernel_dim(3) == 3653
 
 
-def test_closure_guard():
-    assert CLOSURE_GUARD == 4
-    with pytest.raises(ValueError):
-        lowering_closure(3, 1)
-    with pytest.raises(ValueError):
-        lowering_closure(1, 2)
-
-
 def test_fundamental_closures():
     assert lowering_closure(1, 0) == 27
     assert lowering_closure(0, 1) == 27
@@ -141,7 +139,7 @@ def test_fundamental_closures():
 def test_adjoint_closure():
     # highest weight (1,0)+(0,1) generates the 650-dimensional piece,
     # matching the dimension oracle
-    assert lowering_closure(1, 1, force=True) == weyl_dim(1, 1) == 650
+    assert lowering_closure(1, 1) == weyl_dim(1, 1) == 650
 
 
 def test_degree_five_decomposition():

@@ -30,15 +30,15 @@ from e6poly.invariants import (
     bilinear_reference_full,
     bilinear_relation_dim,
     build_eta,
-    build_operators,
     build_zeta_family,
+    cubic_operator,
     derived_cubic_scalar,
     eta_report,
-    generator_operators,
     lemma_bracket_triple,
     lemma_cubic_action,
     lemma_pairing_bracket,
     lemma_pairing_eigenvalue,
+    pairing_operator,
     plain_involution_defect,
     sigma_root,
     tau,
@@ -50,6 +50,7 @@ from e6poly.invariants import (
 from e6poly.polyops import (
     apply,
     dualize,
+    euler_operator,
     first_order_brackets,
     format_poly,
     leibniz_bracket,
@@ -327,17 +328,21 @@ def test_sigma_root_preserves_the_root_set():
 # --- invariant operators ---------------------------------------------
 
 
+def invariant_operators():
+    return (("D", cubic_operator()), ("D1", euler_operator()),
+            ("D2", pairing_operator()))
+
+
 def test_operators_commute_with_every_generator():
-    ops = build_operators()
-    for label, op in (("D", ops.D), ("D1", ops.D1), ("D2", ops.D2)):
+    for label, op in invariant_operators():
         rep = verify_invariance(op, label)
         assert rep.ok, rep.failures
         assert rep.ops_checked == 78
 
 
 def test_verify_invariance_indexes_each_operator_once(monkeypatch):
-    ops = build_operators()
-    generator_operators()
+    ops = invariant_operators()
+    all_operators()
     calls = []
     real = polyops._factor_index
 
@@ -346,28 +351,26 @@ def test_verify_invariance_indexes_each_operator_once(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(polyops, "_factor_index", counted)
-    for label, op in (("D", ops.D), ("D1", ops.D1), ("D2", ops.D2)):
+    for label, op in ops:
         assert verify_invariance(op, label).ops_checked == 78
     # one index per operator, shared by its 78 generator brackets
-    assert calls == [ops.D, ops.D1, ops.D2]
+    assert calls == [op for _label, op in ops]
 
 
 def test_derivation_route_matches_commutator_on_invariant_operators():
     # oracle for the fast route of verify_invariance: 12 seeded generators
     # against D, D1, D2, compared with generic normal-ordered composition
-    ops = build_operators()
-    sample = random.Random(20240823).sample(generator_operators(), 12)
-    gens = [w for _name, w in sample]
-    for op in (ops.D, ops.D1, ops.D2):
+    gens = random.Random(20240823).sample(list(all_operators().values()), 12)
+    for _label, op in invariant_operators():
         for w, b in zip(gens, first_order_brackets(gens, op), strict=True):
             assert b == pscale(-1, commutator(op, w))
 
 
 def test_derivation_route_matches_commutator_on_generator_pairs():
-    gens = generator_operators()
+    gens = list(all_operators().values())
     rng = random.Random(7)
     for _ in range(50):
-        (_na, wa), (_nb, wb) = rng.choice(gens), rng.choice(gens)
+        wa, wb = rng.choice(gens), rng.choice(gens)
         assert first_order_brackets([wa], wb) == [commutator(wa, wb)]
 
 
@@ -376,7 +379,7 @@ def test_invariance_failures_match_commutator_loop():
     # generators, in the same order, as a commutator-based loop
     for label, op in (("mult x1", multiplication(x(1))),
                       ("dual x1^3", dualize(ppow(x(1), 3)))):
-        expected = tuple(name for name, w in generator_operators()
+        expected = tuple(key for key, w in all_operators().items()
                          if commutator(op, w))
         rep = verify_invariance(op, label)
         assert expected
@@ -385,8 +388,7 @@ def test_invariance_failures_match_commutator_loop():
 
 
 def test_invariant_calculus_is_integer():
-    ops = build_operators()
-    objects = [ops.eta, ops.D, ops.D1, ops.D2]
+    objects = [build_eta()] + [op for _label, op in invariant_operators()]
     objects += [z for _, z in build_zeta_family().items()]
     for obj in objects:
         assert obj
@@ -396,17 +398,16 @@ def test_invariant_calculus_is_integer():
 def test_leibniz_route_matches_commutator_on_eta():
     # oracle for the two bracket lemmas: the real D and D2 against
     # generic normal-ordered composition
-    ops = build_operators()
-    m_eta = multiplication(ops.eta)
-    for a in (ops.D, ops.D2):
-        assert leibniz_bracket(a, ops.eta) == commutator(a, m_eta)
+    eta = build_eta()
+    m_eta = multiplication(eta)
+    for a in (cubic_operator(), pairing_operator()):
+        assert leibniz_bracket(a, eta) == commutator(a, m_eta)
 
 
 def test_euler_bracket_with_cubic_multiplication():
     # [D1, mult(eta)] = 3 mult(eta): D1 is the degree grading
-    ops = build_operators()
     m_eta = multiplication(build_eta())
-    c = commutator(ops.D1, m_eta)
+    c = commutator(euler_operator(), m_eta)
     assert psub(c, pscale(3, m_eta)) == {}
 
 
@@ -485,14 +486,13 @@ def test_power_vector_weight():
 
 
 def test_d2_on_zeta1():
-    ops = build_operators()
     fam = build_zeta_family()
     z = fam.zeta(1)
-    assert apply(ops.D2, z) == pscale(5, z)  # m2(m1+m2+4) at (0, 1)
+    assert apply(pairing_operator(), z) == pscale(5, z)  # m2(m1+m2+4) at (0, 1)
 
 
 def test_d_kills_generators():
-    ops = build_operators()
-    assert apply(ops.D, x(1)) == {}
-    assert apply(ops.D, build_zeta_family().zeta(1)) == {}
-    assert apply(ops.D, {monomial({}): Fraction(1)}) == {}
+    D = cubic_operator()
+    assert apply(D, x(1)) == {}
+    assert apply(D, build_zeta_family().zeta(1)) == {}
+    assert apply(D, {monomial({}): Fraction(1)}) == {}

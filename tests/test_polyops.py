@@ -21,7 +21,6 @@ from e6poly.polyops import (
     format_poly,
     leibniz_bracket,
     monomial,
-    op,
     op_identity,
     padd,
     pdiv_exact,
@@ -57,13 +56,13 @@ def operators(draw, max_terms=3):
     for _ in range(draw(st.integers(1, max_terms))):
         mult = draw(st.dictionaries(_var, st.integers(1, 2), max_size=2))
         diff = draw(st.dictionaries(_var, st.integers(1, 2), max_size=2))
-        terms.append((monomial(mult), monomial(diff), Fraction(draw(_coeff))))
-    return op(terms)
+        terms.append(((monomial(mult), monomial(diff)), Fraction(draw(_coeff))))
+    return poly(terms)
 
 
 def first_order(terms):
     """Operator sum of c x_i d_j from (c, i, j) triples."""
-    return op(((i,), (j,), c) for c, i, j in terms)
+    return poly((((i,), (j,)), c) for c, i, j in terms)
 
 
 @settings(max_examples=200)
@@ -232,9 +231,9 @@ def leibniz_cases(draw):
     """Normal-ordered a of d-order up to 3 and f of degree up to 3, both
     with int or both with Fraction coefficients."""
     fraction = draw(st.booleans())
-    a = op(
-        (tuple(sorted(draw(st.lists(_small_var, max_size=2)))),
-         tuple(sorted(draw(st.lists(_small_var, max_size=3)))),
+    a = poly(
+        ((tuple(sorted(draw(st.lists(_small_var, max_size=2)))),
+          tuple(sorted(draw(st.lists(_small_var, max_size=3))))),
          draw(coefficients(fraction)))
         for _ in range(draw(st.integers(1, 3)))
     )
@@ -313,9 +312,9 @@ def apply_cases(draw):
     d_1^2 and the like are common) and f of up to 5 terms, possibly
     empty; both int or both Fraction."""
     fraction = draw(st.booleans())
-    a = op(
-        (tuple(sorted(draw(st.lists(_small_var, max_size=2)))),
-         tuple(sorted(draw(st.lists(_small_var, max_size=3)))),
+    a = poly(
+        ((tuple(sorted(draw(st.lists(_small_var, max_size=2)))),
+          tuple(sorted(draw(st.lists(_small_var, max_size=3))))),
          draw(coefficients(fraction)))
         for _ in range(draw(st.integers(1, 4)))
     )
@@ -333,7 +332,7 @@ def apply_cases(draw):
 @example((first_order([(1, 1, 2), (-1, 2, 1)]), poly([((1, 1), 1), ((2, 2), 1)])))
 # an empty f, and a term with no derivative part
 @example((op_identity(), {}))
-@example((op([((2,), (), Fraction(1, 2)), ((), (1, 1), 3)]), {(1, 1, 2): Fraction(2, 3)}))
+@example((poly([(((2,), ()), Fraction(1, 2)), (((), (1, 1)), 3)]), {(1, 1, 2): Fraction(2, 3)}))
 def test_apply_matches_the_term_scan(case):
     a, f = case
     out = apply(a, f)

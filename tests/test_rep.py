@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from e6poly import liealg, polyops, rep
+from e6poly import golden, liealg, polyops, rep
 from e6poly.golden import (
     AMBIGUOUS_REFERENCE_ROWS,
     DISCREPANT_REFERENCE_ROWS,
@@ -93,6 +93,24 @@ def test_reference_operator_comparison():
     assert len(cmp.flagged) == len(DISCREPANT_REFERENCE_ROWS) == 2
     for root in DISCREPANT_REFERENCE_ROWS:
         assert any(str(root) in entry for entry in cmp.flagged)
+
+
+def test_reference_sign_change_is_found_past_the_defective_rows(monkeypatch):
+    # a reference written in the convention x_5 -> -x_5: every term
+    # c x_i d_j becomes eps_i eps_j c, the two defective rows included,
+    # and the fit still reads the sign vector off the other rows
+    eps = [1] * 28
+    eps[5] = -1
+
+    def resign(rows):
+        return tuple((root6, tuple((eps[i] * eps[j] * c, i, j) for c, i, j in terms))
+                     for root6, terms in rows)
+
+    for name in ("RAISING_OPERATORS", "LOWERING_OPERATORS"):
+        monkeypatch.setattr(golden, name, resign(getattr(golden, name)))
+    cmp = compare_reference_operators()
+    assert not cmp.ok
+    assert cmp.mismatches[0] == f"uniform diagonal sign change: {tuple(eps[1:])}"
 
 
 def test_typo_normalized_rows_are_the_documented_ones():

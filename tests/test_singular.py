@@ -100,7 +100,9 @@ def test_scan_keeps_the_block_solver_bases():
 @pytest.mark.parametrize("degree, pinned", [(1, 1), (5, 0)])
 def test_singular_command_solves_each_dominant_block_once(monkeypatch, capsys,
                                                           degree, pinned):
-    # pinned: the independent low-degree generator check's own solve
+    # pinned: the low-degree generator rows, which read the scan's bases
+    # and solve no block of their own
+    singular.enumerate_singular.cache_clear()
     calls = []
     real = singular._raising_system
 
@@ -110,10 +112,12 @@ def test_singular_command_solves_each_dominant_block_once(monkeypatch, capsys,
 
     monkeypatch.setattr(singular, "_raising_system", counted)
     assert cli.main(["singular", "--degree", str(degree), "--json"]) == 0
-    capsys.readouterr()
+    doc = json.loads(capsys.readouterr().out)
     blocks = [(degree, w) for w in dominant_weights(degree)]
-    assert len(calls) == len(blocks) + pinned
-    assert sorted(set(calls)) == sorted(blocks)
+    assert sorted(calls) == sorted(blocks)
+    generators = [r["status"] for r in doc["reports"]
+                  if r["check_id"].endswith(".generator")]
+    assert generators == ["pass"] * pinned
 
 
 def test_singular_weights_are_dominant():
@@ -204,6 +208,7 @@ def test_wrong_orbit_size_fails_the_certification(monkeypatch, capsys):
     real = singular.orbit_size
     monkeypatch.setattr(singular, "orbit_size", lambda w: real(w) + 1)
     dominant_weights.cache_clear()
+    enumerate_singular.cache_clear()
     phi_dim.cache_clear()
     try:
         with pytest.raises(ValueError, match="dominant blocks of degree 0"):
@@ -224,4 +229,5 @@ def test_wrong_orbit_size_fails_the_certification(monkeypatch, capsys):
     finally:
         monkeypatch.undo()
         dominant_weights.cache_clear()
+        enumerate_singular.cache_clear()
         phi_dim.cache_clear()
