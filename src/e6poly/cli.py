@@ -268,6 +268,11 @@ def _invariant_summary(a: Assembler) -> dict:
     return payload
 
 
+def _label_pairs(n: int) -> list[tuple[int, int]]:
+    """(m1, m2) with m1 + 2*m2 <= n, m1 ascending, then m2."""
+    return [(m1, m2) for m1 in range(n + 1) for m2 in range((n - m1) // 2 + 1)]
+
+
 def _invariant_lemmas(a: Assembler) -> dict:
     # producers are looked up at call time, so a raising one is a fail row
     for label, producer in (("D", "cubic_operator"), ("D1", "euler_operator"),
@@ -302,24 +307,16 @@ def _invariant_lemmas(a: Assembler) -> dict:
         payload["pairing_printed"] = ser(pb.claimed)
 
     def eigen_sweep() -> bool:
-        n = EIGENVALUE_DEGREE
-        return all(
-            invariants.lemma_pairing_eigenvalue(m1, m2).ok
-            for m1 in range(n + 1)
-            for m2 in range((n - m1) // 2 + 1)
-        )
+        return all(invariants.lemma_pairing_eigenvalue(m1, m2).ok
+                   for m1, m2 in _label_pairs(EIGENVALUE_DEGREE))
 
     a.check("invariant.eigenvalue-sweep",
             f"D2 eigenvalue m2(m1+m2+4) for m1+2m2 <= {EIGENVALUE_DEGREE}",
             True, REFERENCE, eigen_sweep)
 
     def kill_sweep() -> bool:
-        n = ANNIHILATION_DEGREE
-        return all(
-            invariants.annihilation(m1, m2)
-            for m1 in range(n + 1)
-            for m2 in range((n - m1) // 2 + 1)
-        )
+        return all(invariants.annihilation(m1, m2)
+                   for m1, m2 in _label_pairs(ANNIHILATION_DEGREE))
 
     a.check("invariant.annihilation-sweep",
             f"D kills x_1^m1 zeta_1^m2 for m1+2m2 <= {ANNIHILATION_DEGREE}",
@@ -330,8 +327,7 @@ def _invariant_lemmas(a: Assembler) -> dict:
         return [
             invariants.lemma_cubic_action(m, m1, m2)
             for m in range(1, n // 3 + 1)
-            for m1 in range(n - 3 * m + 1)
-            for m2 in range((n - 3 * m - m1) // 2 + 1)
+            for m1, m2 in _label_pairs(n - 3 * m)
         ]
 
     cubic = a.check("invariant.cubic-action-sweep",
@@ -599,6 +595,12 @@ def _weight(text: str | None):
     return weight
 
 
+def _run_invariant(a: Assembler, seed: int, args) -> dict:
+    if args.dump and args.verify:
+        raise UsageError("--verify cannot be combined with --dump")
+    return cmd_invariant(a, args.verify, args.dump)
+
+
 def _run_decompose(a: Assembler, seed: int, args) -> dict:
     m = _degree(args.degree, DECOMPOSE_GUARD, args.force)
     if args.materialize and m > MATERIALIZE_GUARD and not args.force:
@@ -615,7 +617,7 @@ COMMANDS = {
     "singular": lambda a, seed, args: {"spaces": _singular_degree(
         a, _degree(args.degree, SINGULAR_DEGREE, args.force),
         _weight(args.weight))},
-    "invariant": lambda a, seed, args: cmd_invariant(a, args.verify, args.dump),
+    "invariant": _run_invariant,
     "decompose": _run_decompose,
     "identity": lambda a, seed, args: cmd_identity(
         a, _identity_degree(args.max_degree)),

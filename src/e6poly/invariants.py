@@ -376,10 +376,8 @@ def _reference_eta() -> Poly:
 def bilinear_eta(terms) -> Poly:
     """Expand a bilinear form sum c x_i zeta_j into a cubic polynomial."""
     fam = build_zeta_family()
-    out: Poly = {}
-    for c, i, j in terms:
-        out = padd(out, pscale(c, pmul(x(i), fam.zeta(j))))
-    return out
+    return poly((m, c * v) for c, i, j in terms
+                for m, v in pmul(x(i), fam.zeta(j)).items())
 
 
 def bilinear_reference_full() -> tuple[tuple[int, int, int], ...]:
@@ -462,10 +460,8 @@ def eta_report() -> EtaReport:
 
 def _raising_residual(f: Poly) -> Poly:
     """Combined image of f under the 6 simple raising operators."""
-    out: Poly = {}
-    for k in range(1, 7):
-        out = padd(out, apply(raising_operator(k), f))
-    return out
+    return poly(term for k in range(1, 7)
+                for term in apply(raising_operator(k), f).items())
 
 
 @dataclass(frozen=True)

@@ -121,10 +121,6 @@ def ppow(f: Poly, n: int) -> Poly:
     return out
 
 
-def degree(f: Poly) -> int:
-    return max((len(m) for m in f), default=0)
-
-
 def sorted_terms(f: Poly) -> list[tuple[Monomial, Coeff]]:
     """Terms in canonical order, biggest monomial first."""
     return [(m, f[m]) for m in sorted(f, key=lambda m: (-len(m), m))]

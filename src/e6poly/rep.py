@@ -16,7 +16,9 @@ exposes the derived operators, the weight tables they imply, comparison
 against the hand-entered reference table in `golden`, and a
 homomorphism check of the whole assignment.  Only that check uses the
 algebra of `liealg`, for the right side rho([a, b]), so it does not
-share its route with the operators it checks.
+share its route with the operators it checks.  An algebra element there
+is a sparse dict keyed like `all_operators` (("h", j), or a root whose
+E6 part is the operator key), so rho of it is one `poly` sum.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import golden
-from .liealg import AlgElement, bracket, cartan_element, root_element
-from .polyops import WeylOp, first_order_brackets, padd, poly, pscale, psub
+from .liealg import bracket
+from .polyops import WeylOp, first_order_brackets, poly, psub
 from .rootsys import (
     Vector,
     alpha,
@@ -235,28 +237,20 @@ def verify_homomorphism() -> HomReport:
     composition; each rho(b) is indexed once for all 18 rho(a).
     """
     ops = all_operators()
-    gens: list[tuple[AlgElement, WeylOp]] = []
-    for k in range(1, 7):
-        gens.append((root_element(alpha(k)), raising_operator(k)))
-        gens.append((root_element(vneg(alpha(k))), lowering_operator(k)))
-        gens.append((cartan_element(alpha(k)), ops[("h", k)]))
+    gens = [g for k in range(1, 7)
+            for g in ({alpha(k): 1}, {vneg(alpha(k)): 1}, {("h", k): 1})]
 
-    def rho(elt: AlgElement) -> WeylOp:
-        out: WeylOp = {}
-        cart = elt.normalized().cartan
-        for i, c in cart.items():
-            out = padd(out, pscale(c, ops[("h", i + 1)]))
-        for r, c in elt.normalized().roots.items():
-            out = padd(out, pscale(c, ops[_restrict(r)]))
-        return out
+    def rho(elt: dict) -> WeylOp:
+        return poly((term, c * v) for key, c in elt.items() for term, v in
+                    ops[key if key[0] == "h" else _restrict(key)].items())
 
-    weyls = [w for _, w in gens]
+    weyls = [rho(g) for g in gens]
     # lhs[b][a] = [rho(a), rho(b)]
     lhs = [first_order_brackets(weyls, wb) for wb in weyls]
     fails = []
     pairs = 0
-    for ia, (ea, _) in enumerate(gens):
-        for ib, (eb, _) in enumerate(gens):
+    for ia, ea in enumerate(gens):
+        for ib, eb in enumerate(gens):
             pairs += 1
             if psub(lhs[ib][ia], rho(bracket(ea, eb))):
                 fails.append(f"pair #{pairs}")

@@ -7,7 +7,9 @@ binomial counting of polynomial degrees.  Since all roots have norm 2,
 pairings reduce to integer coordinate sums and no irrational
 arithmetic is needed: for alpha = sum c_j alpha_j one has
 (rho, alpha) = sum c_j and (m1 lambda_1 + m2 lambda_6, alpha)
-= m1 c_1 + m2 c_6.
+= m1 c_1 + m2 c_6.  `positive_roots` reads the coordinates once and
+checks their shape (36 roots of heights 1..11); `weyl_dim` forms the
+product from them.
 """
 
 from __future__ import annotations
@@ -19,53 +21,38 @@ from math import comb
 from .rootsys import root_system
 
 __all__ = [
-    "DimCalculator",
     "MAX_IDENTITY_DEGREE",
     "SeriesReport",
-    "calculator",
     "identity_check",
+    "positive_roots",
     "weyl_dim",
 ]
 
 
-@dataclass(frozen=True)
-class DimCalculator:
-    """Positive-root data pinned once at construction.
-
-    positive_roots holds simple-root coordinates (c_1..c_6); rho_pairing
-    holds the matching values sum c_j.
-    """
-
-    positive_roots: tuple[tuple[int, ...], ...]
-    rho_pairing: tuple[int, ...]
-
-    def dim(self, m1: int, m2: int) -> int:
-        if m1 < 0 or m2 < 0:
-            raise ValueError("highest-weight labels must be nonnegative")
-        num = 1
-        den = 1
-        for coords, rho in zip(self.positive_roots, self.rho_pairing):
-            num *= m1 * coords[0] + m2 * coords[5] + rho
-            den *= rho
-        q, rem = divmod(num, den)
-        if rem:
-            raise ArithmeticError(f"non-integral dimension for ({m1}, {m2})")
-        return q
-
-
 @lru_cache(maxsize=1)
-def calculator() -> DimCalculator:
+def positive_roots() -> tuple[tuple[int, ...], ...]:
+    """Simple-root coordinates (c_1..c_6) of the positive roots."""
     coords = tuple(v[:6] for v in root_system().e6_positive)
-    rho = tuple(sum(c) for c in coords)
+    heights = [sum(c) for c in coords]
     # 36 positive roots, every height >= 1, highest root height 11
-    if len(coords) != 36 or min(rho) < 1 or max(rho) != 11:
+    if len(coords) != 36 or min(heights) < 1 or max(heights) != 11:
         raise ValueError("positive-root data out of shape")
-    return DimCalculator(positive_roots=coords, rho_pairing=rho)
+    return coords
 
 
 def weyl_dim(m1: int, m2: int) -> int:
     """dim V(m1 lambda_1 + m2 lambda_6), an exact integer."""
-    return calculator().dim(m1, m2)
+    if m1 < 0 or m2 < 0:
+        raise ValueError("highest-weight labels must be nonnegative")
+    num = den = 1
+    for c in positive_roots():
+        rho = sum(c)
+        num *= m1 * c[0] + m2 * c[5] + rho
+        den *= rho
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"non-integral dimension for ({m1}, {m2})")
+    return q
 
 
 # degree bound of the series identity: the default of identity_check and

@@ -325,6 +325,8 @@ BAD_ARGV = st.one_of(
     st.builds(lambda cmd, d: [cmd, f"--max-degree={d}"],
               st.sampled_from(["identity", "all"]),
               NEGATIVE | st.integers(min_value=MAX_IDENTITY_DEGREE + 1)),
+    st.builds(lambda dump: ["invariant", "--verify", f"--dump={dump}"],
+              st.sampled_from(["eta", "zeta"])),
 )
 
 

@@ -14,7 +14,6 @@ import hypothesis.strategies as st
 
 from e6poly.polyops import (
     apply,
-    degree,
     dualize,
     euler_operator,
     first_order_brackets,
@@ -212,7 +211,7 @@ def test_dualize_pairs_monomial_with_itself():
 def test_degree_of_product_adds():
     f = ppow(padd(x(1), x(2)), 3)
     g = ppow(x(3), 2)
-    assert degree(pmul(f, g)) == 5
+    assert max(map(len, pmul(f, g))) == 5
 
 
 # --- the Leibniz route for [a, mult(f)] --------------------------------

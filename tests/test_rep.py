@@ -125,6 +125,22 @@ def test_homomorphism_report():
     assert rep.failures == ()
 
 
+def test_homomorphism_check_catches_one_wrong_sign(monkeypatch):
+    # negate the algebra's F(alpha_1, alpha_3) only: the operators keep
+    # their own sign factor, so exactly [e_alpha_1, e_alpha_3] disagrees
+    real = liealg.cocycle_F
+    a1, a3 = alpha(1), alpha(3)
+
+    def flipped(a, b):
+        return -real(a, b) if (a, b) == (a1, a3) else real(a, b)
+
+    monkeypatch.setattr(liealg, "cocycle_F", flipped)
+    report = verify_homomorphism()
+    assert report.ok is False
+    assert report.pairs_checked == 324
+    assert report.failures == ("pair #7",)
+
+
 def test_homomorphism_indexes_each_generator_once(monkeypatch):
     calls = []
     real = polyops._factor_index

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from e6poly.weyl import DimCalculator, calculator, identity_check, weyl_dim
+from e6poly import weyl
+from e6poly.weyl import identity_check, positive_roots, weyl_dim
 
 KNOWN_DIMS = {
     (0, 0): 1,
@@ -32,10 +33,11 @@ def test_known_dimensions():
 
 
 def test_half_sum_pairings():
-    calc = calculator()
-    assert len(calc.positive_roots) == 36
-    assert min(calc.rho_pairing) == 1   # simple roots pair to 1
-    assert max(calc.rho_pairing) == 11  # highest root pairs to the exponent
+    roots = positive_roots()
+    heights = [sum(c) for c in roots]
+    assert len(roots) == 36
+    assert min(heights) == 1   # simple roots pair to 1
+    assert max(heights) == 11  # highest root pairs to the exponent
 
 
 _m = st.integers(min_value=0, max_value=12)
@@ -80,11 +82,8 @@ def test_binomial_partition_at_low_degree():
         assert total == comb(m + 26, 26)
 
 
-def test_calculator_rejects_bad_data():
-    calc = calculator()
-    broken = DimCalculator(
-        positive_roots=calc.positive_roots[:35],
-        rho_pairing=calc.rho_pairing[:35],
-    )
+def test_weyl_dim_rejects_bad_root_table(monkeypatch):
+    broken = positive_roots()[:35]
+    monkeypatch.setattr(weyl, "positive_roots", lambda: broken)
     with pytest.raises(ArithmeticError):
-        broken.dim(1, 0)
+        weyl_dim(1, 0)
