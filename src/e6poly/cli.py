@@ -222,7 +222,7 @@ def _singular_degree(a: Assembler, m: int, weight_filter=None) -> list[dict]:
                 "the degree-2 singular line matches the printed quadratic exactly",
                 True, REFERENCE,
                 lambda: bases.get(invariants.LAMBDA6)
-                == [invariants.build_zeta_family().zeta(1)])
+                == [invariants.build_zeta_family()[1]])
     if m == 3:
         a.check("singular.deg3.invariant-vs-printed",
                 "coefficient differences between the degree-3 invariant and its printed form",
@@ -287,24 +287,27 @@ def _invariant_lemmas(a: Assembler) -> dict:
                  "[D, mult(eta)] lies exactly in span{Id, D1, D2}",
                  True, DERIVED, invariants.lemma_bracket_triple,
                  pick=attrgetter("structural_ok"))
+    # constants are read only off a bracket that lies in its span
     if br is not None:
-        a.note("invariant.bracket.constants",
-               "printed constants of [D, mult(eta)]",
-               br.claimed, REFERENCE, tuple(br.triple), FLAGGED)
-        payload["bracket_triple"] = ser(tuple(br.triple))
+        if br.structural_ok:
+            a.note("invariant.bracket.constants",
+                   "printed constants of [D, mult(eta)]",
+                   br.claimed, REFERENCE, br.triple, FLAGGED)
+            payload["bracket_triple"] = ser(br.triple)
         payload["bracket_triple_printed"] = ser(br.claimed)
     pb = a.check("invariant.pairing.structure",
                  "[D2, mult(eta)] = mult(eta)(c1 + c2 D1) with consistent instances",
                  True, DERIVED, invariants.lemma_pairing_bracket, pick=attrgetter("ok"))
     if pb is not None:
-        a.note("invariant.pairing.constants",
-               "printed constants of [D2, mult(eta)]",
-               pb.claimed, REFERENCE, tuple(pb.pair), FLAGGED)
+        if pb.structural_ok:
+            a.note("invariant.pairing.constants",
+                   "printed constants of [D2, mult(eta)]",
+                   pb.claimed, REFERENCE, pb.pair, FLAGGED)
+            payload["pairing"] = ser(pb.pair)
+        payload["pairing_printed"] = ser(pb.claimed)
         a.note("invariant.pairing.instances",
                "printed eigenvalues of D2 on eta and eta*x_1",
                (3, 5), REFERENCE, (pb.eta_scalar, pb.eta_x1_scalar), FLAGGED)
-        payload["pairing"] = ser(tuple(pb.pair))
-        payload["pairing_printed"] = ser(pb.claimed)
 
     def eigen_sweep() -> bool:
         return all(invariants.lemma_pairing_eigenvalue(m1, m2).ok
@@ -365,14 +368,14 @@ def cmd_invariant(a: Assembler, verify: bool, dump: str | None) -> dict:
     if dump == "zeta":
         fam = a.check("invariant.zeta.count", "number of family members",
                       27, DERIVED, invariants.build_zeta_family,
-                      pick=lambda fam: len(fam.zetas))
+                      pick=len)
         if fam is None:
             return {}
         return {
             "zeta": {
                 str(i): {
-                    "terms": poly_to_json(fam.zeta(i)),
-                    "text": format_poly(fam.zeta(i)),
+                    "terms": poly_to_json(fam[i]),
+                    "text": format_poly(fam[i]),
                     "dual_index": str(golden.iota(i)),
                 }
                 for i in range(1, 28)

@@ -38,9 +38,3 @@ def bracket(a: dict, b: dict) -> dict:
                     yield t, ca * cb * cocycle_F(ka, kb)
 
     return poly(terms())
-
-
-def basis_elements() -> list[dict]:
-    """The 7 Cartan directions, then one root vector per root."""
-    return ([{("h", i): 1} for i in range(1, 8)]
-            + [{r: 1} for r in root_system().roots])

@@ -6,13 +6,16 @@ by integer cross-multiplication and the result is divided by its content,
 so no Fraction appears in the forward pass or in the back-substitution
 that yields kernel bases.  `IntEchelon` is the one eliminator: ranks,
 spans, closures and membership tests insert into it or reduce against
-it, and a caller that needs rational coordinates divides once at the
-end.  Column keys can be any hashable values; an explicit column order
-fixes pivots and makes every result reproducible.
+it.  `SpanCoordinates` is the one coordinates solver: it gives the exact
+coordinates of a sparse vector (a polynomial or an operator) in the
+span of labelled basis vectors, from one integer reduction and one
+division at the end.  Column keys can be any hashable values; an
+explicit column order fixes pivots and makes every result reproducible.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -98,6 +101,37 @@ class IntEchelon:
                 held = self.pivots[col]
             row = _eliminate(row, held, col)
         return False
+
+
+class SpanCoordinates:
+    """Exact coordinates in the span of labelled sparse vectors.
+
+    A basis row holds its entries under keys (0, key) and the entry
+    (1, label) = -1; a vector to express holds the tag (2, 0) = 1.
+    Entry keys come first, so a vector lies in the span exactly when its
+    remainder r keeps no entry key, and its coordinate on `label` is
+    then r[(1, label)] / r[(2, 0)].  Labels are distinct and comparable.
+    """
+
+    def __init__(self, basis: Iterable[tuple[Hashable, Row]]):
+        self.echelon = IntEchelon(lambda k: k)
+        for label, vec in basis:
+            self.echelon.insert({(0, k): c for k, c in vec.items()} | {(1, label): -1})
+
+    @property
+    def rank(self) -> int:
+        """Pivots on entry keys only: a dependent basis vector leaves its
+        pivot on a label."""
+        return sum(tag == 0 for tag, _ in self.echelon.pivots)
+
+    def express(self, vec: Row) -> dict[Hashable, Fraction] | None:
+        """{label: coordinate} with zeros omitted, or None if `vec` is
+        outside the span."""
+        rem = self.echelon.reduce({(0, k): c for k, c in vec.items()} | {(2, 0): 1})
+        if any(tag == 0 for tag, _ in rem):
+            return None
+        t = rem[(2, 0)]
+        return {label: Fraction(c, t) for (tag, label), c in rem.items() if tag == 1}
 
 
 def kernel_basis(

@@ -11,9 +11,9 @@ so they serve polynomials and operators alike: an operator is built by
 `poly` from ((x-monomial, d-monomial), coefficient) pairs.
 
 Every helper keeps the coefficient type of its inputs, so integer
-data stays `int`; `Fraction` enters only with a caller's data or from
-`poly_from_json`.  `apply` is the one place where an operator acts on a
-polynomial; it indexes the monomials of f by variable, so each operator
+data stays `int`; `Fraction` enters only with a caller's data.
+`apply` is the one place where an operator acts on a polynomial; it
+indexes the monomials of f by variable, so each operator
 term visits only the monomials that hold all of its derivative
 variables.  Two brackets are formed without any operator product.
 `first_order_brackets` gives [w, a] for each of several first-order
@@ -157,14 +157,6 @@ def poly_to_json(f: Poly) -> list[dict]:
             exps[v - 1] += 1
         out.append({"exponents": [str(e) for e in exps], "coefficient": str(c)})
     return out
-
-
-def poly_from_json(data: list[dict]) -> Poly:
-    return poly(
-        (monomial({i: int(e) for i, e in enumerate(entry["exponents"], start=1)}),
-         Fraction(entry["coefficient"]))
-        for entry in data
-    )
 
 
 # -- Weyl operators ---------------------------------------------------------

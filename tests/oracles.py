@@ -9,13 +9,17 @@ per variable, so products and commutators stay exact; `commutator`
 builds on it, and `multiplication` is the operator of multiplying by a
 polynomial.  `monomial_weight` sums the weight table one factor at a
 time, and `verify_annihilated` applies all 36 positive-root operators.
+Two helpers only the tests need live here too: `basis_elements` lists
+the algebra's basis and `poly_from_json` reads a serialized polynomial
+back.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb, perm
 
-from e6poly.polyops import Monomial, Poly, WeylOp, _drop, apply, psub
+from e6poly.polyops import Monomial, Poly, WeylOp, _drop, apply, monomial, poly, psub
 from e6poly.rep import all_operators, weight_table
 from e6poly.rootsys import root_system
 from e6poly.singular import Weight
@@ -71,3 +75,18 @@ def verify_annihilated(vec: Poly) -> bool:
     """Check annihilation by all 36 positive-root operators."""
     ops = all_operators()
     return not any(apply(ops[r[:6]], vec) for r in root_system().e6_positive)
+
+
+def basis_elements() -> list[dict]:
+    """The 7 Cartan directions, then one root vector per root."""
+    return ([{("h", i): 1} for i in range(1, 8)]
+            + [{r: 1} for r in root_system().roots])
+
+
+def poly_from_json(data: list[dict]) -> Poly:
+    """Inverse of `polyops.poly_to_json`."""
+    return poly(
+        (monomial({i: int(e) for i, e in enumerate(entry["exponents"], start=1)}),
+         Fraction(entry["coefficient"]))
+        for entry in data
+    )

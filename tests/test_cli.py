@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 
 from e6poly import cli, invariants, singular, weyl
+from e6poly.polyops import padd
 from e6poly.weyl import MAX_IDENTITY_DEGREE
 
 
@@ -126,7 +127,7 @@ def test_invariant_flagged_rows_do_not_fail(capsys):
 
 def test_dump_eta_round_trips(capsys):
     from e6poly.invariants import build_eta
-    from e6poly.polyops import poly_from_json
+    from oracles import poly_from_json
 
     _code, doc = run_json(capsys, "invariant", "--dump", "eta")
     data = [
@@ -254,6 +255,52 @@ def test_raising_producer_becomes_a_fail_row(capsys, monkeypatch, module,
         assert doc["payload"] == {"spaces": []}
     elif key is not None:
         assert key not in doc["payload"]
+
+
+@pytest.fixture
+def fresh_lemmas():
+    # the lemma reports are cached: solve afresh, and drop what a patched
+    # run cached so later tests do not read it
+    caches = (invariants.lemma_bracket_triple, invariants.lemma_pairing_bracket)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+def test_constants_are_read_only_off_a_structural_bracket(capsys, monkeypatch,
+                                                           fresh_lemmas):
+    # x_1 d_2 lies outside span{Id, D1, D2} and span{M_eta, M_eta D1}
+    real = invariants.leibniz_bracket
+    monkeypatch.setattr(invariants, "leibniz_bracket",
+                        lambda a, f: padd(real(a, f), {((1,), (2,)): 1}))
+    code, doc = run_json(capsys, "invariant", "--verify")
+    assert code == 1
+    rows = {r["check_id"]: r for r in doc["reports"]}
+    for lemma in ("bracket", "pairing"):
+        assert rows[f"invariant.{lemma}.structure"]["status"] == "fail"
+        assert f"invariant.{lemma}.constants" not in rows
+    assert not {"bracket_triple", "pairing"} & set(doc["payload"])
+    sweep = rows["invariant.cubic-action-sweep"]
+    assert sweep["status"] == "fail"
+    assert sweep["computed"].startswith("ValueError: ")
+
+
+def test_all_builds_the_eta_report_once(capsys, monkeypatch):
+    # two rows read the report; it is built once
+    invariants.eta_report.cache_clear()
+    calls = []
+    real = invariants.bilinear_relation_dim
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(invariants, "bilinear_relation_dim", counted)
+    code, _doc = run_json(capsys, "all")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_all_solves_each_singular_block_once(capsys, monkeypatch):

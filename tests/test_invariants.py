@@ -6,7 +6,6 @@ defective; those comparisons pin the size and location of each defect
 so that silent drift in either direction fails the suite.
 """
 
-import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -16,7 +15,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
-from e6poly import golden, invariants, polyops
+from e6poly import golden, invariants, linalg, polyops
 from e6poly.golden import (
     CLAIMED_BRACKET_TRIPLE,
     CLAIMED_PAIRING_BRACKET,
@@ -134,7 +133,7 @@ def test_bilinear_terms_cover_all_members():
 def test_serialization_lists_terms_in_graded_lex_order():
     # graded lexicographic with x1 > ... > x27: higher degree first, then
     # larger exponent lists first; format_poly walks the same order
-    for f, first in ((build_zeta_family().zeta(1), "x1*x14"),
+    for f, first in ((build_zeta_family()[1], "x1*x14"),
                      (build_eta(), "3*x1*x14*x27")):
         exps = [tuple(int(e) for e in t["exponents"]) for t in poly_to_json(f)]
         assert len(exps) == len(set(exps)) == len(f)
@@ -159,7 +158,7 @@ def test_zeta_family_matches_printed_low_members():
 
     fam = build_zeta_family()
     assert zeta_reference_diff(fam) == ()
-    assert len(fam.zetas) == 27
+    assert len(fam) == 27
 
 
 def test_zeta_family_spans_rank_27():
@@ -189,7 +188,7 @@ def test_dual_module_applies_each_operator_to_each_member_once(monkeypatch):
     all_operators()
     counts = {"apply": 0, "express": 0}
     real_apply = invariants.apply
-    real_express = invariants.ZetaCoordinates.express
+    real_express = linalg.SpanCoordinates.express
 
     def counted_apply(w, f):
         counts["apply"] += 1
@@ -200,7 +199,7 @@ def test_dual_module_applies_each_operator_to_each_member_once(monkeypatch):
         return real_express(self, f)
 
     monkeypatch.setattr(invariants, "apply", counted_apply)
-    monkeypatch.setattr(invariants.ZetaCoordinates, "express", counted_express)
+    monkeypatch.setattr(linalg.SpanCoordinates, "express", counted_express)
     assert verify_dual_module().ok
     # one image and one coordinate column per (operator, member) pair
     assert counts == {"apply": 78 * 27, "express": 78 * 27}
@@ -262,12 +261,10 @@ def test_dual_module_reports_a_corrupted_family(monkeypatch, case):
     # a sign flip breaks only the dual-action law; x_1^2 also leaves the
     # span and breaks the Cartan eigenvalues on its member
     want = CORRUPTED_FAMILIES[case]
-    fam = build_zeta_family()
-    zetas = list(fam.zetas)
-    k = want["member"] - 1
+    zetas = dict(build_zeta_family())
+    k = want["member"]
     zetas[k] = want["corrupt"](zetas[k])
-    monkeypatch.setattr(invariants, "build_zeta_family",
-                        lambda: dataclasses.replace(fam, zetas=tuple(zetas)))
+    monkeypatch.setattr(invariants, "build_zeta_family", lambda: zetas)
     r = verify_dual_module()
     positive = [p[:6] for p in root_system().e6_positive]
     assert r.nu_signs == tuple(zip(positive, want["signs"]))
@@ -275,6 +272,17 @@ def test_dual_module_reports_a_corrupted_family(monkeypatch, case):
     assert r.failures == want["failures"]
     assert not r.nu_simple_ok
     assert r.rank == 27 and r.ops_checked == 78 and not r.ok
+
+
+def test_dual_module_rank_counts_independent_members(monkeypatch):
+    # a repeated member leaves 26 independent quadratics, and the
+    # "27 independent quadratics" claim fails
+    zetas = dict(build_zeta_family())
+    zetas[2] = zetas[1]
+    monkeypatch.setattr(invariants, "build_zeta_family", lambda: zetas)
+    r = verify_dual_module()
+    assert r.rank == 26
+    assert not r.ok
 
 
 def test_plain_relabeling_rule_escapes_on_nine_members():
@@ -285,7 +293,7 @@ def test_plain_relabeling_rule_escapes_on_nine_members():
 def test_signed_involution_generates_the_high_members():
     fam = build_zeta_family()
     for i in range(16, 28):
-        assert fam.zeta(i) == pscale(-DSIGNS[i], tau_dual(fam.zeta(28 - i)))
+        assert fam[i] == pscale(-DSIGNS[i], tau_dual(fam[28 - i]))
 
 
 _v = st.integers(min_value=1, max_value=27)
@@ -389,7 +397,7 @@ def test_invariance_failures_match_commutator_loop():
 
 def test_invariant_calculus_is_integer():
     objects = [build_eta()] + [op for _label, op in invariant_operators()]
-    objects += [z for _, z in build_zeta_family().items()]
+    objects += list(build_zeta_family().values())
     for obj in objects:
         assert obj
         assert all(type(c) is int for c in obj.values())
@@ -414,7 +422,6 @@ def test_euler_bracket_with_cubic_multiplication():
 def test_bracket_triple_value():
     r = lemma_bracket_triple()
     assert r.structural_ok
-    assert r.residual_terms == 0
     assert tuple(r.triple) == (405, 45, 9)
     assert r.claimed == CLAIMED_BRACKET_TRIPLE
     assert not r.matches_claimed  # printed (111, 11, 9) disagrees
@@ -481,18 +488,18 @@ def test_derived_scalar_closed_form():
 def test_power_vector_weight():
     f = x1_zeta1_power(2, 1)
     fam = build_zeta_family()
-    expected = pmul(pmul(x(1), x(1)), fam.zeta(1))
+    expected = pmul(pmul(x(1), x(1)), fam[1])
     assert f == expected
 
 
 def test_d2_on_zeta1():
     fam = build_zeta_family()
-    z = fam.zeta(1)
+    z = fam[1]
     assert apply(pairing_operator(), z) == pscale(5, z)  # m2(m1+m2+4) at (0, 1)
 
 
 def test_d_kills_generators():
     D = cubic_operator()
     assert apply(D, x(1)) == {}
-    assert apply(D, build_zeta_family().zeta(1)) == {}
+    assert apply(D, build_zeta_family()[1]) == {}
     assert apply(D, {monomial({}): Fraction(1)}) == {}

@@ -25,14 +25,13 @@ from e6poly.polyops import (
     pdiv_exact,
     pmul,
     poly,
-    poly_from_json,
     poly_to_json,
     ppow,
     pscale,
     psub,
     x,
 )
-from oracles import commutator, compose, multiplication
+from oracles import commutator, compose, multiplication, poly_from_json
 
 _var = st.integers(min_value=1, max_value=6)
 _coeff = st.integers(min_value=-4, max_value=4).filter(lambda c: c != 0)
