@@ -12,10 +12,11 @@ independently built matrices give its dimension:
   the same dominant blocks, and the summary also carries the Weyl
   dimension terms whose sum the kernel dimension must match;
 - the materialized route (materialized_kernel_dim, kernel_samples)
-  enumerates every block of degree m and builds each row from its
-  target t, whose only sources are t times the 45 terms of eta, so only
-  blocks whose weight occurs at degree m - 3 have rows, and takes
-  explicit kernel bases.
+  builds each row from its target t, whose only sources are t times the
+  45 terms of eta, so only the blocks whose weight occurs at degree
+  m - 3 have rows.  It lists those row blocks only (`_row_blocks`),
+  takes explicit kernel bases of each, and counts every other degree-m
+  monomial as killed by D, without listing it.
 
 Both routes read eta and D from `invariants` (`build_eta`,
 `cubic_operator`); this module builds no copy of either.
@@ -151,21 +152,25 @@ def phi_dim(m: int) -> KernelSummary:
     )
 
 
-def kernel_samples(m: int) -> list[dict[Monomial, int]]:
-    """Explicit kernel vectors of D from the first SAMPLE_BLOCKS weight
-    blocks that D does not kill outright.
+@lru_cache(maxsize=None)
+def _row_blocks(m: int) -> dict[Weight, list[Monomial]]:
+    """The degree-m blocks that D reaches: one per weight of degree
+    m - 3, each listed in lex order.  Every such weight occurs at degree
+    m (t times a term of eta has the weight of t)."""
+    return {w: weight_space(m, w) for w in weight_buckets(m - 3)}
 
-    Only blocks whose weight also occurs at degree m - 3 have rows; they
-    are taken in increasing size so the samples stay small.  Every
-    returned vector is an exact integer kernel element.
+
+def kernel_samples(m: int) -> list[dict[Monomial, int]]:
+    """Explicit kernel vectors of D from the first SAMPLE_BLOCKS row
+    blocks, taken in increasing size so the samples stay small.
+
+    Blocks with no rows are skipped: they only give unit vectors, which
+    D kills trivially.  Every returned vector is an exact integer kernel
+    element.
     """
     if m < 3:
         raise ValueError("kernel is everything below degree 3")
-    targets = weight_buckets(m - 3)
-    blocks = sorted(
-        ((w, monos) for w, monos in weight_buckets(m).items() if w in targets),
-        key=lambda kv: (len(kv[1]), kv[0]),
-    )
+    blocks = sorted(_row_blocks(m).items(), key=lambda kv: (len(kv[1]), kv[0]))
     out: list[dict[Monomial, int]] = []
     for w, monos in blocks[:SAMPLE_BLOCKS]:
         out.extend(kernel_basis(_cubic_rows(m, w), monos))
@@ -173,17 +178,19 @@ def kernel_samples(m: int) -> list[dict[Monomial, int]]:
 
 
 def materialized_kernel_dim(m: int) -> int:
-    """Dimension of Phi_m by explicit kernel bases over every block.
+    """Dimension of Phi_m by explicit kernel bases over the row blocks.
 
-    Its rows are built from the targets, independently of phi_dim's
-    source-side matrix, so the two dimensions cross-check each other;
-    also drives the materializing CLI path.
+    A degree-m monomial whose weight does not occur at degree m - 3 has
+    no target, so D kills it: it is counted, not listed.  The rows are
+    built from the targets, independently of phi_dim's source-side
+    matrix and orbit weights, so the two dimensions cross-check each
+    other; also drives the materializing CLI path.
     """
     if m < 3:
         return comb(m + 26, 26)
-    return sum(
-        len(kernel_basis(_cubic_rows(m, w), monos))
-        for w, monos in weight_buckets(m).items()
+    return comb(m + 26, 26) + sum(
+        len(kernel_basis(_cubic_rows(m, w), monos)) - len(monos)
+        for w, monos in _row_blocks(m).items()
     )
 
 

@@ -6,6 +6,12 @@ degrees and for routes that need every block.  `weight_space` lists one
 weight only, joining two half-degree bucketings, so the scan never
 holds all C(m + 26, 26) monomials.
 
+Bucketing keys each weight by one packed integer (`_pack`): six
+balanced 16-bit digits, one per coordinate.  The 27 variable weights
+have coordinates in {-1, 0, 1}, so a degree-m weight has coordinates in
+[-m, m]; packing is additive and one-to-one there, so a monomial's key
+is built with one int add per factor, and a join subtracts keys.
+
 Weight multiplicities are Weyl-invariant, so the dominant weights
 carry all the information: `dominant_weights` builds them degree by
 degree by simple-reflection walks, and certifies them by checking that
@@ -32,7 +38,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import add, sub
+from operator import add
 
 from .linalg import kernel_basis
 from .polyops import Monomial, Poly, apply
@@ -42,29 +48,58 @@ from .rootsys import CARTAN_E7, root_system
 Weight = tuple[int, int, int, int, int, int]
 
 
+_DIGIT = 16  # bits per packed coordinate
+_BASE = 1 << _DIGIT
+_HALF = _BASE >> 1
+
+
+def _pack(weight) -> int:
+    """One int for a weight: coordinate i is the balanced base-2**16
+    digit i.  Additive, and one-to-one on coordinates in [-2**15, 2**15)."""
+    return sum(c << (_DIGIT * i) for i, c in enumerate(weight))
+
+
+def _unpack(key: int) -> Weight:
+    """The weight whose `_pack` is key."""
+    out = []
+    for _ in range(6):
+        digit = (key + _HALF) % _BASE - _HALF
+        out.append(digit)
+        key = (key - digit) >> _DIGIT
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
-def weight_buckets(degree: int) -> dict[Weight, list[Monomial]]:
-    """All degree-m monomials grouped by weight.
+def _packed_buckets(degree: int) -> dict[int, list[Monomial]]:
+    """All degree-m monomials grouped by packed weight.
 
     Monomials are built factor by factor in lex order, each prefix
-    carrying its weight, so keys and lists come out in the order of
-    combinations_with_replacement(range(1, 28), degree).
+    carrying its packed weight, so keys and lists come out in the order
+    of combinations_with_replacement(range(1, 28), degree).
     """
     if degree == 0:
-        return {(0, 0, 0, 0, 0, 0): [()]}
-    rows = weight_table()
-    buckets: dict[Weight, list[Monomial]] = {}
+        return {0: [()]}
+    keys = [_pack(row) for row in weight_table()]
+    buckets: dict[int, list[Monomial]] = {}
 
-    def extend(mono: Monomial, acc: Weight, first: int, left: int) -> None:
+    def extend(mono: Monomial, acc: int, first: int, left: int) -> None:
         for v in range(first, 28):
-            w = tuple(map(add, acc, rows[v - 1]))
+            w = acc + keys[v - 1]
             if left == 1:
                 buckets.setdefault(w, []).append(mono + (v,))
             else:
                 extend(mono + (v,), w, v, left - 1)
 
-    extend((), (0, 0, 0, 0, 0, 0), 1, degree)
+    extend((), 0, 1, degree)
     return buckets
+
+
+@lru_cache(maxsize=None)
+def weight_buckets(degree: int) -> dict[Weight, list[Monomial]]:
+    """All degree-m monomials grouped by weight: `_packed_buckets` with
+    its keys unpacked, in the same order and with the same lists.  Every
+    coordinate of a key lies in [-m, m]."""
+    return {_unpack(k): monos for k, monos in _packed_buckets(degree).items()}
 
 
 def weight_space(degree: int, weight: Weight) -> list[Monomial]:
@@ -73,13 +108,18 @@ def weight_space(degree: int, weight: Weight) -> list[Monomial]:
     Meet in the middle: each monomial splits into a low half of degree
     m // 2 and a high half whose first index is at least the low half's
     last, and the high half's weight is the complement of the low one's.
+    A weight with a coordinate outside [-m, m] has no monomials; it is
+    turned away before packing, where it could alias a real key.
     """
     weight = tuple(weight)
-    low = weight_buckets(degree // 2)
-    high = weight_buckets(degree - degree // 2)
+    if any(abs(c) > degree for c in weight):
+        return []
+    key = _pack(weight)
+    low = _packed_buckets(degree // 2)
+    high = _packed_buckets(degree - degree // 2)
     out = []
-    for w, halves in low.items():
-        rest = high.get(tuple(map(sub, weight, w)))
+    for k, halves in low.items():
+        rest = high.get(key - k)
         if rest:
             for p in halves:
                 # rest is in lex order: skip the q with q[0] < p[-1]

@@ -9,6 +9,9 @@ per variable, so products and commutators stay exact; `commutator`
 builds on it, and `multiplication` is the operator of multiplying by a
 polynomial.  `monomial_weight` sums the weight table one factor at a
 time, and `verify_annihilated` applies all 36 positive-root operators.
+`materialized_kernel_dim_full` and `kernel_samples_full` list every
+weight block of degree m, as the materialized kernel route once did,
+and take a kernel basis of each, unit vectors included.
 Two helpers only the tests need live here too: `basis_elements` lists
 the algebra's basis and `poly_from_json` reads a serialized polynomial
 back.
@@ -19,10 +22,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, perm
 
+from e6poly.decomp import SAMPLE_BLOCKS, _cubic_rows
+from e6poly.linalg import kernel_basis
 from e6poly.polyops import Monomial, Poly, WeylOp, _drop, apply, monomial, poly, psub
 from e6poly.rep import all_operators, weight_table
 from e6poly.rootsys import root_system
-from e6poly.singular import Weight
+from e6poly.singular import Weight, weight_buckets
 
 
 def _contractions(de: Monomial, xe: Monomial) -> list[tuple[Monomial, Monomial, int]]:
@@ -75,6 +80,30 @@ def verify_annihilated(vec: Poly) -> bool:
     """Check annihilation by all 36 positive-root operators."""
     ops = all_operators()
     return not any(apply(ops[r[:6]], vec) for r in root_system().e6_positive)
+
+
+def materialized_kernel_dim_full(m: int) -> int:
+    """Dimension of Phi_m by kernel bases over every degree-m block."""
+    if m < 3:
+        return comb(m + 26, 26)
+    return sum(
+        len(kernel_basis(_cubic_rows(m, w), monos))
+        for w, monos in weight_buckets(m).items()
+    )
+
+
+def kernel_samples_full(m: int) -> list[Poly]:
+    """Kernel vectors of the SAMPLE_BLOCKS smallest degree-m blocks
+    whose weight occurs at degree m - 3, found among all blocks."""
+    targets = weight_buckets(m - 3)
+    blocks = sorted(
+        ((w, monos) for w, monos in weight_buckets(m).items() if w in targets),
+        key=lambda kv: (len(kv[1]), kv[0]),
+    )
+    out = []
+    for w, monos in blocks[:SAMPLE_BLOCKS]:
+        out.extend(kernel_basis(_cubic_rows(m, w), monos))
+    return out
 
 
 def basis_elements() -> list[dict]:

@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from e6poly import cli, decomp
+from e6poly import cli, decomp, singular
 from e6poly.decomp import (
     _block_rank,
     _composite_full_rank,
@@ -28,7 +28,7 @@ from e6poly.singular import (
     weight_buckets,
 )
 from e6poly.weyl import weyl_dim
-from oracles import monomial_weight
+from oracles import kernel_samples_full, materialized_kernel_dim_full, monomial_weight
 
 
 def _source_rows(monos):
@@ -151,6 +151,40 @@ def test_degree_five_decomposition():
 
 def test_materialized_kernel_degree_four():
     assert materialized_kernel_dim(4) == 27378
+
+
+def test_materialized_kernel_degree_five():
+    assert materialized_kernel_dim(5) == 169533
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_row_blocks_give_what_the_full_listing_gives(m):
+    # counting the blocks D does not reach, instead of listing their unit
+    # vectors, changes neither the dimension nor the samples
+    assert materialized_kernel_dim(m) == materialized_kernel_dim_full(m)
+    assert kernel_samples(m) == kernel_samples_full(m)
+
+
+def test_materializing_degree_five_lists_no_degree_five_bucket(monkeypatch, capsys):
+    degrees = []
+
+    def counted(real):
+        def wrapper(degree):
+            degrees.append(degree)
+            return real(degree)
+        return wrapper
+
+    for module in (singular, decomp):
+        monkeypatch.setattr(module, "weight_buckets", counted(singular.weight_buckets))
+    monkeypatch.setattr(singular, "_packed_buckets", counted(singular._packed_buckets))
+    decomp._row_blocks.cache_clear()
+    argv = ["decompose", "--degree", "5", "--materialize", "--force", "--json"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # the row blocks are built from degree-2 weights and degree-2 and
+    # degree-3 half buckets, never from all 169911 degree-5 monomials
+    assert {2, 3} <= set(degrees)
+    assert 5 not in degrees
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])

@@ -9,7 +9,9 @@ import json
 from itertools import combinations_with_replacement
 from math import comb
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from e6poly import cli, singular
 from e6poly.decomp import phi_dim
@@ -180,6 +182,26 @@ def test_weight_space_equals_the_bucket_of_every_dominant_weight_at_five():
 def test_weight_space_of_an_absent_weight_is_empty():
     assert weight_space(2, (1, 0, 0, 0, 0, 0)) == []
     assert weight_space(0, (0, 0, 0, 0, 0, 0)) == [()]
+
+
+def test_weight_space_turns_away_a_weight_that_packs_like_another():
+    # 65536 - 65536 = 0: out of range, this weight packs to the zero
+    # weight's key, whose degree-3 block holds the 45 monomials of eta
+    alias = (65536, -1, 0, 0, 0, 0)
+    assert singular._pack(alias) == singular._pack(ZERO)
+    assert len(weight_space(3, ZERO)) == 45
+    assert weight_space(3, alias) == []
+
+
+_coords = st.tuples(*[st.integers(min_value=-2**14, max_value=2**14)] * 6)
+
+
+@settings(max_examples=200)
+@given(_coords, _coords)
+def test_packing_round_trips_and_adds(a, b):
+    assert singular._unpack(singular._pack(a)) == a
+    total = tuple(x + y for x, y in zip(a, b))
+    assert singular._pack(a) + singular._pack(b) == singular._pack(total)
 
 
 @pytest.mark.parametrize("degree", range(6))
