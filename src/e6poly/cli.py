@@ -31,7 +31,6 @@ ANNIHILATION_DEGREE = 6     # m1 + 2*m2 bound for the kill sweep
 CUBIC_DEGREE = 8            # 3*m + m1 + 2*m2 bound for the cubic sweep
 DECOMPOSE_DEGREE = 4        # default kernel decomposition degree
 DECOMPOSE_GUARD = 5         # highest degree allowed without --force
-MATERIALIZE_GUARD = 4       # highest degree materialized without --force
 IDENTITY_DEGREE = 10        # default series identity bound
 
 PASS = "pass"
@@ -606,9 +605,6 @@ def _run_invariant(a: Assembler, seed: int, args) -> dict:
 
 def _run_decompose(a: Assembler, seed: int, args) -> dict:
     m = _degree(args.degree, DECOMPOSE_GUARD, args.force)
-    if args.materialize and m > MATERIALIZE_GUARD and not args.force:
-        raise UsageError(f"materializing above degree {MATERIALIZE_GUARD} "
-                         "needs --force")
     return cmd_decompose(a, m, args.materialize)
 
 

@@ -14,9 +14,10 @@ independently built matrices give its dimension:
 - the materialized route (materialized_kernel_dim, kernel_samples)
   builds each row from its target t, whose only sources are t times the
   45 terms of eta, so only the blocks whose weight occurs at degree
-  m - 3 have rows.  It lists those row blocks only (`_row_blocks`),
-  takes explicit kernel bases of each, and counts every other degree-m
-  monomial as killed by D, without listing it.
+  m - 3 have rows.  Its columns are the monomials those rows touch:
+  every other degree-m monomial, in a row block or not, is killed by D
+  and counted without being listed.  kernel_samples lists a few whole
+  blocks, chosen by their Weyl-invariant sizes.
 
 Both routes read eta and D from `invariants` (`build_eta`,
 `cubic_operator`); this module builds no copy of either.
@@ -26,13 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 
 from .invariants import build_eta, cubic_operator, lowering_span, x1_zeta1_power
 from .linalg import IntEchelon, kernel_basis
 from .polyops import Monomial, apply
 from .singular import (
     Weight,
+    _dominant,
     dominant_weights,
     orbit_size,
     weight_buckets,
@@ -107,15 +109,16 @@ def _cubic_rows(m: int, weight: Weight) -> list[dict[Monomial, int]]:
 
     The only sources reaching a target t are t * x_a x_b x_c over the 45
     terms c x_a x_b x_c of eta, where c d_a d_b d_c takes the source to
-    c * count_a * count_b * count_c * t (a, b, c are distinct).  A block
-    with no target of its weight has no rows.
+    c * count_a * count_b * count_c * t.  The terms are squarefree (a, b,
+    c are distinct), so each count is t's count plus one.  A block with
+    no target of its weight has no rows.
     """
     rows = []
     for t in weight_buckets(m - 3).get(weight, []):
         row = {}
-        for abc, c in build_eta().items():
-            source = tuple(sorted(t + abc))
-            row[source] = c * prod(source.count(v) for v in abc)
+        for (a, b, c), coeff in build_eta().items():
+            row[tuple(sorted(t + (a, b, c)))] = (
+                coeff * (t.count(a) + 1) * (t.count(b) + 1) * (t.count(c) + 1))
         rows.append(row)
     return rows
 
@@ -152,46 +155,46 @@ def phi_dim(m: int) -> KernelSummary:
     )
 
 
-@lru_cache(maxsize=None)
-def _row_blocks(m: int) -> dict[Weight, list[Monomial]]:
-    """The degree-m blocks that D reaches: one per weight of degree
-    m - 3, each listed in lex order.  Every such weight occurs at degree
-    m (t times a term of eta has the weight of t)."""
-    return {w: weight_space(m, w) for w in weight_buckets(m - 3)}
-
-
 def kernel_samples(m: int) -> list[dict[Monomial, int]]:
     """Explicit kernel vectors of D from the first SAMPLE_BLOCKS row
     blocks, taken in increasing size so the samples stay small.
 
-    Blocks with no rows are skipped: they only give unit vectors, which
-    D kills trivially.  Every returned vector is an exact integer kernel
-    element.
+    A block's size is Weyl-invariant, so it is read off the dominant
+    weight of the block's orbit, and only the sampled blocks are listed,
+    each in full.  Blocks with no rows are skipped: they only give unit
+    vectors, which D kills trivially.  Every returned vector is an exact
+    integer kernel element.
     """
     if m < 3:
         raise ValueError("kernel is everything below degree 3")
-    blocks = sorted(_row_blocks(m).items(), key=lambda kv: (len(kv[1]), kv[0]))
+    dominant = {w: _dominant(w) for w in weight_buckets(m - 3)}
+    size = {d: len(weight_space(m, d)) for d in set(dominant.values())}
+    blocks = sorted(dominant, key=lambda w: (size[dominant[w]], w))
     out: list[dict[Monomial, int]] = []
-    for w, monos in blocks[:SAMPLE_BLOCKS]:
-        out.extend(kernel_basis(_cubic_rows(m, w), monos))
+    for w in blocks[:SAMPLE_BLOCKS]:
+        out.extend(kernel_basis(_cubic_rows(m, w), weight_space(m, w)))
     return out
 
 
 def materialized_kernel_dim(m: int) -> int:
-    """Dimension of Phi_m by explicit kernel bases over the row blocks.
+    """Dimension of Phi_m by explicit kernel bases over the monomials D
+    touches.
 
-    A degree-m monomial whose weight does not occur at degree m - 3 has
-    no target, so D kills it: it is counted, not listed.  The rows are
-    built from the targets, independently of phi_dim's source-side
-    matrix and orbit weights, so the two dimensions cross-check each
-    other; also drives the materializing CLI path.
+    The columns of a row block are the sources its rows touch, in lex
+    order.  Every other degree-m monomial has no target, so D kills it:
+    it is counted, not listed.  The rows are built from the targets,
+    independently of phi_dim's source-side matrix and orbit weights, so
+    the two dimensions cross-check each other; also drives the
+    materializing CLI path.
     """
+    dim = comb(m + 26, 26)
     if m < 3:
-        return comb(m + 26, 26)
-    return comb(m + 26, 26) + sum(
-        len(kernel_basis(_cubic_rows(m, w), monos)) - len(monos)
-        for w, monos in _row_blocks(m).items()
-    )
+        return dim
+    for w in weight_buckets(m - 3):
+        rows = _cubic_rows(m, w)
+        cols = sorted(set().union(*rows))
+        dim += len(kernel_basis(rows, cols)) - len(cols)
+    return dim
 
 
 def lowering_closure(m1: int, m2: int) -> int:

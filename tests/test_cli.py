@@ -103,6 +103,14 @@ def test_decompose_degree_guard(capsys):
     assert code == 2
 
 
+def test_materializing_obeys_the_decompose_guard_alone(capsys):
+    # degree 5 is within DECOMPOSE_GUARD, so --materialize needs no --force
+    argv = ["decompose", "--degree", "5", "--materialize", "--json"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--force") == (0, out)
+
+
 def test_bad_weight_argument(capsys):
     for weight in ("1,2", "1,a,0,0,0,0"):
         code = cli.main(["singular", "--weight", weight])
@@ -367,8 +375,6 @@ BAD_ARGV = st.one_of(
     st.builds(lambda d, extra: ["decompose", f"--degree={d}", *extra],
               st.integers(min_value=cli.DECOMPOSE_GUARD + 1),
               st.sampled_from([[], ["--materialize"]])),
-    st.builds(lambda d: ["decompose", f"--degree={d}", "--materialize"],
-              st.integers(min_value=5)),
     st.builds(lambda cmd, d: [cmd, f"--max-degree={d}"],
               st.sampled_from(["identity", "all"]),
               NEGATIVE | st.integers(min_value=MAX_IDENTITY_DEGREE + 1)),

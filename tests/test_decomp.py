@@ -20,12 +20,14 @@ from e6poly.decomp import (
     materialized_kernel_dim,
     phi_dim,
 )
-from e6poly.invariants import cubic_operator
+from e6poly.invariants import build_eta, cubic_operator
+from e6poly.linalg import kernel_basis
 from e6poly.polyops import apply
 from e6poly.singular import (
     enumerate_singular,
     expected_line_count,
     weight_buckets,
+    weight_space,
 )
 from e6poly.weyl import weyl_dim
 from oracles import kernel_samples_full, materialized_kernel_dim_full, monomial_weight
@@ -165,6 +167,55 @@ def test_row_blocks_give_what_the_full_listing_gives(m):
     assert kernel_samples(m) == kernel_samples_full(m)
 
 
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_touched_columns_give_the_full_block_basis_without_untouched_units(
+        m, monkeypatch):
+    # materialized_kernel_dim solves each row block over the monomials its
+    # rows touch; over the whole block the basis is the same vectors in
+    # the same order, plus one unit vector per untouched monomial
+    solved = []
+
+    def recorded(rows, cols):
+        solved.append((rows, cols))
+        return kernel_basis(rows, cols)
+
+    monkeypatch.setattr(decomp, "kernel_basis", recorded)
+    materialized_kernel_dim(m)
+    assert len(solved) == len(weight_buckets(m - 3))
+    for rows, cols in solved:
+        touched = set().union(*rows)
+        assert cols == sorted(touched)
+        (w,) = {monomial_weight(mono) for mono in touched}
+        monos = weight_space(m, w)
+        full = kernel_basis(rows, monos)
+        assert [vec for vec in full if vec.keys() <= touched] == kernel_basis(rows, cols)
+        assert [vec for vec in full if not vec.keys() <= touched] == [
+            {mono: 1} for mono in monos if mono not in touched]
+
+
+def test_materialized_route_lists_only_the_sampled_blocks(monkeypatch):
+    listed = []
+
+    def counted(m, w):
+        listed.append(w)
+        return weight_space(m, w)
+
+    monkeypatch.setattr(decomp, "weight_space", counted)
+    materialized_kernel_dim(5)
+    assert listed == []
+    kernel_samples(5)
+    # one listing per Weyl orbit of degree-2 weights, to size the
+    # blocks, then the sampled blocks themselves
+    assert len(listed) <= decomp.SAMPLE_BLOCKS + 3
+
+
+def test_eta_terms_are_squarefree():
+    # _cubic_rows counts each factor of a source as its count in the
+    # target plus one, which needs three distinct indices per term
+    assert len(build_eta()) == 45
+    assert all(len(set(abc)) == 3 for abc in build_eta())
+
+
 def test_materializing_degree_five_lists_no_degree_five_bucket(monkeypatch, capsys):
     degrees = []
 
@@ -177,7 +228,6 @@ def test_materializing_degree_five_lists_no_degree_five_bucket(monkeypatch, caps
     for module in (singular, decomp):
         monkeypatch.setattr(module, "weight_buckets", counted(singular.weight_buckets))
     monkeypatch.setattr(singular, "_packed_buckets", counted(singular._packed_buckets))
-    decomp._row_blocks.cache_clear()
     argv = ["decompose", "--degree", "5", "--materialize", "--force", "--json"]
     assert cli.main(argv) == 0
     capsys.readouterr()
