@@ -29,12 +29,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .invariants import build_eta, cubic_operator, lowering_span, x1_zeta1_power
+from .invariants import build_eta, cubic_operator, family, lowering_span
 from .linalg import IntEchelon, kernel_basis
 from .polyops import Monomial, apply
 from .singular import (
     Weight,
-    _dominant,
+    dominant,
     dominant_weights,
     orbit_size,
     weight_buckets,
@@ -65,19 +65,6 @@ class KernelSummary:
     @property
     def weyl_sum(self) -> int:
         return sum(d for _, _, d in self.weyl_terms)
-
-    @property
-    def ok(self) -> bool:
-        # Full decomposition: the kernel complements eta * A_(m-3)
-        # (direct_sum_ok plus rank matching the lower dimension) and the
-        # kernel dimension matches the irreducible-sum count.
-        lower = comb(self.degree + 23, 26) if self.degree >= 3 else 0
-        return (
-            self.dim_phi == self.dim_Am - self.rank_D
-            and self.rank_D == lower
-            and self.direct_sum_ok
-            and self.dim_phi == self.weyl_sum
-        )
 
 
 def _block_rank(sources: list[Monomial], full: int) -> int:
@@ -167,9 +154,9 @@ def kernel_samples(m: int) -> list[dict[Monomial, int]]:
     """
     if m < 3:
         raise ValueError("kernel is everything below degree 3")
-    dominant = {w: _dominant(w) for w in weight_buckets(m - 3)}
-    size = {d: len(weight_space(m, d)) for d in set(dominant.values())}
-    blocks = sorted(dominant, key=lambda w: (size[dominant[w]], w))
+    orbit_rep = {w: dominant(w) for w in weight_buckets(m - 3)}
+    size = {d: len(weight_space(m, d)) for d in set(orbit_rep.values())}
+    blocks = sorted(orbit_rep, key=lambda w: (size[orbit_rep[w]], w))
     out: list[dict[Monomial, int]] = []
     for w in blocks[:SAMPLE_BLOCKS]:
         out.extend(kernel_basis(_cubic_rows(m, w), weight_space(m, w)))
@@ -204,4 +191,4 @@ def lowering_closure(m1: int, m2: int) -> int:
     pairs, and the 650-dimensional (1, 1) only with `closure --force`."""
     if m1 < 0 or m2 < 0:
         raise ValueError("powers must be nonnegative")
-    return lowering_span(x1_zeta1_power(m1, m2)).rank
+    return lowering_span(family(0, m1, m2)).rank

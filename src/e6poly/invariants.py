@@ -17,15 +17,20 @@ D1, and the pairing operator D2 = sum_i mult(zeta_i) dualize(zeta_i).
 Each has one producer, read directly by every caller: `cubic_operator`
 (also read by the kernel decomposition in `decomp`), `euler_operator`
 and `pairing_operator`.
-The lemma routines establish exact operator identities among them and
-record where the computed constants disagree with the hand-entered
-reference constants (those disagreements are reported, never patched).
+The lemma routines establish exact operator identities among them on
+one family of highest-weight vectors, `family(j, m1, m2)` =
+eta^j x_1^m1 zeta_1^m2: the two bracket lemmas, the D2 eigenvalue on
+every member (`lemma_pairing_eigenvalue`, which also gives the pairing
+bracket's two instances and the base of the derived cubic scalar), and
+the action of D.  Their reports hold computed values only; the command
+line compares them with the hand-entered reference constants of
+`golden`, and disagreements are reported, never patched.
 All of these have `int` coefficients, spans use the integer echelon,
 and both bracket lemmas use the Leibniz rule.  Every coordinate the
-module reads (the zeta coordinates of an image, the triple and the pair
-of the bracket lemmas, and the proportionality scalars) comes from
-`linalg.SpanCoordinates`, and `Fraction` enters only there and in the
-derived cubic scalar built from those constants.
+module reads (the zeta coordinates of an image and every lemma scalar,
+the latter through `_scalars`) comes from `linalg.SpanCoordinates`, and
+`Fraction` enters only there and in the derived cubic scalar built from
+those constants.
 """
 
 from __future__ import annotations
@@ -208,15 +213,12 @@ class DualModuleReport:
     rank: int
     ops_checked: int
     span_failures: tuple[str, ...]
-    nu_simple_ok: bool
     nu_signs: tuple[tuple[Root6, int | None], ...]
-    cartan_derived_ok: bool
     cartan_reference_ok: bool
-    failures: tuple[str, ...]
+    failures: tuple[str, ...]  # every failed law, derived or reference
 
     @property
     def ok(self) -> bool:
-        # each failed law, derived or reference, also lands in failures
         return self.rank == 27 and not self.span_failures and not self.failures
 
 
@@ -249,7 +251,6 @@ def verify_dual_module() -> DualModuleReport:
     # Dual action law: coordinates of E_alpha on the zeta basis equal the
     # coefficient matrix of E_{sigma(alpha)} on the x basis.
     nu_signs: list[tuple[Root6, int | None]] = []
-    nu_simple_ok = True
     simple_roots = {tuple(1 if t == k else 0 for t in range(6)) for k in range(6)}
     for r in rs.e6_positive:
         root6 = r[:6]
@@ -266,20 +267,17 @@ def verify_dual_module() -> DualModuleReport:
             sign = None
         nu_signs.append((root6, sign))
         if root6 in simple_roots and sign != 1:
-            nu_simple_ok = False
             failures.append(f"dual action law fails at simple root {root6}")
 
     # Cartan: each zeta_i is an eigenvector of h_j with eigenvalue
     # matching both the sigma-permuted derived table and the reference.
     a = weight_table()
-    cartan_derived_ok = True
     cartan_reference_ok = True
     for j in range(1, 7):
         sig = golden.SIGMA[j - 1]
         for i, col in enumerate(columns[("h", j)], start=1):
             expect = a[i - 1][sig - 1]
             if col != ({i: expect} if expect else {}):
-                cartan_derived_ok = False
                 failures.append(f"h_{j} not scalar {expect} on zeta_{i}")
             if expect != golden.WEIGHT_TABLE_ZETA[i - 1][j - 1]:
                 cartan_reference_ok = False
@@ -289,9 +287,7 @@ def verify_dual_module() -> DualModuleReport:
         rank=coords.rank,
         ops_checked=len(columns),
         span_failures=tuple(span_failures),
-        nu_simple_ok=nu_simple_ok,
         nu_signs=tuple(nu_signs),
-        cartan_derived_ok=cartan_derived_ok,
         cartan_reference_ok=cartan_reference_ok,
         failures=tuple(failures),
     )
@@ -439,31 +435,20 @@ def verify_invariance(op: WeylOp, label: str = "operator") -> InvarianceReport:
     return InvarianceReport(label=label, ops_checked=len(gens), failures=failures)
 
 
-def _coordinates(target: dict, basis: list[dict]) -> tuple[Fraction, ...] | None:
+def _scalars(target: dict, *basis: dict) -> tuple[Fraction, ...] | None:
     """Exact coordinates of `target` on `basis`, in order, or None if it
-    lies outside their span."""
+    lies outside their span; the one reader of every lemma's scalars."""
     c = SpanCoordinates(enumerate(basis)).express(target)
     return None if c is None else tuple(c.get(i, Fraction(0)) for i in range(len(basis)))
-
-
-def _proportionality(image: Poly, base: Poly) -> Fraction | None:
-    """The scalar c with image = c * base, if one exists (0 included)."""
-    coords = _coordinates(image, [base])
-    return None if coords is None else coords[0]
 
 
 @dataclass(frozen=True)
 class BracketReport:
     triple: tuple[Fraction, Fraction, Fraction] | None  # None outside the span
-    claimed: tuple[int, int, int]
 
     @property
     def structural_ok(self) -> bool:
         return self.triple is not None
-
-    @property
-    def matches_claimed(self) -> bool:
-        return self.triple == self.claimed
 
 
 @lru_cache(maxsize=1)
@@ -476,40 +461,32 @@ def lemma_bracket_triple() -> BracketReport:
     the reference, not a failure.
     """
     C = leibniz_bracket(cubic_operator(), build_eta())
-    basis = [op_identity(), euler_operator(), pairing_operator()]
-    return BracketReport(triple=_coordinates(C, basis),
-                         claimed=golden.CLAIMED_BRACKET_TRIPLE)
+    return BracketReport(_scalars(C, op_identity(), euler_operator(), pairing_operator()))
 
 
-def x1_zeta1_power(m1: int, m2: int) -> Poly:
-    return pmul(ppow(x(1), m1), ppow(build_zeta_family()[1], m2))
+def family(j: int, m1: int, m2: int) -> Poly:
+    """eta^j x_1^m1 zeta_1^m2, the vectors every lemma below acts on.
+
+    Each factor is killed by the raising operators, which are
+    derivations, so each product is a highest-weight vector.  Not
+    cached: the cubic sweep's vectors are large and each is read once.
+    """
+    tail = pmul(ppow(x(1), m1), ppow(build_zeta_family()[1], m2))
+    return pmul(ppow(build_eta(), j), tail)
 
 
-@dataclass(frozen=True)
-class EigenvalueReport:
-    m1: int
-    m2: int
-    eigenvalue: Fraction | None   # None when not an eigenvector
-    expected: int
-
-    @property
-    def ok(self) -> bool:
-        return self.eigenvalue == self.expected
-
-
-def lemma_pairing_eigenvalue(m1: int, m2: int) -> EigenvalueReport:
-    """D2 acts on x_1^m1 zeta_1^m2 by the scalar m2(m1+m2+4)."""
-    g = x1_zeta1_power(m1, m2)
-    image = apply(pairing_operator(), g)
-    expected = golden.claimed_pairing_eigenvalue(m1, m2)
-    value = _proportionality(image, g)
-    return EigenvalueReport(m1=m1, m2=m2, eigenvalue=value, expected=expected)
+def lemma_pairing_eigenvalue(j: int, m1: int, m2: int) -> Fraction | None:
+    """The scalar by which D2 acts on eta^j x_1^m1 zeta_1^m2, or None if
+    the vector is not an eigenvector; the reference gives m2(m1+m2+4)
+    at j = 0."""
+    g = family(j, m1, m2)
+    s = _scalars(apply(pairing_operator(), g), g)
+    return None if s is None else s[0]
 
 
 @dataclass(frozen=True)
 class PairingBracketReport:
     pair: tuple[Fraction, Fraction] | None  # None outside the span
-    claimed: tuple[int, int]
     eta_scalar: Fraction | None       # D2(eta) = eta_scalar * eta
     eta_x1_scalar: Fraction | None    # D2(eta x_1) = eta_x1_scalar * eta x_1
 
@@ -527,10 +504,6 @@ class PairingBracketReport:
             and self.eta_x1_scalar == self.pair[0] + self.pair[1]
         )
 
-    @property
-    def matches_claimed(self) -> bool:
-        return self.pair == self.claimed
-
 
 @lru_cache(maxsize=1)
 def lemma_pairing_bracket() -> PairingBracketReport:
@@ -538,25 +511,23 @@ def lemma_pairing_bracket() -> PairingBracketReport:
 
     The bracket comes from `leibniz_bracket` and is solved in
     span{mult(eta), mult(eta) D1}; the second operator, the sum of
-    eta x_i d_i over i, is normal ordered as written.
+    eta x_i d_i over i, is normal ordered as written.  The instances
+    are the D2 eigenvalues on eta and eta x_1.
     """
     eta = build_eta()
-    D2 = pairing_operator()
     m_eta = {(m, ()): c for m, c in eta.items()}
     m_eta_d1 = {(tuple(sorted(m + (i,))), (i,)): c
                 for m, c in eta.items() for i in range(1, 28)}
-    eta_x1 = pmul(eta, x(1))
     return PairingBracketReport(
-        pair=_coordinates(leibniz_bracket(D2, eta), [m_eta, m_eta_d1]),
-        claimed=golden.CLAIMED_PAIRING_BRACKET,
-        eta_scalar=_proportionality(apply(D2, eta), eta),
-        eta_x1_scalar=_proportionality(apply(D2, eta_x1), eta_x1),
+        pair=_scalars(leibniz_bracket(pairing_operator(), eta), m_eta, m_eta_d1),
+        eta_scalar=lemma_pairing_eigenvalue(1, 0, 0),
+        eta_x1_scalar=lemma_pairing_eigenvalue(1, 1, 0),
     )
 
 
 def annihilation(m1: int, m2: int) -> bool:
     """D kills x_1^m1 zeta_1^m2 exactly."""
-    return not apply(cubic_operator(), x1_zeta1_power(m1, m2))
+    return not apply(cubic_operator(), family(0, m1, m2))
 
 
 def derived_cubic_scalar(
@@ -573,11 +544,13 @@ def derived_cubic_scalar(
     Unwinding [D, mult(eta)] m times gives sum over k < m of
     b0 + b1(3k+m1+2m2) + b2 mu_k, where mu_k, the D2 eigenvalue on
     eta^k x_1^m1 zeta_1^m2, obeys mu_{k+1} = mu_k + c1 + c2(3k+m1+2m2)
-    from the base eigenvalue mu_0 = m2(m1+m2+4).
+    from the computed base eigenvalue mu_0 on x_1^m1 zeta_1^m2.
     """
     b0, b1, b2 = triple
     c1, c2 = pairing
-    mu = Fraction(golden.claimed_pairing_eigenvalue(m1, m2))
+    mu = lemma_pairing_eigenvalue(0, m1, m2)
+    if mu is None:
+        raise ValueError(f"x_1^{m1} zeta_1^{m2} is not a D2 eigenvector")
     total = Fraction(0)
     for k in range(m):
         deg = 3 * k + m1 + 2 * m2
@@ -591,35 +564,25 @@ class CubicActionReport:
     m: int
     m1: int
     m2: int
-    proportional: bool
-    nonzero: bool
-    scalar: Fraction | None
-    claimed_scalar: int
+    scalar: Fraction | None  # None when the image is not a multiple
     derived_scalar: Fraction
 
     @property
     def ok(self) -> bool:
-        # Proportionality and nonvanishing are the hard claims; the
-        # closed-form constants are compared, not enforced.
-        return self.proportional and self.nonzero and self.scalar == self.derived_scalar
-
-    @property
-    def matches_claimed(self) -> bool:
-        return self.scalar == self.claimed_scalar
+        # a nonzero multiple, by the scalar the bracket lemmas derive;
+        # the printed closed form is compared by the CLI, not here
+        return (self.scalar is not None and self.scalar != 0
+                and self.scalar == self.derived_scalar)
 
 
 def lemma_cubic_action(m: int, m1: int, m2: int) -> CubicActionReport:
     """D(eta^m x_1^m1 zeta_1^m2) is a nonzero multiple of
-    eta^(m-1) x_1^m1 zeta_1^m2; the multiple is recorded against both
-    the reference closed form and the derived one."""
+    eta^(m-1) x_1^m1 zeta_1^m2; the multiple is recorded next to the
+    one derived from the two bracket lemmas."""
     if m < 1:
         raise ValueError("m must be positive")
-    eta = build_eta()
-    tail = x1_zeta1_power(m1, m2)
-    g = pmul(ppow(eta, m), tail)
-    image = apply(cubic_operator(), g)
-    base = pmul(ppow(eta, m - 1), tail)
-    scalar = _proportionality(image, base)
+    base = family(m - 1, m1, m2)
+    s = _scalars(apply(cubic_operator(), pmul(build_eta(), base)), base)
     triple = lemma_bracket_triple().triple
     pairing = lemma_pairing_bracket().pair
     if triple is None or pairing is None:
@@ -629,9 +592,6 @@ def lemma_cubic_action(m: int, m1: int, m2: int) -> CubicActionReport:
         m=m,
         m1=m1,
         m2=m2,
-        proportional=scalar is not None,
-        nonzero=bool(image),
-        scalar=scalar,
-        claimed_scalar=golden.claimed_cubic_scalar(m, m1, m2),
+        scalar=None if s is None else s[0],
         derived_scalar=derived_cubic_scalar(m, m1, m2, triple, pairing),
     )

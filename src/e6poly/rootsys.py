@@ -302,7 +302,7 @@ class CocycleReport:
     failures: tuple[str, ...]
 
 
-def check_cocycle_laws(seed: int = 20240823, n_random: int = 1000) -> CocycleReport:
+def check_cocycle_laws(seed: int, n_random: int) -> CocycleReport:
     """Exercise the defining identities of the cocycle.
 
     Pair sweep: all pairs of positive E6 roots, plus `n_random` seeded

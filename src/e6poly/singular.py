@@ -43,7 +43,8 @@ from operator import add
 from .linalg import kernel_basis
 from .polyops import Monomial, Poly, apply
 from .rep import raising_operator, weight_table
-from .rootsys import CARTAN_E7, root_system
+from .rootsys import CARTAN_E7
+from .weyl import positive_roots
 
 Weight = tuple[int, int, int, int, int, int]
 
@@ -164,7 +165,7 @@ def orbit_size(weight: Weight) -> int:
     roots a supported on J (Macdonald's height formula).
     """
     num = den = 1
-    for root in root_system().e6_positive:
+    for root in positive_roots():
         if not any(c and w for c, w in zip(root, weight)):
             h = sum(root)
             num *= h + 1
@@ -175,7 +176,7 @@ def orbit_size(weight: Weight) -> int:
     return q
 
 
-def _dominant(weight) -> Weight:
+def dominant(weight) -> Weight:
     """The dominant weight of a weight's Weyl orbit, reached by simple
     reflections s_i(w) = w - w_i alpha_i in fundamental coordinates."""
     w = list(weight)
@@ -204,7 +205,7 @@ def dominant_weights(degree: int) -> tuple[Weight, ...]:
         found = {(0, 0, 0, 0, 0, 0)}
     else:
         found = {
-            _dominant(map(add, mu, eps))
+            dominant(map(add, mu, eps))
             for mu in dominant_weights(degree - 1)
             for eps in weight_table()
         }

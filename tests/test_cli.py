@@ -19,7 +19,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from e6poly import cli, invariants, singular, weyl
+from e6poly import cli, golden, invariants, singular, weyl
 from e6poly.polyops import padd
 from e6poly.weyl import MAX_IDENTITY_DEGREE
 
@@ -293,6 +293,20 @@ def test_constants_are_read_only_off_a_structural_bracket(capsys, monkeypatch,
     sweep = rows["invariant.cubic-action-sweep"]
     assert sweep["status"] == "fail"
     assert sweep["computed"].startswith("ValueError: ")
+
+
+def test_a_wrong_printed_eigenvalue_fails_only_the_row_comparing_it(
+        capsys, monkeypatch):
+    # the derived cubic scalar starts from the computed D2 eigenvalue, so
+    # the printed formula reaches the eigenvalue sweep alone
+    monkeypatch.setattr(golden, "claimed_pairing_eigenvalue",
+                        lambda m1, m2: m2 * (m1 + m2 + 5))
+    code, doc = run_json(capsys, "invariant", "--verify")
+    assert code == 1
+    status = {r["check_id"]: r["status"] for r in doc["reports"]}
+    assert status["invariant.cubic-action-sweep"] == "pass"
+    assert [k for k, v in status.items() if v == "fail"] == [
+        "invariant.eigenvalue-sweep"]
 
 
 def test_all_builds_the_eta_report_once(capsys, monkeypatch):

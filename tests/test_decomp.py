@@ -54,6 +54,15 @@ def test_decomp_reads_the_one_cubic_operator():
     assert decomp.cubic_operator() is cubic_operator()
 
 
+def assert_decomposition(s):
+    # the kernel complements eta * A_(m-3), and its dimension is the
+    # sum of the irreducible dimensions
+    assert s.dim_phi == s.dim_Am - s.rank_D
+    assert s.rank_D == comb(s.degree + 23, 26)
+    assert s.direct_sum_ok
+    assert s.dim_phi == s.weyl_sum
+
+
 def test_low_degrees_have_trivial_kernel_rank():
     for m in range(3):
         s = phi_dim(m)
@@ -65,7 +74,7 @@ def test_degree_three_decomposition():
     # the cubic invariant itself is not in the kernel, so the trivial
     # weight does not appear in the sum
     s = phi_dim(3)
-    assert s.ok
+    assert_decomposition(s)
     assert s.dim_phi == 3653
     assert s.rank_D == 1
     assert s.weyl_sum == weyl_dim(3, 0) + weyl_dim(1, 1)
@@ -73,7 +82,7 @@ def test_degree_three_decomposition():
 
 def test_degree_four_decomposition():
     s = phi_dim(4)
-    assert s.ok
+    assert_decomposition(s)
     assert s.dim_phi == 27378
     assert s.rank_D == 27
     assert s.direct_sum_ok
@@ -81,7 +90,7 @@ def test_degree_four_decomposition():
 
 def test_weyl_sum_report():
     r = phi_dim(4)
-    assert r.ok
+    assert_decomposition(r)
     assert r.dim_phi == 27378
     assert set(r.weyl_terms) == {
         (4, 0, weyl_dim(4, 0)),
@@ -146,7 +155,7 @@ def test_adjoint_closure():
 
 def test_degree_five_decomposition():
     s = phi_dim(5)
-    assert s.ok
+    assert_decomposition(s)
     assert s.dim_phi == 169533
     assert s.rank_D == comb(28, 26)
 
@@ -253,7 +262,7 @@ def test_dominant_blocks_give_the_full_block_rank(m):
 @pytest.mark.slow
 def test_degree_eight_decomposition_and_singular_lines(capsys):
     s = phi_dim(8)
-    assert s.ok
+    assert_decomposition(s)
     assert s.dim_phi == 17986293
     assert s.rank_D == 169911
     assert s.direct_sum_ok

@@ -33,6 +33,7 @@ from e6poly.invariants import (
     cubic_operator,
     derived_cubic_scalar,
     eta_report,
+    family,
     lemma_bracket_triple,
     lemma_cubic_action,
     lemma_pairing_bracket,
@@ -44,7 +45,6 @@ from e6poly.invariants import (
     tau_dual,
     verify_dual_module,
     verify_invariance,
-    x1_zeta1_power,
 )
 from e6poly.polyops import (
     apply,
@@ -54,6 +54,7 @@ from e6poly.polyops import (
     format_poly,
     leibniz_bracket,
     monomial,
+    padd,
     pmul,
     poly_to_json,
     ppow,
@@ -170,13 +171,18 @@ def test_zeta_family_spans_rank_27():
 
 def test_zeta_weights_match_printed_table():
     r = verify_dual_module()
-    assert r.cartan_derived_ok
+    # a zeta_i off its derived Cartan eigenvalue is an "h_j ..." failure
+    assert not any(f.startswith("h_") for f in r.failures)
     assert r.cartan_reference_ok
+
+
+def _simple_root_signs(r):
+    return [s for root, s in r.nu_signs if sum(root) == 1]
 
 
 def test_nu_signs():
     r = verify_dual_module()
-    assert r.nu_simple_ok
+    assert _simple_root_signs(r) == [1] * 6
     signs = [s for _root, s in r.nu_signs]
     assert all(s in (1, -1) for s in signs)
     assert len(signs) == 36
@@ -270,7 +276,7 @@ def test_dual_module_reports_a_corrupted_family(monkeypatch, case):
     assert r.nu_signs == tuple(zip(positive, want["signs"]))
     assert r.span_failures == want["span_failures"]
     assert r.failures == want["failures"]
-    assert not r.nu_simple_ok
+    assert _simple_root_signs(r) != [1] * 6
     assert r.rank == 27 and r.ops_checked == 78 and not r.ok
 
 
@@ -423,8 +429,8 @@ def test_bracket_triple_value():
     r = lemma_bracket_triple()
     assert r.structural_ok
     assert tuple(r.triple) == (405, 45, 9)
-    assert r.claimed == CLAIMED_BRACKET_TRIPLE
-    assert not r.matches_claimed  # printed (111, 11, 9) disagrees
+    assert CLAIMED_BRACKET_TRIPLE == (111, 11, 9)
+    assert r.triple != CLAIMED_BRACKET_TRIPLE  # the printed triple disagrees
 
 
 def test_pairing_bracket_value():
@@ -434,16 +440,33 @@ def test_pairing_bracket_value():
     assert r.eta_scalar == 15
     assert r.eta_x1_scalar == 17
     assert r.ok
-    assert r.claimed == CLAIMED_PAIRING_BRACKET
-    assert not r.matches_claimed  # printed (3, 2) disagrees
+    assert CLAIMED_PAIRING_BRACKET == (3, 2)
+    assert r.pair != CLAIMED_PAIRING_BRACKET  # the printed pair disagrees
 
 
 def test_pairing_eigenvalue_formula():
     for m1 in range(5):
         for m2 in range((5 - m1) // 2 + 1):
-            r = lemma_pairing_eigenvalue(m1, m2)
-            assert r.ok
-            assert r.expected == m2 * (m1 + m2 + 4)
+            mu = lemma_pairing_eigenvalue(0, m1, m2)
+            assert mu == golden.claimed_pairing_eigenvalue(m1, m2)
+            assert golden.claimed_pairing_eigenvalue(m1, m2) == m2 * (m1 + m2 + 4)
+
+
+@pytest.mark.parametrize("j, m1, m2", [(1, 0, 0), (1, 1, 0), (1, 0, 1),
+                                       (2, 0, 0), (2, 1, 0)])
+def test_pairing_eigenvalue_follows_the_pairing_bracket(j, m1, m2):
+    # each eta factor adds c1 + c2 * degree, with (c1, c2) = (15, 2)
+    mu = m2 * (m1 + m2 + 4) + sum(15 + 2 * (3 * k + m1 + 2 * m2) for k in range(j))
+    assert lemma_pairing_eigenvalue(j, m1, m2) == mu
+
+
+def test_pairing_eigenvalue_is_none_off_an_eigenvector(monkeypatch):
+    # D2 kills x_1^2 and scales zeta_1 by 5, so their sum is no eigenvector
+    off = padd(pmul(x(1), x(1)), build_zeta_family()[1])
+    monkeypatch.setattr(invariants, "family", lambda j, m1, m2: off)
+    assert lemma_pairing_eigenvalue(0, 1, 0) is None
+    with pytest.raises(ValueError, match="not a D2 eigenvector"):
+        derived_cubic_scalar(1, 1, 0, (405, 45, 9), (15, 2))
 
 
 def test_annihilation_low_degrees():
@@ -456,8 +479,8 @@ def test_cubic_action_base_case():
     r = lemma_cubic_action(1, 0, 0)
     assert r.ok
     assert r.scalar == 405
-    assert r.claimed_scalar == golden.claimed_cubic_scalar(1, 0, 0)
-    assert not r.matches_claimed
+    assert golden.claimed_cubic_scalar(1, 0, 0) == 171
+    assert r.scalar != golden.claimed_cubic_scalar(1, 0, 0)
 
 
 def test_cubic_action_eta_squared():
@@ -485,11 +508,16 @@ def test_derived_scalar_closed_form():
     assert derived_cubic_scalar(2, 0, 0, triple, pairing) == 1080
 
 
-def test_power_vector_weight():
-    f = x1_zeta1_power(2, 1)
-    fam = build_zeta_family()
-    expected = pmul(pmul(x(1), x(1)), fam[1])
-    assert f == expected
+@pytest.mark.parametrize("j, m1, m2", [
+    (j, m1, m2) for j in range(3) for m1 in range(5) for m2 in range((4 - m1) // 2 + 1)
+])
+def test_family_is_the_product_of_powers(j, m1, m2):
+    eta, zeta1 = build_eta(), build_zeta_family()[1]
+    f = family(j, m1, m2)
+    assert f == pmul(ppow(eta, j), pmul(ppow(x(1), m1), ppow(zeta1, m2)))
+    # homogeneous of weight m1 lambda_1 + m2 lambda_6, eta having weight 0
+    weight = tuple(m1 * a + m2 * b for a, b in zip(invariants.LAMBDA1, invariants.LAMBDA6))
+    assert {(len(m), monomial_weight(m)) for m in f} == {(3 * j + m1 + 2 * m2, weight)}
 
 
 def test_d2_on_zeta1():

@@ -131,7 +131,7 @@ def test_cocycle_values_are_signs():
 
 
 def test_cocycle_full_report():
-    rep = check_cocycle_laws()
+    rep = check_cocycle_laws(cli.SEED, cli.COCYCLE_SAMPLES)
     assert rep.ok
     assert rep.failures == ()
     assert rep.pairs_checked > 2000

@@ -66,7 +66,6 @@ def test_row_growth_is_monotone(m1):
 
 def test_series_identity_through_degree_twelve():
     r = identity_check(12)
-    assert r.ok
     assert r.series_coefficients == (1, 1, 1) + (0,) * 10
     assert r.degree_sums == tuple(comb(m + 26, 26) for m in range(13))
 
