@@ -5,14 +5,19 @@ binomial difference and the irreducible dimension sums.
 Usage: kernel_table.py [MAX_DEGREE]   (default 5)
 """
 
-import sys
+import argparse
 from math import comb
 
 from e6poly.decomp import phi_dim
 
 
 def main() -> None:
-    max_degree = int(sys.argv[1]) if len(sys.argv) > 1 else 5
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("max_degree", metavar="MAX_DEGREE", nargs="?", type=int,
+                        default=5, help="highest degree (default 5)")
+    max_degree = parser.parse_args().max_degree
+    if max_degree < 0:
+        parser.error("MAX_DEGREE must be nonnegative")
     header = f"{'m':>2}  {'dim A_m':>10}  {'rank D':>8}  {'dim Phi_m':>10}  {'binomial':>10}  {'weyl sum':>10}"
     print(header)
     print("-" * len(header))

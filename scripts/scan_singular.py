@@ -5,14 +5,19 @@ Usage: scan_singular.py [MAX_DEGREE]   (default 4; up to degree 8 takes 11-14 s 
 Python 3.11 on 2 cores)
 """
 
-import sys
+import argparse
 
 from e6poly.polyops import format_poly
 from e6poly.singular import enumerate_singular
 
 
 def main() -> None:
-    max_degree = int(sys.argv[1]) if len(sys.argv) > 1 else 4
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("max_degree", metavar="MAX_DEGREE", nargs="?", type=int,
+                        default=4, help="highest degree (default 4)")
+    max_degree = parser.parse_args().max_degree
+    if max_degree < 0:
+        parser.error("MAX_DEGREE must be nonnegative")
     for degree in range(max_degree + 1):
         scan = enumerate_singular(degree)
         print(f"degree {degree}: {scan.total} singular line(s)")

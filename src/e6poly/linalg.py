@@ -170,21 +170,33 @@ def kernel_basis(
                 touching.setdefault(c, []).append(col)
 
     # Free column f: x_f = L and x_p = -r_p[f] * L / r_p[p] for each pivot
-    # p whose row touches f, with L the lcm of those pivots.
+    # p whose row touches f, with L the lcm of those pivots.  A reduced
+    # row has entries only at or after its pivot, so every p touching f
+    # comes before f, and touching[f] lists them latest first: its last
+    # entry is the vector's lead.  Dividing by the content signed like the
+    # lead entry makes the vector primitive and positive on its lead.
     basis: list[dict[Hashable, int]] = []
     for free in columns:
         if free in reduced:
             continue
-        pivots = touching.get(free, ())
-        scale = lcm(*(reduced[p][p] for p in pivots))
-        vec = {free: scale}
-        for p in pivots:
-            vec[p] = -reduced[p][free] * scale // reduced[p][p]
-        vec = strip_content(vec)
-        lead = min(vec, key=order.__getitem__)
-        if vec[lead] < 0:
-            vec = {c: -v for c, v in vec.items()}
-        basis.append(vec)
+        pivots = touching.get(free)
+        if pivots is None:
+            basis.append({free: 1})
+        elif len(pivots) == 1:
+            # {f: d, p: e} up to sign, with d = r_p[p] and e = -r_p[f]
+            (p,) = pivots
+            row = reduced[p]
+            d, e = row[p], -row[free]
+            g = -gcd(d, e) if e < 0 else gcd(d, e)
+            basis.append({free: d // g, p: e // g})
+        else:
+            scale = lcm(*(reduced[p][p] for p in pivots))
+            xs = [-reduced[p][free] * (scale // reduced[p][p]) for p in pivots]
+            g = -gcd(scale, *xs) if xs[-1] < 0 else gcd(scale, *xs)
+            vec = {free: scale // g}
+            for p, x in zip(pivots, xs):
+                vec[p] = x // g
+            basis.append(vec)
     return basis
 
 

@@ -12,6 +12,8 @@ time, and `verify_annihilated` applies all 36 positive-root operators.
 `materialized_kernel_dim_full` and `kernel_samples_full` list every
 weight block of degree m, as the materialized kernel route once did,
 and take a kernel basis of each, unit vectors included.
+`fraction_kernel` is the kernel basis by Fraction reduced row echelon
+form, the reference for `linalg.kernel_basis`.
 Two helpers only the tests need live here too: `basis_elements` lists
 the algebra's basis and `poly_from_json` reads a serialized polynomial
 back.
@@ -20,7 +22,7 @@ back.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, perm
+from math import comb, gcd, lcm, perm
 
 from e6poly.decomp import SAMPLE_BLOCKS, _cubic_rows
 from e6poly.linalg import kernel_basis
@@ -104,6 +106,40 @@ def kernel_samples_full(m: int) -> list[Poly]:
     for w, monos in blocks[:SAMPLE_BLOCKS]:
         out.extend(kernel_basis(_cubic_rows(m, w), monos))
     return out
+
+
+def fraction_kernel(rows, columns):
+    """Kernel basis by Fraction reduced row echelon form: for each free
+    column f, x_f = 1 and x_p = -R[p][f] on the pivots, then scaled to a
+    primitive integer vector positive on its earliest column."""
+    mat = [[Fraction(row.get(c, 0)) for c in columns] for row in rows]
+    pivots = []
+    for j in range(len(columns)):
+        r = len(pivots)
+        k = next((i for i in range(r, len(mat)) if mat[i][j]), None)
+        if k is None:
+            continue
+        mat[r], mat[k] = mat[k], mat[r]
+        mat[r] = [v / mat[r][j] for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][j]:
+                f = mat[i][j]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(j)
+    basis = []
+    for f in range(len(columns)):
+        if f in pivots:
+            continue
+        vec = {f: Fraction(1)}
+        for r, p in enumerate(pivots):
+            if mat[r][f]:
+                vec[p] = -mat[r][f]
+        denom = lcm(*(v.denominator for v in vec.values()))
+        ints = {j: int(v * denom) for j, v in vec.items()}
+        g = gcd(*ints.values())
+        sign = 1 if ints[min(ints)] > 0 else -1
+        basis.append({columns[j]: sign * v // g for j, v in ints.items()})
+    return basis
 
 
 def basis_elements() -> list[dict]:

@@ -463,14 +463,19 @@ def test_singular_degree_five_golden_bytes(capsys):
         "301cd3121f18fd9dd4f75cd231fa4e8af0bf92e7e6dc63e82d9fa9e6d35e2089")
 
 
-def _script_stdout(name: str, *args: str) -> bytes:
+def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     root = Path(cli.__file__).resolve().parents[2]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(root / "scripts" / name), *args],
-        env=env, capture_output=True, check=True)
+        env=env, capture_output=True)
+
+
+def _script_stdout(name: str, *args: str) -> bytes:
+    proc = _run_script(name, *args)
+    assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
 
 
@@ -485,6 +490,24 @@ def test_kernel_table_script_golden_bytes():
     out = _script_stdout("kernel_table.py", "4")
     assert hashlib.sha256(out).hexdigest() == (
         "c5b49ae0eb8261c85548533a6a7408a38bdbc20bb0b681a7b5cbe4c4b5b6c41d")
+
+
+@pytest.mark.parametrize("name", ["kernel_table.py", "scan_singular.py"])
+@pytest.mark.parametrize("args", [["abc"], ["-1"], ["2.5"], ["3", "4"]])
+def test_script_refuses_a_bad_degree_with_exit_two(name, args):
+    proc = _run_script(name, *args)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    stderr = proc.stderr.decode()
+    assert "Traceback" not in stderr
+    assert stderr.splitlines()[-1].startswith(f"{name}: error: ")
+
+
+@pytest.mark.parametrize("name", ["kernel_table.py", "scan_singular.py"])
+def test_script_help_prints_usage(name):
+    proc = _run_script(name, "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.decode().startswith(f"usage: {name} [-h] [MAX_DEGREE]")
 
 
 def test_decompose_degree_six_golden_bytes(capsys):

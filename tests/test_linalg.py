@@ -3,13 +3,17 @@ coordinates."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd, lcm
+from math import gcd
 
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
+import pytest
 
+from e6poly.decomp import _cubic_rows
 from e6poly.linalg import IntEchelon, SpanCoordinates, int_det, kernel_basis
 from e6poly.polyops import padd, poly
+from e6poly.singular import weight_buckets
+from oracles import fraction_kernel
 
 
 def _rank(rows):
@@ -154,43 +158,12 @@ def test_kernel_vectors_annihilate_rows(mat):
         for row in rows:
             assert sum(row.get(j, 0) * vec.get(j, 0) for j in range(_dim)) == 0
 
-def _fraction_kernel(rows, columns):
-    """Kernel basis by Fraction reduced row echelon form: for each free
-    column f, x_f = 1 and x_p = -R[p][f] on the pivots, then scaled to a
-    primitive integer vector positive on its earliest column."""
-    mat = [[Fraction(row.get(c, 0)) for c in columns] for row in rows]
-    pivots = []
-    for j in range(len(columns)):
-        r = len(pivots)
-        k = next((i for i in range(r, len(mat)) if mat[i][j]), None)
-        if k is None:
-            continue
-        mat[r], mat[k] = mat[k], mat[r]
-        mat[r] = [v / mat[r][j] for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][j]:
-                f = mat[i][j]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(j)
-    basis = []
-    for f in range(len(columns)):
-        if f in pivots:
-            continue
-        vec = {f: Fraction(1)}
-        for r, p in enumerate(pivots):
-            if mat[r][f]:
-                vec[p] = -mat[r][f]
-        denom = lcm(*(v.denominator for v in vec.values()))
-        ints = {j: int(v * denom) for j, v in vec.items()}
-        g = gcd(*ints.values())
-        sign = 1 if ints[min(ints)] > 0 else -1
-        basis.append({columns[j]: sign * v // g for j, v in ints.items()})
-    return basis
 
-
+# up to 12 columns against at most 6 rows, so free columns met by three
+# or more pivots come up
 @st.composite
 def integer_systems(draw):
-    ncols = draw(st.integers(min_value=1, max_value=7))
+    ncols = draw(st.integers(min_value=1, max_value=12))
     entries = st.integers(min_value=-4, max_value=4) | st.just(0)
     matrix = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
                            max_size=6))
@@ -202,4 +175,15 @@ def integer_systems(draw):
 @given(integer_systems())
 def test_kernel_basis_matches_fraction_rref(system):
     rows, columns = system
-    assert kernel_basis(rows, columns) == _fraction_kernel(rows, columns)
+    assert kernel_basis(rows, columns) == fraction_kernel(rows, columns)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_kernel_basis_matches_fraction_rref_on_the_cubic_blocks(m):
+    # every row block of D at degree m, over the monomials its rows touch:
+    # 27 blocks of 1 x 45 at degree 4; 243 of 1 x 45 and 27 of 5 x 215
+    # at degree 5
+    for w in weight_buckets(m - 3):
+        rows = _cubic_rows(m, w)
+        cols = sorted(set().union(*rows))
+        assert kernel_basis(rows, cols) == fraction_kernel(rows, cols)
