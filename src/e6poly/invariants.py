@@ -21,10 +21,11 @@ The lemma routines establish exact operator identities among them on
 one family of highest-weight vectors, `family(j, m1, m2)` =
 eta^j x_1^m1 zeta_1^m2: the two bracket lemmas, the D2 eigenvalue on
 every member (`lemma_pairing_eigenvalue`, which also gives the pairing
-bracket's two instances and the base of the derived cubic scalar), and
-the action of D.  Their reports hold computed values only; the command
-line compares them with the hand-entered reference constants of
-`golden`, and disagreements are reported, never patched.
+bracket's two instances and the base of the derived cubic scalar, which
+a caller solves once and passes in), and the action of D.  Their
+reports hold computed values only; the command line compares them
+with the hand-entered reference constants of `golden`, and
+disagreements are reported, never patched.
 All of these have `int` coefficients, spans use the integer echelon,
 and both bracket lemmas use the Leibniz rule.  Every coordinate the
 module reads (the zeta coordinates of an image and every lemma scalar,
@@ -534,23 +535,25 @@ def derived_cubic_scalar(
     m: int,
     m1: int,
     m2: int,
+    mu0: Fraction | None,
     triple: tuple[Fraction, Fraction, Fraction],
     pairing: tuple[Fraction, Fraction],
 ) -> Fraction:
     """Scalar for D(eta^m x_1^m1 zeta_1^m2) implied by the verified
-    bracket identities, given the computed triple (b0, b1, b2) of
-    [D, mult(eta)] and pair (c1, c2) of [D2, mult(eta)].
+    bracket identities, given the computed D2 eigenvalue mu0 on
+    x_1^m1 zeta_1^m2 (None if it is no eigenvector), triple (b0, b1, b2)
+    of [D, mult(eta)] and pair (c1, c2) of [D2, mult(eta)].
 
     Unwinding [D, mult(eta)] m times gives sum over k < m of
     b0 + b1(3k+m1+2m2) + b2 mu_k, where mu_k, the D2 eigenvalue on
     eta^k x_1^m1 zeta_1^m2, obeys mu_{k+1} = mu_k + c1 + c2(3k+m1+2m2)
-    from the computed base eigenvalue mu_0 on x_1^m1 zeta_1^m2.
+    from mu_0 = mu0.
     """
+    if mu0 is None:
+        raise ValueError(f"x_1^{m1} zeta_1^{m2} is not a D2 eigenvector")
     b0, b1, b2 = triple
     c1, c2 = pairing
-    mu = lemma_pairing_eigenvalue(0, m1, m2)
-    if mu is None:
-        raise ValueError(f"x_1^{m1} zeta_1^{m2} is not a D2 eigenvector")
+    mu = mu0
     total = Fraction(0)
     for k in range(m):
         deg = 3 * k + m1 + 2 * m2
@@ -575,10 +578,13 @@ class CubicActionReport:
                 and self.scalar == self.derived_scalar)
 
 
-def lemma_cubic_action(m: int, m1: int, m2: int) -> CubicActionReport:
+def lemma_cubic_action(m: int, m1: int, m2: int,
+                       mu0: Fraction | None) -> CubicActionReport:
     """D(eta^m x_1^m1 zeta_1^m2) is a nonzero multiple of
     eta^(m-1) x_1^m1 zeta_1^m2; the multiple is recorded next to the
-    one derived from the two bracket lemmas."""
+    one derived from the two bracket lemmas and mu0, the D2 eigenvalue
+    on x_1^m1 zeta_1^m2 as `lemma_pairing_eigenvalue(0, m1, m2)` solves
+    it, so a sweep solves each base once for all its m."""
     if m < 1:
         raise ValueError("m must be positive")
     base = family(m - 1, m1, m2)
@@ -593,5 +599,5 @@ def lemma_cubic_action(m: int, m1: int, m2: int) -> CubicActionReport:
         m1=m1,
         m2=m2,
         scalar=None if s is None else s[0],
-        derived_scalar=derived_cubic_scalar(m, m1, m2, triple, pairing),
+        derived_scalar=derived_cubic_scalar(m, m1, m2, mu0, triple, pairing),
     )

@@ -15,13 +15,17 @@ data stays `int`; `Fraction` enters only with a caller's data.
 `apply` is the one place where an operator acts on a polynomial; it
 indexes the monomials of f by variable, so each operator
 term visits only the monomials that hold all of its derivative
-variables.  Two brackets are formed without any operator product.
+variables, and strips those factors from one list copy of each
+monomial it visits, sorting only when the term also multiplies.
+Two brackets are formed without any operator product.
 `first_order_brackets` gives [w, a] for each of several first-order
 w = sum c x_i d_j, a derivation sending x_j to sum c x_i and d_i to
 -sum c d_j; it indexes the factors of a by variable once, and a term
 x_i d_j of w visits only the x_j and d_i entries.  `leibniz_bracket`
 is [a, mult(f)] by the Leibniz rule
-[x^A d^B, f] = sum_{0 < C <= B} C(B, C) (d^C f) x^A d^(B-C).
+[x^A d^B, f] = sum_{0 < C <= B} C(B, C) (d^C f) x^A d^(B-C),
+summed straight into one dict; the splits C of each distinct d^B and
+each partial d^C f are found once per call.
 
 The canonical monomial order is graded lexicographic with
 x_1 > x_2 > ... > x_27, which on index tuples is ascending (-degree,
@@ -184,6 +188,9 @@ def apply(a: WeylOp, f: Poly) -> Poly:
     monomials that hold every one of its derivative variables; a term
     without derivatives visits all of them.  A single monomial passes
     the subset test exactly when it holds them, so it is not indexed.
+    Each visit removes the derivative factors from a list copy of the
+    monomial, counting each before its removal; a repeated derivative
+    variable that runs out kills the term.
     """
     present = set().union(*f)
     holders: dict[int, set[Monomial]] = {}
@@ -196,6 +203,7 @@ def apply(a: WeylOp, f: Poly) -> Poly:
                 else:
                     held.add(m)
     out: Poly = {}
+    get = out.get
     for (xe, de), c in a.items():
         if not present.issuperset(de):
             continue
@@ -205,7 +213,7 @@ def apply(a: WeylOp, f: Poly) -> Poly:
             for v in de[1:]:
                 hits = hits & holders[v]
         for m in hits:
-            rest = m
+            rest = list(m)
             mult = 1
             for v in de:
                 # d_v on x_v^e gives e x_v^(e-1); no x_v kills the term
@@ -213,10 +221,13 @@ def apply(a: WeylOp, f: Poly) -> Poly:
                 if not e:
                     break
                 mult *= e
-                rest = _drop(rest, v, 1)
+                rest.remove(v)
             else:
-                target = tuple(sorted(rest + xe)) if xe else rest
-                w = out.get(target, 0) + c * f[m] * mult
+                if xe:
+                    rest += xe
+                    rest.sort()
+                target = tuple(rest)
+                w = get(target, 0) + c * f[m] * mult
                 if w:
                     out[target] = w
                 else:
@@ -248,7 +259,9 @@ def leibniz_bracket(a: WeylOp, f: Poly) -> WeylOp:
 
     On a normal-ordered term, [x^A d^B, f] is the sum over nonempty
     sub-multisets C of B of C(B, C) (d^C f) x^A d^(B-C); each d^C f is
-    computed once, as d_v of the smaller partial d^(C - v) f.
+    computed once, as d_v of the smaller partial d^(C - v) f, and the
+    splits of each distinct B once.  Terms are summed into the result in
+    the order `poly` would sum them, dropping any that cancel.
     """
     partials: dict[Monomial, Poly] = {(): f}
 
@@ -258,12 +271,23 @@ def leibniz_bracket(a: WeylOp, f: Poly) -> WeylOp:
             df = partials[dc] = apply({((), dc[-1:]): 1}, partial(dc[:-1]))
         return df
 
-    terms = []
+    splits: dict[Monomial, list[tuple[Monomial, Monomial, int]]] = {}
+    out: WeylOp = {}
+    get = out.get
     for (xa, db), ca in a.items():
-        for dc, rest, mult in _splits(db):
+        db_splits = splits.get(db)
+        if db_splits is None:
+            db_splits = splits[db] = _splits(db)
+        for dc, rest, mult in db_splits:
+            c = ca * mult
             for m, cf in partial(dc).items():
-                terms.append(((tuple(sorted(xa + m)), rest), ca * mult * cf))
-    return poly(terms)
+                key = (tuple(sorted(xa + m)) if xa else m, rest)
+                w = get(key, 0) + c * cf
+                if w:
+                    out[key] = w
+                else:
+                    out.pop(key, None)
+    return out
 
 
 FactorIndex = dict[int, list[tuple[Monomial, Monomial, Coeff]]]

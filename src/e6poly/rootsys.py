@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt
@@ -81,7 +82,7 @@ def srange(lo: int, hi: int) -> Vector:
 
 
 def vadd(*vs: Vector) -> Vector:
-    return tuple(sum(col) for col in zip(*vs))
+    return tuple(map(sum, zip(*vs)))
 
 
 def vneg(v: Vector) -> Vector:
@@ -280,18 +281,59 @@ _COCYCLE_ROWS: tuple[tuple[int, ...], ...] = tuple(
 )
 
 
-def cocycle_F(a: Vector, b: Vector) -> int:
-    """F(a, b) from the rows of I + strictly-lower(A).
+def _odd(v: Vector) -> int:
+    """The 7-bit mask of the odd coordinates of v (bit i for v_i)."""
+    v0, v1, v2, v3, v4, v5, v6 = v
+    return ((v0 & 1) | (v1 & 1) << 1 | (v2 & 1) << 2 | (v3 & 1) << 3
+            | (v4 & 1) << 4 | (v5 & 1) << 5 | (v6 & 1) << 6)
 
-    Only the parity of the exponent matters, and a_i (row_i . b) has the
-    parity of row_i . b when a_i is odd and is even otherwise, so only
-    the rows where a_i is odd are added.
+
+def _parity_table() -> tuple[int, ...]:
+    """Entry m is the XOR of the odd masks of the rows whose bits are
+    set in m."""
+    table = [0]
+    for row in _COCYCLE_ROWS:
+        # the entries 2^i .. 2^(i+1) - 1 add row i to those below 2^i
+        row_mask = _odd(row)
+        table += [t ^ row_mask for t in table]
+    return tuple(table)
+
+
+_PARITY_TABLE = _parity_table()
+
+
+def cocycle_F(a: Vector, b: Vector) -> int:
+    """F(a, b) from the odd masks of a and b.
+
+    The exponent is bimultiplicative, so only the parities of a and b
+    matter (Kac, Infinite-Dimensional Lie Algebras, 7.8): a_i (row_i . b)
+    is odd exactly when a_i is odd and row_i . b is odd, and row_i . b
+    has the parity of the number of odd coordinates b_j with row_i[j]
+    odd.  Summing over the odd a_i, the exponent has the parity of
+    popcount(T[odd(a)] & odd(b)), with T the 128-entry `_parity_table`.
     """
-    exp = 0
-    for ai, row in zip(a, _COCYCLE_ROWS):
-        if ai & 1:
-            exp += sum(map(mul, row, b))
-    return -1 if exp & 1 else 1
+    return -1 if (_PARITY_TABLE[_odd(a)] & _odd(b)).bit_count() & 1 else 1
+
+
+def lattice_samples(seed: int) -> Iterator[Vector]:
+    """Endless seeded vectors of [-COCYCLE_SAMPLE_BOUND, COCYCLE_SAMPLE_BOUND]^7.
+
+    Coordinate for coordinate these are the draws of
+    random.Random(seed).randint(-B, B), made as randint makes them:
+    getrandbits(k), with k the bit length of the 2B + 1 choices, is
+    drawn again until it falls below 2B + 1.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    choices = 2 * COCYCLE_SAMPLE_BOUND + 1
+    k = choices.bit_length()
+    while True:
+        v = []
+        for _ in range(7):
+            r = getrandbits(k)
+            while r >= choices:
+                r = getrandbits(k)
+            v.append(r - COCYCLE_SAMPLE_BOUND)
+        yield tuple(v)
 
 
 @dataclass(frozen=True)
@@ -329,13 +371,10 @@ def check_cocycle_laws(seed: int, n_random: int) -> CocycleReport:
         for b in rs.e6_positive:
             check_pair(a, b)
 
-    rng = random.Random(seed)
-
-    def rand_vec() -> Vector:
-        return tuple(rng.randint(-COCYCLE_SAMPLE_BOUND, COCYCLE_SAMPLE_BOUND) for _ in range(7))
+    samples = lattice_samples(seed)
 
     for _ in range(n_random):
-        check_pair(rand_vec(), rand_vec())
+        check_pair(next(samples), next(samples))
 
     triples = 0
 
@@ -348,7 +387,7 @@ def check_cocycle_laws(seed: int, n_random: int) -> CocycleReport:
             fails.append(f"additivity (second slot) at {a}, {b}, {c}")
 
     for _ in range(n_random):
-        check_triple(rand_vec(), rand_vec(), rand_vec())
+        check_triple(next(samples), next(samples), next(samples))
     for i, j, k in itertools.product(range(1, 8), repeat=3):
         check_triple(alpha(i), alpha(j), alpha(k))
 

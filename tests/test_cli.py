@@ -347,6 +347,23 @@ def test_all_solves_each_singular_block_once(capsys, monkeypatch):
     assert calls == Counter(dict.fromkeys(blocks, 1))
 
 
+def test_invariant_verify_solves_each_base_eigenvalue_once(capsys, monkeypatch):
+    # the cubic sweep reads the eigenvalue sweep's D2 eigenvalues on
+    # x_1^m1 zeta_1^m2 instead of solving its 12 bases again
+    calls = Counter()
+    real = invariants.lemma_pairing_eigenvalue
+
+    def counted(j, m1, m2):
+        calls[j, m1, m2] += 1
+        return real(j, m1, m2)
+
+    monkeypatch.setattr(invariants, "lemma_pairing_eigenvalue", counted)
+    code, _doc = run_json(capsys, "invariant", "--verify")
+    assert code == 0
+    bases = {(0, m1, m2) for m1, m2 in cli._label_pairs(cli.EIGENVALUE_DEGREE)}
+    assert {k: n for k, n in calls.items() if k[0] == 0} == dict.fromkeys(bases, 1)
+
+
 def test_identity_rows_read_the_degree_sums(capsys, monkeypatch):
     # the per-degree rows report identity_check's own sums, not a recount
     real = weyl.identity_check

@@ -466,7 +466,8 @@ def test_pairing_eigenvalue_is_none_off_an_eigenvector(monkeypatch):
     monkeypatch.setattr(invariants, "family", lambda j, m1, m2: off)
     assert lemma_pairing_eigenvalue(0, 1, 0) is None
     with pytest.raises(ValueError, match="not a D2 eigenvector"):
-        derived_cubic_scalar(1, 1, 0, (405, 45, 9), (15, 2))
+        derived_cubic_scalar(1, 1, 0, lemma_pairing_eigenvalue(0, 1, 0),
+                             (405, 45, 9), (15, 2))
 
 
 def test_annihilation_low_degrees():
@@ -476,7 +477,7 @@ def test_annihilation_low_degrees():
 
 
 def test_cubic_action_base_case():
-    r = lemma_cubic_action(1, 0, 0)
+    r = lemma_cubic_action(1, 0, 0, lemma_pairing_eigenvalue(0, 0, 0))
     assert r.ok
     assert r.scalar == 405
     assert golden.claimed_cubic_scalar(1, 0, 0) == 171
@@ -484,28 +485,29 @@ def test_cubic_action_base_case():
 
 
 def test_cubic_action_eta_squared():
-    r = lemma_cubic_action(2, 0, 0)
+    r = lemma_cubic_action(2, 0, 0, lemma_pairing_eigenvalue(0, 0, 0))
     assert r.ok
     assert r.scalar == 1080
 
 
 def test_cubic_action_mixed_cases():
     for m, m1, m2 in ((1, 1, 0), (1, 0, 1), (1, 2, 0), (2, 0, 1)):
-        r = lemma_cubic_action(m, m1, m2)
+        r = lemma_cubic_action(m, m1, m2, lemma_pairing_eigenvalue(0, m1, m2))
         assert r.ok, (m, m1, m2)
         assert r.scalar == derived_cubic_scalar(
-            m, m1, m2, (405, 45, 9), (15, 2)
+            m, m1, m2, m2 * (m1 + m2 + 4), (405, 45, 9), (15, 2)
         )
 
 
 def test_derived_scalar_closed_form():
-    # one bracket peel: D(eta g) = [D, M_eta] g for g in the kernel of D
+    # one bracket peel: D(eta g) = [D, M_eta] g for g in the kernel of D;
+    # the base eigenvalues are m2(m1 + m2 + 4): 0 on 1 and x_1, 5 on zeta_1
     triple = (405, 45, 9)
     pairing = (15, 2)
-    assert derived_cubic_scalar(1, 0, 0, triple, pairing) == 405
-    assert derived_cubic_scalar(1, 1, 0, triple, pairing) == 450
-    assert derived_cubic_scalar(1, 0, 1, triple, pairing) == 540
-    assert derived_cubic_scalar(2, 0, 0, triple, pairing) == 1080
+    assert derived_cubic_scalar(1, 0, 0, 0, triple, pairing) == 405
+    assert derived_cubic_scalar(1, 1, 0, 0, triple, pairing) == 450
+    assert derived_cubic_scalar(1, 0, 1, 5, triple, pairing) == 540
+    assert derived_cubic_scalar(2, 0, 0, 0, triple, pairing) == 1080
 
 
 @pytest.mark.parametrize("j, m1, m2", [

@@ -257,6 +257,19 @@ def test_leibniz_bracket_weights_repeated_derivatives():
     assert all(type(c) is int for c in out.values())
 
 
+@pytest.mark.parametrize("one", [1, Fraction(1, 3)], ids=["int", "Fraction"])
+def test_leibniz_bracket_reuses_the_splits_of_a_shared_d_monomial(one):
+    # x_1 d_1^2 and x_2 d_1^2 share d_1^2, whose splits are listed once;
+    # d_1 d_2 has as many factors and must get splits of its own
+    a = poly([(((1,), (1, 1)), one), (((2,), (1, 1)), 2 * one),
+              (((), (1, 2)), -3 * one)])
+    f = poly([((1, 1, 2), 5 * one), ((1, 2, 2), -one), ((1, 1, 1), 7 * one)])
+    out = leibniz_bracket(a, f)
+    assert out == commutator(a, multiplication(f))
+    assert out
+    assert all(type(c) is type(one) for c in out.values())
+
+
 def test_helpers_keep_int_coefficients():
     f = padd(x(1, 2), poly([((1, 2), 3), ((), -1)]))
     a = padd(first_order([(2, 1, 2)]), pscale(3, dualize(f)))

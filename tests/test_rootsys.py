@@ -1,6 +1,8 @@
 """Root enumeration and sign-factor law tests."""
 
+import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -10,11 +12,14 @@ import hypothesis.strategies as st
 from e6poly import cli, rootsys
 from e6poly.rootsys import (
     CARTAN_E7,
+    COCYCLE_SAMPLE_BOUND,
+    alpha,
     bar_basis,
     bilinear,
     certified_bounds,
     check_cocycle_laws,
     cocycle_F,
+    lattice_samples,
     leading_minors_positive,
     root_system,
     vadd,
@@ -203,3 +208,38 @@ def test_row_form_matches_the_defining_sums(a, b):
     assert bilinear(a, b) == _sum_bilinear(a, b)
     assert cocycle_F(a, b) == _sum_cocycle_F(a, b)
 
+
+def test_parity_table_matches_the_defining_sums_on_every_parity_pair():
+    # F(a, b) depends on a and b only mod 2, so the 128 x 128 pairs of
+    # 0/1 vectors cover every lattice pair
+    parities = list(itertools.product((0, 1), repeat=7))
+    bad = [(a, b) for a in parities for b in parities
+           if cocycle_F(a, b) != _sum_cocycle_F(a, b)]
+    assert bad == []
+
+
+def test_cocycle_check_fails_when_one_parity_class_is_flipped(monkeypatch):
+    # flip F on a = alpha_1, b = alpha_2 mod 2: F(alpha_1, alpha_2) changes
+    # sign and F(alpha_2, alpha_1) does not, which breaks the symmetry law
+    real = rootsys.cocycle_F
+    flipped_class = (alpha(1), alpha(2))
+
+    def flipped(a, b):
+        f = real(a, b)
+        parities = (tuple(c & 1 for c in a), tuple(c & 1 for c in b))
+        return -f if parities == flipped_class else f
+
+    monkeypatch.setattr(rootsys, "cocycle_F", flipped)
+    rep = check_cocycle_laws(cli.SEED, cli.COCYCLE_SAMPLES)
+    assert not rep.ok
+    assert f"symmetry law at {alpha(1)}, {alpha(2)}" in rep.failures
+
+
+@pytest.mark.parametrize("seed", [0, 1, cli.SEED])
+def test_lattice_samples_are_the_randint_draws(seed):
+    # the check draws 2 vectors per sampled pair and 3 per sampled triple
+    n = 5 * cli.COCYCLE_SAMPLES
+    rng = random.Random(seed)
+    b = COCYCLE_SAMPLE_BOUND
+    expected = [tuple(rng.randint(-b, b) for _ in range(7)) for _ in range(n)]
+    assert list(itertools.islice(lattice_samples(seed), n)) == expected
