@@ -8,16 +8,17 @@ independently built matrices give its dimension:
   dominant blocks whose weight occurs at degree m - 3, with an early
   exit once a block reaches full row rank, and weights each block rank
   by the size of its Weyl orbit: D commutes with all 78 generators, so
-  Weyl-conjugate blocks have equal rank.  The direct-sum check runs on
-  the same dominant blocks, and the summary also carries the Weyl
-  dimension terms whose sum the kernel dimension must match;
+  Weyl-conjugate blocks have equal rank.  The direct-sum check ranks
+  the images of eta times each monomial of the same dominant blocks,
+  and the summary also carries the Weyl dimension terms whose sum the
+  kernel dimension must match;
 - the materialized route (materialized_kernel_dim, kernel_samples)
   builds each row from its target t, whose only sources are t times the
   45 terms of eta, so only the blocks whose weight occurs at degree
   m - 3 have rows.  Its columns are the monomials those rows touch:
   every other degree-m monomial, in a row block or not, is killed by D
-  and counted without being listed.  kernel_samples lists a few whole
-  blocks, chosen by their Weyl-invariant sizes.
+  and counted without being listed.  One pass over these row blocks
+  gives both the count and, from its first blocks, the samples.
 
 Both routes read eta and D from `invariants` (`build_eta`,
 `cubic_operator`); this module builds no copy of either.
@@ -25,21 +26,16 @@ Both routes read eta and D from `invariants` (`build_eta`,
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import comb
 
 from .invariants import build_eta, cubic_operator, family, lowering_span
 from .linalg import IntEchelon, kernel_basis
-from .polyops import Monomial, apply
-from .singular import (
-    Weight,
-    dominant,
-    dominant_weights,
-    orbit_size,
-    weight_buckets,
-    weight_space,
-)
+from .polyops import Monomial, Poly, apply, pmul
+from .singular import Weight, dominant_weights, orbit_size, weight_buckets, weight_space
 from .weyl import weyl_dim
 
 __all__ = [
@@ -50,7 +46,7 @@ __all__ = [
     "phi_dim",
 ]
 
-SAMPLE_BLOCKS = 8  # weight blocks that kernel_samples solves
+SAMPLE_BLOCKS = 8  # leading row blocks whose kernel vectors are the samples
 
 
 @dataclass(frozen=True)
@@ -67,28 +63,17 @@ class KernelSummary:
         return sum(d for _, _, d in self.weyl_terms)
 
 
-def _block_rank(sources: list[Monomial], full: int) -> int:
+def _image_rank(vectors: Iterable[Poly], full: int) -> int:
+    """Rank of the images of `vectors` under D, stopping at `full`."""
     D = cubic_operator()
     ech = IntEchelon(lambda k: k)
-    for mono in sources:
+    for vec in vectors:
         if ech.rank == full:
             break
-        img = apply(D, {mono: 1})
+        img = apply(D, vec)
         if img:
             ech.insert(img)
     return ech.rank
-
-
-def _composite_full_rank(monos: list[Monomial]) -> bool:
-    """Rank check for g -> D(eta g) on one degree-(m - 3) block."""
-    D = cubic_operator()
-    ech = IntEchelon(lambda k: k)
-    for g in monos:
-        eta_g = {tuple(sorted(g + vs)): c for vs, c in build_eta().items()}
-        total = apply(D, eta_g)
-        if total:
-            ech.insert(total)
-    return ech.rank == len(monos)
 
 
 def _cubic_rows(m: int, weight: Weight) -> list[dict[Monomial, int]]:
@@ -126,10 +111,15 @@ def phi_dim(m: int) -> KernelSummary:
         # certifies the blocks of both degrees by its count
         targets = {w: weight_space(m - 3, w) for w in dominant_weights(m - 3)}
         rank = sum(
-            orbit_size(w) * _block_rank(weight_space(m, w), len(targets[w]))
+            orbit_size(w) * _image_rank(
+                ({s: 1} for s in weight_space(m, w)), len(targets[w]))
             for w in dominant_weights(m) if w in targets
         )
-        composite_ok = all(map(_composite_full_rank, targets.values()))
+        eta = build_eta()
+        composite_ok = all(
+            _image_rank((pmul(eta, {g: 1}) for g in monos), len(monos)) == len(monos)
+            for monos in targets.values()
+        )
     return KernelSummary(
         degree=m,
         dim_Am=dim_am,
@@ -142,46 +132,39 @@ def phi_dim(m: int) -> KernelSummary:
     )
 
 
-def kernel_samples(m: int) -> list[dict[Monomial, int]]:
-    """Explicit kernel vectors of D from the first SAMPLE_BLOCKS row
-    blocks, taken in increasing size so the samples stay small.
-
-    A block's size is Weyl-invariant, so it is read off the dominant
-    weight of the block's orbit, and only the sampled blocks are listed,
-    each in full.  Blocks with no rows are skipped: they only give unit
-    vectors, which D kills trivially.  Every returned vector is an exact
-    integer kernel element.
-    """
+def _row_block_kernels(m: int) -> Iterator[tuple[list[dict[Monomial, int]], int]]:
+    """For each row block, in weight_buckets(m - 3) order, its kernel
+    basis over the monomials its rows touch, in lex order, and the number
+    of those monomials.  Below degree 3 there are no row blocks."""
     if m < 3:
-        raise ValueError("kernel is everything below degree 3")
-    orbit_rep = {w: dominant(w) for w in weight_buckets(m - 3)}
-    size = {d: len(weight_space(m, d)) for d in set(orbit_rep.values())}
-    blocks = sorted(orbit_rep, key=lambda w: (size[orbit_rep[w]], w))
-    out: list[dict[Monomial, int]] = []
-    for w in blocks[:SAMPLE_BLOCKS]:
-        out.extend(kernel_basis(_cubic_rows(m, w), weight_space(m, w)))
-    return out
+        return
+    for w in weight_buckets(m - 3):
+        rows = _cubic_rows(m, w)
+        cols = sorted(set().union(*rows))
+        yield kernel_basis(rows, cols), len(cols)
+
+
+def kernel_samples(m: int) -> list[dict[Monomial, int]]:
+    """Explicit kernel vectors of D: the bases of the first SAMPLE_BLOCKS
+    row blocks, built by the same pass that materialized_kernel_dim
+    counts.  Each is an exact integer relation among monomials D touches,
+    never a unit vector; below degree 3 there are none."""
+    return [vec for basis, _ in islice(_row_block_kernels(m), SAMPLE_BLOCKS)
+            for vec in basis]
 
 
 def materialized_kernel_dim(m: int) -> int:
     """Dimension of Phi_m by explicit kernel bases over the monomials D
     touches.
 
-    The columns of a row block are the sources its rows touch, in lex
-    order.  Every other degree-m monomial has no target, so D kills it:
-    it is counted, not listed.  The rows are built from the targets,
-    independently of phi_dim's source-side matrix and orbit weights, so
-    the two dimensions cross-check each other; also drives the
-    materializing CLI path.
+    Every degree-m monomial outside a row block's columns has no target,
+    so D kills it: it is counted, not listed.  The rows are built from
+    the targets, independently of phi_dim's source-side matrix and orbit
+    weights, so the two dimensions cross-check each other; also drives
+    the materializing CLI path.
     """
-    dim = comb(m + 26, 26)
-    if m < 3:
-        return dim
-    for w in weight_buckets(m - 3):
-        rows = _cubic_rows(m, w)
-        cols = sorted(set().union(*rows))
-        dim += len(kernel_basis(rows, cols)) - len(cols)
-    return dim
+    return comb(m + 26, 26) + sum(
+        len(basis) - n for basis, n in _row_block_kernels(m))
 
 
 def lowering_closure(m1: int, m2: int) -> int:

@@ -118,7 +118,6 @@ class TableComparison:
     rows_compared: int
     mismatches: tuple[str, ...]     # unexpected rows, term-by-term
     flagged: tuple[str, ...]        # known defective reference rows, term-by-term
-    normalized_rows: tuple[Root6, ...]
 
 
 def _row_diff(root6: Root6, mine: dict, ref: dict) -> str:
@@ -164,7 +163,6 @@ def compare_reference_operators() -> TableComparison:
         rows_compared=rows,
         mismatches=tuple(mismatches),
         flagged=tuple(flagged),
-        normalized_rows=golden.AMBIGUOUS_REFERENCE_ROWS,
     )
 
 
@@ -218,7 +216,6 @@ def compare_weight_tables() -> TableComparison:
         rows_compared=27,
         mismatches=tuple(mismatches),
         flagged=(),
-        normalized_rows=(),
     )
 
 

@@ -9,9 +9,11 @@ per variable, so products and commutators stay exact; `commutator`
 builds on it, and `multiplication` is the operator of multiplying by a
 polynomial.  `monomial_weight` sums the weight table one factor at a
 time, and `verify_annihilated` applies all 36 positive-root operators.
-`materialized_kernel_dim_full` and `kernel_samples_full` list every
-weight block of degree m, as the materialized kernel route once did,
-and take a kernel basis of each, unit vectors included.
+`materialized_kernel_dim_full` lists every weight block of degree m,
+as the materialized kernel route once did, and takes a kernel basis of
+each, unit vectors included; `kernel_samples_full` lists the sampled
+blocks in full and drops the unit vectors of the monomials no row
+touches.
 `fraction_kernel` is the kernel basis by Fraction reduced row echelon
 form, the reference for `linalg.kernel_basis`.
 Two helpers only the tests need live here too: `basis_elements` lists
@@ -95,16 +97,16 @@ def materialized_kernel_dim_full(m: int) -> int:
 
 
 def kernel_samples_full(m: int) -> list[Poly]:
-    """Kernel vectors of the SAMPLE_BLOCKS smallest degree-m blocks
-    whose weight occurs at degree m - 3, found among all blocks."""
-    targets = weight_buckets(m - 3)
-    blocks = sorted(
-        ((w, monos) for w, monos in weight_buckets(m).items() if w in targets),
-        key=lambda kv: (len(kv[1]), kv[0]),
-    )
+    """Kernel vectors of the degree-m blocks of the first SAMPLE_BLOCKS
+    weights of degree m - 3, each block listed in full, without the unit
+    vectors of the monomials no row touches."""
     out = []
-    for w, monos in blocks[:SAMPLE_BLOCKS]:
-        out.extend(kernel_basis(_cubic_rows(m, w), monos))
+    for w in list(weight_buckets(m - 3))[:SAMPLE_BLOCKS]:
+        monos = weight_buckets(m)[w]
+        rows = _cubic_rows(m, w)
+        touched = set().union(*rows)
+        units = [{mono: 1} for mono in monos if mono not in touched]
+        out.extend(vec for vec in kernel_basis(rows, monos) if vec not in units)
     return out
 
 

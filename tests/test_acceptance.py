@@ -97,7 +97,7 @@ def test_criterion_03_reference_operator_tables():
         "162 diagonal table entries and 72 operator rows match after "
         "typo normalization; residual defects reported term-by-term",
         entries_ok and rows_ok and flags_ok,
-        f"{len(ops.normalized_rows)} rows normalized, "
+        f"{len(golden.AMBIGUOUS_REFERENCE_ROWS)} rows normalized, "
         f"{len(ops.flagged)} printed rows flagged, "
         f"{time.perf_counter() - t0:.2f}s",
     )

@@ -200,7 +200,8 @@ def test_raising_check_does_not_end_the_run(capsys, monkeypatch):
 
 
 # (module, producer, cheapest command reaching it, row of the producer,
-#  payload key built from its report, or None if the row feeds no key)
+#  payload key built from its report, or a tuple of such keys, or None if
+#  the row feeds no key)
 PRODUCERS = [
     ("rootsys", "check_cocycle_laws", ["roots"], "roots.cocycle-laws",
      "cocycle_pairs_checked"),
@@ -223,7 +224,8 @@ PRODUCERS = [
     ("weyl", "identity_check", ["identity", "--max-degree", "3"],
      "identity.series", "series"),
     ("rootsys", "root_system", ["roots"], "roots.e7-count",
-     "cocycle_pairs_checked"),
+     ("cocycle_pairs_checked", "e7_roots", "e6_roots", "e6_positive",
+      "basis_vectors")),
     ("rootsys", "bar_set_expressions", ["roots"], "roots.basis-expressions",
      "defective_basis_expressions"),
     ("singular", "singular_space", ["singular", "--degree", "2"],
@@ -262,7 +264,8 @@ def test_raising_producer_becomes_a_fail_row(capsys, monkeypatch, module,
     if argv[0] == "singular":
         assert doc["payload"] == {"spaces": []}
     elif key is not None:
-        assert key not in doc["payload"]
+        keys = (key,) if isinstance(key, str) else key
+        assert not set(keys) & doc["payload"].keys()
 
 
 @pytest.fixture
@@ -533,3 +536,23 @@ def test_decompose_degree_six_golden_bytes(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "9272cfd044f6767e6bdc89de25fedfae72e8270d186d85c1034579709ea801f2")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--degree", "2", "--materialize"),
+     "abd83e9e7ea900afd0e99a8747b2a92f04654e6021d6e2ef3f13a90d3d0c7ee0"),
+    (("--degree", "3", "--materialize"),
+     "81aee7d1123dddc2b89a529af05e1b18bb2258388f58821098a03a389cccb94c"),
+    (("--degree", "5", "--materialize"),
+     "c15cd22d4f7b2fa235a6650c80f9a23b70ca64688c7bd33e01c63dd29e7b0e34"),
+    (("--degree", "6", "--materialize", "--force"),
+     "ea0406eae9ae67437842b1649b997fae3b58aa61d077d16aa4c4ce727a98c944"),
+    (("--degree", "7", "--force"),
+     "9ab365c80949563a44e8278ecbe608fb57836d1a78901a86b734288f36743d9f"),
+])
+def test_decompose_golden_bytes(capsys, argv, digest):
+    # both kernel routes below, at and above degree 3, and the rank route
+    # at degree 7
+    code, out = run(capsys, "decompose", *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

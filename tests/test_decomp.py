@@ -12,9 +12,9 @@ import pytest
 
 from e6poly import cli, decomp, singular
 from e6poly.decomp import (
-    _block_rank,
-    _composite_full_rank,
+    SAMPLE_BLOCKS,
     _cubic_rows,
+    _image_rank,
     kernel_samples,
     lowering_closure,
     materialized_kernel_dim,
@@ -22,7 +22,7 @@ from e6poly.decomp import (
 )
 from e6poly.invariants import build_eta, cubic_operator
 from e6poly.linalg import kernel_basis
-from e6poly.polyops import apply
+from e6poly.polyops import apply, pmul
 from e6poly.singular import (
     enumerate_singular,
     expected_line_count,
@@ -124,18 +124,24 @@ def test_target_rows_equal_source_rows_on_every_block(m):
         assert len(rows) == len(targets.get(w, []))
 
 
-@pytest.mark.parametrize("m, size", [(3, 45), (4, 85), (5, 85)])
-def test_kernel_samples_come_from_blocks_with_rows(m, size):
-    # a block whose weight is absent at degree m - 3 has no rows and only
-    # gives unit vectors, which D kills trivially; samples skip those
-    targets = weight_buckets(m - 3)
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_kernel_samples_come_from_blocks_with_rows(m):
+    # the samples are the bases of the first row blocks over the monomials
+    # their rows touch, so none is a unit vector that D kills trivially
+    sampled = list(weight_buckets(m - 3))[:SAMPLE_BLOCKS]
     samples = kernel_samples(m)
-    assert any(len(vec) > 1 for vec in samples)
+    assert samples
     for vec in samples:
         (w,) = {monomial_weight(mono) for mono in vec}
-        assert w in targets
-        assert len(weight_buckets(m)[w]) == size
+        assert w in sampled
+        assert len(vec) > 1
         assert not apply(cubic_operator(), vec)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_kernel_samples_are_empty_below_degree_three(m):
+    # below degree 3 there are no row blocks to sample
+    assert kernel_samples(m) == []
 
 
 def test_materialized_kernel_matches_rank_count():
@@ -202,20 +208,28 @@ def test_touched_columns_give_the_full_block_basis_without_untouched_units(
             {mono: 1} for mono in monos if mono not in touched]
 
 
-def test_materialized_route_lists_only_the_sampled_blocks(monkeypatch):
+def test_materialized_route_lists_no_weight_space(monkeypatch):
     listed = []
+    solved = []
 
     def counted(m, w):
         listed.append(w)
         return weight_space(m, w)
 
+    def recorded(rows, cols):
+        solved.append(cols)
+        return kernel_basis(rows, cols)
+
     monkeypatch.setattr(decomp, "weight_space", counted)
+    monkeypatch.setattr(decomp, "kernel_basis", recorded)
     materialized_kernel_dim(5)
     assert listed == []
+    assert len(solved) == len(weight_buckets(2))
+    solved.clear()
+    # the samples solve only the blocks they take, each once
     kernel_samples(5)
-    # one listing per Weyl orbit of degree-2 weights, to size the
-    # blocks, then the sampled blocks themselves
-    assert len(listed) <= decomp.SAMPLE_BLOCKS + 3
+    assert listed == []
+    assert len(solved) == SAMPLE_BLOCKS
 
 
 def test_eta_terms_are_squarefree():
@@ -226,6 +240,10 @@ def test_eta_terms_are_squarefree():
 
 
 def test_materializing_degree_five_lists_no_degree_five_bucket(monkeypatch, capsys):
+    # start the cached rank route afresh, so its degree-2 and degree-3
+    # listings are seen whichever tests ran before
+    decomp.phi_dim.cache_clear()
+    singular.dominant_weights.cache_clear()
     degrees = []
 
     def counted(real):
@@ -252,8 +270,11 @@ def test_dominant_blocks_give_the_full_block_rank(m):
     # weighted the dominant blocks by orbit size
     targets = weight_buckets(m - 3)
     sources = weight_buckets(m)
-    rank = sum(_block_rank(sources.get(w, []), len(t)) for w, t in targets.items())
-    direct = all(_composite_full_rank(monos) for monos in targets.values())
+    rank = sum(_image_rank([{s: 1} for s in sources.get(w, [])], len(t))
+               for w, t in targets.items())
+    direct = all(
+        _image_rank([pmul(build_eta(), {g: 1}) for g in monos], len(monos)) == len(monos)
+        for monos in targets.values())
     s = phi_dim(m)
     assert (s.rank_D, s.direct_sum_ok) == (rank, direct)
     assert rank == comb(m + 23, 26)
