@@ -401,6 +401,7 @@ def cmd_decompose(a: Assembler, m: int, materialize: bool) -> dict:
                 comb(m + 26, 26) - lower, DERIVED, lambda: decomp.phi_dim(m),
                 pick=attrgetter("dim_phi"))
     payload = {"degree": str(m)}
+    mat = None
     if s is not None:
         a.check(f"decompose.deg{m}.rank",
                 "rank of the cubic operator equals the lower space dimension",
@@ -420,14 +421,17 @@ def cmd_decompose(a: Assembler, m: int, materialize: bool) -> dict:
             "direct_sum_ok": ser(s.direct_sum_ok),
         })
         if materialize:
-            a.check(f"decompose.deg{m}.materialized-dim",
-                    "explicit kernel bases reproduce the rank-derived dimension",
-                    s.dim_phi, DERIVED, lambda: decomp.materialized_kernel_dim(m))
+            mat = a.check(f"decompose.deg{m}.materialized-dim",
+                          "explicit kernel bases reproduce the rank-derived dimension",
+                          s.dim_phi, DERIVED, lambda: decomp.materialized_kernel_dim(m),
+                          pick=attrgetter("dim_phi"))
     if materialize:
         def verify_samples() -> bool:
+            # the materialized pass already solved the sampled blocks;
+            # they are solved alone only when that check did not run
+            samples = decomp.kernel_samples(m) if mat is None else mat.samples
             D = invariants.cubic_operator()
-            return not any(apply(D, vec)
-                           for vec in decomp.kernel_samples(m))
+            return not any(apply(D, vec) for vec in samples)
 
         a.check(f"decompose.deg{m}.kernel-samples",
                 "sampled kernel vectors are exactly killed by D",

@@ -40,6 +40,7 @@ from .weyl import weyl_dim
 
 __all__ = [
     "KernelSummary",
+    "MaterializedKernel",
     "kernel_samples",
     "lowering_closure",
     "materialized_kernel_dim",
@@ -61,6 +62,12 @@ class KernelSummary:
     @property
     def weyl_sum(self) -> int:
         return sum(d for _, _, d in self.weyl_terms)
+
+
+@dataclass(frozen=True)
+class MaterializedKernel:
+    dim_phi: int
+    samples: list[dict[Monomial, int]]  # bases of the first SAMPLE_BLOCKS row blocks
 
 
 def _image_rank(vectors: Iterable[Poly], full: int) -> int:
@@ -146,16 +153,17 @@ def _row_block_kernels(m: int) -> Iterator[tuple[list[dict[Monomial, int]], int]
 
 def kernel_samples(m: int) -> list[dict[Monomial, int]]:
     """Explicit kernel vectors of D: the bases of the first SAMPLE_BLOCKS
-    row blocks, built by the same pass that materialized_kernel_dim
-    counts.  Each is an exact integer relation among monomials D touches,
+    row blocks, the samples materialized_kernel_dim also returns, solved
+    alone.  Each is an exact integer relation among monomials D touches,
     never a unit vector; below degree 3 there are none."""
     return [vec for basis, _ in islice(_row_block_kernels(m), SAMPLE_BLOCKS)
             for vec in basis]
 
 
-def materialized_kernel_dim(m: int) -> int:
+def materialized_kernel_dim(m: int) -> MaterializedKernel:
     """Dimension of Phi_m by explicit kernel bases over the monomials D
-    touches.
+    touches, with the bases of the first SAMPLE_BLOCKS row blocks as
+    samples, all from one pass over the row blocks.
 
     Every degree-m monomial outside a row block's columns has no target,
     so D kills it: it is counted, not listed.  The rows are built from
@@ -163,8 +171,13 @@ def materialized_kernel_dim(m: int) -> int:
     weights, so the two dimensions cross-check each other; also drives
     the materializing CLI path.
     """
-    return comb(m + 26, 26) + sum(
-        len(basis) - n for basis, n in _row_block_kernels(m))
+    dim = comb(m + 26, 26)
+    samples = []
+    for i, (basis, n) in enumerate(_row_block_kernels(m)):
+        dim += len(basis) - n
+        if i < SAMPLE_BLOCKS:
+            samples += basis
+    return MaterializedKernel(dim_phi=dim, samples=samples)
 
 
 def lowering_closure(m1: int, m2: int) -> int:

@@ -13,7 +13,9 @@ exhaustive scan of every lattice vector of norm 2.  On a positive definite
 form A, the maximum of k_i^2 over k^T A k <= c is c (A^-1)_ii (Fincke and
 Pohst, Math. Comp. 44, 1985), so every norm-2 vector lies in the box
 |k_i| <= isqrt(2 minor_ii(A) // det(A)) = (2,2,3,4,3,2,1), the exact
-inverse being read off integer determinants.
+inverse being read off integer determinants.  The scan sums the
+nonzero terms of k^T A k over the box's open grid, so it never lists the
+box's 165 375 vectors.
 
 The subsystem generated by alpha_1..alpha_6 is of type E6, and the set of
 positive roots with k_7 = 1 carries the 27-dimensional basic E6 module.
@@ -115,11 +117,24 @@ def certified_bounds() -> Vector:
 
 
 def _scan_norm2() -> list[Vector]:
-    axes = [np.arange(-b, b + 1, dtype=np.int32) for b in certified_bounds()]
-    block = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 7)
-    a = np.array(CARTAN_E7, dtype=np.int32)
-    norms = np.einsum("ij,jk,ik->i", block, a, block)
-    return sorted(tuple(int(c) for c in row) for row in block[norms == 2])
+    """Every vector of norm 2 in the certified box, sorted.
+
+    k^T A k is evaluated on the open grid np.ix_ of the box's seven
+    ranges: each of the 13 nonzero Cartan terms, a k_i^2 on the diagonal
+    and 2a k_i k_j on an edge, broadcasts from at most two axes into one
+    int32 array of the box's shape.  No meshgrid or (N, 7) block of the
+    box's vectors is built: the scan holds one norm per box point, and
+    only the indices of the 126 roots become vectors.
+    """
+    bounds = certified_bounds()
+    k = np.ix_(*(np.arange(-b, b + 1, dtype=np.int32) for b in bounds))
+    norms = np.zeros([2 * b + 1 for b in bounds], dtype=np.int32)
+    for i, row in enumerate(CARTAN_E7):
+        for j in range(i, 7):
+            if row[j]:
+                norms += (row[j] if i == j else 2 * row[j]) * k[i] * k[j]
+    return sorted(tuple(int(c) - b for c, b in zip(idx, bounds))
+                  for idx in np.argwhere(norms == 2))
 
 
 def _reflection_closure() -> list[Vector]:

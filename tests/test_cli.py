@@ -19,7 +19,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from e6poly import cli, golden, invariants, singular, weyl
+from e6poly import cli, decomp, golden, invariants, singular, weyl
 from e6poly.polyops import padd
 from e6poly.weyl import MAX_IDENTITY_DEGREE
 
@@ -109,6 +109,38 @@ def test_materializing_obeys_the_decompose_guard_alone(capsys):
     code, out = run(capsys, *argv)
     assert code == 0
     assert run(capsys, *argv, "--force") == (0, out)
+
+
+def test_materializing_solves_each_row_block_once(capsys, monkeypatch):
+    # the samples row reads the vectors the materialized-dim row's pass
+    # already solved, so no row block is solved twice
+    solved = []
+    real = decomp.kernel_basis
+
+    def counted(rows, cols):
+        solved.append(cols)
+        return real(rows, cols)
+
+    monkeypatch.setattr(decomp, "kernel_basis", counted)
+    code, _out = run(capsys, "decompose", "--degree", "5", "--materialize")
+    assert code == 0
+    assert len(solved) == len(singular.weight_buckets(2)) == 270
+
+
+@pytest.mark.parametrize("producer, materialized_row", [
+    ("phi_dim", None), ("materialized_kernel_dim", "fail")])
+def test_samples_row_survives_a_failed_materialized_pass(capsys, monkeypatch,
+                                                         producer, materialized_row):
+    # with no materialized report to read, the samples are solved alone
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(decomp, producer, boom)
+    code, doc = run_json(capsys, "decompose", "--degree", "3", "--materialize")
+    assert code == 1
+    status = {r["check_id"]: r["status"] for r in doc["reports"]}
+    assert status["decompose.deg3.kernel-samples"] == "pass"
+    assert status.get("decompose.deg3.materialized-dim") == materialized_row
 
 
 def test_bad_weight_argument(capsys):

@@ -2,9 +2,10 @@
 
 import itertools
 import json
+import math
 import random
+import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
@@ -71,24 +72,43 @@ def test_closure_scan_disagreement_raises(monkeypatch, capsys):
         root_system.cache_clear()
 
 
-def _full_box_scan(bound=4):
-    """The scan of |k_i| <= 4 that predates the certified bounds."""
-    width = 2 * bound + 1
-    n = width**7
+def _full_box_scan(bounds=(4,) * 7):
+    """The chunked scan of |k_i| <= bounds[i] that predates the open grid:
+    it lists each vector of the box as a row and takes k^T A k by einsum."""
+    import numpy as np
+
+    widths = [2 * b + 1 for b in bounds]
+    n = math.prod(widths)
     a = np.array(CARTAN_E7, dtype=np.int32)
     found = []
     chunk = 1 << 19
-    divisors = [width**k for k in range(6, -1, -1)]
     for start in range(0, n, chunk):
         idx = np.arange(start, min(start + chunk, n), dtype=np.int64)
-        block = np.empty((idx.size, 7), dtype=np.int32)
-        for col, div in enumerate(divisors):
-            block[:, col] = (idx // div) % width - bound
+        block = np.stack(np.unravel_index(idx, widths), axis=1) - np.array(bounds)
         norms = np.einsum("ij,jk,ik->i", block, a, block)
         for row in block[norms == 2]:
             found.append(tuple(int(c) for c in row))
     found.sort()
     return found
+
+
+def test_scan_equals_the_listed_box_scan():
+    # the same certified box, scanned row by row with the explicit matrix
+    assert rootsys._scan_norm2() == _full_box_scan(certified_bounds())
+
+
+def test_root_scan_lists_no_box_sized_block():
+    # a listed 165 375 x 7 int32 block of the box alone takes 4.6 MB; the
+    # open grid holds one int32 norm per box point, 0.66 MB
+    root_system.cache_clear()
+    tracemalloc.start()
+    try:
+        root_system()
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        root_system()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.slow
