@@ -425,17 +425,15 @@ def cmd_decompose(a: Assembler, m: int, materialize: bool) -> dict:
                           "explicit kernel bases reproduce the rank-derived dimension",
                           s.dim_phi, DERIVED, lambda: decomp.materialized_kernel_dim(m),
                           pick=attrgetter("dim_phi"))
-    if materialize:
+    if mat is not None:
         def verify_samples() -> bool:
-            # the materialized pass already solved the sampled blocks;
-            # they are solved alone only when that check did not run
-            samples = decomp.kernel_samples(m) if mat is None else mat.samples
             D = invariants.cubic_operator()
-            return not any(apply(D, vec) for vec in samples)
+            return not any(apply(D, vec) for vec in mat.samples)
 
         a.check(f"decompose.deg{m}.kernel-samples",
                 "sampled kernel vectors are exactly killed by D",
                 True, DERIVED, verify_samples)
+    if materialize:
         payload["materialized"] = "true"
     return payload
 

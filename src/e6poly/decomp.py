@@ -12,13 +12,14 @@ independently built matrices give its dimension:
   the images of eta times each monomial of the same dominant blocks,
   and the summary also carries the Weyl dimension terms whose sum the
   kernel dimension must match;
-- the materialized route (materialized_kernel_dim, kernel_samples)
-  builds each row from its target t, whose only sources are t times the
-  45 terms of eta, so only the blocks whose weight occurs at degree
-  m - 3 have rows.  Its columns are the monomials those rows touch:
-  every other degree-m monomial, in a row block or not, is killed by D
-  and counted without being listed.  One pass over these row blocks
-  gives both the count and, from its first blocks, the samples.
+- the materialized route (materialized_kernel_dim) builds each row
+  from its target t, whose only sources are t times the 45 terms of
+  eta, so only the blocks whose weight occurs at degree m - 3 have
+  rows.  Its columns are the monomials those rows touch: every other
+  degree-m monomial, in a row block or not, is killed by D and counted
+  without being listed.  One pass over these row blocks
+  gives both the count and, from its first blocks, the samples; no
+  other function solves them.
 
 Both routes read eta and D from `invariants` (`build_eta`,
 `cubic_operator`); this module builds no copy of either.
@@ -26,22 +27,20 @@ Both routes read eta and D from `invariants` (`build_eta`,
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from math import comb
 
 from .invariants import build_eta, cubic_operator, family, lowering_span
 from .linalg import IntEchelon, kernel_basis
 from .polyops import Monomial, Poly, apply, pmul
-from .singular import Weight, dominant_weights, orbit_size, weight_buckets, weight_space
+from .singular import dominant_weights, orbit_size, weight_buckets, weight_space
 from .weyl import weyl_dim
 
 __all__ = [
     "KernelSummary",
     "MaterializedKernel",
-    "kernel_samples",
     "lowering_closure",
     "materialized_kernel_dim",
     "phi_dim",
@@ -83,17 +82,17 @@ def _image_rank(vectors: Iterable[Poly], full: int) -> int:
     return ech.rank
 
 
-def _cubic_rows(m: int, weight: Weight) -> list[dict[Monomial, int]]:
-    """Rows of D on the degree-m block of one weight, one per target.
+def _cubic_rows(targets: list[Monomial]) -> list[dict[Monomial, int]]:
+    """Rows of D on the block of one weight, one per target: `targets`
+    are the degree-(m - 3) monomials of that weight.
 
     The only sources reaching a target t are t * x_a x_b x_c over the 45
     terms c x_a x_b x_c of eta, where c d_a d_b d_c takes the source to
     c * count_a * count_b * count_c * t.  The terms are squarefree (a, b,
-    c are distinct), so each count is t's count plus one.  A block with
-    no target of its weight has no rows.
+    c are distinct), so each count is t's count plus one.
     """
     rows = []
-    for t in weight_buckets(m - 3).get(weight, []):
+    for t in targets:
         row = {}
         for (a, b, c), coeff in build_eta().items():
             row[tuple(sorted(t + (a, b, c)))] = (
@@ -139,27 +138,6 @@ def phi_dim(m: int) -> KernelSummary:
     )
 
 
-def _row_block_kernels(m: int) -> Iterator[tuple[list[dict[Monomial, int]], int]]:
-    """For each row block, in weight_buckets(m - 3) order, its kernel
-    basis over the monomials its rows touch, in lex order, and the number
-    of those monomials.  Below degree 3 there are no row blocks."""
-    if m < 3:
-        return
-    for w in weight_buckets(m - 3):
-        rows = _cubic_rows(m, w)
-        cols = sorted(set().union(*rows))
-        yield kernel_basis(rows, cols), len(cols)
-
-
-def kernel_samples(m: int) -> list[dict[Monomial, int]]:
-    """Explicit kernel vectors of D: the bases of the first SAMPLE_BLOCKS
-    row blocks, the samples materialized_kernel_dim also returns, solved
-    alone.  Each is an exact integer relation among monomials D touches,
-    never a unit vector; below degree 3 there are none."""
-    return [vec for basis, _ in islice(_row_block_kernels(m), SAMPLE_BLOCKS)
-            for vec in basis]
-
-
 def materialized_kernel_dim(m: int) -> MaterializedKernel:
     """Dimension of Phi_m by explicit kernel bases over the monomials D
     touches, with the bases of the first SAMPLE_BLOCKS row blocks as
@@ -173,8 +151,14 @@ def materialized_kernel_dim(m: int) -> MaterializedKernel:
     """
     dim = comb(m + 26, 26)
     samples = []
-    for i, (basis, n) in enumerate(_row_block_kernels(m)):
-        dim += len(basis) - n
+    if m < 3:
+        # D vanishes, and weight_buckets of a negative degree never returns
+        return MaterializedKernel(dim_phi=dim, samples=samples)
+    for i, targets in enumerate(weight_buckets(m - 3).values()):
+        rows = _cubic_rows(targets)
+        cols = sorted(set().union(*rows))
+        basis = kernel_basis(rows, cols)
+        dim += len(basis) - len(cols)
         if i < SAMPLE_BLOCKS:
             samples += basis
     return MaterializedKernel(dim_phi=dim, samples=samples)

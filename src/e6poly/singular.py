@@ -1,10 +1,10 @@
 """Weight spaces and singular vectors of the polynomial module.
 
 Degree-m monomials are the sorted index tuples of `polyops`.
-`weight_buckets` lists all of them by weight; it is kept for small
-degrees and for routes that need every block.  `weight_space` lists one
-weight only, joining two half-degree bucketings, so the scan never
-holds all C(m + 26, 26) monomials.
+`weight_buckets` is the one bucketing: all of them grouped by weight,
+cached per degree.  `weight_space` lists one weight only, joining two
+half-degree bucketings, so the scan never holds all C(m + 26, 26)
+monomials.
 
 Bucketing keys each weight by one packed integer (`_pack`): six
 balanced 16-bit digits, one per coordinate.  The 27 variable weights
@@ -50,8 +50,6 @@ Weight = tuple[int, int, int, int, int, int]
 
 
 _DIGIT = 16  # bits per packed coordinate
-_BASE = 1 << _DIGIT
-_HALF = _BASE >> 1
 
 
 def _pack(weight) -> int:
@@ -60,19 +58,11 @@ def _pack(weight) -> int:
     return sum(c << (_DIGIT * i) for i, c in enumerate(weight))
 
 
-def _unpack(key: int) -> Weight:
-    """The weight whose `_pack` is key."""
-    out = []
-    for _ in range(6):
-        digit = (key + _HALF) % _BASE - _HALF
-        out.append(digit)
-        key = (key - digit) >> _DIGIT
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
-def _packed_buckets(degree: int) -> dict[int, list[Monomial]]:
-    """All degree-m monomials grouped by packed weight.
+def weight_buckets(degree: int) -> dict[int, list[Monomial]]:
+    """All degree-m monomials grouped by weight, keyed by `_pack`: every
+    coordinate of a degree-m weight lies in [-m, m], so keys are
+    distinct.
 
     Monomials are built factor by factor in lex order, each prefix
     carrying its packed weight, so keys and lists come out in the order
@@ -95,14 +85,6 @@ def _packed_buckets(degree: int) -> dict[int, list[Monomial]]:
     return buckets
 
 
-@lru_cache(maxsize=None)
-def weight_buckets(degree: int) -> dict[Weight, list[Monomial]]:
-    """All degree-m monomials grouped by weight: `_packed_buckets` with
-    its keys unpacked, in the same order and with the same lists.  Every
-    coordinate of a key lies in [-m, m]."""
-    return {_unpack(k): monos for k, monos in _packed_buckets(degree).items()}
-
-
 def weight_space(degree: int, weight: Weight) -> list[Monomial]:
     """The degree-m monomials of one weight, in lex order.
 
@@ -116,8 +98,8 @@ def weight_space(degree: int, weight: Weight) -> list[Monomial]:
     if any(abs(c) > degree for c in weight):
         return []
     key = _pack(weight)
-    low = _packed_buckets(degree // 2)
-    high = _packed_buckets(degree - degree // 2)
+    low = weight_buckets(degree // 2)
+    high = weight_buckets(degree - degree // 2)
     out = []
     for k, halves in low.items():
         rest = high.get(key - k)

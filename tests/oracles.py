@@ -90,9 +90,10 @@ def materialized_kernel_dim_full(m: int) -> int:
     """Dimension of Phi_m by kernel bases over every degree-m block."""
     if m < 3:
         return comb(m + 26, 26)
+    targets = weight_buckets(m - 3)
     return sum(
-        len(kernel_basis(_cubic_rows(m, w), monos))
-        for w, monos in weight_buckets(m).items()
+        len(kernel_basis(_cubic_rows(targets.get(key, [])), monos))
+        for key, monos in weight_buckets(m).items()
     )
 
 
@@ -101,9 +102,9 @@ def kernel_samples_full(m: int) -> list[Poly]:
     weights of degree m - 3, each block listed in full, without the unit
     vectors of the monomials no row touches."""
     out = []
-    for w in list(weight_buckets(m - 3))[:SAMPLE_BLOCKS]:
-        monos = weight_buckets(m)[w]
-        rows = _cubic_rows(m, w)
+    for key, targets in list(weight_buckets(m - 3).items())[:SAMPLE_BLOCKS]:
+        monos = weight_buckets(m)[key]
+        rows = _cubic_rows(targets)
         touched = set().union(*rows)
         units = [{mono: 1} for mono in monos if mono not in touched]
         out.extend(vec for vec in kernel_basis(rows, monos) if vec not in units)

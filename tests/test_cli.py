@@ -129,18 +129,23 @@ def test_materializing_solves_each_row_block_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("producer, materialized_row", [
     ("phi_dim", None), ("materialized_kernel_dim", "fail")])
-def test_samples_row_survives_a_failed_materialized_pass(capsys, monkeypatch,
-                                                         producer, materialized_row):
-    # with no materialized report to read, the samples are solved alone
+def test_samples_row_needs_the_materialized_report(capsys, monkeypatch,
+                                                   producer, materialized_row):
+    # the samples are the materialized pass's own vectors: with no report
+    # to read, their row is left out and the run still ends cleanly
     def boom(*args, **kwargs):
         raise ZeroDivisionError("injected")
 
     monkeypatch.setattr(decomp, producer, boom)
-    code, doc = run_json(capsys, "decompose", "--degree", "3", "--materialize")
+    code = cli.main(["decompose", "--degree", "3", "--materialize", "--json"])
+    captured = capsys.readouterr()
     assert code == 1
+    assert "Traceback" not in captured.err
+    doc = json.loads(captured.out)
     status = {r["check_id"]: r["status"] for r in doc["reports"]}
-    assert status["decompose.deg3.kernel-samples"] == "pass"
+    assert "decompose.deg3.kernel-samples" not in status
     assert status.get("decompose.deg3.materialized-dim") == materialized_row
+    assert doc["payload"]["materialized"] == "true"
 
 
 def test_bad_weight_argument(capsys):
@@ -499,9 +504,16 @@ def test_eta_dump_golden_bytes(capsys, argv, digest):
      "9dd558932b4854c8eaf6b963d84761c229c5c80daa61e6c2eba04d990c8e790f"),
     (("roots",),
      "931bd6b9c6be861c0e35effd9dfe453144405980b91fb485702e6d59ddbb7b47"),
+    (("all", "--force", "--json"),
+     "32794326c94e99998c98c28f3afc8cb584a29faec98e84b50a5000a48ca3c28c"),
+    (("roots", "--json"),
+     "d839ad1aabb2233415c453b55d4d19f79d8343c043ca74ae405ad362679b746c"),
+    (("singular", "--degree", "6", "--force", "--json"),
+     "2cd400d20211c132a26778246b245312705ecbf5963c9128fe375719af09e00b"),
 ])
 def test_text_report_golden_bytes(capsys, argv, digest):
-    # the invariance checks and the sign-factor laws print in these
+    # the invariance checks and the sign-factor laws print in these, and
+    # the forced checks, the root counts and the degree-6 lines in the JSON
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

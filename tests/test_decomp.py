@@ -15,7 +15,6 @@ from e6poly.decomp import (
     SAMPLE_BLOCKS,
     _cubic_rows,
     _image_rank,
-    kernel_samples,
     lowering_closure,
     materialized_kernel_dim,
     phi_dim,
@@ -109,7 +108,7 @@ def test_phi_dim_carries_its_weyl_terms(m):
 
 def test_kernel_samples_are_killed():
     D = cubic_operator()
-    for vec in kernel_samples(3):
+    for vec in materialized_kernel_dim(3).samples:
         assert not apply(D, vec)
 
 
@@ -118,18 +117,19 @@ def test_target_rows_equal_source_rows_on_every_block(m):
     # the materialized route builds rows from targets; phi_dim applies D
     # to sources; both must give the same matrix on every weight block
     targets = weight_buckets(m - 3)
-    for w, monos in weight_buckets(m).items():
-        rows = _cubic_rows(m, w)
+    for key, monos in weight_buckets(m).items():
+        rows = _cubic_rows(targets.get(key, []))
         assert _as_set(rows) == _as_set(_source_rows(monos))
-        assert len(rows) == len(targets.get(w, []))
+        assert len(rows) == len(targets.get(key, []))
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_kernel_samples_come_from_blocks_with_rows(m):
     # the samples are the bases of the first row blocks over the monomials
     # their rows touch, so none is a unit vector that D kills trivially
-    sampled = list(weight_buckets(m - 3))[:SAMPLE_BLOCKS]
-    samples = kernel_samples(m)
+    sampled = [monomial_weight(targets[0])
+               for targets in list(weight_buckets(m - 3).values())[:SAMPLE_BLOCKS]]
+    samples = materialized_kernel_dim(m).samples
     assert samples
     for vec in samples:
         (w,) = {monomial_weight(mono) for mono in vec}
@@ -141,7 +141,7 @@ def test_kernel_samples_come_from_blocks_with_rows(m):
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_kernel_samples_are_empty_below_degree_three(m):
     # below degree 3 there are no row blocks to sample
-    assert kernel_samples(m) == []
+    assert materialized_kernel_dim(m).samples == []
 
 
 def test_materialized_kernel_matches_rank_count():
@@ -180,8 +180,7 @@ def test_row_blocks_give_what_the_full_listing_gives(m):
     # vectors, changes neither the dimension nor the samples
     mat = materialized_kernel_dim(m)
     assert mat.dim_phi == materialized_kernel_dim_full(m)
-    # the counting pass carries the samples that kernel_samples solves alone
-    assert mat.samples == kernel_samples(m) == kernel_samples_full(m)
+    assert mat.samples == kernel_samples_full(m)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -227,11 +226,6 @@ def test_materialized_route_lists_no_weight_space(monkeypatch):
     materialized_kernel_dim(5)
     assert listed == []
     assert len(solved) == len(weight_buckets(2))
-    solved.clear()
-    # the samples solve only the blocks they take, each once
-    kernel_samples(5)
-    assert listed == []
-    assert len(solved) == SAMPLE_BLOCKS
 
 
 def test_eta_terms_are_squarefree():
@@ -256,7 +250,6 @@ def test_materializing_degree_five_lists_no_degree_five_bucket(monkeypatch, caps
 
     for module in (singular, decomp):
         monkeypatch.setattr(module, "weight_buckets", counted(singular.weight_buckets))
-    monkeypatch.setattr(singular, "_packed_buckets", counted(singular._packed_buckets))
     argv = ["decompose", "--degree", "5", "--materialize", "--force", "--json"]
     assert cli.main(argv) == 0
     capsys.readouterr()

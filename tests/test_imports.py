@@ -23,3 +23,37 @@ def test_no_module_imports_a_private_name_from_another():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The names an import statement binds in its module."""
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The string entries of a module-level `__all__` list or tuple."""
+    return {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in getattr(node.value, "elts", ())
+        if isinstance(elt, ast.Constant)
+    }
+
+
+def test_no_module_keeps_an_unused_import():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _exported(tree)
+        unused += [
+            f"{path.stem}: {name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for name in _bound_names(node)
+            if name not in used
+        ]
+    assert unused == []
