@@ -1,15 +1,22 @@
 """Dual quadratic family, the cubic invariant, and its operator calculus.
 
-The family zeta_1..zeta_27 spans a copy of the dual module inside the
-degree-2 polynomials: zeta_1 is the quadratic singular vector, zeta_2..15
-come from a fixed chain of simple lowering operators, and the rest arise
-from the variable relabeling tau induced by the index involution iota.
-The family is a plain dict keyed 1..27, like `all_operators()`.
-The cubic invariant eta is taken from the degree-3 weight-0 singular
-space (one-dimensional) and normalized so the coefficient of
-x_1 x_14 x_27 is 3; one normalizer, `_singular_line`, builds both
-zeta_1 and eta from the bases kept by the cached singular scan
-`enumerate_singular`, so no singular block is solved twice.
+The cubic invariant eta is Dickson's invariant trilinear form written
+in root data (Aschbacher, Invent. Math. 89, 1987).  With v_a the basis
+root of x_a (`rootsys.bar_basis`) and F the sign cocycle
+(`rootsys.cocycle_F`),
+
+    eta = 3 sum F(v_a, v_b) F(v_a, v_c) F(v_b, v_c) x_a x_b x_c
+
+over the 45 triples a < b < c whose weights (`rep.weight_table`) sum
+to zero.  The family zeta_1..zeta_27 is its signed gradient,
+zeta_i = d_i (1/3) d eta / d x_iota(i) with the d-signs of the bilinear
+pairing (Springer-Veldkamp 2000, ch. 5), kept as a plain dict keyed
+1..27 like `all_operators()`; `verify_dual_module` certifies that it
+spans a stable copy of the dual module inside the degree-2
+polynomials.  Neither build reads the singular scan
+`enumerate_singular`, which is the second route: `eta_report` checks
+that the scan's degree-3 weight-0 line is eta / 3, and the command line
+checks that its degree-2 line of weight lambda_6 is zeta_1.
 
 Three invariant operators are assembled from these polynomials: the
 constant-coefficient cubic operator D = dualize(eta), the Euler operator
@@ -39,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from itertools import combinations
 
 from . import golden
 from .linalg import IntEchelon, SpanCoordinates
@@ -70,41 +77,23 @@ from .rep import (
     raising_operator,
     weight_table,
 )
-from .rootsys import root_system
+from .rootsys import bar_basis, cocycle_F, root_system
 from .singular import enumerate_singular
 
 ZERO_WEIGHT = (0, 0, 0, 0, 0, 0)
 LAMBDA1 = (1, 0, 0, 0, 0, 0)
 LAMBDA6 = (0, 0, 0, 0, 0, 1)
-ZETA1_LEAD = monomial({1: 1, 14: 1})
-ETA_LEAD = monomial({1: 1, 14: 1, 27: 1})
 
 
 def tau(f: Poly) -> Poly:
     """Plain variable relabeling x_v -> x_{iota(v)}.
 
     This is the involution exactly as the reference states it.  It does
-    not preserve the dual submodule (see plain_involution_defect), so
-    the family construction uses tau_dual instead.
+    not preserve the dual submodule (see plain_involution_defect); the
+    high members of the family come from the signed gradient of eta
+    instead (`build_zeta_family`).
     """
     return {tuple(sorted(golden.iota(v) for v in mono)): c for mono, c in f.items()}
-
-
-def tau_dual(f: Poly) -> Poly:
-    """Signed relabeling x_v -> d_v x_{iota(v)} with the d-signs of the
-    bilinear pairing.
-
-    The signs make the relabeling compatible with the module structure:
-    images of dual-family members stay inside the submodule generated by
-    the quadratic singular vector, which fails for the unsigned rule on
-    9 of the 12 high-index members (no variable-wise sign vector fixes
-    those 9 alone; the d-signs plus a per-member sign do, and the
-    dual-action law certifies the result).  Since d_v d_{iota(v)} = 1
-    for every v, d_v = d_{iota(v)}: the sign is the d-sign of each image
-    monomial of `tau`, and this is still an involution.
-    """
-    return {mono: prod(golden.DSIGNS[v] for v in mono) * c
-            for mono, c in tau(f).items()}
 
 
 def sigma_root(root6: Root6) -> Root6:
@@ -146,52 +135,14 @@ def lowering_span(start: Poly) -> IntEchelon:
 
 
 @lru_cache(maxsize=1)
-def dual_module_span() -> IntEchelon:
-    """Lowering closure of the quadratic singular vector: the actual
-    27-dimensional dual submodule, built independently of the family's
-    high-index construction rule."""
-    return lowering_span(_singular_line(2, LAMBDA6, ZETA1_LEAD, 1))
-
-
-def _in_dual_module(f: Poly) -> bool:
-    return not dual_module_span().reduce(f)
-
-
-def _singular_line(degree: int, weight: Root6, lead: Monomial, value: int) -> Poly:
-    """The one singular line of this degree and weight, scaled so the
-    coefficient of `lead` is `value`."""
-    lines = dict(enumerate_singular(degree).bases).get(weight, [])
-    if len(lines) != 1:
-        raise ValueError(f"expected one singular line of degree {degree} and "
-                         f"weight {weight}, got {len(lines)}")
-    f = poly(lines[0].items())
-    c = f.get(lead, 0)
-    if not c:
-        raise ValueError(f"the singular line of degree {degree} misses {lead}")
-    return pdiv_exact(pscale(value, f), c)
-
-
-@lru_cache(maxsize=1)
 def build_zeta_family() -> dict[int, Poly]:
-    """Build all 27 members, keyed 1..27, and cross-check the printed
-    expansions.
-
-    Members 2..15 follow the lowering chain; members 16..27 use the
-    signed involution tau_dual, and each is validated to lie in the
-    dual submodule (the unsigned rule fails this, see
-    plain_involution_defect)."""
-    zetas: dict[int, Poly] = {1: _singular_line(2, LAMBDA6, ZETA1_LEAD, 1)}
-    for target, k, source, sign in golden.ZETA_CHAIN:
-        image = apply(lowering_operator(k), zetas[source])
-        zetas[target] = pscale(sign, image)
-    for i in range(16, 28):
-        # member sign -d_i on top of the signed relabeling; this is the
-        # unique normalization (given members 1..15) under which the
-        # dual-action law holds for the simple raising operators
-        zetas[i] = pscale(-golden.DSIGNS[i], tau_dual(zetas[28 - i]))
-        if not _in_dual_module(zetas[i]):
-            raise ValueError(f"zeta_{i} escapes the dual submodule")
-    # the chain lists members 2..15 in order, so the keys run 1..27
+    """zeta_i = d_i (1/3) d eta / d x_iota(i) for i = 1..27, in key
+    order, with the printed expansions of zeta_1..zeta_15 cross-checked."""
+    eta = build_eta()
+    zetas = {
+        i: pdiv_exact(pscale(golden.DSIGNS[i], apply(dualize(x(golden.iota(i))), eta)), 3)
+        for i in range(1, 28)
+    }
     diffs = zeta_reference_diff(zetas)
     if diffs:
         raise ValueError("zeta family mismatch: " + "; ".join(diffs))
@@ -202,11 +153,14 @@ def plain_involution_defect() -> tuple[tuple[int, bool], ...]:
     """Membership of the unsigned-involution images in the dual module.
 
     Returns (member index, lies inside) for i in 16..27 using the plain
-    relabeling rule.  The rule as printed in the reference produces
-    vectors outside the module for 9 of the 12 members; this records the
-    defect for reporting."""
+    relabeling rule; the module is the span of the family, which
+    `verify_dual_module` certifies.  The rule as printed in the
+    reference produces vectors outside the module for 9 of the 12
+    members; this records the defect for reporting."""
     fam = build_zeta_family()
-    return tuple((i, _in_dual_module(tau(fam[28 - i]))) for i in range(16, 28))
+    coords = SpanCoordinates(fam.items())
+    return tuple((i, coords.express(tau(fam[28 - i])) is not None)
+                 for i in range(16, 28))
 
 
 @dataclass(frozen=True)
@@ -296,8 +250,23 @@ def verify_dual_module() -> DualModuleReport:
 
 @lru_cache(maxsize=1)
 def build_eta() -> Poly:
-    """The cubic invariant, normalized to coefficient 3 on x_1 x_14 x_27."""
-    return _singular_line(3, ZERO_WEIGHT, ETA_LEAD, 3)
+    """Dickson's cubic form: 3 F(v_a, v_b) F(v_a, v_c) F(v_b, v_c) on
+    x_a x_b x_c for each triple a < b < c of zero weight sum.
+
+    The 27 weights are distinct, so a pair a < b has at most one
+    partner c, the variable of weight -(w_a + w_b); the term is kept
+    when c > b, so the monomials come out sorted.
+    """
+    v = bar_basis()
+    weights = weight_table()
+    index = {w: c for c, w in enumerate(weights, start=1)}
+    eta: Poly = {}
+    for a, b in combinations(range(1, 28), 2):
+        c = index.get(tuple(-p - q for p, q in zip(weights[a - 1], weights[b - 1])))
+        if c is not None and c > b:
+            va, vb, vc = v[a - 1], v[b - 1], v[c - 1]
+            eta[a, b, c] = 3 * cocycle_F(va, vb) * cocycle_F(va, vc) * cocycle_F(vb, vc)
+    return eta
 
 
 @lru_cache(maxsize=1)
@@ -360,6 +329,7 @@ class EtaReport:
     expansion_diffs: tuple[tuple[Monomial, int, int], ...]
     printed_expansion_invariant: bool
     printed_residual_terms: int
+    scan_line_match: bool  # the degree-3 weight-0 singular line is eta / 3
 
     @property
     def ok(self) -> bool:
@@ -367,6 +337,7 @@ class EtaReport:
             self.annihilated_by_all
             and self.monomial_count == 45
             and self.bilinear_signs_match
+            and self.scan_line_match
         )
 
 
@@ -374,11 +345,14 @@ class EtaReport:
 def eta_report() -> EtaReport:
     """Build eta and diff it against both printed forms.
 
-    The solver-derived facts drive `ok`: 45 monomials, annihilation by
-    every generator, and the exact identity
-    eta = sum_i d_i x_i zeta_{iota(i)} over all 27 products.  The
-    printed 26-term bilinear list and the printed expansion each carry
-    defects that are reported as data, never patched.
+    The derived facts drive `ok`: 45 monomials, annihilation by every
+    generator, the exact identity eta = sum_i d_i x_i zeta_{iota(i)}
+    over all 27 products (Euler's identity, as zeta is the signed
+    gradient, with d_v d_{iota(v)} = 1), and the second route: the one
+    basis vector the singular scan keeps at degree 3 and weight 0 equals
+    eta / 3.  The printed 26-term bilinear list and the printed
+    expansion each carry defects that are reported as data, never
+    patched.
     """
     eta = build_eta()
     coeffs = sorted(set(eta.values()))
@@ -392,6 +366,7 @@ def eta_report() -> EtaReport:
         if eta.get(mono, 0) != ref.get(mono, 0)
     )
     residual = _raising_residual(ref)
+    scan_line = dict(enumerate_singular(3).bases).get(ZERO_WEIGHT)
     return EtaReport(
         monomial_count=len(eta),
         coefficient_values=tuple(coeffs),
@@ -402,6 +377,7 @@ def eta_report() -> EtaReport:
         expansion_diffs=diffs,
         printed_expansion_invariant=not residual,
         printed_residual_terms=len(residual),
+        scan_line_match=scan_line == [pdiv_exact(eta, 3)],
     )
 
 

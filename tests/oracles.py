@@ -15,7 +15,8 @@ each, unit vectors included; `kernel_samples_full` lists the sampled
 blocks in full and drops the unit vectors of the monomials no row
 touches.
 `fraction_kernel` is the kernel basis by Fraction reduced row echelon
-form, the reference for `linalg.kernel_basis`.
+form, the reference for `linalg.kernel_basis`.  `tau_dual` is the
+signed relabeling that once built the high members of the zeta family.
 Two helpers only the tests need live here too: `basis_elements` lists
 the algebra's basis and `poly_from_json` reads a serialized polynomial
 back.
@@ -24,9 +25,11 @@ back.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm, perm
+from math import comb, gcd, lcm, perm, prod
 
+from e6poly import golden
 from e6poly.decomp import SAMPLE_BLOCKS, _cubic_rows
+from e6poly.invariants import tau
 from e6poly.linalg import kernel_basis
 from e6poly.polyops import Monomial, Poly, WeylOp, _drop, apply, monomial, poly, psub
 from e6poly.rep import all_operators, weight_table
@@ -143,6 +146,20 @@ def fraction_kernel(rows, columns):
         sign = 1 if ints[min(ints)] > 0 else -1
         basis.append({columns[j]: sign * v // g for j, v in ints.items()})
     return basis
+
+
+def tau_dual(f: Poly) -> Poly:
+    """Signed relabeling x_v -> d_v x_{iota(v)} with the d-signs of the
+    bilinear pairing.
+
+    Since d_v d_{iota(v)} = 1 for every v, d_v = d_{iota(v)}: the sign
+    is the d-sign of each image monomial of `tau`, and this is still an
+    involution.  With a member sign -d_i on top it maps zeta_{28-i} to
+    zeta_i for i = 16..27, where the unsigned rule leaves the dual
+    module on 9 of the 12 members.
+    """
+    return {mono: prod(golden.DSIGNS[v] for v in mono) * c
+            for mono, c in tau(f).items()}
 
 
 def basis_elements() -> list[dict]:

@@ -366,10 +366,11 @@ def test_all_builds_the_eta_report_once(capsys, monkeypatch):
 
 
 def test_all_solves_each_singular_block_once(capsys, monkeypatch):
-    # the scan is the one caller of singular_space: zeta_1, eta and the
-    # generator rows read its bases instead of solving their blocks again
+    # the scan is the one caller of singular_space: the generator rows
+    # and the eta cross-check read its bases instead of solving their
+    # blocks again
     for cached in (singular.enumerate_singular, invariants.build_eta,
-                   invariants.build_zeta_family, invariants.dual_module_span):
+                   invariants.build_zeta_family):
         cached.cache_clear()
     calls = Counter()
     real = singular.singular_space
@@ -510,10 +511,20 @@ def test_eta_dump_golden_bytes(capsys, argv, digest):
      "d839ad1aabb2233415c453b55d4d19f79d8343c043ca74ae405ad362679b746c"),
     (("singular", "--degree", "6", "--force", "--json"),
      "2cd400d20211c132a26778246b245312705ecbf5963c9128fe375719af09e00b"),
+    (("invariant", "--json"),
+     "7bfd5846fb6166bd47f679db51c8eb8096e247f0afb9a2a82082c36692a30466"),
+    (("invariant", "--verify", "--json"),
+     "f47daa016d5706031277deec49a6fd5d620112b5c047ee7359604249c2edfd9c"),
+    (("invariant", "--dump", "zeta"),
+     "421ae9bb98e4562be06252ff98777f04c9989b3fe18edf7032afeb3b27959445"),
+    (("identity", "--json"),
+     "61bc88fa20f393f9dc8da9675f7d5543fcf2d4fc23d4939d8ab5d673f82cb0f6"),
 ])
 def test_text_report_golden_bytes(capsys, argv, digest):
     # the invariance checks and the sign-factor laws print in these, and
-    # the forced checks, the root counts and the degree-6 lines in the JSON
+    # the forced checks, the root counts and the degree-6 lines in the JSON;
+    # the invariant rows carry the plain-relabeling escapees, the dual rank
+    # and the zeta expansions, and the identity rows the series
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

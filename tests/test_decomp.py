@@ -287,3 +287,8 @@ def test_degree_eight_decomposition_and_singular_lines(capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d96cb7e5168667a736998ba3138f7c45d9018f2a65ab28bf83a54cf10223d5f8")
+    # phi_dim(8) is cached above, so the decomposition report costs little
+    assert cli.main(["decompose", "--degree", "8", "--force", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3064d582436ee695c98fa4b4b3478385c7a9e8a4a9953438acce14c4974783ac")

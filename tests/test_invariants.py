@@ -6,6 +6,7 @@ defective; those comparisons pin the size and location of each defect
 so that silent drift in either direction fails the suite.
 """
 
+import json
 import random
 import re
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
-from e6poly import golden, invariants, linalg, polyops
+from e6poly import cli, golden, invariants, linalg, polyops, singular
 from e6poly.golden import (
     CLAIMED_BRACKET_TRIPLE,
     CLAIMED_PAIRING_BRACKET,
@@ -42,7 +43,6 @@ from e6poly.invariants import (
     plain_involution_defect,
     sigma_root,
     tau,
-    tau_dual,
     verify_dual_module,
     verify_invariance,
 )
@@ -64,7 +64,7 @@ from e6poly.polyops import (
 )
 from e6poly.rep import all_operators, weight_table
 from e6poly.rootsys import root_system
-from oracles import commutator, monomial_weight, multiplication
+from oracles import commutator, monomial_weight, multiplication, tau_dual
 
 # --- the cubic invariant ---------------------------------------------
 
@@ -100,7 +100,98 @@ def test_eta_report_is_clean():
     assert r.ok
     assert r.annihilated_by_all
     assert r.bilinear_signs_match
+    assert r.scan_line_match
     assert r.bilinear_relation_dim == 6
+
+
+# --- the singular scan as the second route --------------------------
+
+# every cache that holds eta or something built from it
+ETA_CACHES = (invariants.build_eta, invariants.build_zeta_family,
+              invariants.cubic_operator, invariants.pairing_operator,
+              invariants.eta_report, invariants.lemma_bracket_triple,
+              invariants.lemma_pairing_bracket)
+
+
+@pytest.fixture
+def fresh_eta():
+    # build afresh, and drop what a patched run cached so later tests do
+    # not read it
+    for cached in ETA_CACHES:
+        cached.cache_clear()
+    yield
+    for cached in ETA_CACHES:
+        cached.cache_clear()
+
+
+def _scan_line(degree, weight):
+    (line,) = dict(singular.enumerate_singular(degree).bases)[weight]
+    return line
+
+
+def test_builds_do_not_read_the_singular_scan(monkeypatch, fresh_eta):
+    built = (build_eta(), build_zeta_family(), pairing_operator())
+    for cached in ETA_CACHES:
+        cached.cache_clear()
+
+    def boom(degree):
+        raise AssertionError(f"the singular scan ran at degree {degree}")
+
+    monkeypatch.setattr(invariants, "enumerate_singular", boom)
+    monkeypatch.setattr(singular, "enumerate_singular", boom)
+    assert (build_eta(), build_zeta_family(), pairing_operator()) == built
+
+
+def test_eta_is_three_times_the_scan_line():
+    assert build_eta() == pscale(3, _scan_line(3, invariants.ZERO_WEIGHT))
+
+
+def test_zeta_1_is_the_scan_line():
+    assert build_zeta_family()[1] == _scan_line(2, invariants.LAMBDA6)
+
+
+def _partial(f, k):
+    """d f / d x_k, by hand."""
+    out = {}
+    for mono, c in f.items():
+        if k in mono:
+            rest = list(mono)
+            rest.remove(k)
+            out[tuple(rest)] = mono.count(k) * c
+    return out
+
+
+def test_pairing_operator_is_the_square_of_the_gradient_of_eta():
+    # (1/9) sum_k d_k eta(x) d_k eta(d): the d-signs square away, so
+    # neither iota nor the signs enter
+    eta = build_eta()
+    terms = []
+    for k in range(1, 28):
+        g = _partial(eta, k)
+        terms += [((xm, dm), Fraction(cx * cd, 9))
+                  for xm, cx in g.items() for dm, cd in g.items()]
+    assert pairing_operator() == polyops.poly(terms)
+
+
+def test_a_flipped_cocycle_breaks_eta(capsys, monkeypatch, fresh_eta):
+    # negate F whenever a_1 is odd; this flips 33 of the 45 terms (such
+    # flips on a_1..a_6 change 14 to 41).  The a_7 class would not do:
+    # every basis root has k_7 = 1, so that flip negates all 45 terms
+    # and leaves eta invariant.
+    ops = all_operators()
+    real = invariants.cocycle_F
+    monkeypatch.setattr(invariants, "cocycle_F",
+                        lambda a, b: -real(a, b) if a[0] % 2 else real(a, b))
+    eta = build_eta()
+    assert any(apply(w, eta) for w in ops.values())
+    assert not verify_invariance(dualize(eta), "D").ok
+    code = cli.main(["invariant", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert "Traceback" not in captured.out
+    rows = {r["check_id"]: r for r in json.loads(captured.out)["reports"]}
+    assert rows["invariant.eta"]["status"] == "fail"
 
 
 def test_eta_printed_expansion_defects_are_exactly_thirteen():
