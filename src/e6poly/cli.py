@@ -15,7 +15,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from operator import attrgetter
 
@@ -308,41 +307,25 @@ def _invariant_lemmas(a: Assembler) -> dict:
                "printed eigenvalues of D2 on eta and eta*x_1",
                (3, 5), REFERENCE, (pb.eta_scalar, pb.eta_x1_scalar), FLAGGED)
 
-    # D2 eigenvalues on x_1^m1 zeta_1^m2, solved once for both sweeps
-    base_eigenvalues: dict[tuple[int, int], Fraction | None] = {}
-
-    def base_eigenvalue(m1: int, m2: int) -> Fraction | None:
-        if (m1, m2) not in base_eigenvalues:
-            base_eigenvalues[m1, m2] = invariants.lemma_pairing_eigenvalue(0, m1, m2)
-        return base_eigenvalues[m1, m2]
-
-    def eigen_sweep() -> bool:
-        return all(base_eigenvalue(m1, m2) == golden.claimed_pairing_eigenvalue(m1, m2)
-                   for m1, m2 in _label_pairs(EIGENVALUE_DEGREE))
-
+    # the cubic sweep reads the D2 eigenvalues this sweep solves, from
+    # the cache of lemma_pairing_eigenvalue
     a.check("invariant.eigenvalue-sweep",
             f"D2 eigenvalue m2(m1+m2+4) for m1+2m2 <= {EIGENVALUE_DEGREE}",
-            True, REFERENCE, eigen_sweep)
-
-    def kill_sweep() -> bool:
-        return all(invariants.annihilation(m1, m2)
-                   for m1, m2 in _label_pairs(ANNIHILATION_DEGREE))
-
+            True, REFERENCE,
+            lambda: all(invariants.lemma_pairing_eigenvalue(0, m1, m2)
+                        == golden.claimed_pairing_eigenvalue(m1, m2)
+                        for m1, m2 in _label_pairs(EIGENVALUE_DEGREE)))
     a.check("invariant.annihilation-sweep",
             f"D kills x_1^m1 zeta_1^m2 for m1+2m2 <= {ANNIHILATION_DEGREE}",
-            True, REFERENCE, kill_sweep)
-
-    def cubic_sweep() -> list:
-        n = CUBIC_DEGREE
-        return [
-            invariants.lemma_cubic_action(m, m1, m2, base_eigenvalue(m1, m2))
-            for m in range(1, n // 3 + 1)
-            for m1, m2 in _label_pairs(n - 3 * m)
-        ]
-
+            True, REFERENCE,
+            lambda: all(invariants.annihilation(m1, m2)
+                        for m1, m2 in _label_pairs(ANNIHILATION_DEGREE)))
     cubic = a.check("invariant.cubic-action-sweep",
                     "D(eta^m x_1^m1 zeta_1^m2) nonzero, proportional, scalar matches derivation",
-                    True, DERIVED, cubic_sweep,
+                    True, DERIVED,
+                    lambda: [invariants.lemma_cubic_action(m, m1, m2)
+                             for m in range(1, CUBIC_DEGREE // 3 + 1)
+                             for m1, m2 in _label_pairs(CUBIC_DEGREE - 3 * m)],
                     pick=lambda rs: all(r.ok for r in rs))
     if cubic is None:
         return payload
@@ -524,8 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS, help="emit JSON")
-    common.add_argument("--text", action="store_true",
-                        default=argparse.SUPPRESS, help="emit text (default)")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for sampled law checks")
     common.add_argument("--timings", action="store_true",
@@ -637,7 +618,7 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # shared flags use SUPPRESS defaults, so absent ones need fallbacks
-    as_json = getattr(args, "json", False) and not getattr(args, "text", False)
+    as_json = getattr(args, "json", False)
     timings = getattr(args, "timings", False)
     seed = getattr(args, "seed", SEED)
     a = Assembler()

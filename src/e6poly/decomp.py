@@ -32,9 +32,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .invariants import build_eta, cubic_operator, family, lowering_span
+from .invariants import build_eta, cubic_operator, family
 from .linalg import IntEchelon, kernel_basis
 from .polyops import Monomial, Poly, apply, pmul
+from .rep import lowering_operator
 from .singular import dominant_weights, orbit_size, weight_buckets, weight_space
 from .weyl import weyl_dim
 
@@ -171,4 +172,14 @@ def lowering_closure(m1: int, m2: int) -> int:
     pairs, and the 650-dimensional (1, 1) only with `closure --force`."""
     if m1 < 0 or m2 < 0:
         raise ValueError("powers must be nonnegative")
-    return lowering_span(family(0, m1, m2)).rank
+    ops = [lowering_operator(k) for k in range(1, 7)]
+    work = [family(0, m1, m2)]
+    span = IntEchelon(lambda k: k)
+    span.insert(work[0])
+    while work:
+        v = work.pop()
+        for op in ops:
+            img = apply(op, v)
+            if img and span.insert(img):
+                work.append(img)
+    return span.rank

@@ -27,9 +27,9 @@ and `pairing_operator`.
 The lemma routines establish exact operator identities among them on
 one family of highest-weight vectors, `family(j, m1, m2)` =
 eta^j x_1^m1 zeta_1^m2: the two bracket lemmas, the D2 eigenvalue on
-every member (`lemma_pairing_eigenvalue`, which also gives the pairing
-bracket's two instances and the base of the derived cubic scalar, which
-a caller solves once and passes in), and the action of D.  Their
+every member (`lemma_pairing_eigenvalue`, one cached solve per vector,
+which also gives the pairing bracket's two instances and the base of
+the derived cubic scalar), and the action of D.  Their
 reports hold computed values only; the command line compares them
 with the hand-entered reference constants of `golden`, and
 disagreements are reported, never patched.
@@ -72,7 +72,6 @@ from .polyops import (
 from .rep import (
     Root6,
     all_operators,
-    lowering_operator,
     matrix,
     raising_operator,
     weight_table,
@@ -116,22 +115,6 @@ def zeta_reference_diff(fam: dict[int, Poly]) -> tuple[str, ...]:
         if delta:
             diffs.append(f"zeta_{i}: residual {sorted(delta.items())}")
     return tuple(diffs)
-
-
-def lowering_span(start: Poly) -> IntEchelon:
-    """Span of `start` and its images under the six simple lowering
-    operators, applied until nothing new enters the span."""
-    ops = [lowering_operator(k) for k in range(1, 7)]
-    span = IntEchelon(lambda k: k)
-    span.insert(start)
-    work = [start]
-    while work:
-        v = work.pop()
-        for op in ops:
-            img = apply(op, v)
-            if img and span.insert(img):
-                work.append(img)
-    return span
 
 
 @lru_cache(maxsize=1)
@@ -452,10 +435,12 @@ def family(j: int, m1: int, m2: int) -> Poly:
     return pmul(ppow(build_eta(), j), tail)
 
 
+@lru_cache(maxsize=None)
 def lemma_pairing_eigenvalue(j: int, m1: int, m2: int) -> Fraction | None:
     """The scalar by which D2 acts on eta^j x_1^m1 zeta_1^m2, or None if
     the vector is not an eigenvector; the reference gives m2(m1+m2+4)
-    at j = 0."""
+    at j = 0.  Cached: the eigenvalue sweep and every m of the cubic
+    sweep read one solve per vector."""
     g = family(j, m1, m2)
     s = _scalars(apply(pairing_operator(), g), g)
     return None if s is None else s[0]
@@ -554,13 +539,11 @@ class CubicActionReport:
                 and self.scalar == self.derived_scalar)
 
 
-def lemma_cubic_action(m: int, m1: int, m2: int,
-                       mu0: Fraction | None) -> CubicActionReport:
+def lemma_cubic_action(m: int, m1: int, m2: int) -> CubicActionReport:
     """D(eta^m x_1^m1 zeta_1^m2) is a nonzero multiple of
     eta^(m-1) x_1^m1 zeta_1^m2; the multiple is recorded next to the
-    one derived from the two bracket lemmas and mu0, the D2 eigenvalue
-    on x_1^m1 zeta_1^m2 as `lemma_pairing_eigenvalue(0, m1, m2)` solves
-    it, so a sweep solves each base once for all its m."""
+    one derived from the two bracket lemmas and the D2 eigenvalue on
+    x_1^m1 zeta_1^m2, read from `lemma_pairing_eigenvalue`."""
     if m < 1:
         raise ValueError("m must be positive")
     base = family(m - 1, m1, m2)
@@ -575,5 +558,6 @@ def lemma_cubic_action(m: int, m1: int, m2: int,
         m1=m1,
         m2=m2,
         scalar=None if s is None else s[0],
-        derived_scalar=derived_cubic_scalar(m, m1, m2, mu0, triple, pairing),
+        derived_scalar=derived_cubic_scalar(
+            m, m1, m2, lemma_pairing_eigenvalue(0, m1, m2), triple, pairing),
     )

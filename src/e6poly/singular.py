@@ -203,7 +203,6 @@ def dominant_weights(degree: int) -> tuple[Weight, ...]:
 
 @dataclass(frozen=True)
 class SingularScan:
-    degree: int
     bases: tuple[tuple[Weight, list[Poly]], ...]  # (weight, basis), basis nonempty
 
     @property
@@ -226,7 +225,7 @@ def enumerate_singular(degree: int) -> SingularScan:
     once, and its basis is kept.
     """
     spaces = ((w, singular_space(degree, w)) for w in dominant_weights(degree))
-    return SingularScan(degree=degree, bases=tuple((w, b) for w, b in spaces if b))
+    return SingularScan(bases=tuple((w, b) for w, b in spaces if b))
 
 
 def expected_line_count(degree: int) -> int:

@@ -69,7 +69,6 @@ class SeriesReport:
     the dimension of degree-m polynomials in 27 variables, C(m+26, 26).
     """
 
-    max_degree: int
     series_coefficients: tuple[int, ...]
     degree_sums: tuple[int, ...]
 
@@ -91,7 +90,6 @@ def identity_check(max_degree: int = MAX_IDENTITY_DEGREE) -> SeriesReport:
         for k in range(n + 1)
     )
     return SeriesReport(
-        max_degree=n,
         series_coefficients=truncated,
         degree_sums=tuple(
             sum(dim_series[m - 3 * m3] for m3 in range(m // 3 + 1))

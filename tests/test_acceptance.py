@@ -232,8 +232,7 @@ def test_criterion_11_cubic_action():
         for m1 in range(9 - 3 * m)
         for m2 in range((8 - 3 * m - m1) // 2 + 1)
     ]
-    reports = [lemma_cubic_action(m, m1, m2, lemma_pairing_eigenvalue(0, m1, m2))
-               for m, m1, m2 in cases]
+    reports = [lemma_cubic_action(m, m1, m2) for m, m1, m2 in cases]
     action_ok = all(r.ok and r.scalar is not None and r.scalar != 0 for r in reports)
     printed_agree = sum(r.scalar == golden.claimed_cubic_scalar(r.m, r.m1, r.m2)
                         for r in reports)

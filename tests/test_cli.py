@@ -309,7 +309,8 @@ def test_raising_producer_becomes_a_fail_row(capsys, monkeypatch, module,
 def fresh_lemmas():
     # the lemma reports are cached: solve afresh, and drop what a patched
     # run cached so later tests do not read it
-    caches = (invariants.lemma_bracket_triple, invariants.lemma_pairing_bracket)
+    caches = (invariants.lemma_bracket_triple, invariants.lemma_pairing_bracket,
+              invariants.lemma_pairing_eigenvalue)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -388,21 +389,27 @@ def test_all_solves_each_singular_block_once(capsys, monkeypatch):
     assert calls == Counter(dict.fromkeys(blocks, 1))
 
 
-def test_invariant_verify_solves_each_base_eigenvalue_once(capsys, monkeypatch):
+def test_invariant_verify_solves_each_base_eigenvalue_once(capsys, monkeypatch,
+                                                          fresh_lemmas):
     # the cubic sweep reads the eigenvalue sweep's D2 eigenvalues on
-    # x_1^m1 zeta_1^m2 instead of solving its 12 bases again
-    calls = Counter()
-    real = invariants.lemma_pairing_eigenvalue
+    # x_1^m1 zeta_1^m2 instead of solving its 12 bases again: D2 is
+    # applied once to each vector whose eigenvalue is solved
+    D2 = invariants.pairing_operator()
+    solves = Counter()
+    real = invariants.apply
 
-    def counted(j, m1, m2):
-        calls[j, m1, m2] += 1
-        return real(j, m1, m2)
+    def counted(w, f):
+        if w is D2:
+            solves[frozenset(f.items())] += 1
+        return real(w, f)
 
-    monkeypatch.setattr(invariants, "lemma_pairing_eigenvalue", counted)
+    monkeypatch.setattr(invariants, "apply", counted)
     code, _doc = run_json(capsys, "invariant", "--verify")
     assert code == 0
-    bases = {(0, m1, m2) for m1, m2 in cli._label_pairs(cli.EIGENVALUE_DEGREE)}
-    assert {k: n for k, n in calls.items() if k[0] == 0} == dict.fromkeys(bases, 1)
+    bases = {frozenset(invariants.family(0, m1, m2).items())
+             for m1, m2 in cli._label_pairs(cli.EIGENVALUE_DEGREE)}
+    assert len(bases) == 25 and bases <= solves.keys()
+    assert set(solves.values()) == {1}
 
 
 def test_identity_rows_read_the_degree_sums(capsys, monkeypatch):

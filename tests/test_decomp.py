@@ -276,6 +276,15 @@ def test_dominant_blocks_give_the_full_block_rank(m):
 
 
 @pytest.mark.slow
+def test_singular_degree_seven_golden_bytes(capsys):
+    # the scan's lines and generators at degree 7, for a faster scan to keep
+    assert cli.main(["singular", "--degree", "7", "--force", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6e1ba1e9645caa220ff8b488bafb98590d7ea5790fcaa2e889bbcb61674ed66f")
+
+
+@pytest.mark.slow
 def test_degree_eight_decomposition_and_singular_lines(capsys):
     s = phi_dim(8)
     assert_decomposition(s)

@@ -1,12 +1,15 @@
 """Package modules share public names only: a `_`-prefixed name stays
-inside the module that defines it."""
+inside the module that defines it.  Nothing is imported unused, and
+every module-level definition is named by some other code."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import e6poly
 
 PACKAGE = Path(e6poly.__file__).parent
+SCRIPTS = PACKAGE.parents[1] / "scripts"
 
 
 def _package_import(node: ast.ImportFrom) -> bool:
@@ -57,3 +60,25 @@ def test_no_module_keeps_an_unused_import():
             if name not in used
         ]
     assert unused == []
+
+
+def _named(node: ast.AST) -> Counter:
+    """How often each name occurs in `node`, bare or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_module_level_definition_is_referenced():
+    # a def or class named nowhere in the package or the scripts but in
+    # its own body is dead code
+    modules = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    scripts = [ast.parse(path.read_text()) for path in sorted(SCRIPTS.glob("*.py"))]
+    total = sum(map(_named, [*modules.values(), *scripts]), Counter())
+    dead = [
+        f"{path.stem}.{node.name}"
+        for path, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and total[node.name] == _named(node)[node.name]
+    ]
+    assert dead == []

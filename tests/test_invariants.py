@@ -110,7 +110,8 @@ def test_eta_report_is_clean():
 ETA_CACHES = (invariants.build_eta, invariants.build_zeta_family,
               invariants.cubic_operator, invariants.pairing_operator,
               invariants.eta_report, invariants.lemma_bracket_triple,
-              invariants.lemma_pairing_bracket)
+              invariants.lemma_pairing_bracket,
+              invariants.lemma_pairing_eigenvalue)
 
 
 @pytest.fixture
@@ -551,7 +552,7 @@ def test_pairing_eigenvalue_follows_the_pairing_bracket(j, m1, m2):
     assert lemma_pairing_eigenvalue(j, m1, m2) == mu
 
 
-def test_pairing_eigenvalue_is_none_off_an_eigenvector(monkeypatch):
+def test_pairing_eigenvalue_is_none_off_an_eigenvector(monkeypatch, fresh_eta):
     # D2 kills x_1^2 and scales zeta_1 by 5, so their sum is no eigenvector
     off = padd(pmul(x(1), x(1)), build_zeta_family()[1])
     monkeypatch.setattr(invariants, "family", lambda j, m1, m2: off)
@@ -568,7 +569,7 @@ def test_annihilation_low_degrees():
 
 
 def test_cubic_action_base_case():
-    r = lemma_cubic_action(1, 0, 0, lemma_pairing_eigenvalue(0, 0, 0))
+    r = lemma_cubic_action(1, 0, 0)
     assert r.ok
     assert r.scalar == 405
     assert golden.claimed_cubic_scalar(1, 0, 0) == 171
@@ -576,14 +577,14 @@ def test_cubic_action_base_case():
 
 
 def test_cubic_action_eta_squared():
-    r = lemma_cubic_action(2, 0, 0, lemma_pairing_eigenvalue(0, 0, 0))
+    r = lemma_cubic_action(2, 0, 0)
     assert r.ok
     assert r.scalar == 1080
 
 
 def test_cubic_action_mixed_cases():
     for m, m1, m2 in ((1, 1, 0), (1, 0, 1), (1, 2, 0), (2, 0, 1)):
-        r = lemma_cubic_action(m, m1, m2, lemma_pairing_eigenvalue(0, m1, m2))
+        r = lemma_cubic_action(m, m1, m2)
         assert r.ok, (m, m1, m2)
         assert r.scalar == derived_cubic_scalar(
             m, m1, m2, m2 * (m1 + m2 + 4), (405, 45, 9), (15, 2)
