@@ -4,22 +4,28 @@ Phi_m is the kernel of D on the degree-m polynomials.  D preserves
 weight, so its matrix is block-diagonal over weight classes.  Two
 independently built matrices give its dimension:
 
-- the rank route (phi_dim) applies D to every source monomial of the
-  dominant blocks whose weight occurs at degree m - 3, with an early
-  exit once a block reaches full row rank, and weights each block rank
-  by the size of its Weyl orbit: D commutes with all 78 generators, so
+- the rank route (phi_dim) lists the dominant weights of degree m - 3
+  only: D maps each weight block into the degree-(m - 3) block of the
+  same weight, so no other block has rank, and eta has weight 0, so
+  each of them is a weight of degree m too.  It applies D to every
+  source monomial of those degree-m blocks, with an early exit once a
+  block reaches full row rank, and weights each block rank by the size
+  of its Weyl orbit: D commutes with all 78 generators, so
   Weyl-conjugate blocks have equal rank.  The direct-sum check ranks
-  the images of eta times each monomial of the same dominant blocks,
+  the images of eta times each monomial of the degree-(m - 3) blocks,
   and the summary also carries the Weyl dimension terms whose sum the
   kernel dimension must match;
 - the materialized route (materialized_kernel_dim) builds each row
   from its target t, whose only sources are t times the 45 terms of
-  eta, so only the blocks whose weight occurs at degree m - 3 have
-  rows.  Its columns are the monomials those rows touch: every other
-  degree-m monomial, in a row block or not, is killed by D and counted
-  without being listed.  One pass over these row blocks
-  gives both the count and, from its first blocks, the samples; no
-  other function solves them.
+  eta: a copy of eta's coefficients, with only the terms that share a
+  variable with t rescaled.  So only the blocks whose weight occurs at
+  degree m - 3 have rows.  Its columns are the monomials those rows
+  touch: every other degree-m monomial, in a row block or not, is
+  killed by D and counted without being listed.  One pass over these
+  row blocks gives both the count and, from its first blocks, the
+  samples; no other function solves them.
+
+Both routes refuse a negative degree.
 
 Both routes read eta and D from `invariants` (`build_eta`,
 `cubic_operator`); this module builds no copy of either.
@@ -73,7 +79,7 @@ class MaterializedKernel:
 def _image_rank(vectors: Iterable[Poly], full: int) -> int:
     """Rank of the images of `vectors` under D, stopping at `full`."""
     D = cubic_operator()
-    ech = IntEchelon(lambda k: k)
+    ech = IntEchelon()
     for vec in vectors:
         if ech.rank == full:
             break
@@ -83,6 +89,18 @@ def _image_rank(vectors: Iterable[Poly], full: int) -> int:
     return ech.rank
 
 
+@lru_cache(maxsize=1)
+def _eta_template() -> tuple[tuple[Monomial, ...], tuple[int, ...], dict[int, list[int]]]:
+    """The 45 terms of eta, their coefficients in the same order, and
+    for each variable the positions of the terms that hold it."""
+    eta = build_eta()
+    holding: dict[int, list[int]] = {}
+    for i, abc in enumerate(eta):
+        for v in abc:
+            holding.setdefault(v, []).append(i)
+    return tuple(eta), tuple(eta.values()), holding
+
+
 def _cubic_rows(targets: list[Monomial]) -> list[dict[Monomial, int]]:
     """Rows of D on the block of one weight, one per target: `targets`
     are the degree-(m - 3) monomials of that weight.
@@ -90,15 +108,19 @@ def _cubic_rows(targets: list[Monomial]) -> list[dict[Monomial, int]]:
     The only sources reaching a target t are t * x_a x_b x_c over the 45
     terms c x_a x_b x_c of eta, where c d_a d_b d_c takes the source to
     c * count_a * count_b * count_c * t.  The terms are squarefree (a, b,
-    c are distinct), so each count is t's count plus one.
+    c are distinct), so each count is t's count plus one: a row is a
+    copy of eta's coefficients with only the terms that share a variable
+    with t multiplied.
     """
+    terms, coeffs, holding = _eta_template()
     rows = []
     for t in targets:
-        row = {}
-        for (a, b, c), coeff in build_eta().items():
-            row[tuple(sorted(t + (a, b, c)))] = (
-                coeff * (t.count(a) + 1) * (t.count(b) + 1) * (t.count(c) + 1))
-        rows.append(row)
+        row = list(coeffs)
+        for v in set(t):
+            k = t.count(v) + 1
+            for i in holding[v]:
+                row[i] *= k
+        rows.append(dict(zip([tuple(sorted(t + abc)) for abc in terms], row)))
     return rows
 
 
@@ -114,13 +136,15 @@ def phi_dim(m: int) -> KernelSummary:
         composite_ok = True
     else:
         # D and mult(eta) commute with the group, so every block has the
-        # rank of the dominant block in its Weyl orbit; dominant_weights
-        # certifies the blocks of both degrees by its count
+        # rank of the dominant block in its Weyl orbit.  Only the blocks
+        # whose weight occurs at degree m - 3 have rank, and each of these
+        # weights occurs at degree m (eta has weight 0); dominant_weights
+        # certifies the degree-(m - 3) blocks by its count
         targets = {w: weight_space(m - 3, w) for w in dominant_weights(m - 3)}
         rank = sum(
             orbit_size(w) * _image_rank(
-                ({s: 1} for s in weight_space(m, w)), len(targets[w]))
-            for w in dominant_weights(m) if w in targets
+                ({s: 1} for s in weight_space(m, w)), len(monos))
+            for w, monos in targets.items()
         )
         eta = build_eta()
         composite_ok = all(
@@ -150,10 +174,12 @@ def materialized_kernel_dim(m: int) -> MaterializedKernel:
     weights, so the two dimensions cross-check each other; also drives
     the materializing CLI path.
     """
+    if m < 0:
+        raise ValueError("degree must be nonnegative")
     dim = comb(m + 26, 26)
     samples = []
     if m < 3:
-        # D vanishes, and weight_buckets of a negative degree never returns
+        # D vanishes: no degree-(m - 3) target, so no row block
         return MaterializedKernel(dim_phi=dim, samples=samples)
     for i, targets in enumerate(weight_buckets(m - 3).values()):
         rows = _cubic_rows(targets)
@@ -174,7 +200,7 @@ def lowering_closure(m1: int, m2: int) -> int:
         raise ValueError("powers must be nonnegative")
     ops = [lowering_operator(k) for k in range(1, 7)]
     work = [family(0, m1, m2)]
-    span = IntEchelon(lambda k: k)
+    span = IntEchelon()
     span.insert(work[0])
     while work:
         v = work.pop()

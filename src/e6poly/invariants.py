@@ -295,7 +295,7 @@ def bilinear_relation_dim() -> int:
     from unique; the d-signed one is the symmetric choice.
     """
     fam = build_zeta_family()
-    span = IntEchelon(lambda k: k)
+    span = IntEchelon()
     for i in range(1, 28):
         span.insert(pmul(x(i), fam[golden.iota(i)]))
     return 27 - span.rank

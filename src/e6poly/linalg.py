@@ -9,12 +9,16 @@ spans, closures and membership tests insert into it or reduce against
 it.  `SpanCoordinates` is the one coordinates solver: it gives the exact
 coordinates of a sparse vector (a polynomial or an operator) in the
 span of labelled basis vectors, from one integer reduction and one
-division at the end.  Column keys can be any hashable values; an
-explicit column order fixes pivots and makes every result reproducible.
+division at the end.  Column keys can be any comparable hashable
+values, and an echelon takes its pivots in their order.
+`kernel_basis` takes an explicit column order instead: it relabels its
+rows to column positions once and solves over those ints, which fixes
+the pivots and makes every basis reproducible.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Sequence
@@ -60,10 +64,11 @@ class IntEchelon:
     Rows are inserted one at a time; each is reduced against the stored
     pivot rows.  When a pivot column is contested the row with the smaller
     pivot magnitude is kept (this bounds coefficient growth), and the other
-    row continues through elimination.
+    row continues through elimination.  A row's pivot is its least column
+    key, or the least under `column_key` when one is given.
     """
 
-    def __init__(self, column_key: Callable[[Hashable], object]):
+    def __init__(self, column_key: Callable[[Hashable], object] | None = None):
         self.column_key = column_key
         self.pivots: dict[Hashable, Row] = {}
 
@@ -72,6 +77,8 @@ class IntEchelon:
         return len(self.pivots)
 
     def _lead(self, row: Row) -> Hashable:
+        if self.column_key is None:
+            return min(row)
         return min(row, key=self.column_key)
 
     def reduce(self, row: Row) -> Row:
@@ -114,7 +121,7 @@ class SpanCoordinates:
     """
 
     def __init__(self, basis: Iterable[tuple[Hashable, Row]]):
-        self.echelon = IntEchelon(lambda k: k)
+        self.echelon = IntEchelon()
         for label, vec in basis:
             self.echelon.insert({(0, k): c for k, c in vec.items()} | {(1, label): -1})
 
@@ -142,62 +149,66 @@ def kernel_basis(
 
     Basis vectors are integer, content 1, with a positive coefficient on
     the earliest column (in the order of `columns`) they touch.  One basis
-    vector is produced per free column, in column order.
+    vector is produced per free column, in column order.  The rows are
+    relabelled to column positions once, so elimination, back-substitution
+    and the vectors' assembly compare and hash ints, and `columns` maps
+    the positions back.
     """
-    rows = [row for row in rows if row]
-    if not rows:
-        return [{c: 1} for c in columns]
-    order = {c: i for i, c in enumerate(columns)}
-    ech = IntEchelon(order.__getitem__)
+    position = {c: i for i, c in enumerate(columns)}
+    ech = IntEchelon()
     for row in rows:
-        ech.insert(row)
+        if row:
+            ech.insert({position[c]: v for c, v in row.items()})
     if ech.rank == len(columns):
         return []  # every column is a pivot: no free column, no kernel
 
     # Integer back-substitution to reduced echelon form: working from the
     # last pivot backwards, each pivot row loses its entries in the later
     # pivot columns, so it keeps only its own pivot and free columns.
-    reduced: dict[Hashable, Row] = {}
-    for col in sorted(ech.pivots, key=order.__getitem__, reverse=True):
-        row = ech.pivots[col]
+    reduced: dict[int, Row] = {}
+    for p in sorted(ech.pivots, reverse=True):
+        row = ech.pivots[p]
         for c in [c for c in row if c in reduced]:
             row = _eliminate(row, reduced[c], c)
-        reduced[col] = row
-    touching: dict[Hashable, list[Hashable]] = {}
-    for col, row in reduced.items():
-        for c in row:
-            if c != col:
-                touching.setdefault(c, []).append(col)
+        reduced[p] = row
 
     # Free column f: x_f = L and x_p = -r_p[f] * L / r_p[p] for each pivot
     # p whose row touches f, with L the lcm of those pivots.  A reduced
     # row has entries only at or after its pivot, so every p touching f
-    # comes before f, and touching[f] lists them latest first: its last
-    # entry is the vector's lead.  Dividing by the content signed like the
-    # lead entry makes the vector primitive and positive on its lead.
-    basis: list[dict[Hashable, int]] = []
-    for free in columns:
-        if free in reduced:
-            continue
-        pivots = touching.get(free)
-        if pivots is None:
-            basis.append({free: 1})
-        elif len(pivots) == 1:
-            # {f: d, p: e} up to sign, with d = r_p[p] and e = -r_p[f]
-            (p,) = pivots
-            row = reduced[p]
-            d, e = row[p], -row[free]
-            g = -gcd(d, e) if e < 0 else gcd(d, e)
-            basis.append({free: d // g, p: e // g})
-        else:
-            scale = lcm(*(reduced[p][p] for p in pivots))
-            xs = [-reduced[p][free] * (scale // reduced[p][p]) for p in pivots]
-            g = -gcd(scale, *xs) if xs[-1] < 0 else gcd(scale, *xs)
-            vec = {free: scale // g}
-            for p, x in zip(pivots, xs):
-                vec[p] = x // g
-            basis.append(vec)
-    return basis
+    # comes before f; walking the rows latest first, the last p met is
+    # the vector's lead.  A column touched by one row gets {f: d, p: e}
+    # up to sign, d = r_p[p] and e = -r_p[f], straight from that row (a
+    # pivot column is touched by its own row alone, so its slot is
+    # filled there and cleared after).  Dividing by the content signed
+    # like the lead entry makes the vector primitive and positive on its
+    # lead.
+    touches = Counter()
+    for row in reduced.values():
+        touches.update(row.keys())
+    slots: list[dict[Hashable, int] | None] = [None] * len(columns)
+    shared: dict[int, list[tuple[Hashable, int, int]]] = {}
+    for p, row in reduced.items():
+        d = row[p]
+        col = columns[p]
+        for f, v in row.items():
+            if touches[f] > 1:
+                shared.setdefault(f, []).append((col, d, v))
+            else:
+                g = -gcd(d, v) if v > 0 else gcd(d, v)
+                slots[f] = {columns[f]: d // g, col: -v // g}
+    for p in reduced:
+        slots[p] = None
+    for f, entries in shared.items():
+        scale = lcm(*(d for _, d, _ in entries))
+        xs = [-v * (scale // d) for _, d, v in entries]
+        g = -gcd(scale, *xs) if xs[-1] < 0 else gcd(scale, *xs)
+        vec = {columns[f]: scale // g}
+        for (col, _, _), x in zip(entries, xs):
+            vec[col] = x // g
+        slots[f] = vec
+    for f in set(range(len(columns))).difference(touches):
+        slots[f] = {columns[f]: 1}
+    return [vec for vec in slots if vec is not None]
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:

@@ -68,6 +68,8 @@ def weight_buckets(degree: int) -> dict[int, list[Monomial]]:
     carrying its packed weight, so keys and lists come out in the order
     of combinations_with_replacement(range(1, 28), degree).
     """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     if degree == 0:
         return {0: [()]}
     keys = [_pack(row) for row in weight_table()]

@@ -13,6 +13,7 @@ import pytest
 from e6poly import cli, decomp, singular
 from e6poly.decomp import (
     SAMPLE_BLOCKS,
+    KernelSummary,
     _cubic_rows,
     _image_rank,
     lowering_closure,
@@ -23,6 +24,7 @@ from e6poly.invariants import build_eta, cubic_operator
 from e6poly.linalg import kernel_basis
 from e6poly.polyops import apply, pmul
 from e6poly.singular import (
+    dominant_weights,
     enumerate_singular,
     expected_line_count,
     weight_buckets,
@@ -257,6 +259,57 @@ def test_materializing_degree_five_lists_no_degree_five_bucket(monkeypatch, caps
     # degree-3 half buckets, never from all 169911 degree-5 monomials
     assert {2, 3} <= set(degrees)
     assert 5 not in degrees
+
+
+@pytest.mark.parametrize("degree", [-1, -30])
+@pytest.mark.parametrize("route", [phi_dim, materialized_kernel_dim, weight_buckets])
+def test_negative_degrees_are_refused(route, degree):
+    # both kernel routes and the bucketing they share refuse a negative
+    # degree, rather than reporting a kernel or failing deeper down
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        route(degree)
+
+
+# phi_dim(m) as the rank route gave it when it also listed every dominant
+# weight of degree m: (dim_Am, dim_phi, weyl_terms)
+RANK_ROUTE = {
+    3: (3654, 3653, ((3, 0, 3003), (1, 1, 650))),
+    4: (27405, 27378, ((4, 0, 19305), (2, 1, 7722), (0, 2, 351))),
+    5: (169911, 169533, ((5, 0, 100386), (3, 1, 61425), (1, 2, 7722))),
+    6: (906192, 902538,
+        ((6, 0, 442442), (4, 1, 371800), (2, 2, 85293), (0, 3, 3003))),
+}
+
+
+@pytest.mark.parametrize("m", sorted(RANK_ROUTE))
+def test_phi_dim_lists_only_the_target_weights(m, monkeypatch):
+    # D maps the weight-w block of degree m into the one of degree m - 3,
+    # so phi_dim ranks the dominant weights of degree m - 3 and lists the
+    # degree-m monomials of those weights alone
+    ranked, listed = [], []
+
+    def counted_weights(degree):
+        ranked.append(degree)
+        return dominant_weights(degree)
+
+    def counted_space(degree, w):
+        listed.append((degree, w))
+        return weight_space(degree, w)
+
+    monkeypatch.setattr(decomp, "dominant_weights", counted_weights)
+    monkeypatch.setattr(decomp, "weight_space", counted_space)
+    decomp.phi_dim.cache_clear()
+    s = phi_dim(m)
+    decomp.phi_dim.cache_clear()
+    assert ranked == [m - 3]
+    targets = dominant_weights(m - 3)
+    assert sorted(w for d, w in listed if d == m) == list(targets)
+    assert sorted(w for d, w in listed if d == m - 3) == list(targets)
+    assert len(listed) == 2 * len(targets)
+    dim_am, dim_phi, weyl_terms = RANK_ROUTE[m]
+    assert s == KernelSummary(degree=m, dim_Am=dim_am, rank_D=comb(m + 23, 26),
+                              dim_phi=dim_phi, weyl_terms=weyl_terms,
+                              direct_sum_ok=True)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
