@@ -8,17 +8,18 @@ independently built matrices give its dimension:
   only: D maps each weight block into the degree-(m - 3) block of the
   same weight, so no other block has rank, and eta has weight 0, so
   each of them is a weight of degree m too.  It applies D to every
-  source monomial of those degree-m blocks, with an early exit once a
-  block reaches full row rank, and weights each block rank by the size
-  of its Weyl orbit: D commutes with all 78 generators, so
+  source monomial of those degree-m blocks, lazily, with an early exit
+  once a block reaches full row rank, and weights each block rank by
+  the size of its Weyl orbit: D commutes with all 78 generators, so
   Weyl-conjugate blocks have equal rank.  The direct-sum check ranks
-  the images of eta times each monomial of the degree-(m - 3) blocks,
-  and the summary also carries the Weyl dimension terms whose sum the
-  kernel dimension must match;
+  the images under D of eta times each monomial of the degree-(m - 3)
+  blocks, inserted sparsest first (every image must count, so none is
+  skipped), and the summary also carries the Weyl dimension terms whose
+  sum the kernel dimension must match;
 - the materialized route (materialized_kernel_dim) builds each row
   from its target t, whose only sources are t times the 45 terms of
-  eta: a copy of eta's coefficients, with only the terms that share a
-  variable with t rescaled.  So only the blocks whose weight occurs at
+  eta: a copy of the coefficients of eta / 3, with only the terms that
+  share a variable with t rescaled.  So only the blocks whose weight occurs at
   degree m - 3 have rows.  Its columns are the monomials those rows
   touch: every other degree-m monomial, in a row block or not, is
   killed by D and counted without being listed.  One pass over these
@@ -40,7 +41,7 @@ from math import comb
 
 from .invariants import build_eta, cubic_operator, family
 from .linalg import IntEchelon, kernel_basis
-from .polyops import Monomial, Poly, apply, pmul
+from .polyops import Monomial, Poly, apply, pdiv_exact, pmul
 from .rep import lowering_operator
 from .singular import dominant_weights, orbit_size, weight_buckets, weight_space
 from .weyl import weyl_dim
@@ -76,24 +77,23 @@ class MaterializedKernel:
     samples: list[dict[Monomial, int]]  # bases of the first SAMPLE_BLOCKS row blocks
 
 
-def _image_rank(vectors: Iterable[Poly], full: int) -> int:
-    """Rank of the images of `vectors` under D, stopping at `full`."""
-    D = cubic_operator()
+def _rank(rows: Iterable[Poly], full: int) -> int:
+    """Rank of `rows`, stopping at `full`."""
     ech = IntEchelon()
-    for vec in vectors:
+    for row in rows:
         if ech.rank == full:
             break
-        img = apply(D, vec)
-        if img:
-            ech.insert(img)
+        if row:
+            ech.insert(row)
     return ech.rank
 
 
 @lru_cache(maxsize=1)
 def _eta_template() -> tuple[tuple[Monomial, ...], tuple[int, ...], dict[int, list[int]]]:
-    """The 45 terms of eta, their coefficients in the same order, and
-    for each variable the positions of the terms that hold it."""
-    eta = build_eta()
+    """The 45 terms of eta, the coefficients of eta / 3 (each 1 or -1)
+    in the same order, and for each variable the positions of the terms
+    that hold it."""
+    eta = pdiv_exact(build_eta(), 3)
     holding: dict[int, list[int]] = {}
     for i, abc in enumerate(eta):
         for v in abc:
@@ -102,15 +102,18 @@ def _eta_template() -> tuple[tuple[Monomial, ...], tuple[int, ...], dict[int, li
 
 
 def _cubic_rows(targets: list[Monomial]) -> list[dict[Monomial, int]]:
-    """Rows of D on the block of one weight, one per target: `targets`
-    are the degree-(m - 3) monomials of that weight.
+    """Rows of D / 3 on the block of one weight, one per target:
+    `targets` are the degree-(m - 3) monomials of that weight.
 
     The only sources reaching a target t are t * x_a x_b x_c over the 45
     terms c x_a x_b x_c of eta, where c d_a d_b d_c takes the source to
     c * count_a * count_b * count_c * t.  The terms are squarefree (a, b,
     c are distinct), so each count is t's count plus one: a row is a
-    copy of eta's coefficients with only the terms that share a variable
-    with t multiplied.
+    copy of the coefficients of eta / 3 with only the terms that share a
+    variable with t multiplied.  Each variable lies in 5 of the 45
+    terms, so below degree 9 some term shares no variable with t and
+    keeps its coefficient 1 or -1: the row is primitive as built.
+    D / 3 has the kernel of D.
     """
     terms, coeffs, holding = _eta_template()
     rows = []
@@ -141,14 +144,16 @@ def phi_dim(m: int) -> KernelSummary:
         # weights occurs at degree m (eta has weight 0); dominant_weights
         # certifies the degree-(m - 3) blocks by its count
         targets = {w: weight_space(m - 3, w) for w in dominant_weights(m - 3)}
+        D = cubic_operator()
         rank = sum(
-            orbit_size(w) * _image_rank(
-                ({s: 1} for s in weight_space(m, w)), len(monos))
+            orbit_size(w) * _rank(
+                (apply(D, {s: 1}) for s in weight_space(m, w)), len(monos))
             for w, monos in targets.items()
         )
         eta = build_eta()
         composite_ok = all(
-            _image_rank((pmul(eta, {g: 1}) for g in monos), len(monos)) == len(monos)
+            _rank(sorted((apply(D, pmul(eta, {g: 1})) for g in monos), key=len),
+                  len(monos)) == len(monos)
             for monos in targets.values()
         )
     return KernelSummary(

@@ -29,15 +29,20 @@ one family of highest-weight vectors, `family(j, m1, m2)` =
 eta^j x_1^m1 zeta_1^m2: the two bracket lemmas, the D2 eigenvalue on
 every member (`lemma_pairing_eigenvalue`, one cached solve per vector,
 which also gives the pairing bracket's two instances and the base of
-the derived cubic scalar), and the action of D.  Their
-reports hold computed values only; the command line compares them
+the derived cubic scalar), and the action of D on eta B, for B =
+eta^(m-1) x_1^m1 zeta_1^m2.  That action is certified, not expanded: D
+commutes with the 78 generators, eta and B are singular, and the scan's
+line through B has dimension 1, so D(eta B) is a multiple of B, read
+off one coefficient (`lemma_cubic_action`).  The lemma reports hold
+computed values only; the command line compares them
 with the hand-entered reference constants of `golden`, and
 disagreements are reported, never patched.
 All of these have `int` coefficients, spans use the integer echelon,
 and both bracket lemmas use the Leibniz rule.  Every coordinate the
-module reads (the zeta coordinates of an image and every lemma scalar,
-the latter through `_scalars`) comes from `linalg.SpanCoordinates`, and
-`Fraction` enters only there and in the derived cubic scalar built from
+module reads (the zeta coordinates of an image and every lemma scalar
+but the cubic one, the latter through `_scalars`) comes from
+`linalg.SpanCoordinates`, and `Fraction` enters only there, in the
+cubic scalar's one division, and in the derived cubic scalar built from
 those constants.
 """
 
@@ -47,6 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import perm, prod
 
 from . import golden
 from .linalg import IntEchelon, SpanCoordinates
@@ -539,15 +545,81 @@ class CubicActionReport:
                 and self.scalar == self.derived_scalar)
 
 
+@lru_cache(maxsize=1)
+def cubic_sweep_premises() -> bool:
+    """The operator premises of the cubic sweep's certificate: D commutes
+    with all 78 generators, eta is killed by the six raising operators,
+    and these are derivations (every term is x_i d_j)."""
+    return (
+        verify_invariance(cubic_operator(), "D").ok
+        and not _raising_residual(build_eta())
+        and all(len(xe) == len(de) == 1
+                for k in range(1, 7) for xe, de in raising_operator(k))
+    )
+
+
+def _product_coefficient(f: Poly, g: Poly, mono: Monomial) -> int:
+    """[x^mono] (f g), from the terms of f that divide mono."""
+    held = set(mono)
+    total = 0
+    for m, c in f.items():
+        if not held.issuperset(m):
+            continue
+        rest = list(mono)
+        for v in m:
+            if v not in rest:
+                break
+            rest.remove(v)
+        else:
+            total += c * g.get(tuple(rest), 0)
+    return total
+
+
+def _certified_cubic_scalar(base: Poly, degree: int, weight) -> Fraction | None:
+    """s with D(eta base) = s base, read off one coefficient, or None
+    when a premise fails.
+
+    With the premises of `cubic_sweep_premises`, eta base is singular
+    whenever base is, and so is its image under D, which keeps the
+    weight and lowers the degree by 3.  If the scan's line at base's
+    degree and weight has dimension 1 and base is a multiple of its
+    basis vector, that image is s base, and s = [x^t] D(eta base) / [x^t]
+    base at any monomial t of the line.  That coefficient needs eta base
+    only at the monomials t x^e over the terms d^e of D.
+    """
+    line = dict(enumerate_singular(degree).bases).get(weight)
+    if not cubic_sweep_premises() or line is None or len(line) != 1:
+        return None
+    (vec,) = line
+    t = next(iter(vec))
+    if not base.get(t) or pscale(vec[t], base) != pscale(base[t], vec):
+        return None
+    # d^e x^s = prod_v perm(s_v, e_v) x^(s - e) for s = t + e
+    value = 0
+    eta = build_eta()
+    for (_, de), c in cubic_operator().items():
+        source = tuple(sorted(t + de))
+        mult = prod(perm(source.count(v), de.count(v)) for v in set(de))
+        value += c * mult * _product_coefficient(eta, base, source)
+    return Fraction(value, base[t])
+
+
 def lemma_cubic_action(m: int, m1: int, m2: int) -> CubicActionReport:
     """D(eta^m x_1^m1 zeta_1^m2) is a nonzero multiple of
     eta^(m-1) x_1^m1 zeta_1^m2; the multiple is recorded next to the
     one derived from the two bracket lemmas and the D2 eigenvalue on
-    x_1^m1 zeta_1^m2, read from `lemma_pairing_eigenvalue`."""
+    x_1^m1 zeta_1^m2, read from `lemma_pairing_eigenvalue`.
+
+    The product D(eta B), B = eta^(m-1) x_1^m1 zeta_1^m2, is never
+    expanded: the scalar is certified by `_certified_cubic_scalar` from
+    `cubic_sweep_premises`, the scan's line at B's degree and weight
+    (`enumerate_singular`) and one coefficient, and is None when any
+    premise fails."""
     if m < 1:
         raise ValueError("m must be positive")
     base = family(m - 1, m1, m2)
-    s = _scalars(apply(cubic_operator(), pmul(build_eta(), base)), base)
+    weight = tuple(m1 * a + m2 * b for a, b in zip(LAMBDA1, LAMBDA6))
+    scalar = _certified_cubic_scalar(base, 3 * (m - 1) + m1 + 2 * m2, weight)
     triple = lemma_bracket_triple().triple
     pairing = lemma_pairing_bracket().pair
     if triple is None or pairing is None:
@@ -557,7 +629,7 @@ def lemma_cubic_action(m: int, m1: int, m2: int) -> CubicActionReport:
         m=m,
         m1=m1,
         m2=m2,
-        scalar=None if s is None else s[0],
+        scalar=scalar,
         derived_scalar=derived_cubic_scalar(
             m, m1, m2, lemma_pairing_eigenvalue(0, m1, m2), triple, pairing),
     )

@@ -24,12 +24,23 @@ dominant, so only dominant blocks are scanned.
 
 Kernels are computed per weight space by `singular_space`, the one
 block solver: the six raising operators map a weight space into six
-other weight spaces (each image comes from `polyops.apply` with integer
-coefficients), and the joint kernel of the stacked coefficient matrix is
-found by exact fraction-free elimination.  Singular vectors are returned
-as integer polynomials.  The scan `enumerate_singular` keeps each
-block's basis and is cached per degree; every other reader of a singular
-line reads those bases, so each block is solved once.
+other weight spaces, and the joint kernel of the stacked integer
+coefficient matrix is its answer.  The rows come from one table of the
+operators' terms c x_i d_j, keyed by x_j, not from `apply`.
+The elimination stops as soon as the kernel is certified.  A product of
+two lower-degree lines whose degrees and weights add up to the block's,
+checked exactly against the block's rows, is a singular vector (the
+raising operators are derivations, Humphreys §20-21), so the kernel has
+dimension at least L = 1; otherwise L = 0.  The rows go into one
+integer echelon sparsest first until the rank reaches columns - L, and
+the block is then that product's line, or empty.  Only a block whose
+rank never gets there, which are the blocks of the generators 1, x_1,
+zeta_1 and eta, is solved by `linalg.kernel_basis`.  Singular vectors
+are returned as integer polynomials, normalized as `kernel_basis`
+normalizes.  The scan `enumerate_singular` keeps each block's basis and
+is cached per degree, and reads its own lower degrees for the products;
+every other reader of a singular line reads those bases, so each block
+is solved once.
 """
 
 from __future__ import annotations
@@ -40,8 +51,8 @@ from functools import lru_cache
 from math import comb
 from operator import add
 
-from .linalg import kernel_basis
-from .polyops import Monomial, Poly, apply
+from .linalg import IntEchelon, kernel_basis, row_content
+from .polyops import Monomial, Poly, pmul
 from .rep import raising_operator, weight_table
 from .rootsys import CARTAN_E7
 from .weyl import positive_roots
@@ -115,27 +126,101 @@ def weight_space(degree: int, weight: Weight) -> list[Monomial]:
 def _raising_system(degree: int, weight: Weight):
     """Constraint rows of the six simple raising operators on one weight
     space, indexed by image monomial, and the weight-space basis in
-    graded-lex column order (larger tuple first)."""
+    graded-lex column order (larger tuple first).
+
+    Each operator is a derivation sum c x_i d_j, so on a monomial holding
+    e factors x_j its term gives c e times the monomial with one x_j
+    swapped for x_i.  Two swaps j -> i and j' -> i' of one operator
+    reach the same image only if i = j' and j = i', which would give the
+    operator weight 0; so each monomial adds at most one entry to a row,
+    and entries come in basis order.
+    """
     basis = weight_space(degree, weight)
     if not basis:
         return [], []
-    ops = [raising_operator(k) for k in range(1, 7)]
+    # x_j -> [(operator, x_i, c)] over the terms c x_i d_j; unpacking
+    # each key as ((i,), (j,)) refuses a term that is not first order
+    moves: dict[int, list[tuple[int, int, int]]] = {}
+    for k in range(6):
+        for ((i,), (j,)), c in raising_operator(k + 1).items():
+            moves.setdefault(j, []).append((k, i, c))
     rows: dict[tuple[int, Monomial], dict[Monomial, int]] = {}
     for mono in basis:
-        for k, op in enumerate(ops):
-            for target, c in apply(op, {mono: 1}).items():
-                rows.setdefault((k, target), {})[mono] = c
+        for j in set(mono):
+            e = mono.count(j)
+            p = mono.index(j)
+            rest = mono[:p] + mono[p + 1:]
+            for k, i, c in moves.get(j, ()):
+                q = bisect_left(rest, i)
+                key = (k, rest[:q] + (i,) + rest[q:])
+                row = rows.get(key)
+                if row is None:
+                    rows[key] = {mono: c * e}
+                else:
+                    row[mono] = c * e
     return [rows[key] for key in sorted(rows)], sorted(basis, reverse=True)
+
+
+def _normalized(vec: Poly) -> Poly:
+    """`vec` as `kernel_basis` gives a one-vector kernel: content 1,
+    positive on its largest monomial, keys ascending."""
+    g = row_content(vec)
+    if vec[max(vec)] < 0:
+        g = -g
+    return {mono: vec[mono] // g for mono in sorted(vec)}
+
+
+def _product_line(degree: int, weight: Weight, rows, position) -> Poly | None:
+    """A singular vector of the block, from the scan's lower degrees: the
+    product of basis vectors of two lines whose degrees and weights add
+    up to the block's, checked nonzero, inside the block (`position`
+    indexes its monomials) and killed by every raising row; None if no
+    product passes.
+
+    The raising operators are derivations, so a product of singular
+    vectors is singular (Humphreys §20-21); the check does not lean on
+    that, it evaluates the rows on the product."""
+    for d1 in range(1, degree // 2 + 1):
+        upper = dict(enumerate_singular(degree - d1).bases)
+        for w1, (low, *_) in enumerate_singular(d1).bases:
+            partner = upper.get(tuple(a - b for a, b in zip(weight, w1)))
+            if not partner:
+                continue
+            vec = pmul(low, partner[0])
+            if vec and vec.keys() <= position.keys() and not any(
+                    sum(c * vec.get(mono, 0) for mono, c in row.items())
+                    for row in rows):
+                return vec
+    return None
 
 
 def singular_space(degree: int, weight: Weight) -> list[dict[Monomial, int]]:
     """Basis of the singular vectors of given degree and weight.
 
     Vectors are integer, content 1, positive on their canonically
-    earliest monomial (largest in graded-lex order).
+    earliest monomial (largest in graded-lex order), keys ascending.
+
+    A certified product of lower lines (`_product_line`) is a lower
+    bound L = 1 on the kernel dimension, otherwise L = 0.  The raising
+    rows go into one echelon sparsest first, and insertion stops once
+    the rank reaches columns - L: the kernel then has dimension at most
+    L, so it is the product's line, or empty.  A block whose rank stops
+    short of that falls back to `kernel_basis` on the same rows.
     """
     rows, columns = _raising_system(degree, weight)
-    return kernel_basis(rows, columns) if columns else []
+    if not columns:
+        return []
+    position = {c: i for i, c in enumerate(columns)}
+    line = _product_line(degree, weight, rows, position)
+    full = len(columns) - (line is not None)
+    ech = IntEchelon()
+    for row in sorted(rows, key=len):
+        if ech.rank == full:
+            break
+        ech.insert({position[c]: v for c, v in row.items()})
+    if ech.rank < full:
+        return kernel_basis(rows, columns)
+    return [] if line is None else [_normalized(line)]
 
 
 WEYL_ORDER = 51840  # |W(E6)|

@@ -15,7 +15,10 @@ each, unit vectors included; `kernel_samples_full` lists the sampled
 blocks in full and drops the unit vectors of the monomials no row
 touches.
 `fraction_kernel` is the kernel basis by Fraction reduced row echelon
-form, the reference for `linalg.kernel_basis`.  `tau_dual` is the
+form, the reference for `linalg.kernel_basis`.  `raising_system_full`
+builds the singular scan's raising rows with one `apply` per monomial
+and operator, as the scan once did, and `cubic_scalar_full` expands
+D(eta B) and solves for its multiple of B, as the cubic sweep once did.  `tau_dual` is the
 signed relabeling that once built the high members of the zeta family.
 Two helpers only the tests need live here too: `basis_elements` lists
 the algebra's basis and `poly_from_json` reads a serialized polynomial
@@ -29,12 +32,22 @@ from math import comb, gcd, lcm, perm, prod
 
 from e6poly import golden
 from e6poly.decomp import SAMPLE_BLOCKS, _cubic_rows
-from e6poly.invariants import tau
+from e6poly.invariants import _scalars, build_eta, cubic_operator, family, tau
 from e6poly.linalg import kernel_basis
-from e6poly.polyops import Monomial, Poly, WeylOp, _drop, apply, monomial, poly, psub
-from e6poly.rep import all_operators, weight_table
+from e6poly.polyops import (
+    Monomial,
+    Poly,
+    WeylOp,
+    _drop,
+    apply,
+    monomial,
+    pmul,
+    poly,
+    psub,
+)
+from e6poly.rep import all_operators, raising_operator, weight_table
 from e6poly.rootsys import root_system
-from e6poly.singular import Weight, weight_buckets
+from e6poly.singular import Weight, weight_buckets, weight_space
 
 
 def _contractions(de: Monomial, xe: Monomial) -> list[tuple[Monomial, Monomial, int]]:
@@ -112,6 +125,30 @@ def kernel_samples_full(m: int) -> list[Poly]:
         units = [{mono: 1} for mono in monos if mono not in touched]
         out.extend(vec for vec in kernel_basis(rows, monos) if vec not in units)
     return out
+
+
+def raising_system_full(degree: int, weight: Weight):
+    """The raising rows of one weight space by `apply`: rows indexed by
+    (operator, image monomial) in sorted order, entries in basis order,
+    and the basis in graded-lex column order."""
+    basis = weight_space(degree, weight)
+    if not basis:
+        return [], []
+    ops = [raising_operator(k) for k in range(1, 7)]
+    rows: dict[tuple[int, Monomial], dict[Monomial, int]] = {}
+    for mono in basis:
+        for k, op in enumerate(ops):
+            for target, c in apply(op, {mono: 1}).items():
+                rows.setdefault((k, target), {})[mono] = c
+    return [rows[key] for key in sorted(rows)], sorted(basis, reverse=True)
+
+
+def cubic_scalar_full(m: int, m1: int, m2: int) -> Fraction | None:
+    """The multiple of B = eta^(m-1) x_1^m1 zeta_1^m2 that D(eta B) is,
+    from the expanded product, or None if it is no multiple."""
+    base = family(m - 1, m1, m2)
+    s = _scalars(apply(cubic_operator(), pmul(build_eta(), base)), base)
+    return None if s is None else s[0]
 
 
 def fraction_kernel(rows, columns):

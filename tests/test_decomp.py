@@ -15,14 +15,14 @@ from e6poly.decomp import (
     SAMPLE_BLOCKS,
     KernelSummary,
     _cubic_rows,
-    _image_rank,
+    _rank,
     lowering_closure,
     materialized_kernel_dim,
     phi_dim,
 )
 from e6poly.invariants import build_eta, cubic_operator
-from e6poly.linalg import kernel_basis
-from e6poly.polyops import apply, pmul
+from e6poly.linalg import kernel_basis, row_content
+from e6poly.polyops import apply, pdiv_exact, pmul
 from e6poly.singular import (
     dominant_weights,
     enumerate_singular,
@@ -116,13 +116,16 @@ def test_kernel_samples_are_killed():
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_target_rows_equal_source_rows_on_every_block(m):
-    # the materialized route builds rows from targets; phi_dim applies D
-    # to sources; both must give the same matrix on every weight block
+    # the materialized route builds rows of D / 3 from targets; phi_dim
+    # applies D to sources; on every weight block the target rows are
+    # exactly the source rows divided by 3, and each is primitive
     targets = weight_buckets(m - 3)
     for key, monos in weight_buckets(m).items():
         rows = _cubic_rows(targets.get(key, []))
-        assert _as_set(rows) == _as_set(_source_rows(monos))
+        thirds = [pdiv_exact(row, 3) for row in _source_rows(monos)]
+        assert _as_set(rows) == _as_set(thirds)
         assert len(rows) == len(targets.get(key, []))
+        assert all(row_content(row) == 1 for row in rows)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -318,10 +321,12 @@ def test_dominant_blocks_give_the_full_block_rank(m):
     # weighted the dominant blocks by orbit size
     targets = weight_buckets(m - 3)
     sources = weight_buckets(m)
-    rank = sum(_image_rank([{s: 1} for s in sources.get(w, [])], len(t))
+    D = cubic_operator()
+    rank = sum(_rank([apply(D, {s: 1}) for s in sources.get(w, [])], len(t))
                for w, t in targets.items())
     direct = all(
-        _image_rank([pmul(build_eta(), {g: 1}) for g in monos], len(monos)) == len(monos)
+        _rank([apply(D, pmul(build_eta(), {g: 1})) for g in monos], len(monos))
+        == len(monos)
         for monos in targets.values())
     s = phi_dim(m)
     assert (s.rank_D, s.direct_sum_ok) == (rank, direct)

@@ -64,7 +64,13 @@ from e6poly.polyops import (
 )
 from e6poly.rep import all_operators, weight_table
 from e6poly.rootsys import root_system
-from oracles import commutator, monomial_weight, multiplication, tau_dual
+from oracles import (
+    commutator,
+    cubic_scalar_full,
+    monomial_weight,
+    multiplication,
+    tau_dual,
+)
 
 # --- the cubic invariant ---------------------------------------------
 
@@ -111,7 +117,8 @@ ETA_CACHES = (invariants.build_eta, invariants.build_zeta_family,
               invariants.cubic_operator, invariants.pairing_operator,
               invariants.eta_report, invariants.lemma_bracket_triple,
               invariants.lemma_pairing_bracket,
-              invariants.lemma_pairing_eigenvalue)
+              invariants.lemma_pairing_eigenvalue,
+              invariants.cubic_sweep_premises)
 
 
 @pytest.fixture
@@ -589,6 +596,90 @@ def test_cubic_action_mixed_cases():
         assert r.scalar == derived_cubic_scalar(
             m, m1, m2, m2 * (m1 + m2 + 4), (405, 45, 9), (15, 2)
         )
+
+
+SWEEP = [(m, m1, m2) for m in range(1, cli.CUBIC_DEGREE // 3 + 1)
+         for m1, m2 in cli._label_pairs(cli.CUBIC_DEGREE - 3 * m)]
+
+
+def test_certified_scalars_equal_the_expanded_product():
+    # the scalar read off one coefficient, under the premises, is the
+    # multiple that the expanded D(eta B) solves for
+    assert len(SWEEP) == 16
+    for m, m1, m2 in SWEEP:
+        r = lemma_cubic_action(m, m1, m2)
+        assert r.ok, (m, m1, m2)
+        assert r.scalar == cubic_scalar_full(m, m1, m2), (m, m1, m2)
+
+
+def test_cubic_sweep_expands_no_product(monkeypatch):
+    # no D(eta B) is formed: the sweep applies D to no polynomial
+    D = cubic_operator()
+    applied = []
+    real = invariants.apply
+
+    def recorded(w, f):
+        if w is D:
+            applied.append(len(f))
+        return real(w, f)
+
+    monkeypatch.setattr(invariants, "apply", recorded)
+    for case in SWEEP:
+        lemma_cubic_action(*case)
+    assert applied == []
+
+
+def _failing_d_invariance(monkeypatch):
+    real = invariants.verify_invariance
+
+    def broken(op, label="operator"):
+        r = real(op, label)
+        return r if op is not cubic_operator() else invariants.InvarianceReport(
+            label=label, ops_checked=r.ops_checked, failures=(("h", 1),))
+
+    monkeypatch.setattr(invariants, "verify_invariance", broken)
+
+
+def _eta_not_annihilated(monkeypatch):
+    real = invariants._raising_residual
+    monkeypatch.setattr(invariants, "_raising_residual",
+                        lambda f: {(): 1} if f == build_eta() else real(f))
+
+
+def _scan_with(monkeypatch, change):
+    real = invariants.enumerate_singular
+    monkeypatch.setattr(invariants, "enumerate_singular", lambda d: singular.SingularScan(
+        tuple((w, change(d, basis)) for w, basis in real(d).bases)))
+
+
+def _two_dimensional_lines(monkeypatch):
+    _scan_with(monkeypatch, lambda d, basis: basis + basis)
+
+
+def _lines_off_the_family(monkeypatch):
+    # x_27^d has the lowest weight of degree d, so it lies in no line
+    _scan_with(monkeypatch, lambda d, basis: [
+        {**vec, (27,) * d: 1} for vec in basis])
+
+
+@pytest.mark.parametrize("breaks", [
+    _failing_d_invariance, _eta_not_annihilated, _two_dimensional_lines,
+    _lines_off_the_family,
+], ids=["d-not-invariant", "eta-not-annihilated", "line-not-one-dimensional",
+        "family-off-the-line"])
+def test_a_failed_premise_gives_no_cubic_scalar(monkeypatch, capsys, fresh_eta,
+                                                breaks):
+    breaks(monkeypatch)
+    r = lemma_cubic_action(2, 0, 1)
+    assert r.scalar is None
+    assert not r.ok
+    code = cli.main(["invariant", "--verify", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert "Traceback" not in captured.out
+    rows = {row["check_id"]: row for row in json.loads(captured.out)["reports"]}
+    assert rows["invariant.cubic-action-sweep"]["status"] == "fail"
 
 
 def test_derived_scalar_closed_form():

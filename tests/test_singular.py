@@ -6,6 +6,7 @@ enumerates them degree by degree over dominant weight spaces.
 """
 
 import json
+from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from e6poly import cli, singular
 from e6poly.decomp import phi_dim
 from e6poly.invariants import build_eta, build_zeta_family
+from e6poly.linalg import kernel_basis
 from e6poly.polyops import pscale, x
 from e6poly.rootsys import CARTAN_E7
 from e6poly.singular import (
@@ -27,7 +29,7 @@ from e6poly.singular import (
     weight_buckets,
     weight_space,
 )
-from oracles import monomial_weight, verify_annihilated
+from oracles import monomial_weight, raising_system_full, verify_annihilated
 
 LAM1 = (1, 0, 0, 0, 0, 0)
 LAM6 = (0, 0, 0, 0, 0, 1)
@@ -103,23 +105,100 @@ def test_scan_keeps_the_block_solver_bases():
 def test_singular_command_solves_each_dominant_block_once(monkeypatch, capsys,
                                                           degree, pinned):
     # pinned: the low-degree generator rows, which read the scan's bases
-    # and solve no block of their own
+    # and solve no block of their own.  The scan reads its lower degrees
+    # for products of lines, so lower blocks are solved too, each once
     singular.enumerate_singular.cache_clear()
-    calls = []
+    calls = Counter()
     real = singular._raising_system
 
     def counted(m, w):
-        calls.append((m, w))
+        calls[m, w] += 1
         return real(m, w)
 
     monkeypatch.setattr(singular, "_raising_system", counted)
     assert cli.main(["singular", "--degree", str(degree), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     blocks = [(degree, w) for w in dominant_weights(degree)]
-    assert sorted(calls) == sorted(blocks)
+    assert {b: calls[b] for b in blocks} == dict.fromkeys(blocks, 1)
+    assert set(calls.values()) == {1}
+    assert all(m < degree for m, _ in set(calls) - set(blocks))
     generators = [r["status"] for r in doc["reports"]
                   if r["check_id"].endswith(".generator")]
     assert generators == ["pass"] * pinned
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_raising_rows_equal_the_apply_rows(degree):
+    # the per-operator tables give the rows of one apply per monomial and
+    # operator: the same rows, in the same order, entries in the same order
+    for w in dominant_weights(degree):
+        rows, columns = singular._raising_system(degree, w)
+        full_rows, full_columns = raising_system_full(degree, w)
+        assert columns == full_columns
+        assert [list(row.items()) for row in rows] == [
+            list(row.items()) for row in full_rows]
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_singular_space_equals_the_full_elimination(degree):
+    # the certified early stop gives kernel_basis's basis on every
+    # dominant block, key order included
+    for w in dominant_weights(degree):
+        basis = singular_space(degree, w)
+        full = kernel_basis(*singular._raising_system(degree, w))
+        assert [list(v.items()) for v in basis] == [list(v.items()) for v in full]
+
+
+def test_only_the_generator_blocks_fall_back_to_full_elimination(monkeypatch):
+    # every line from degree 4 on is a product of lower lines, and a block
+    # without a line reaches full column rank: only the blocks of 1, x_1,
+    # zeta_1 and eta solve for their kernel
+    for m in range(5):
+        enumerate_singular(m)
+    solved = []
+    real = singular.kernel_basis
+
+    def recorded(rows, columns):
+        solved.append(columns)
+        return real(rows, columns)
+
+    monkeypatch.setattr(singular, "kernel_basis", recorded)
+    for m in range(6):
+        for w in dominant_weights(m):
+            singular_space(m, w)
+    assert sorted(solved) == sorted([[()], [(1,)], weight_space(2, LAM6)[::-1],
+                                     weight_space(3, ZERO)[::-1]])
+
+
+def test_a_flipped_product_is_refused_and_the_block_is_solved(monkeypatch):
+    # degree 5, weight lambda_6: the line eta zeta_1.  A product with one
+    # flipped coefficient is killed by no raising row set, so the block
+    # gets no lower bound and falls back to full elimination
+    for m in range(5):
+        enumerate_singular(m)
+    expected = singular_space(5, LAM6)
+    rows, columns = singular._raising_system(5, LAM6)
+    position = {c: i for i, c in enumerate(columns)}
+    assert singular._product_line(5, LAM6, rows, position) is not None
+    real_pmul = singular.pmul
+    solved = []
+    real_kernel = singular.kernel_basis
+
+    def flipped(f, g):
+        out = real_pmul(f, g)
+        mono = next(iter(out))
+        out[mono] = -out[mono]
+        return out
+
+    def recorded(rows, columns):
+        solved.append(len(columns))
+        return real_kernel(rows, columns)
+
+    monkeypatch.setattr(singular, "pmul", flipped)
+    monkeypatch.setattr(singular, "kernel_basis", recorded)
+    assert singular._product_line(5, LAM6, rows, position) is None
+    assert singular_space(5, LAM6) == expected
+    assert solved == [len(columns)]
 
 
 def test_singular_weights_are_dominant():
