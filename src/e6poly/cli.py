@@ -272,14 +272,15 @@ def _label_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def _invariant_lemmas(a: Assembler) -> dict:
-    # producers are looked up at call time, so a raising one is a fail row
-    for label, producer in (("D", "cubic_operator"), ("D1", "euler_operator"),
-                            ("D2", "pairing_operator")):
+    # producers are looked up at call time, so a raising one is a fail row;
+    # D's report is the cached one the cubic sweep's premises read
+    for label, report in (
+            ("D", lambda: invariants.cubic_invariance()),
+            ("D1", lambda: invariants.verify_invariance(invariants.euler_operator(), "D1")),
+            ("D2", lambda: invariants.verify_invariance(invariants.pairing_operator(), "D2"))):
         a.check(f"invariant.commutes.{label}",
                 f"{label} commutes with all 78 generator operators",
-                True, DERIVED,
-                lambda label=label, producer=producer: invariants.verify_invariance(
-                    getattr(invariants, producer)(), label).ok)
+                True, DERIVED, report, pick=attrgetter("ok"))
     payload = {}
     br = a.check("invariant.bracket.structure",
                  "[D, mult(eta)] lies exactly in span{Id, D1, D2}",

@@ -31,11 +31,17 @@ every member (`lemma_pairing_eigenvalue`, one cached solve per vector,
 which also gives the pairing bracket's two instances and the base of
 the derived cubic scalar), and the action of D on eta B, for B =
 eta^(m-1) x_1^m1 zeta_1^m2.  That action is certified, not expanded: D
-commutes with the 78 generators, eta and B are singular, and the scan's
-line through B has dimension 1, so D(eta B) is a multiple of B, read
-off one coefficient (`lemma_cubic_action`).  The lemma reports hold
-computed values only; the command line compares them
-with the hand-entered reference constants of `golden`, and
+commutes with the algebra, eta and B are singular, and the scan's line
+through B has dimension 1, so D(eta B) is a multiple of B, read off one
+coefficient (`lemma_cubic_action`).
+Invariance under the algebra is checked on its 12 Chevalley generators
+`rep.generators` only, under the cached `rep.generator_certificate`
+that the 78 derived operators lie in the Lie algebra the 12 generate
+(Humphreys, section 18.1): the operators that commute with a given
+one, or keep a given subspace, or kill a given polynomial, form a Lie
+algebra, so holding for the 12 is holding for all 78.
+The lemma reports hold computed values only; the command line compares
+them with the hand-entered reference constants of `golden`, and
 disagreements are reported, never patched.
 All of these have `int` coefficients, spans use the integer echelon,
 and both bracket lemmas use the Leibniz rule.  Every coordinate the
@@ -78,6 +84,8 @@ from .polyops import (
 from .rep import (
     Root6,
     all_operators,
+    generator_certificate,
+    generators,
     matrix,
     raising_operator,
     weight_table,
@@ -160,33 +168,44 @@ class DualModuleReport:
     nu_signs: tuple[tuple[Root6, int | None], ...]
     cartan_reference_ok: bool
     failures: tuple[str, ...]  # every failed law, derived or reference
+    certified: bool  # `rep.generator_certificate` holds
 
     @property
     def ok(self) -> bool:
-        return self.rank == 27 and not self.span_failures and not self.failures
+        return (self.certified and self.rank == 27 and not self.span_failures
+                and not self.failures)
 
 
 def verify_dual_module() -> DualModuleReport:
-    """Span stability under all 78 operators, the dual-action law for
+    """Span stability under the 12 generators, the dual-action law for
     the raising operators through the diagram automorphism, and the
     diagonal Cartan action against both the derived and the reference
     weight tables.
 
-    Each operator is applied to each zeta_j once: columns[key][j - 1]
-    holds the zeta coordinates of the image, or None if the image
-    escapes the span, and all three checks read those columns.
+    A span the 12 keep is kept by all 78 operators once
+    `rep.generator_certificate` holds, and `ok` requires it.  So only
+    the columns the checks read are built: the 12 generators, the 36
+    positive roots of the action law (the 6 raising generators among
+    them) and the 6 Cartan elements, 48 of the 78.  Each of these
+    operators is applied to each zeta_j once: columns[key][j - 1] holds
+    the zeta coordinates of the image, or None if the image escapes the
+    span, and all three checks read those columns.  Span failures are
+    listed in root order.
     """
     fam = build_zeta_family()
     coords = SpanCoordinates(fam.items())
     rs = root_system()
     ops = all_operators()
+    gens = generators()
+    keys = dict.fromkeys([*(r[:6] for r in rs.e6_positive), *gens,
+                          *(("h", j) for j in range(1, 7))])
     columns = {
-        key: [coords.express(apply(w, z)) for z in fam.values()]
-        for key, w in ops.items()
+        key: [coords.express(apply(ops[key], z)) for z in fam.values()]
+        for key in keys
     }
     span_failures = [
         f"root {r[:6]} on zeta_{j}"
-        for r in rs.e6_roots
+        for r in rs.e6_roots if r[:6] in gens
         for j, col in enumerate(columns[r[:6]], start=1)
         if col is None
     ]
@@ -234,6 +253,7 @@ def verify_dual_module() -> DualModuleReport:
         nu_signs=tuple(nu_signs),
         cartan_reference_ok=cartan_reference_ok,
         failures=tuple(failures),
+        certified=generator_certificate().ok,
     )
 
 
@@ -334,8 +354,9 @@ class EtaReport:
 def eta_report() -> EtaReport:
     """Build eta and diff it against both printed forms.
 
-    The derived facts drive `ok`: 45 monomials, annihilation by every
-    generator, the exact identity eta = sum_i d_i x_i zeta_{iota(i)}
+    The derived facts drive `ok`: 45 monomials, annihilation by the 12
+    generators under `rep.generator_certificate` (so by all 78), the
+    exact identity eta = sum_i d_i x_i zeta_{iota(i)}
     over all 27 products (Euler's identity, as zeta is the signed
     gradient, with d_v d_{iota(v)} = 1), and the second route: the one
     basis vector the singular scan keeps at degree 3 and weight 0 equals
@@ -345,7 +366,8 @@ def eta_report() -> EtaReport:
     """
     eta = build_eta()
     coeffs = sorted(set(eta.values()))
-    annihilated = not any(apply(w, eta) for w in all_operators().values())
+    annihilated = generator_certificate().ok and not any(
+        apply(w, eta) for w in generators().values())
     full = bilinear_eta(bilinear_reference_full())
     printed_residual = psub(bilinear_eta(golden.ETA_BILINEAR_REFERENCE), eta)
     ref = _from_terms(golden.ETA_REFERENCE_TERMS)
@@ -380,25 +402,36 @@ def _raising_residual(f: Poly) -> Poly:
 class InvarianceReport:
     label: str
     ops_checked: int
-    failures: tuple  # keys of `all_operators` whose bracket is nonzero
+    failures: tuple  # keys of `rep.generators` whose bracket is nonzero
+    certified: bool  # `rep.generator_certificate` holds
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return self.certified and not self.failures
 
 
 def verify_invariance(op: WeylOp, label: str = "operator") -> InvarianceReport:
-    """Exact vanishing of the commutator with all 78 generators.
+    """Exact vanishing of the commutator with the 12 generators, which
+    is commuting with all 78 derived operators once
+    `rep.generator_certificate` holds; `ok` requires both.
 
     Each generator w is first order, so [w, op] = -[op, w] comes from the
     derivation route `first_order_brackets` and is zero exactly when op
     commutes with w; no normal-ordering `compose` runs.  The factors of
-    op are indexed once and that index serves all 78 generators.
+    op are indexed once and that index serves all 12 generators.
     """
-    gens = all_operators()
+    gens = generators()
     brackets = first_order_brackets(gens.values(), op)
     failures = tuple(key for key, b in zip(gens, brackets) if b)
-    return InvarianceReport(label=label, ops_checked=len(gens), failures=failures)
+    return InvarianceReport(label=label, ops_checked=len(gens), failures=failures,
+                            certified=generator_certificate().ok)
+
+
+@lru_cache(maxsize=1)
+def cubic_invariance() -> InvarianceReport:
+    """D's invariance report, the one copy: the command line's
+    `invariant.commutes.D` row and `cubic_sweep_premises` both read it."""
+    return verify_invariance(cubic_operator(), "D")
 
 
 def _scalars(target: dict, *basis: dict) -> tuple[Fraction, ...] | None:
@@ -548,10 +581,11 @@ class CubicActionReport:
 @lru_cache(maxsize=1)
 def cubic_sweep_premises() -> bool:
     """The operator premises of the cubic sweep's certificate: D commutes
-    with all 78 generators, eta is killed by the six raising operators,
-    and these are derivations (every term is x_i d_j)."""
+    with the algebra (`cubic_invariance`: the 12 generators under the
+    generated-by certificate), eta is killed by the six raising
+    operators, and these are derivations (every term is x_i d_j)."""
     return (
-        verify_invariance(cubic_operator(), "D").ok
+        cubic_invariance().ok
         and not _raising_residual(build_eta())
         and all(len(xe) == len(de) == 1
                 for k in range(1, 7) for xe, de in raising_operator(k))
@@ -581,7 +615,8 @@ def _certified_cubic_scalar(base: Poly, degree: int, weight) -> Fraction | None:
 
     With the premises of `cubic_sweep_premises`, eta base is singular
     whenever base is, and so is its image under D, which keeps the
-    weight and lowers the degree by 3.  If the scan's line at base's
+    weight and lowers the degree by 3: D commutes with every operator
+    of the algebra, the six raising ones among them.  If the scan's line at base's
     degree and weight has dimension 1 and base is a multiple of its
     basis vector, that image is s base, and s = [x^t] D(eta base) / [x^t]
     base at any monomial t of the line.  That coefficient needs eta base

@@ -16,7 +16,11 @@ exposes the derived operators, the weight tables they imply, comparison
 against the hand-entered reference table in `golden`, and a
 homomorphism check of the whole assignment.  Only that check uses the
 algebra of `liealg`, for the right side rho([a, b]), so it does not
-share its route with the operators it checks.  An algebra element there
+share its route with the operators it checks.  The 12 operators
+rho(e_{+-alpha_k}) are the `generators`, and `generator_certificate`
+shows by 66 exact brackets that the 78 lie in the Lie algebra they
+generate (Humphreys, section 18.1), so the invariance and stability
+checks of `invariants` read the 12 only.  An algebra element there
 is a sparse dict keyed like `all_operators` (("h", j), or a root whose
 E6 part is the operator key), so rho of it is one `poly` sum.
 """
@@ -28,7 +32,7 @@ from functools import lru_cache
 
 from . import golden
 from .liealg import bracket
-from .polyops import WeylOp, first_order_brackets, poly, psub
+from .polyops import WeylOp, first_order_brackets, poly, pscale, psub
 from .rootsys import (
     Vector,
     alpha,
@@ -110,6 +114,65 @@ def raising_operator(k: int) -> WeylOp:
 
 def lowering_operator(k: int) -> WeylOp:
     return all_operators()[_restrict(vneg(alpha(k)))]
+
+
+def generators() -> dict:
+    """The 12 operators rho(e_{+-alpha_k}), keyed and ordered as in
+    `all_operators`."""
+    simple = [_restrict(alpha(k)) for k in range(1, 7)]
+    keys = {*simple, *map(vneg, simple)}
+    return {key: w for key, w in all_operators().items() if key in keys}
+
+
+@dataclass(frozen=True)
+class GeneratorCertificate:
+    brackets: int
+    failures: tuple  # keys of `all_operators` whose bracket identity fails
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+@lru_cache(maxsize=1)
+def generator_certificate() -> GeneratorCertificate:
+    """The 78 operators lie in the Lie algebra the 12 `generators` span.
+
+    Checked exactly, 66 brackets: rho(h_k) = +-[rho(e_k), rho(f_k)] for
+    k = 1..6, and for each of the 60 non-simple roots a, in order of
+    height, rho(e_a) = +-[rho(e_{+-a_k}), rho(e_{a-+a_k})], with a_k the
+    first simple root for which a -+ a_k is a root of a's sign.  By
+    induction on height every right side lies in that algebra (Humphreys
+    section 18.1: the e_k and f_k generate the algebra), so whatever
+    commutes with the 12 commutes with all 78, and a subspace the 12
+    keep is kept by all 78.  The brackets come from
+    `first_order_brackets`, one call per generator.  Cached: every
+    invariance and stability check reads this one certificate.
+    """
+    ops = all_operators()
+    simple = [_restrict(alpha(k)) for k in range(1, 7)]
+    # (operator to certify, generator, the operator it is bracketed with)
+    steps = [(("h", k), s, vneg(s)) for k, s in enumerate(simple, start=1)]
+    roots = [key for key in ops if key[0] != "h"]
+    for root in sorted(roots, key=lambda r: abs(sum(r))):
+        if abs(sum(root)) < 2:
+            continue
+        signed = simple if sum(root) > 0 else [vneg(s) for s in simple]
+        steps.append(next((root, g, rest) for g in signed
+                          if (rest := vadd(root, vneg(g))) in ops))
+    by_generator: dict = {}
+    for step in steps:
+        by_generator.setdefault(step[1], []).append(step)
+    held = {}
+    for gen, group in by_generator.items():
+        # [rho(e_rest), rho(gen)], which is minus the bracket stated above
+        images = first_order_brackets([ops[rest] for _, _, rest in group], ops[gen])
+        for (target, _, _), b in zip(group, images):
+            held[target] = b in (ops[target], pscale(-1, ops[target]))
+    return GeneratorCertificate(
+        brackets=len(steps),
+        failures=tuple(target for target, _, _ in steps if not held[target]),
+    )
 
 
 @dataclass(frozen=True)

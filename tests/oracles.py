@@ -9,6 +9,10 @@ per variable, so products and commutators stay exact; `commutator`
 builds on it, and `multiplication` is the operator of multiplying by a
 polynomial.  `monomial_weight` sums the weight table one factor at a
 time, and `verify_annihilated` applies all 36 positive-root operators.
+`verify_invariance_full`, `verify_dual_module_full` and
+`annihilated_by_all_full` are the invariance, dual-module and
+annihilation checks over all 78 derived operators, as the package ran
+them before it read the 12 generators and the generated-by certificate.
 `materialized_kernel_dim_full` lists every weight block of degree m,
 as the materialized kernel route once did, and takes a kernel basis of
 each, unit vectors included; `kernel_samples_full` lists the sampled
@@ -30,22 +34,32 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, lcm, perm, prod
 
-from e6poly import golden
+from e6poly import golden, invariants
 from e6poly.decomp import SAMPLE_BLOCKS, _cubic_rows
-from e6poly.invariants import _scalars, build_eta, cubic_operator, family, tau
-from e6poly.linalg import kernel_basis
+from e6poly.invariants import (
+    DualModuleReport,
+    InvarianceReport,
+    _scalars,
+    build_eta,
+    cubic_operator,
+    family,
+    sigma_root,
+    tau,
+)
+from e6poly.linalg import SpanCoordinates, kernel_basis
 from e6poly.polyops import (
     Monomial,
     Poly,
     WeylOp,
     _drop,
     apply,
+    first_order_brackets,
     monomial,
     pmul,
     poly,
     psub,
 )
-from e6poly.rep import all_operators, raising_operator, weight_table
+from e6poly.rep import all_operators, matrix, raising_operator, weight_table
 from e6poly.rootsys import root_system
 from e6poly.singular import Weight, weight_buckets, weight_space
 
@@ -100,6 +114,83 @@ def verify_annihilated(vec: Poly) -> bool:
     """Check annihilation by all 36 positive-root operators."""
     ops = all_operators()
     return not any(apply(ops[r[:6]], vec) for r in root_system().e6_positive)
+
+
+def annihilated_by_all_full(f: Poly) -> bool:
+    """Check annihilation by all 78 derived operators."""
+    return not any(apply(w, f) for w in all_operators().values())
+
+
+def verify_invariance_full(op: WeylOp, label: str = "operator") -> InvarianceReport:
+    """Commutators of op with all 78 derived operators, by the derivation
+    route; `failures` names every key of `all_operators` whose bracket is
+    nonzero, and no certificate is read."""
+    ops = all_operators()
+    brackets = first_order_brackets(ops.values(), op)
+    failures = tuple(key for key, b in zip(ops, brackets) if b)
+    return InvarianceReport(label=label, ops_checked=len(ops), failures=failures,
+                            certified=True)
+
+
+def verify_dual_module_full() -> DualModuleReport:
+    """`invariants.verify_dual_module` with every one of the 78 operators
+    applied to every member: span stability under all 78 roots and
+    Cartan elements, no certificate read, and the same dual-action law
+    and Cartan checks.  The family is read through the `invariants`
+    module, so a test that patches it there reaches this route too."""
+    fam = invariants.build_zeta_family()
+    coords = SpanCoordinates(fam.items())
+    rs = root_system()
+    ops = all_operators()
+    columns = {
+        key: [coords.express(apply(w, z)) for z in fam.values()]
+        for key, w in ops.items()
+    }
+    span_failures = [
+        f"root {r[:6]} on zeta_{j}"
+        for r in rs.e6_roots
+        for j, col in enumerate(columns[r[:6]], start=1)
+        if col is None
+    ]
+    failures: list[str] = []
+    nu_signs = []
+    simple_roots = {tuple(1 if t == k else 0 for t in range(6)) for k in range(6)}
+    for r in rs.e6_positive:
+        root6 = r[:6]
+        cols = columns[root6]
+        mat = None if None in cols else {
+            (i, j): c for j, col in enumerate(cols, start=1) for i, c in col.items()
+        }
+        ref = matrix(ops[sigma_root(root6)])
+        if mat == ref:
+            sign = 1
+        elif mat == {k: -v for k, v in ref.items()}:
+            sign = -1
+        else:
+            sign = None
+        nu_signs.append((root6, sign))
+        if root6 in simple_roots and sign != 1:
+            failures.append(f"dual action law fails at simple root {root6}")
+    a = weight_table()
+    cartan_reference_ok = True
+    for j in range(1, 7):
+        sig = golden.SIGMA[j - 1]
+        for i, col in enumerate(columns[("h", j)], start=1):
+            expect = a[i - 1][sig - 1]
+            if col != ({i: expect} if expect else {}):
+                failures.append(f"h_{j} not scalar {expect} on zeta_{i}")
+            if expect != golden.WEIGHT_TABLE_ZETA[i - 1][j - 1]:
+                cartan_reference_ok = False
+                failures.append(f"b[{i},{j}] reference disagrees")
+    return DualModuleReport(
+        rank=coords.rank,
+        ops_checked=len(columns),
+        span_failures=tuple(span_failures),
+        nu_signs=tuple(nu_signs),
+        cartan_reference_ok=cartan_reference_ok,
+        failures=tuple(failures),
+        certified=True,
+    )
 
 
 def materialized_kernel_dim_full(m: int) -> int:

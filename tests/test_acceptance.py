@@ -15,6 +15,7 @@ import pytest
 from e6poly import golden
 from e6poly.invariants import (
     annihilation,
+    build_eta,
     cubic_operator,
     eta_report,
     lemma_bracket_triple,
@@ -30,6 +31,7 @@ from e6poly.polyops import euler_operator
 from e6poly.rep import (
     compare_reference_operators,
     compare_weight_tables,
+    generator_certificate,
     verify_homomorphism,
 )
 from e6poly.rootsys import check_cocycle_laws, root_system
@@ -39,6 +41,7 @@ from e6poly.singular import (
     singular_space,
 )
 from e6poly.weyl import identity_check
+from oracles import annihilated_by_all_full, verify_invariance_full
 
 
 def _criterion(num: int, description: str, passed: bool, note: str = "") -> None:
@@ -161,16 +164,20 @@ def test_criterion_06_dual_family():
 def test_criterion_07_invariance():
     t0 = time.perf_counter()
     er = eta_report()
-    reports = [
-        verify_invariance(op, label)
-        for label, op in (("D", cubic_operator()), ("D1", euler_operator()),
-                          ("D2", pairing_operator()))
-    ]
+    ops = (("D", cubic_operator()), ("D1", euler_operator()),
+           ("D2", pairing_operator()))
+    reports = [verify_invariance(op, label) for label, op in ops]
+    # the 12 generators under the generated-by certificate, and the same
+    # verdicts from the 78-operator route
+    full = [verify_invariance_full(op, label) for label, op in ops]
     _criterion(
         7,
         "eta, D, D1, D2 each invariant under all 78 generators",
-        er.annihilated_by_all
-        and all(r.ok and r.ops_checked == 78 for r in reports),
+        generator_certificate().ok
+        and er.annihilated_by_all
+        and annihilated_by_all_full(build_eta())
+        and all(r.ok and r.ops_checked == 12 for r in reports)
+        and all(r.ok and r.ops_checked == 78 for r in full),
         f"{time.perf_counter() - t0:.2f}s",
     )
 

@@ -310,7 +310,8 @@ def fresh_lemmas():
     # the lemma reports are cached: solve afresh, and drop what a patched
     # run cached so later tests do not read it
     caches = (invariants.lemma_bracket_triple, invariants.lemma_pairing_bracket,
-              invariants.lemma_pairing_eigenvalue, invariants.cubic_sweep_premises)
+              invariants.lemma_pairing_eigenvalue, invariants.cubic_invariance,
+              invariants.cubic_sweep_premises)
     for cached in caches:
         cached.cache_clear()
     yield

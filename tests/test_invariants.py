@@ -6,9 +6,11 @@ defective; those comparisons pin the size and location of each defect
 so that silent drift in either direction fails the suite.
 """
 
+import dataclasses
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -62,14 +64,17 @@ from e6poly.polyops import (
     psub,
     x,
 )
-from e6poly.rep import all_operators, weight_table
+from e6poly.rep import all_operators, generator_certificate, generators, weight_table
 from e6poly.rootsys import root_system
 from oracles import (
+    annihilated_by_all_full,
     commutator,
     cubic_scalar_full,
     monomial_weight,
     multiplication,
     tau_dual,
+    verify_dual_module_full,
+    verify_invariance_full,
 )
 
 # --- the cubic invariant ---------------------------------------------
@@ -110,6 +115,11 @@ def test_eta_report_is_clean():
     assert r.bilinear_relation_dim == 6
 
 
+def test_eta_annihilation_agrees_with_the_78_operator_route():
+    assert eta_report().annihilated_by_all
+    assert annihilated_by_all_full(build_eta())
+
+
 # --- the singular scan as the second route --------------------------
 
 # every cache that holds eta or something built from it
@@ -118,7 +128,7 @@ ETA_CACHES = (invariants.build_eta, invariants.build_zeta_family,
               invariants.eta_report, invariants.lemma_bracket_triple,
               invariants.lemma_pairing_bracket,
               invariants.lemma_pairing_eigenvalue,
-              invariants.cubic_sweep_premises)
+              invariants.cubic_invariance, invariants.cubic_sweep_premises)
 
 
 @pytest.fixture
@@ -306,8 +316,10 @@ def test_dual_module_applies_each_operator_to_each_member_once(monkeypatch):
     monkeypatch.setattr(invariants, "apply", counted_apply)
     monkeypatch.setattr(linalg.SpanCoordinates, "express", counted_express)
     assert verify_dual_module().ok
-    # one image and one coordinate column per (operator, member) pair
-    assert counts == {"apply": 78 * 27, "express": 78 * 27}
+    # one image and one coordinate column per (operator, member) pair,
+    # over the 48 operators the checks read: 36 positive roots, the 6
+    # lowering generators and the 6 Cartan elements
+    assert counts == {"apply": 48 * 27, "express": 48 * 27}
 
 
 _N = None
@@ -371,12 +383,33 @@ def test_dual_module_reports_a_corrupted_family(monkeypatch, case):
     zetas[k] = want["corrupt"](zetas[k])
     monkeypatch.setattr(invariants, "build_zeta_family", lambda: zetas)
     r = verify_dual_module()
+    full = verify_dual_module_full()
     positive = [p[:6] for p in root_system().e6_positive]
     assert r.nu_signs == tuple(zip(positive, want["signs"]))
-    assert r.span_failures == want["span_failures"]
+    # the 78-operator route names every escape; the package names those
+    # of the 12 generators, in the same root order
+    assert full.span_failures == want["span_failures"]
+    assert r.span_failures == tuple(
+        f for f in want["span_failures"]
+        if any(f.startswith(f"root {key} ") for key in generators()))
+    assert bool(r.span_failures) == bool(want["span_failures"])
     assert r.failures == want["failures"]
     assert _simple_root_signs(r) != [1] * 6
-    assert r.rank == 27 and r.ops_checked == 78 and not r.ok
+    assert r.rank == 27 and r.ops_checked == 48 and not r.ok
+    assert full.ops_checked == 78 and not full.ok
+
+
+@pytest.mark.parametrize("case", [None, *sorted(CORRUPTED_FAMILIES)])
+def test_dual_module_agrees_with_the_78_operator_route(monkeypatch, case):
+    if case is not None:
+        want = CORRUPTED_FAMILIES[case]
+        zetas = dict(build_zeta_family())
+        zetas[want["member"]] = want["corrupt"](zetas[want["member"]])
+        monkeypatch.setattr(invariants, "build_zeta_family", lambda: zetas)
+    r, full = verify_dual_module(), verify_dual_module_full()
+    for field in ("rank", "nu_signs", "failures", "cartan_reference_ok", "ok"):
+        assert getattr(r, field) == getattr(full, field), field
+    assert r.ok == (case is None)
 
 
 def test_dual_module_rank_counts_independent_members(monkeypatch):
@@ -448,14 +481,38 @@ def invariant_operators():
 
 def test_operators_commute_with_every_generator():
     for label, op in invariant_operators():
-        rep = verify_invariance(op, label)
-        assert rep.ok, rep.failures
-        assert rep.ops_checked == 78
+        report = verify_invariance(op, label)
+        assert report.ok, report.failures
+        assert report.certified
+        assert report.ops_checked == 12
+
+
+NON_INVARIANT = (("mult x1", multiplication(x(1))),
+                 ("dual x1^3", dualize(ppow(x(1), 3))))
+
+
+@pytest.mark.parametrize("label", ["D", "D1", "D2", "mult x1", "dual x1^3"])
+def test_invariance_agrees_with_the_78_operator_route(label):
+    op = dict(invariant_operators() + NON_INVARIANT)[label]
+    full = verify_invariance_full(op, label)
+    assert full.ops_checked == 78
+    assert verify_invariance(op, label).ok == full.ok == label.startswith("D")
+
+
+def test_multiplication_by_x1_fails_on_a_lowering_generator_only():
+    # x_1 spans the highest weight line: the raising generators kill it,
+    # so mult(x_1) commutes with them, and f_1 alone moves it
+    report = verify_invariance(multiplication(x(1)), "mult x1")
+    raising = [key for key in generators() if sum(key) == 1]
+    assert len(raising) == 6
+    assert report.failures == ((-1, 0, 0, 0, 0, 0),)
+    assert not set(report.failures) & set(raising)
+    assert report.certified and not report.ok
 
 
 def test_verify_invariance_indexes_each_operator_once(monkeypatch):
     ops = invariant_operators()
-    all_operators()
+    generator_certificate()  # cached, so its generator indexes are not counted
     calls = []
     real = polyops._factor_index
 
@@ -465,8 +522,8 @@ def test_verify_invariance_indexes_each_operator_once(monkeypatch):
 
     monkeypatch.setattr(polyops, "_factor_index", counted)
     for label, op in ops:
-        assert verify_invariance(op, label).ops_checked == 78
-    # one index per operator, shared by its 78 generator brackets
+        assert verify_invariance(op, label).ops_checked == 12
+    # one index per operator, shared by its 12 generator brackets
     assert calls == [op for _label, op in ops]
 
 
@@ -489,15 +546,89 @@ def test_derivation_route_matches_commutator_on_generator_pairs():
 
 def test_invariance_failures_match_commutator_loop():
     # operators that do not commute: the fast route names the same
-    # generators, in the same order, as a commutator-based loop
-    for label, op in (("mult x1", multiplication(x(1))),
-                      ("dual x1^3", dualize(ppow(x(1), 3)))):
+    # generators, in the same order, as a commutator-based loop, and the
+    # 78-operator route names every operator that loop flags
+    gens = generators()
+    for label, op in NON_INVARIANT:
         expected = tuple(key for key, w in all_operators().items()
                          if commutator(op, w))
-        rep = verify_invariance(op, label)
+        report = verify_invariance(op, label)
         assert expected
-        assert rep.failures == expected
-        assert not rep.ok
+        assert report.failures == tuple(key for key in expected if key in gens)
+        assert report.failures
+        assert not report.ok
+        assert verify_invariance_full(op, label).failures == expected
+
+
+# caches that hold a result read off the generated-by certificate
+CERTIFIED_CACHES = (generator_certificate, invariants.cubic_invariance,
+                    invariants.cubic_sweep_premises, invariants.eta_report)
+
+
+@pytest.fixture
+def fresh_certificate():
+    # certify afresh, and drop what a patched run cached
+    for cached in CERTIFIED_CACHES:
+        cached.cache_clear()
+    yield
+    for cached in CERTIFIED_CACHES:
+        cached.cache_clear()
+
+
+def test_a_flipped_sign_off_the_generators_fails_every_invariance_row(
+        capsys, monkeypatch, fresh_certificate):
+    # one term of one height-3 root operator negated: the 12 generators
+    # are untouched, so only the certificate sees it, and every row that
+    # reads the certificate fails
+    root = next(key for key in all_operators() if key[0] != "h" and sum(key) == 3)
+    w = dict(all_operators()[root])
+    term = next(iter(w))
+    w[term] = -w[term]
+    monkeypatch.setitem(all_operators(), root, w)
+    assert not generator_certificate().ok
+    for label, op in invariant_operators():
+        report = verify_invariance(op, label)
+        assert report.failures == ()
+        assert not report.certified and not report.ok
+    code = cli.main(["all", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert "Traceback" not in captured.out
+    rows = {r["check_id"]: r["status"] for r in json.loads(captured.out)["reports"]}
+    for check_id in ("invariant.commutes.D", "invariant.commutes.D1",
+                     "invariant.commutes.D2", "invariant.eta",
+                     "invariant.dual-family"):
+        assert rows[check_id] == "fail", check_id
+
+
+def test_all_brackets_the_invariant_operators_with_the_12_generators(
+        capsys, monkeypatch, fresh_certificate):
+    # a guard against the 78-operator sweep: in one run, D, D1 and D2
+    # are each bracketed once with the 12 generators, and the cached
+    # certificate takes its 66 brackets once
+    calls = {}
+    real = polyops.first_order_brackets
+
+    def counted(ws, a):
+        ws = list(ws)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension
+            frame = frame.f_back
+        calls.setdefault(frame.f_code.co_name, []).append((len(ws), a))
+        return real(ws, a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("e6poly") and hasattr(module, "first_order_brackets"):
+            monkeypatch.setattr(module, "first_order_brackets", counted)
+    assert cli.main(["all", "--json"]) == 0
+    capsys.readouterr()
+    assert set(calls) == {"generator_certificate", "verify_invariance",
+                          "verify_homomorphism"}
+    ops = [op for _label, op in invariant_operators()]
+    assert sorted(ops.index(a) for _n, a in calls["verify_invariance"]) == [0, 1, 2]
+    assert [n for n, _a in calls["verify_invariance"]] == [12] * 3
+    assert sum(n for n, _a in calls["generator_certificate"]) == 66
 
 
 def test_invariant_calculus_is_integer():
@@ -634,8 +765,8 @@ def _failing_d_invariance(monkeypatch):
 
     def broken(op, label="operator"):
         r = real(op, label)
-        return r if op is not cubic_operator() else invariants.InvarianceReport(
-            label=label, ops_checked=r.ops_checked, failures=(("h", 1),))
+        return r if op is not cubic_operator() else dataclasses.replace(
+            r, failures=(("h", 1),))
 
     monkeypatch.setattr(invariants, "verify_invariance", broken)
 

@@ -18,6 +18,8 @@ from e6poly.rep import (
     compare_weight_tables,
     derive_cartan_action,
     derive_root_action,
+    generator_certificate,
+    generators,
     lowering_operator,
     raising_operator,
     verify_homomorphism,
@@ -161,6 +163,66 @@ def test_homomorphism_indexes_each_generator_once(monkeypatch):
     assert verify_homomorphism().ok
     # 18 simple generators, one index each, not one per pair
     assert len(calls) == 18
+
+
+def test_generators_are_the_simple_raising_and_lowering_operators():
+    ops = all_operators()
+    gens = generators()
+    assert list(gens) == [key for key in ops if key in gens]
+    assert sorted(map(id, gens.values())) == sorted(
+        id(op(k)) for k in range(1, 7) for op in (raising_operator, lowering_operator))
+
+
+def test_generator_certificate_holds_with_66_brackets():
+    # 6 Cartan elements and 60 non-simple roots, one bracket each
+    cert = generator_certificate()
+    assert cert.ok
+    assert cert.failures == ()
+    assert cert.brackets == 66
+
+
+def _height_three_root():
+    return next(key for key in all_operators() if key[0] != "h" and sum(key) == 3)
+
+
+def test_certificate_fails_on_one_flipped_sign(monkeypatch):
+    # one term of one height-3 root operator negated: its own identity
+    # fails, and so does each identity that brackets with it
+    root = _height_three_root()
+    w = dict(all_operators()[root])
+    term = next(iter(w))
+    w[term] = -w[term]
+    generator_certificate.cache_clear()
+    monkeypatch.setitem(all_operators(), root, w)
+    try:
+        cert = generator_certificate()
+    finally:
+        generator_certificate.cache_clear()
+    assert not cert.ok
+    assert cert.brackets == 66
+    assert cert.failures[0] == root
+
+
+def test_certificate_brackets_each_generator_once(monkeypatch):
+    calls = []
+    real = rep.first_order_brackets
+
+    def counted(ws, a):
+        ws = list(ws)
+        calls.append((len(ws), a))
+        return real(ws, a)
+
+    generator_certificate.cache_clear()
+    monkeypatch.setattr(rep, "first_order_brackets", counted)
+    try:
+        assert generator_certificate().ok
+    finally:
+        generator_certificate.cache_clear()
+    # one call per generator that some identity reads, 66 brackets in all
+    assert sum(n for n, _a in calls) == 66
+    assert len(calls) <= 12
+    gens = list(generators().values())
+    assert all(any(a is g for g in gens) for _n, a in calls)
 
 
 _k = st.integers(min_value=1, max_value=6)
