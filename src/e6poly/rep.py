@@ -289,12 +289,14 @@ class HomReport:
     failures: tuple[str, ...]
 
 
+@lru_cache(maxsize=1)
 def verify_homomorphism() -> HomReport:
     """[rho(a), rho(b)] = rho([a, b]) over all simple-generator pairs.
 
     Every rho(a) is first order, so the left side comes from the
     derivation route `first_order_brackets`, not from generic
     composition; each rho(b) is indexed once for all 18 rho(a).
+    Cached: it is also the premise of the singular scan's count.
     """
     ops = all_operators()
     gens = [g for k in range(1, 7)

@@ -22,25 +22,20 @@ operators; because the module algebra is completely reducible, that is
 equivalent to being a highest-weight vector.  Highest weights are
 dominant, so only dominant blocks are scanned.
 
-Kernels are computed per weight space by `singular_space`, the one
-block solver: the six raising operators map a weight space into six
-other weight spaces, and the joint kernel of the stacked integer
-coefficient matrix is its answer.  The rows come from one table of the
-operators' terms c x_i d_j, keyed by x_j, not from `apply`.
-The elimination stops as soon as the kernel is certified.  A product of
-two lower-degree lines whose degrees and weights add up to the block's,
-checked exactly against the block's rows, is a singular vector (the
-raising operators are derivations, Humphreys §20-21), so the kernel has
-dimension at least L = 1; otherwise L = 0.  The rows go into one
-integer echelon sparsest first until the rank reaches columns - L, and
-the block is then that product's line, or empty.  Only a block whose
-rank never gets there, which are the blocks of the generators 1, x_1,
-zeta_1 and eta, is solved by `linalg.kernel_basis`.  Singular vectors
-are returned as integer polynomials, normalized as `kernel_basis`
-normalizes.  The scan `enumerate_singular` keeps each block's basis and
-is cached per degree, and reads its own lower degrees for the products;
-every other reader of a singular line reads those bases, so each block
-is solved once.
+A block is solved by `singular_space`: `linalg.kernel_basis` of the six
+raising operators' integer rows on one weight space, built from one
+table of their terms c x_i d_j keyed by x_j, not from `apply`.
+
+The scan `enumerate_singular` solves few blocks.  The raising operators
+are derivations, so a product of two lower singular vectors is singular
+(Humphreys section 20-21): the scan multiplies its lower lines, one
+checked product per weight reached.  The 78 operators form a
+representation (the homomorphism check), so the degree-m polynomials
+are completely reducible and C(m + 26, 26) is the sum of dim V(w) over
+their singular lines.  Once the product weights' dimensions add up to
+it, no other block holds a line.  Blocks the count leaves open, those of
+the generators 1, x_1, zeta_1 and eta, are solved in weight order, and
+without the homomorphism every dominant block is.
 """
 
 from __future__ import annotations
@@ -51,11 +46,11 @@ from functools import lru_cache
 from math import comb
 from operator import add
 
-from .linalg import IntEchelon, kernel_basis, row_content
-from .polyops import Monomial, Poly, pmul
-from .rep import raising_operator, weight_table
+from .linalg import kernel_basis, row_content
+from .polyops import Monomial, Poly, apply, pmul
+from .rep import raising_operator, verify_homomorphism, weight_table
 from .rootsys import CARTAN_E7
-from .weyl import positive_roots
+from .weyl import dimension, positive_roots
 
 Weight = tuple[int, int, int, int, int, int]
 
@@ -136,8 +131,6 @@ def _raising_system(degree: int, weight: Weight):
     and entries come in basis order.
     """
     basis = weight_space(degree, weight)
-    if not basis:
-        return [], []
     # x_j -> [(operator, x_i, c)] over the terms c x_i d_j; unpacking
     # each key as ((i,), (j,)) refuses a term that is not first order
     moves: dict[int, list[tuple[int, int, int]]] = {}
@@ -170,57 +163,14 @@ def _normalized(vec: Poly) -> Poly:
     return {mono: vec[mono] // g for mono in sorted(vec)}
 
 
-def _product_line(degree: int, weight: Weight, rows, position) -> Poly | None:
-    """A singular vector of the block, from the scan's lower degrees: the
-    product of basis vectors of two lines whose degrees and weights add
-    up to the block's, checked nonzero, inside the block (`position`
-    indexes its monomials) and killed by every raising row; None if no
-    product passes.
-
-    The raising operators are derivations, so a product of singular
-    vectors is singular (Humphreys §20-21); the check does not lean on
-    that, it evaluates the rows on the product."""
-    for d1 in range(1, degree // 2 + 1):
-        upper = dict(enumerate_singular(degree - d1).bases)
-        for w1, (low, *_) in enumerate_singular(d1).bases:
-            partner = upper.get(tuple(a - b for a, b in zip(weight, w1)))
-            if not partner:
-                continue
-            vec = pmul(low, partner[0])
-            if vec and vec.keys() <= position.keys() and not any(
-                    sum(c * vec.get(mono, 0) for mono, c in row.items())
-                    for row in rows):
-                return vec
-    return None
-
-
 def singular_space(degree: int, weight: Weight) -> list[dict[Monomial, int]]:
-    """Basis of the singular vectors of given degree and weight.
+    """Basis of the singular vectors of given degree and weight: the
+    kernel of the block's raising rows.
 
     Vectors are integer, content 1, positive on their canonically
     earliest monomial (largest in graded-lex order), keys ascending.
-
-    A certified product of lower lines (`_product_line`) is a lower
-    bound L = 1 on the kernel dimension, otherwise L = 0.  The raising
-    rows go into one echelon sparsest first, and insertion stops once
-    the rank reaches columns - L: the kernel then has dimension at most
-    L, so it is the product's line, or empty.  A block whose rank stops
-    short of that falls back to `kernel_basis` on the same rows.
     """
-    rows, columns = _raising_system(degree, weight)
-    if not columns:
-        return []
-    position = {c: i for i, c in enumerate(columns)}
-    line = _product_line(degree, weight, rows, position)
-    full = len(columns) - (line is not None)
-    ech = IntEchelon()
-    for row in sorted(rows, key=len):
-        if ech.rank == full:
-            break
-        ech.insert({position[c]: v for c, v in row.items()})
-    if ech.rank < full:
-        return kernel_basis(rows, columns)
-    return [] if line is None else [_normalized(line)]
+    return kernel_basis(*_raising_system(degree, weight))
 
 
 WEYL_ORDER = 51840  # |W(E6)|
@@ -302,17 +252,54 @@ class SingularScan:
         return sum(len(basis) for _, basis in self.bases)
 
 
+def _product_lines(degree: int) -> dict[Weight, list[Poly]]:
+    """One line per weight that a product of two lower lines reaches: the
+    first basis vectors of lines of degrees d1 <= m/2 and m - d1,
+    multiplied, checked nonzero, of the summed weight in every monomial
+    and killed by the six raising operators, then normalized."""
+    keys = [_pack(row) for row in weight_table()]
+    raising = [raising_operator(k) for k in range(1, 7)]
+    lines: dict[Weight, list[Poly] | None] = {}  # None: the product failed
+    for d1 in range(1, degree // 2 + 1):
+        upper = enumerate_singular(degree - d1).bases
+        for w1, (low, *_) in enumerate_singular(d1).bases:
+            for w2, (high, *_) in upper:
+                weight = tuple(map(add, w1, w2))
+                if weight not in lines:
+                    vec, key = pmul(low, high), _pack(weight)
+                    ok = vec and all(sum(keys[v - 1] for v in m) == key for m in vec)
+                    ok = ok and not any(apply(op, vec) for op in raising)
+                    lines[weight] = [_normalized(vec)] if ok else None
+    return {w: line for w, line in lines.items() if line}
+
+
 @lru_cache(maxsize=None)
 def enumerate_singular(degree: int) -> SingularScan:
-    """Scan every dominant weight of the degree-m monomial set.
-
-    A singular vector generates a highest-weight line, and highest
-    weights are dominant, so scanning all dominant weights realized by
-    degree-m monomials finds every singular line.  Each block is solved
-    once, and its basis is kept.
-    """
-    spaces = ((w, singular_space(degree, w)) for w in dominant_weights(degree))
-    return SingularScan(bases=tuple((w, b) for w, b in spaces if b))
+    """The singular lines of degree m, as (dominant weight, basis) in
+    weight order: the product lines, then solved dominant blocks until
+    the Weyl dimensions add up to C(m + 26, 26), else ValueError; every
+    dominant block, with no count, if the homomorphism check fails."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    if not verify_homomorphism().ok:
+        spaces = ((w, singular_space(degree, w)) for w in dominant_weights(degree))
+        return SingularScan(bases=tuple((w, b) for w, b in spaces if b))
+    total = comb(degree + 26, 26)
+    bases = _product_lines(degree)
+    count = sum(map(dimension, bases))
+    if count < total:
+        for w in dominant_weights(degree):
+            if w not in bases and (basis := singular_space(degree, w)):
+                bases[w] = basis
+                count += len(basis) * dimension(w)
+                if count >= total:
+                    break
+    if count != total:
+        raise ValueError(
+            f"singular lines of degree {degree} count {count} dimensions, "
+            f"not C({degree + 26}, 26)"
+        )
+    return SingularScan(bases=tuple(sorted(bases.items())))
 
 
 def expected_line_count(degree: int) -> int:

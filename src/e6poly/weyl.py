@@ -1,28 +1,30 @@
-"""Dimension oracle for highest weights m1 lambda_1 + m2 lambda_6.
+"""Dimension oracle for dominant highest weights.
 
 This module is deliberately independent of the representation
 machinery: dimensions come from the product formula over the 36
 positive roots, and the series identity cross-checks them against pure
 binomial counting of polynomial degrees.  Since all roots have norm 2,
 pairings reduce to integer coordinate sums and no irrational
-arithmetic is needed: for alpha = sum c_j alpha_j one has
-(rho, alpha) = sum c_j and (m1 lambda_1 + m2 lambda_6, alpha)
-= m1 c_1 + m2 c_6.  `positive_roots` reads the coordinates once and
-checks their shape (36 roots of heights 1..11); `weyl_dim` forms the
-product from them.
+arithmetic is needed: for alpha = sum c_j alpha_j and lambda =
+sum w_j lambda_j one has (rho, alpha) = sum c_j and (lambda, alpha) =
+sum w_j c_j.  `positive_roots` reads the coordinates once and checks
+their shape (36 roots of heights 1..11); `dimension` forms the product
+for any dominant weight, and `weyl_dim(m1, m2)` reads it at
+m1 lambda_1 + m2 lambda_6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from .rootsys import root_system
 
 __all__ = [
     "MAX_IDENTITY_DEGREE",
     "SeriesReport",
+    "dimension",
     "identity_check",
     "positive_roots",
     "weyl_dim",
@@ -40,19 +42,25 @@ def positive_roots() -> tuple[tuple[int, ...], ...]:
     return coords
 
 
+def dimension(weight) -> int:
+    """dim V(lambda), lambda = sum w_j lambda_j dominant given as (w_1..w_6):
+    the product of (lambda + rho, alpha) / (rho, alpha) over alpha > 0."""
+    if any(w < 0 for w in weight):
+        raise ValueError("highest-weight labels must be nonnegative")
+    roots = positive_roots()
+    heights = factors = [sum(c) for c in roots]
+    for w, column in zip(weight, zip(*roots)):
+        if w:  # one pass per nonzero label, not a 6-term sum per root
+            factors = [f + w * c for f, c in zip(factors, column)]
+    q, rem = divmod(prod(factors), prod(heights))
+    if rem:
+        raise ArithmeticError(f"non-integral dimension for {tuple(weight)}")
+    return q
+
+
 def weyl_dim(m1: int, m2: int) -> int:
     """dim V(m1 lambda_1 + m2 lambda_6), an exact integer."""
-    if m1 < 0 or m2 < 0:
-        raise ValueError("highest-weight labels must be nonnegative")
-    num = den = 1
-    for c in positive_roots():
-        rho = sum(c)
-        num *= m1 * c[0] + m2 * c[5] + rho
-        den *= rho
-    q, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"non-integral dimension for ({m1}, {m2})")
-    return q
+    return dimension((m1, 0, 0, 0, 0, m2))
 
 
 # degree bound of the series identity: the default of identity_check and

@@ -21,7 +21,9 @@ touches.
 `fraction_kernel` is the kernel basis by Fraction reduced row echelon
 form, the reference for `linalg.kernel_basis`.  `raising_system_full`
 builds the singular scan's raising rows with one `apply` per monomial
-and operator, as the scan once did, and `cubic_scalar_full` expands
+and operator, as the scan once did, and `enumerate_singular_full`
+solves every dominant block with `kernel_basis` on those rows, as the
+scan did before it counted dimensions.  `cubic_scalar_full` expands
 D(eta B) and solves for its multiple of B, as the cubic sweep once did.  `tau_dual` is the
 signed relabeling that once built the high members of the zeta family.
 Two helpers only the tests need live here too: `basis_elements` lists
@@ -61,7 +63,13 @@ from e6poly.polyops import (
 )
 from e6poly.rep import all_operators, matrix, raising_operator, weight_table
 from e6poly.rootsys import root_system
-from e6poly.singular import Weight, weight_buckets, weight_space
+from e6poly.singular import (
+    SingularScan,
+    Weight,
+    dominant_weights,
+    weight_buckets,
+    weight_space,
+)
 
 
 def _contractions(de: Monomial, xe: Monomial) -> list[tuple[Monomial, Monomial, int]]:
@@ -232,6 +240,14 @@ def raising_system_full(degree: int, weight: Weight):
             for target, c in apply(op, {mono: 1}).items():
                 rows.setdefault((k, target), {})[mono] = c
     return [rows[key] for key in sorted(rows)], sorted(basis, reverse=True)
+
+
+def enumerate_singular_full(degree: int) -> SingularScan:
+    """The singular lines of degree m with every dominant block solved:
+    the kernel of its raising rows, kept where it is nonempty."""
+    spaces = ((w, kernel_basis(*raising_system_full(degree, w)))
+              for w in dominant_weights(degree))
+    return SingularScan(bases=tuple((w, b) for w, b in spaces if b))
 
 
 def cubic_scalar_full(m: int, m1: int, m2: int) -> Fraction | None:

@@ -19,7 +19,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from e6poly import cli, decomp, golden, invariants, singular, weyl
+from e6poly import cli, decomp, golden, invariants, rep, singular, weyl
 from e6poly.polyops import padd
 from e6poly.weyl import MAX_IDENTITY_DEGREE
 
@@ -311,7 +311,7 @@ def fresh_lemmas():
     # run cached so later tests do not read it
     caches = (invariants.lemma_bracket_triple, invariants.lemma_pairing_bracket,
               invariants.lemma_pairing_eigenvalue, invariants.cubic_invariance,
-              invariants.cubic_sweep_premises)
+              invariants.cubic_sweep_premises, rep.verify_homomorphism)
     for cached in caches:
         cached.cache_clear()
     yield
@@ -368,9 +368,10 @@ def test_all_builds_the_eta_report_once(capsys, monkeypatch):
 
 
 def test_all_solves_each_singular_block_once(capsys, monkeypatch):
-    # the scan is the one caller of singular_space: the generator rows
-    # and the eta cross-check read its bases instead of solving their
-    # blocks again
+    # the scan solves only the blocks of the generators 1, x_1, zeta_1
+    # and eta, which no product of lower lines reaches; the dimension
+    # count settles every other block, and the generator rows and the
+    # eta cross-check read the scan's bases instead of solving again
     for cached in (singular.enumerate_singular, invariants.build_eta,
                    invariants.build_zeta_family):
         cached.cache_clear()
@@ -384,10 +385,8 @@ def test_all_solves_each_singular_block_once(capsys, monkeypatch):
     monkeypatch.setattr(singular, "singular_space", counted)
     code, _doc = run_json(capsys, "all")
     assert code == 0
-    blocks = {(m, w) for m in range(cli.SINGULAR_DEGREE + 1)
-              for w in singular.dominant_weights(m)}
-    assert len(blocks) == 41
-    assert calls == Counter(dict.fromkeys(blocks, 1))
+    zero, lam1, lam6 = invariants.ZERO_WEIGHT, invariants.LAMBDA1, invariants.LAMBDA6
+    assert calls == Counter({(0, zero): 1, (1, lam1): 1, (2, lam6): 1, (3, zero): 1})
 
 
 def test_invariant_verify_solves_each_base_eigenvalue_once(capsys, monkeypatch,

@@ -265,10 +265,13 @@ def test_materializing_degree_five_lists_no_degree_five_bucket(monkeypatch, caps
 
 
 @pytest.mark.parametrize("degree", [-1, -30])
-@pytest.mark.parametrize("route", [phi_dim, materialized_kernel_dim, weight_buckets])
+@pytest.mark.parametrize("route", [phi_dim, materialized_kernel_dim, weight_buckets,
+                                   enumerate_singular])
 def test_negative_degrees_are_refused(route, degree):
-    # both kernel routes and the bucketing they share refuse a negative
-    # degree, rather than reporting a kernel or failing deeper down
+    # both kernel routes, the bucketing they share and the singular scan
+    # refuse a negative degree, rather than reporting a kernel or failing
+    # deeper down; C(m + 26, 26) is 0 for -26 <= m <= -1, so the scan's
+    # dimension count would close on no line at all
     with pytest.raises(ValueError, match="degree must be nonnegative"):
         route(degree)
 
@@ -333,7 +336,6 @@ def test_dominant_blocks_give_the_full_block_rank(m):
     assert rank == comb(m + 23, 26)
 
 
-@pytest.mark.slow
 def test_singular_degree_seven_golden_bytes(capsys):
     # the scan's lines and generators at degree 7, for a faster scan to keep
     assert cli.main(["singular", "--degree", "7", "--force", "--json"]) == 0
@@ -342,18 +344,23 @@ def test_singular_degree_seven_golden_bytes(capsys):
         "6e1ba1e9645caa220ff8b488bafb98590d7ea5790fcaa2e889bbcb61674ed66f")
 
 
-@pytest.mark.slow
-def test_degree_eight_decomposition_and_singular_lines(capsys):
-    s = phi_dim(8)
-    assert_decomposition(s)
-    assert s.dim_phi == 17986293
-    assert s.rank_D == 169911
-    assert s.direct_sum_ok
+def test_singular_degree_eight_golden_bytes(capsys):
+    # the lines and generators at degree 8: products of lower lines close
+    # the dimension count, so the scan lists no degree-8 block
     assert enumerate_singular(8).total == expected_line_count(8) == 10
     assert cli.main(["singular", "--degree", "8", "--force", "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d96cb7e5168667a736998ba3138f7c45d9018f2a65ab28bf83a54cf10223d5f8")
+
+
+@pytest.mark.slow
+def test_degree_eight_decomposition(capsys):
+    s = phi_dim(8)
+    assert_decomposition(s)
+    assert s.dim_phi == 17986293
+    assert s.rank_D == 169911
+    assert s.direct_sum_ok
     # phi_dim(8) is cached above, so the decomposition report costs little
     assert cli.main(["decompose", "--degree", "8", "--force", "--json"]) == 0
     out = capsys.readouterr().out

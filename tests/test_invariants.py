@@ -64,7 +64,13 @@ from e6poly.polyops import (
     psub,
     x,
 )
-from e6poly.rep import all_operators, generator_certificate, generators, weight_table
+from e6poly.rep import (
+    all_operators,
+    generator_certificate,
+    generators,
+    verify_homomorphism,
+    weight_table,
+)
 from e6poly.rootsys import root_system
 from oracles import (
     annihilated_by_all_full,
@@ -128,7 +134,8 @@ ETA_CACHES = (invariants.build_eta, invariants.build_zeta_family,
               invariants.eta_report, invariants.lemma_bracket_triple,
               invariants.lemma_pairing_bracket,
               invariants.lemma_pairing_eigenvalue,
-              invariants.cubic_invariance, invariants.cubic_sweep_premises)
+              invariants.cubic_invariance, invariants.cubic_sweep_premises,
+              verify_homomorphism)
 
 
 @pytest.fixture
@@ -560,9 +567,11 @@ def test_invariance_failures_match_commutator_loop():
         assert verify_invariance_full(op, label).failures == expected
 
 
-# caches that hold a result read off the generated-by certificate
+# caches that hold a result read off the generated-by certificate, and
+# the homomorphism report, whose brackets a guard below counts
 CERTIFIED_CACHES = (generator_certificate, invariants.cubic_invariance,
-                    invariants.cubic_sweep_premises, invariants.eta_report)
+                    invariants.cubic_sweep_premises, invariants.eta_report,
+                    verify_homomorphism)
 
 
 @pytest.fixture

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -135,7 +137,16 @@ def test_homomorphism_report():
     assert rep.failures == ()
 
 
-def test_homomorphism_check_catches_one_wrong_sign(monkeypatch):
+@pytest.fixture
+def fresh_homomorphism():
+    # the report is cached: check afresh, and drop what a patched run
+    # cached so later tests do not read it
+    verify_homomorphism.cache_clear()
+    yield
+    verify_homomorphism.cache_clear()
+
+
+def test_homomorphism_check_catches_one_wrong_sign(monkeypatch, fresh_homomorphism):
     # negate the algebra's F(alpha_1, alpha_3) only: the operators keep
     # their own sign factor, so exactly [e_alpha_1, e_alpha_3] disagrees
     real = liealg.cocycle_F
@@ -151,7 +162,7 @@ def test_homomorphism_check_catches_one_wrong_sign(monkeypatch):
     assert report.failures == ("pair #7",)
 
 
-def test_homomorphism_indexes_each_generator_once(monkeypatch):
+def test_homomorphism_indexes_each_generator_once(monkeypatch, fresh_homomorphism):
     calls = []
     real = polyops._factor_index
 

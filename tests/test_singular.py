@@ -2,7 +2,9 @@
 
 A singular vector is a polynomial killed by all 36 positive-root
 operators; each one generates a highest-weight submodule.  The scan
-enumerates them degree by degree over dominant weight spaces.
+finds them degree by degree: products of lower lines, certified by a
+count of Weyl dimensions, and the dominant weight spaces that the count
+leaves open.
 """
 
 import json
@@ -14,10 +16,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from e6poly import cli, singular
+from e6poly import cli, rep, singular
 from e6poly.decomp import phi_dim
 from e6poly.invariants import build_eta, build_zeta_family
-from e6poly.linalg import kernel_basis
 from e6poly.polyops import pscale, x
 from e6poly.rootsys import CARTAN_E7
 from e6poly.singular import (
@@ -29,7 +30,12 @@ from e6poly.singular import (
     weight_buckets,
     weight_space,
 )
-from oracles import monomial_weight, raising_system_full, verify_annihilated
+from oracles import (
+    enumerate_singular_full,
+    monomial_weight,
+    raising_system_full,
+    verify_annihilated,
+)
 
 LAM1 = (1, 0, 0, 0, 0, 0)
 LAM6 = (0, 0, 0, 0, 0, 1)
@@ -101,13 +107,27 @@ def test_scan_keeps_the_block_solver_bases():
         assert basis == singular_space(4, w)
 
 
+@pytest.fixture
+def fresh_scan():
+    # scan afresh, and drop what a patched run cached so later tests do
+    # not read it
+    enumerate_singular.cache_clear()
+    yield
+    enumerate_singular.cache_clear()
+
+
+# the blocks of 1, x_1, zeta_1 and eta: no product of lower lines reaches
+# them, so the scan solves them, and no other block through degree 5
+GENERATOR_BLOCKS = [(0, ZERO), (1, LAM1), (2, LAM6), (3, ZERO)]
+
+
 @pytest.mark.parametrize("degree, pinned", [(1, 1), (5, 0)])
 def test_singular_command_solves_each_dominant_block_once(monkeypatch, capsys,
-                                                          degree, pinned):
+                                                          fresh_scan, degree, pinned):
     # pinned: the low-degree generator rows, which read the scan's bases
     # and solve no block of their own.  The scan reads its lower degrees
-    # for products of lines, so lower blocks are solved too, each once
-    singular.enumerate_singular.cache_clear()
+    # for products of lines, and lists the rows of a block only to solve
+    # it, once: the generator blocks of degree 1 to m, none of degree 5
     calls = Counter()
     real = singular._raising_system
 
@@ -118,10 +138,7 @@ def test_singular_command_solves_each_dominant_block_once(monkeypatch, capsys,
     monkeypatch.setattr(singular, "_raising_system", counted)
     assert cli.main(["singular", "--degree", str(degree), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    blocks = [(degree, w) for w in dominant_weights(degree)]
-    assert {b: calls[b] for b in blocks} == dict.fromkeys(blocks, 1)
-    assert set(calls.values()) == {1}
-    assert all(m < degree for m, _ in set(calls) - set(blocks))
+    assert calls == Counter({b: 1 for b in GENERATOR_BLOCKS if 0 < b[0] <= degree})
     generators = [r["status"] for r in doc["reports"]
                   if r["check_id"].endswith(".generator")]
     assert generators == ["pass"] * pinned
@@ -139,66 +156,103 @@ def test_raising_rows_equal_the_apply_rows(degree):
             list(row.items()) for row in full_rows]
 
 
-@pytest.mark.parametrize("degree", range(7))
+def _items(scan):
+    return [(w, [list(v.items()) for v in basis]) for w, basis in scan.bases]
+
+
+@pytest.mark.parametrize("degree", [*range(7), pytest.param(7, marks=pytest.mark.slow)])
 def test_singular_space_equals_the_full_elimination(degree):
-    # the certified early stop gives kernel_basis's basis on every
-    # dominant block, key order included
-    for w in dominant_weights(degree):
-        basis = singular_space(degree, w)
-        full = kernel_basis(*singular._raising_system(degree, w))
-        assert [list(v.items()) for v in basis] == [list(v.items()) for v in full]
+    # the scan, which solves only the generator blocks, gives what
+    # solving every dominant block gives, key order included
+    assert _items(enumerate_singular(degree)) == _items(enumerate_singular_full(degree))
 
 
-def test_only_the_generator_blocks_fall_back_to_full_elimination(monkeypatch):
-    # every line from degree 4 on is a product of lower lines, and a block
-    # without a line reaches full column rank: only the blocks of 1, x_1,
-    # zeta_1 and eta solve for their kernel
-    for m in range(5):
-        enumerate_singular(m)
-    solved = []
-    real = singular.kernel_basis
+def test_only_the_generator_blocks_fall_back_to_full_elimination(monkeypatch,
+                                                                 fresh_scan):
+    # every line from degree 4 on is a product of lower lines, and their
+    # Weyl dimensions add up to C(m + 26, 26): the scan solves only the
+    # generator blocks, and lists dominant weights only at degrees 0-3
+    solved, listed = [], set()
+    real_space, real_weights = singular.singular_space, singular.dominant_weights
 
-    def recorded(rows, columns):
-        solved.append(columns)
-        return real(rows, columns)
+    def recorded(m, w):
+        solved.append((m, w))
+        return real_space(m, w)
 
-    monkeypatch.setattr(singular, "kernel_basis", recorded)
+    def listing(m):
+        listed.add(m)
+        return real_weights(m)
+
+    monkeypatch.setattr(singular, "singular_space", recorded)
+    monkeypatch.setattr(singular, "dominant_weights", listing)
     for m in range(6):
-        for w in dominant_weights(m):
-            singular_space(m, w)
-    assert sorted(solved) == sorted([[()], [(1,)], weight_space(2, LAM6)[::-1],
-                                     weight_space(3, ZERO)[::-1]])
-
-
-def test_a_flipped_product_is_refused_and_the_block_is_solved(monkeypatch):
-    # degree 5, weight lambda_6: the line eta zeta_1.  A product with one
-    # flipped coefficient is killed by no raising row set, so the block
-    # gets no lower bound and falls back to full elimination
-    for m in range(5):
         enumerate_singular(m)
-    expected = singular_space(5, LAM6)
-    rows, columns = singular._raising_system(5, LAM6)
-    position = {c: i for i, c in enumerate(columns)}
-    assert singular._product_line(5, LAM6, rows, position) is not None
+    assert solved == GENERATOR_BLOCKS
+    assert listed == {0, 1, 2, 3}
+
+
+def test_a_flipped_product_is_refused_and_the_block_is_solved(monkeypatch,
+                                                              fresh_scan):
+    # degree 5, weight lambda_6: the line eta zeta_1, which one product
+    # reaches.  With one coefficient flipped that product is no singular
+    # vector: it is refused, the count stays open, and the block is
+    # solved, giving the same line
     real_pmul = singular.pmul
-    solved = []
-    real_kernel = singular.kernel_basis
 
     def flipped(f, g):
         out = real_pmul(f, g)
-        mono = next(iter(out))
-        out[mono] = -out[mono]
+        mono = min(out)
+        if len(mono) == 5 and monomial_weight(mono) == LAM6:
+            out[mono] = -out[mono]
         return out
 
-    def recorded(rows, columns):
-        solved.append(len(columns))
-        return real_kernel(rows, columns)
+    solved = []
+    real_space = singular.singular_space
+
+    def recorded(m, w):
+        solved.append((m, w))
+        return real_space(m, w)
 
     monkeypatch.setattr(singular, "pmul", flipped)
-    monkeypatch.setattr(singular, "kernel_basis", recorded)
-    assert singular._product_line(5, LAM6, rows, position) is None
-    assert singular_space(5, LAM6) == expected
-    assert solved == [len(columns)]
+    monkeypatch.setattr(singular, "singular_space", recorded)
+    scan = enumerate_singular(5)
+    assert (5, LAM6) in solved
+    assert _items(scan) == _items(enumerate_singular_full(5))
+
+
+def test_without_the_homomorphism_every_block_is_solved(monkeypatch, fresh_scan):
+    # complete reducibility rests on the homomorphism check: with a
+    # failed report the count proves nothing, so every dominant block is
+    # solved, and the lines are the same
+    monkeypatch.setattr(singular, "verify_homomorphism", lambda: rep.HomReport(
+        ok=False, pairs_checked=324, failures=("pair #1",)))
+    solved = Counter()
+    real_space = singular.singular_space
+
+    def counted(m, w):
+        solved[m, w] += 1
+        return real_space(m, w)
+
+    monkeypatch.setattr(singular, "singular_space", counted)
+    for m in range(6):
+        assert _items(enumerate_singular(m)) == _items(enumerate_singular_full(m))
+    assert solved == Counter({(m, w): 1 for m in range(6) for w in dominant_weights(m)})
+
+
+def test_a_wrong_dimension_leaves_the_count_open(monkeypatch, capsys, fresh_scan):
+    # dim V(5 lambda_1) read one too high: the product lines over-count
+    # the degree-5 polynomials, the scan raises, and its row fails
+    real = singular.dimension
+    monkeypatch.setattr(singular, "dimension",
+                        lambda w: real(w) + (w == (5, 0, 0, 0, 0, 0)))
+    code = cli.main(["singular", "--degree", "5", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    (row,) = [r for r in doc["reports"] if r["check_id"] == "singular.deg5.line-count"]
+    assert row["status"] == "fail"
+    assert row["computed"].startswith("ValueError: singular lines of degree 5 count")
 
 
 def test_singular_weights_are_dominant():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from e6poly import weyl
-from e6poly.weyl import identity_check, positive_roots, weyl_dim
+from e6poly.weyl import dimension, identity_check, positive_roots, weyl_dim
 
 KNOWN_DIMS = {
     (0, 0): 1,
@@ -30,6 +30,27 @@ KNOWN_DIMS = {
 def test_known_dimensions():
     for (m1, m2), dim in KNOWN_DIMS.items():
         assert weyl_dim(m1, m2) == dim
+
+
+def test_fundamental_dimensions():
+    # Bourbaki labels: lambda_1 and lambda_6 the two 27s, lambda_2 the
+    # adjoint, lambda_3 and lambda_5 the two 351s, lambda_4 the 2925
+    fundamental = [dimension(tuple(int(i == j) for i in range(6)))
+                   for j in range(6)]
+    assert fundamental == [27, 78, 351, 2925, 351, 27]
+    assert dimension((1, 0, 0, 0, 0, 1)) == 650
+    assert dimension((0,) * 6) == 1
+
+
+def test_weyl_dim_is_the_dimension_at_its_labels():
+    for m2 in range(7):
+        for m1 in range(13 - 2 * m2):
+            assert weyl_dim(m1, m2) == dimension((m1, 0, 0, 0, 0, m2))
+
+
+def test_dimension_refuses_a_negative_label():
+    with pytest.raises(ValueError, match="nonnegative"):
+        dimension((0, 0, -1, 0, 0, 0))
 
 
 def test_half_sum_pairings():
