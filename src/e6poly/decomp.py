@@ -7,10 +7,11 @@ independently built matrices give its dimension:
 - the rank route (phi_dim) lists the dominant weights of degree m - 3
   only: D maps each weight block into the degree-(m - 3) block of the
   same weight, so no other block has rank, and eta has weight 0, so
-  each of them is a weight of degree m too.  It applies D to every
-  source monomial of those degree-m blocks, lazily, with an early exit
-  once a block reaches full row rank, and weights each block rank by
-  the size of its Weyl orbit: D commutes with all 78 generators, so
+  each of them is a weight of degree m too.  It lists each degree-(m - 3)
+  block once, certified by their `orbit_size`-weighted count, applies D
+  to every source monomial of those degree-m blocks, lazily, with an
+  early exit once a block reaches full row rank, and weights each block
+  rank by its orbit size: D commutes with all 78 generators, so
   Weyl-conjugate blocks have equal rank.  The direct-sum check ranks
   the images under D of eta times each monomial of the degree-(m - 3)
   blocks, inserted sparsest first (every image must count, so none is
@@ -133,28 +134,27 @@ def phi_dim(m: int) -> KernelSummary:
     if m < 0:
         raise ValueError("degree must be nonnegative")
     dim_am = comb(m + 26, 26)
-    if m < 3:
-        # D lowers degree by 3, so it vanishes identically here.
-        rank = 0
-        composite_ok = True
-    else:
+    rank, composite_ok = 0, True  # D lowers degree by 3: zero below degree 3
+    if m >= 3:
         # D and mult(eta) commute with the group, so every block has the
         # rank of the dominant block in its Weyl orbit.  Only the blocks
         # whose weight occurs at degree m - 3 have rank, and each of these
-        # weights occurs at degree m (eta has weight 0); dominant_weights
-        # certifies the degree-(m - 3) blocks by its count
-        targets = {w: weight_space(m - 3, w) for w in dominant_weights(m - 3)}
+        # weights occurs at degree m (eta has weight 0).  Counted over their
+        # orbits, the degree-(m - 3) blocks must hold every monomial
+        blocks = [(w, orbit_size(w), weight_space(m - 3, w))
+                  for w in dominant_weights(m - 3)]
+        count = sum(n * len(monos) for _, n, monos in blocks)
+        if count != comb(m + 23, 26):
+            raise ValueError(f"dominant blocks of degree {m - 3} count {count} "
+                             f"monomials, not C({m + 23}, 26)")
         D = cubic_operator()
-        rank = sum(
-            orbit_size(w) * _rank(
-                (apply(D, {s: 1}) for s in weight_space(m, w)), len(monos))
-            for w, monos in targets.items()
-        )
+        rank = sum(n * _rank((apply(D, {s: 1}) for s in weight_space(m, w)), len(monos))
+                   for w, n, monos in blocks)
         eta = build_eta()
         composite_ok = all(
             _rank(sorted((apply(D, pmul(eta, {g: 1})) for g in monos), key=len),
                   len(monos)) == len(monos)
-            for monos in targets.values()
+            for _, _, monos in blocks
         )
     return KernelSummary(
         degree=m,

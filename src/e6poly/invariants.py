@@ -91,7 +91,7 @@ from .rep import (
     weight_table,
 )
 from .rootsys import bar_basis, cocycle_F, root_system
-from .singular import enumerate_singular
+from .singular import enumerate_singular, raising_residual
 
 ZERO_WEIGHT = (0, 0, 0, 0, 0, 0)
 LAMBDA1 = (1, 0, 0, 0, 0, 0)
@@ -376,7 +376,7 @@ def eta_report() -> EtaReport:
         for mono in sorted(set(eta) | set(ref))
         if eta.get(mono, 0) != ref.get(mono, 0)
     )
-    residual = _raising_residual(ref)
+    residual = raising_residual(ref)
     scan_line = dict(enumerate_singular(3).bases).get(ZERO_WEIGHT)
     return EtaReport(
         monomial_count=len(eta),
@@ -390,12 +390,6 @@ def eta_report() -> EtaReport:
         printed_residual_terms=len(residual),
         scan_line_match=scan_line == [pdiv_exact(eta, 3)],
     )
-
-
-def _raising_residual(f: Poly) -> Poly:
-    """Combined image of f under the 6 simple raising operators."""
-    return poly(term for k in range(1, 7)
-                for term in apply(raising_operator(k), f).items())
 
 
 @dataclass(frozen=True)
@@ -586,7 +580,7 @@ def cubic_sweep_premises() -> bool:
     operators, and these are derivations (every term is x_i d_j)."""
     return (
         cubic_invariance().ok
-        and not _raising_residual(build_eta())
+        and not raising_residual(build_eta())
         and all(len(xe) == len(de) == 1
                 for k in range(1, 7) for xe, de in raising_operator(k))
     )

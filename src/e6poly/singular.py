@@ -14,8 +14,8 @@ is built with one int add per factor, and a join subtracts keys.
 
 Weight multiplicities are Weyl-invariant, so the dominant weights
 carry all the information: `dominant_weights` builds them degree by
-degree by simple-reflection walks, and certifies them by checking that
-the blocks, each counted `orbit_size` times, add up to every monomial.
+degree by simple-reflection walks, listing no monomial: `decomp.phi_dim`
+certifies the blocks it lists by their `orbit_size`-weighted count.
 
 A singular vector is a polynomial killed by all six simple raising
 operators; because the module algebra is completely reducible, that is
@@ -34,8 +34,8 @@ representation (the homomorphism check), so the degree-m polynomials
 are completely reducible and C(m + 26, 26) is the sum of dim V(w) over
 their singular lines.  Once the product weights' dimensions add up to
 it, no other block holds a line.  Blocks the count leaves open, those of
-the generators 1, x_1, zeta_1 and eta, are solved in weight order, and
-without the homomorphism every dominant block is.
+the generators 1, x_1, zeta_1 and eta, are solved in weight order; with
+no homomorphism the count has no premise, and the scan raises.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from math import comb
 from operator import add
 
 from .linalg import kernel_basis, row_content
-from .polyops import Monomial, Poly, apply, pmul
+from .polyops import Monomial, Poly, apply, pmul, poly
 from .rep import raising_operator, verify_homomorphism, weight_table
 from .rootsys import CARTAN_E7
 from .weyl import dimension, positive_roots
@@ -64,6 +64,11 @@ def _pack(weight) -> int:
     return sum(c << (_DIGIT * i) for i, c in enumerate(weight))
 
 
+def _variable_keys() -> list[int]:
+    """`_pack` of each variable's weight, x_1 first."""
+    return [_pack(row) for row in weight_table()]
+
+
 @lru_cache(maxsize=None)
 def weight_buckets(degree: int) -> dict[int, list[Monomial]]:
     """All degree-m monomials grouped by weight, keyed by `_pack`: every
@@ -78,7 +83,7 @@ def weight_buckets(degree: int) -> dict[int, list[Monomial]]:
         raise ValueError("degree must be nonnegative")
     if degree == 0:
         return {0: [()]}
-    keys = [_pack(row) for row in weight_table()]
+    keys = _variable_keys()
     buckets: dict[int, list[Monomial]] = {}
 
     def extend(mono: Monomial, acc: int, first: int, left: int) -> None:
@@ -173,6 +178,13 @@ def singular_space(degree: int, weight: Weight) -> list[dict[Monomial, int]]:
     return kernel_basis(*_raising_system(degree, weight))
 
 
+def raising_residual(f: Poly) -> Poly:
+    """Combined image of f under the 6 simple raising operators; on a
+    weight vector their images have distinct weights, so none cancel."""
+    return poly(term for k in range(1, 7)
+                for term in apply(raising_operator(k), f).items())
+
+
 WEYL_ORDER = 51840  # |W(E6)|
 
 
@@ -215,8 +227,8 @@ def dominant_weights(degree: int) -> tuple[Weight, ...]:
     A weight of degree m is a weight of degree m - 1 plus one of the 27
     variable weights, and the weight set is W-stable, so the dominant
     ones are the dominant representatives of mu + eps over the dominant
-    mu of degree m - 1.  Certified by counting: the orbit-weighted block
-    sizes must add up to C(m + 26, 26).
+    mu of degree m - 1.  Plain combinatorics: no monomial is listed, and
+    a caller that lists the blocks certifies them by its own count.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -228,14 +240,7 @@ def dominant_weights(degree: int) -> tuple[Weight, ...]:
             for mu in dominant_weights(degree - 1)
             for eps in weight_table()
         }
-    weights = tuple(sorted(found))
-    count = sum(orbit_size(w) * len(weight_space(degree, w)) for w in weights)
-    if count != comb(degree + 26, 26):
-        raise ValueError(
-            f"dominant blocks of degree {degree} count {count} monomials, "
-            f"not C({degree + 26}, 26)"
-        )
-    return weights
+    return tuple(sorted(found))
 
 
 @dataclass(frozen=True)
@@ -257,8 +262,7 @@ def _product_lines(degree: int) -> dict[Weight, list[Poly]]:
     first basis vectors of lines of degrees d1 <= m/2 and m - d1,
     multiplied, checked nonzero, of the summed weight in every monomial
     and killed by the six raising operators, then normalized."""
-    keys = [_pack(row) for row in weight_table()]
-    raising = [raising_operator(k) for k in range(1, 7)]
+    keys = _variable_keys()
     lines: dict[Weight, list[Poly] | None] = {}  # None: the product failed
     for d1 in range(1, degree // 2 + 1):
         upper = enumerate_singular(degree - d1).bases
@@ -268,7 +272,7 @@ def _product_lines(degree: int) -> dict[Weight, list[Poly]]:
                 if weight not in lines:
                     vec, key = pmul(low, high), _pack(weight)
                     ok = vec and all(sum(keys[v - 1] for v in m) == key for m in vec)
-                    ok = ok and not any(apply(op, vec) for op in raising)
+                    ok = ok and not raising_residual(vec)
                     lines[weight] = [_normalized(vec)] if ok else None
     return {w: line for w, line in lines.items() if line}
 
@@ -277,13 +281,13 @@ def _product_lines(degree: int) -> dict[Weight, list[Poly]]:
 def enumerate_singular(degree: int) -> SingularScan:
     """The singular lines of degree m, as (dominant weight, basis) in
     weight order: the product lines, then solved dominant blocks until
-    the Weyl dimensions add up to C(m + 26, 26), else ValueError; every
-    dominant block, with no count, if the homomorphism check fails."""
+    the Weyl dimensions add up to C(m + 26, 26), else ValueError, as
+    when the homomorphism check, the count's premise, fails."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if not verify_homomorphism().ok:
-        spaces = ((w, singular_space(degree, w)) for w in dominant_weights(degree))
-        return SingularScan(bases=tuple((w, b) for w, b in spaces if b))
+        raise ValueError("the homomorphism check fails, so complete "
+                         "reducibility and the dimension count have no premise")
     total = comb(degree + 26, 26)
     bases = _product_lines(degree)
     count = sum(map(dimension, bases))

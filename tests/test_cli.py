@@ -281,14 +281,13 @@ PRODUCERS = [
 
 @pytest.mark.parametrize("module, producer, argv, check_id, key", PRODUCERS,
                          ids=[p[1] for p in PRODUCERS])
-def test_raising_producer_becomes_a_fail_row(capsys, monkeypatch, module,
+def test_raising_producer_becomes_a_fail_row(capsys, monkeypatch, fresh_caches, module,
                                              producer, argv, check_id, key):
     def boom(*args, **kwargs):
         raise ZeroDivisionError("injected")
 
-    # the scan is cached: start it afresh, so a patched singular_space,
-    # which only the scan calls, is reached
-    singular.enumerate_singular.cache_clear()
+    # the caches start empty, so a patched singular_space, which only the
+    # cached scan calls, is reached
     monkeypatch.setattr(importlib.import_module(f"e6poly.{module}"), producer, boom)
     code = cli.main([*argv, "--json"])
     captured = capsys.readouterr()
@@ -305,22 +304,8 @@ def test_raising_producer_becomes_a_fail_row(capsys, monkeypatch, module,
         assert not set(keys) & doc["payload"].keys()
 
 
-@pytest.fixture
-def fresh_lemmas():
-    # the lemma reports are cached: solve afresh, and drop what a patched
-    # run cached so later tests do not read it
-    caches = (invariants.lemma_bracket_triple, invariants.lemma_pairing_bracket,
-              invariants.lemma_pairing_eigenvalue, invariants.cubic_invariance,
-              invariants.cubic_sweep_premises, rep.verify_homomorphism)
-    for cached in caches:
-        cached.cache_clear()
-    yield
-    for cached in caches:
-        cached.cache_clear()
-
-
 def test_constants_are_read_only_off_a_structural_bracket(capsys, monkeypatch,
-                                                           fresh_lemmas):
+                                                           fresh_caches):
     # x_1 d_2 lies outside span{Id, D1, D2} and span{M_eta, M_eta D1}
     real = invariants.leibniz_bracket
     monkeypatch.setattr(invariants, "leibniz_bracket",
@@ -351,9 +336,8 @@ def test_a_wrong_printed_eigenvalue_fails_only_the_row_comparing_it(
         "invariant.eigenvalue-sweep"]
 
 
-def test_all_builds_the_eta_report_once(capsys, monkeypatch):
+def test_all_builds_the_eta_report_once(capsys, monkeypatch, fresh_caches):
     # two rows read the report; it is built once
-    invariants.eta_report.cache_clear()
     calls = []
     real = invariants.bilinear_relation_dim
 
@@ -367,14 +351,11 @@ def test_all_builds_the_eta_report_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_all_solves_each_singular_block_once(capsys, monkeypatch):
+def test_all_solves_each_singular_block_once(capsys, monkeypatch, fresh_caches):
     # the scan solves only the blocks of the generators 1, x_1, zeta_1
     # and eta, which no product of lower lines reaches; the dimension
     # count settles every other block, and the generator rows and the
     # eta cross-check read the scan's bases instead of solving again
-    for cached in (singular.enumerate_singular, invariants.build_eta,
-                   invariants.build_zeta_family):
-        cached.cache_clear()
     calls = Counter()
     real = singular.singular_space
 
@@ -390,7 +371,7 @@ def test_all_solves_each_singular_block_once(capsys, monkeypatch):
 
 
 def test_invariant_verify_solves_each_base_eigenvalue_once(capsys, monkeypatch,
-                                                          fresh_lemmas):
+                                                          fresh_caches):
     # the cubic sweep reads the eigenvalue sweep's D2 eigenvalues on
     # x_1^m1 zeta_1^m2 instead of solving its 12 bases again: D2 is
     # applied once to each vector whose eigenvalue is solved
@@ -611,10 +592,13 @@ def test_decompose_degree_six_golden_bytes(capsys):
      "ea0406eae9ae67437842b1649b997fae3b58aa61d077d16aa4c4ce727a98c944"),
     (("--degree", "7", "--force"),
      "9ab365c80949563a44e8278ecbe608fb57836d1a78901a86b734288f36743d9f"),
+    pytest.param(("--degree", "7", "--materialize", "--force"),
+                 "4fa2174d3175719e871e4c1e669616f0575a23fe3fef6cf876ddc100f4a86c4d",
+                 marks=pytest.mark.slow),
 ])
 def test_decompose_golden_bytes(capsys, argv, digest):
-    # both kernel routes below, at and above degree 3, and the rank route
-    # at degree 7
+    # both kernel routes below, at and above degree 3, and both routes at
+    # degree 7, the materialized one about 4 s
     code, out = run(capsys, "decompose", *argv, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -240,11 +240,10 @@ def test_eta_terms_are_squarefree():
     assert all(len(set(abc)) == 3 for abc in build_eta())
 
 
-def test_materializing_degree_five_lists_no_degree_five_bucket(monkeypatch, capsys):
-    # start the cached rank route afresh, so its degree-2 and degree-3
+def test_materializing_degree_five_lists_no_degree_five_bucket(monkeypatch, capsys,
+                                                               fresh_caches):
+    # the caches start empty, so the rank route's degree-2 and degree-3
     # listings are seen whichever tests ran before
-    decomp.phi_dim.cache_clear()
-    singular.dominant_weights.cache_clear()
     degrees = []
 
     def counted(real):
@@ -288,7 +287,7 @@ RANK_ROUTE = {
 
 
 @pytest.mark.parametrize("m", sorted(RANK_ROUTE))
-def test_phi_dim_lists_only_the_target_weights(m, monkeypatch):
+def test_phi_dim_lists_only_the_target_weights(m, monkeypatch, fresh_caches):
     # D maps the weight-w block of degree m into the one of degree m - 3,
     # so phi_dim ranks the dominant weights of degree m - 3 and lists the
     # degree-m monomials of those weights alone
@@ -304,9 +303,7 @@ def test_phi_dim_lists_only_the_target_weights(m, monkeypatch):
 
     monkeypatch.setattr(decomp, "dominant_weights", counted_weights)
     monkeypatch.setattr(decomp, "weight_space", counted_space)
-    decomp.phi_dim.cache_clear()
     s = phi_dim(m)
-    decomp.phi_dim.cache_clear()
     assert ranked == [m - 3]
     targets = dominant_weights(m - 3)
     assert sorted(w for d, w in listed if d == m) == list(targets)

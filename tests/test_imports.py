@@ -82,3 +82,16 @@ def test_every_module_level_definition_is_referenced():
         and total[node.name] == _named(node)[node.name]
     ]
     assert dead == []
+
+
+def test_singular_sits_below_the_kernel_and_invariant_layers():
+    # decomp and invariants read the scan and the weight blocks; the scan
+    # reads neither of them, nor the command line
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "singular.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and _package_import(node):
+            imported.add((node.module or "").rpartition(".")[2])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+    assert not imported & {"decomp", "invariants", "cli"}

@@ -68,7 +68,6 @@ from e6poly.rep import (
     all_operators,
     generator_certificate,
     generators,
-    verify_homomorphism,
     weight_table,
 )
 from e6poly.rootsys import root_system
@@ -128,36 +127,14 @@ def test_eta_annihilation_agrees_with_the_78_operator_route():
 
 # --- the singular scan as the second route --------------------------
 
-# every cache that holds eta or something built from it
-ETA_CACHES = (invariants.build_eta, invariants.build_zeta_family,
-              invariants.cubic_operator, invariants.pairing_operator,
-              invariants.eta_report, invariants.lemma_bracket_triple,
-              invariants.lemma_pairing_bracket,
-              invariants.lemma_pairing_eigenvalue,
-              invariants.cubic_invariance, invariants.cubic_sweep_premises,
-              verify_homomorphism)
-
-
-@pytest.fixture
-def fresh_eta():
-    # build afresh, and drop what a patched run cached so later tests do
-    # not read it
-    for cached in ETA_CACHES:
-        cached.cache_clear()
-    yield
-    for cached in ETA_CACHES:
-        cached.cache_clear()
-
-
 def _scan_line(degree, weight):
     (line,) = dict(singular.enumerate_singular(degree).bases)[weight]
     return line
 
 
-def test_builds_do_not_read_the_singular_scan(monkeypatch, fresh_eta):
+def test_builds_do_not_read_the_singular_scan(monkeypatch, fresh_caches):
     built = (build_eta(), build_zeta_family(), pairing_operator())
-    for cached in ETA_CACHES:
-        cached.cache_clear()
+    fresh_caches()
 
     def boom(degree):
         raise AssertionError(f"the singular scan ran at degree {degree}")
@@ -198,7 +175,7 @@ def test_pairing_operator_is_the_square_of_the_gradient_of_eta():
     assert pairing_operator() == polyops.poly(terms)
 
 
-def test_a_flipped_cocycle_breaks_eta(capsys, monkeypatch, fresh_eta):
+def test_a_flipped_cocycle_breaks_eta(capsys, monkeypatch, fresh_caches):
     # negate F whenever a_1 is odd; this flips 33 of the 45 terms (such
     # flips on a_1..a_6 change 14 to 41).  The a_7 class would not do:
     # every basis root has k_7 = 1, so that flip negates all 45 terms
@@ -567,25 +544,8 @@ def test_invariance_failures_match_commutator_loop():
         assert verify_invariance_full(op, label).failures == expected
 
 
-# caches that hold a result read off the generated-by certificate, and
-# the homomorphism report, whose brackets a guard below counts
-CERTIFIED_CACHES = (generator_certificate, invariants.cubic_invariance,
-                    invariants.cubic_sweep_premises, invariants.eta_report,
-                    verify_homomorphism)
-
-
-@pytest.fixture
-def fresh_certificate():
-    # certify afresh, and drop what a patched run cached
-    for cached in CERTIFIED_CACHES:
-        cached.cache_clear()
-    yield
-    for cached in CERTIFIED_CACHES:
-        cached.cache_clear()
-
-
 def test_a_flipped_sign_off_the_generators_fails_every_invariance_row(
-        capsys, monkeypatch, fresh_certificate):
+        capsys, monkeypatch, fresh_caches):
     # one term of one height-3 root operator negated: the 12 generators
     # are untouched, so only the certificate sees it, and every row that
     # reads the certificate fails
@@ -612,7 +572,7 @@ def test_a_flipped_sign_off_the_generators_fails_every_invariance_row(
 
 
 def test_all_brackets_the_invariant_operators_with_the_12_generators(
-        capsys, monkeypatch, fresh_certificate):
+        capsys, monkeypatch, fresh_caches):
     # a guard against the 78-operator sweep: in one run, D, D1 and D2
     # are each bracketed once with the 12 generators, and the cached
     # certificate takes its 66 brackets once
@@ -699,7 +659,7 @@ def test_pairing_eigenvalue_follows_the_pairing_bracket(j, m1, m2):
     assert lemma_pairing_eigenvalue(j, m1, m2) == mu
 
 
-def test_pairing_eigenvalue_is_none_off_an_eigenvector(monkeypatch, fresh_eta):
+def test_pairing_eigenvalue_is_none_off_an_eigenvector(monkeypatch, fresh_caches):
     # D2 kills x_1^2 and scales zeta_1 by 5, so their sum is no eigenvector
     off = padd(pmul(x(1), x(1)), build_zeta_family()[1])
     monkeypatch.setattr(invariants, "family", lambda j, m1, m2: off)
@@ -781,8 +741,8 @@ def _failing_d_invariance(monkeypatch):
 
 
 def _eta_not_annihilated(monkeypatch):
-    real = invariants._raising_residual
-    monkeypatch.setattr(invariants, "_raising_residual",
+    real = invariants.raising_residual
+    monkeypatch.setattr(invariants, "raising_residual",
                         lambda f: {(): 1} if f == build_eta() else real(f))
 
 
@@ -807,7 +767,7 @@ def _lines_off_the_family(monkeypatch):
     _lines_off_the_family,
 ], ids=["d-not-invariant", "eta-not-annihilated", "line-not-one-dimensional",
         "family-off-the-line"])
-def test_a_failed_premise_gives_no_cubic_scalar(monkeypatch, capsys, fresh_eta,
+def test_a_failed_premise_gives_no_cubic_scalar(monkeypatch, capsys, fresh_caches,
                                                 breaks):
     breaks(monkeypatch)
     r = lemma_cubic_action(2, 0, 1)

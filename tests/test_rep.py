@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -137,16 +135,7 @@ def test_homomorphism_report():
     assert rep.failures == ()
 
 
-@pytest.fixture
-def fresh_homomorphism():
-    # the report is cached: check afresh, and drop what a patched run
-    # cached so later tests do not read it
-    verify_homomorphism.cache_clear()
-    yield
-    verify_homomorphism.cache_clear()
-
-
-def test_homomorphism_check_catches_one_wrong_sign(monkeypatch, fresh_homomorphism):
+def test_homomorphism_check_catches_one_wrong_sign(monkeypatch, fresh_caches):
     # negate the algebra's F(alpha_1, alpha_3) only: the operators keep
     # their own sign factor, so exactly [e_alpha_1, e_alpha_3] disagrees
     real = liealg.cocycle_F
@@ -162,7 +151,7 @@ def test_homomorphism_check_catches_one_wrong_sign(monkeypatch, fresh_homomorphi
     assert report.failures == ("pair #7",)
 
 
-def test_homomorphism_indexes_each_generator_once(monkeypatch, fresh_homomorphism):
+def test_homomorphism_indexes_each_generator_once(monkeypatch, fresh_caches):
     calls = []
     real = polyops._factor_index
 
@@ -196,25 +185,21 @@ def _height_three_root():
     return next(key for key in all_operators() if key[0] != "h" and sum(key) == 3)
 
 
-def test_certificate_fails_on_one_flipped_sign(monkeypatch):
+def test_certificate_fails_on_one_flipped_sign(monkeypatch, fresh_caches):
     # one term of one height-3 root operator negated: its own identity
     # fails, and so does each identity that brackets with it
     root = _height_three_root()
     w = dict(all_operators()[root])
     term = next(iter(w))
     w[term] = -w[term]
-    generator_certificate.cache_clear()
     monkeypatch.setitem(all_operators(), root, w)
-    try:
-        cert = generator_certificate()
-    finally:
-        generator_certificate.cache_clear()
+    cert = generator_certificate()
     assert not cert.ok
     assert cert.brackets == 66
     assert cert.failures[0] == root
 
 
-def test_certificate_brackets_each_generator_once(monkeypatch):
+def test_certificate_brackets_each_generator_once(monkeypatch, fresh_caches):
     calls = []
     real = rep.first_order_brackets
 
@@ -223,12 +208,8 @@ def test_certificate_brackets_each_generator_once(monkeypatch):
         calls.append((len(ws), a))
         return real(ws, a)
 
-    generator_certificate.cache_clear()
     monkeypatch.setattr(rep, "first_order_brackets", counted)
-    try:
-        assert generator_certificate().ok
-    finally:
-        generator_certificate.cache_clear()
+    assert generator_certificate().ok
     # one call per generator that some identity reads, 66 brackets in all
     assert sum(n for n, _a in calls) == 66
     assert len(calls) <= 12

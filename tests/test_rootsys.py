@@ -54,22 +54,17 @@ def test_reflection_closure_equals_scan():
     assert closure == rootsys._scan_norm2()
 
 
-def test_closure_scan_disagreement_raises(monkeypatch, capsys):
+def test_closure_scan_disagreement_raises(monkeypatch, capsys, fresh_caches):
     real = rootsys._reflection_closure
     monkeypatch.setattr(rootsys, "_reflection_closure", lambda: real()[1:])
-    root_system.cache_clear()
-    try:
-        with pytest.raises(ValueError, match="reflection closure"):
-            root_system()
-        code = cli.main(["roots", "--json"])
-        doc = json.loads(capsys.readouterr().out)
-        (row,) = [r for r in doc["reports"] if r["check_id"] == "roots.e7-count"]
-        assert code == 1
-        assert row["status"] == "fail"
-        assert row["computed"].startswith("ValueError: reflection closure")
-    finally:
-        monkeypatch.undo()
-        root_system.cache_clear()
+    with pytest.raises(ValueError, match="reflection closure"):
+        root_system()
+    code = cli.main(["roots", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    (row,) = [r for r in doc["reports"] if r["check_id"] == "roots.e7-count"]
+    assert code == 1
+    assert row["status"] == "fail"
+    assert row["computed"].startswith("ValueError: reflection closure")
 
 
 def _full_box_scan(bounds=(4,) * 7):

@@ -16,7 +16,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from e6poly import cli, rep, singular
+from e6poly import cli, decomp, rep, singular
 from e6poly.decomp import phi_dim
 from e6poly.invariants import build_eta, build_zeta_family
 from e6poly.polyops import pscale, x
@@ -107,15 +107,6 @@ def test_scan_keeps_the_block_solver_bases():
         assert basis == singular_space(4, w)
 
 
-@pytest.fixture
-def fresh_scan():
-    # scan afresh, and drop what a patched run cached so later tests do
-    # not read it
-    enumerate_singular.cache_clear()
-    yield
-    enumerate_singular.cache_clear()
-
-
 # the blocks of 1, x_1, zeta_1 and eta: no product of lower lines reaches
 # them, so the scan solves them, and no other block through degree 5
 GENERATOR_BLOCKS = [(0, ZERO), (1, LAM1), (2, LAM6), (3, ZERO)]
@@ -123,7 +114,7 @@ GENERATOR_BLOCKS = [(0, ZERO), (1, LAM1), (2, LAM6), (3, ZERO)]
 
 @pytest.mark.parametrize("degree, pinned", [(1, 1), (5, 0)])
 def test_singular_command_solves_each_dominant_block_once(monkeypatch, capsys,
-                                                          fresh_scan, degree, pinned):
+                                                          fresh_caches, degree, pinned):
     # pinned: the low-degree generator rows, which read the scan's bases
     # and solve no block of their own.  The scan reads its lower degrees
     # for products of lines, and lists the rows of a block only to solve
@@ -168,7 +159,7 @@ def test_singular_space_equals_the_full_elimination(degree):
 
 
 def test_only_the_generator_blocks_fall_back_to_full_elimination(monkeypatch,
-                                                                 fresh_scan):
+                                                                 fresh_caches):
     # every line from degree 4 on is a product of lower lines, and their
     # Weyl dimensions add up to C(m + 26, 26): the scan solves only the
     # generator blocks, and lists dominant weights only at degrees 0-3
@@ -192,7 +183,7 @@ def test_only_the_generator_blocks_fall_back_to_full_elimination(monkeypatch,
 
 
 def test_a_flipped_product_is_refused_and_the_block_is_solved(monkeypatch,
-                                                              fresh_scan):
+                                                              fresh_caches):
     # degree 5, weight lambda_6: the line eta zeta_1, which one product
     # reaches.  With one coefficient flipped that product is no singular
     # vector: it is refused, the count stays open, and the block is
@@ -220,26 +211,32 @@ def test_a_flipped_product_is_refused_and_the_block_is_solved(monkeypatch,
     assert _items(scan) == _items(enumerate_singular_full(5))
 
 
-def test_without_the_homomorphism_every_block_is_solved(monkeypatch, fresh_scan):
+def test_without_the_homomorphism_the_scan_fails(monkeypatch, capsys, fresh_caches):
     # complete reducibility rests on the homomorphism check: with a
-    # failed report the count proves nothing, so every dominant block is
-    # solved, and the lines are the same
+    # failed report the dimension count proves nothing, so the scan
+    # raises, naming the premise, and each of its rows fails
     monkeypatch.setattr(singular, "verify_homomorphism", lambda: rep.HomReport(
         ok=False, pairs_checked=324, failures=("pair #1",)))
-    solved = Counter()
-    real_space = singular.singular_space
+    with pytest.raises(ValueError, match="homomorphism check fails"):
+        enumerate_singular(2)
+    for argv, degrees in [(["singular", "--degree", "3"], [3]),
+                          (["all"], range(cli.SINGULAR_DEGREE + 1))]:
+        code = cli.main([*argv, "--json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert "Traceback" not in captured.out
+        rows = {r["check_id"]: r for r in json.loads(captured.out)["reports"]}
+        counts = {k: r for k, r in rows.items()
+                  if k.startswith("singular.deg") and k.endswith(".line-count")}
+        assert sorted(counts) == sorted(f"singular.deg{m}.line-count" for m in degrees)
+        for row in counts.values():
+            assert row["status"] == "fail"
+            assert row["computed"].startswith(
+                "ValueError: the homomorphism check fails")
 
-    def counted(m, w):
-        solved[m, w] += 1
-        return real_space(m, w)
 
-    monkeypatch.setattr(singular, "singular_space", counted)
-    for m in range(6):
-        assert _items(enumerate_singular(m)) == _items(enumerate_singular_full(m))
-    assert solved == Counter({(m, w): 1 for m in range(6) for w in dominant_weights(m)})
-
-
-def test_a_wrong_dimension_leaves_the_count_open(monkeypatch, capsys, fresh_scan):
+def test_a_wrong_dimension_leaves_the_count_open(monkeypatch, capsys, fresh_caches):
     # dim V(5 lambda_1) read one too high: the product lines over-count
     # the degree-5 polynomials, the scan raises, and its row fails
     real = singular.dimension
@@ -360,30 +357,72 @@ def test_orbit_weighted_blocks_count_every_monomial(degree):
     assert total == comb(degree + 26, 26)
 
 
-def test_wrong_orbit_size_fails_the_certification(monkeypatch, capsys):
-    real = singular.orbit_size
-    monkeypatch.setattr(singular, "orbit_size", lambda w: real(w) + 1)
-    dominant_weights.cache_clear()
-    enumerate_singular.cache_clear()
-    phi_dim.cache_clear()
-    try:
-        with pytest.raises(ValueError, match="dominant blocks of degree 0"):
-            dominant_weights(3)
-        for argv, check_id in [
-            (["singular", "--degree", "3"], "singular.deg3.line-count"),
-            (["decompose", "--degree", "4"], "decompose.deg4.kernel-dim"),
-        ]:
-            code = cli.main([*argv, "--json"])
-            captured = capsys.readouterr()
-            assert code == 1
-            assert captured.err == ""
-            assert "Traceback" not in captured.out
-            doc = json.loads(captured.out)
-            (row,) = [r for r in doc["reports"] if r["check_id"] == check_id]
-            assert row["status"] == "fail"
-            assert row["computed"].startswith("ValueError: dominant blocks")
-    finally:
-        monkeypatch.undo()
-        dominant_weights.cache_clear()
-        enumerate_singular.cache_clear()
-        phi_dim.cache_clear()
+def test_wrong_orbit_size_fails_the_certification(monkeypatch, capsys, fresh_caches):
+    # the orbit of lambda_1 read one too large: phi_dim's degree-1 blocks
+    # over-count the 27 monomials, and the kernel row of degree 4 fails
+    real = decomp.orbit_size
+    monkeypatch.setattr(decomp, "orbit_size", lambda w: real(w) + (w == LAM1))
+    with pytest.raises(ValueError, match="dominant blocks of degree 1 count 28"):
+        phi_dim(4)
+    code = cli.main(["decompose", "--degree", "4", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert "Traceback" not in captured.out
+    doc = json.loads(captured.out)
+    (row,) = [r for r in doc["reports"] if r["check_id"] == "decompose.deg4.kernel-dim"]
+    assert row["status"] == "fail"
+    assert row["computed"].startswith("ValueError: dominant blocks")
+
+
+def test_a_weight_missing_from_phi_dim_fails_its_count(monkeypatch, fresh_caches):
+    # lambda_6 dropped from the degree-2 dominant weights: the blocks
+    # phi_dim ranks no longer hold every degree-2 monomial
+    real = decomp.dominant_weights
+    monkeypatch.setattr(decomp, "dominant_weights",
+                        lambda m: tuple(w for w in real(m) if (m, w) != (2, LAM6)))
+    with pytest.raises(ValueError, match="dominant blocks of degree 2 count"):
+        phi_dim(5)
+
+
+def test_a_weight_missing_from_the_candidates_leaves_the_count_open(
+        monkeypatch, capsys, fresh_caches):
+    # lambda_6 dropped from the degree-2 candidates: no product of lower
+    # lines reaches zeta_1's block, the Weyl dimensions stay short of
+    # C(28, 26), and the line-count row fails
+    real = singular.dominant_weights
+    monkeypatch.setattr(singular, "dominant_weights",
+                        lambda m: tuple(w for w in real(m) if (m, w) != (2, LAM6)))
+    code = cli.main(["singular", "--degree", "2", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    (row,) = [r for r in doc["reports"] if r["check_id"] == "singular.deg2.line-count"]
+    assert row["status"] == "fail"
+    assert row["computed"].startswith("ValueError: singular lines of degree 2 count")
+
+
+@pytest.mark.parametrize("m", range(3, 7))
+def test_phi_dim_lists_each_block_once_and_the_weights_list_none(monkeypatch, m,
+                                                                  fresh_caches):
+    # phi_dim lists each degree-(m - 3) dominant block once, for its rank
+    # and its certificate alike, and dominant_weights lists no monomial
+    listed = Counter()
+
+    def counted(module):
+        real = module.weight_space
+
+        def wrapper(degree, w):
+            listed[degree, tuple(w)] += 1
+            return real(degree, w)
+        return wrapper
+
+    for module in (singular, decomp):
+        monkeypatch.setattr(module, "weight_space", counted(module))
+    for k in range(m + 1):
+        dominant_weights(k)
+    assert not listed
+    phi_dim(m)
+    blocks = Counter({(m - 3, w): 1 for w in dominant_weights(m - 3)})
+    assert Counter({k: n for k, n in listed.items() if k[0] == m - 3}) == blocks
