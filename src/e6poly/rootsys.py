@@ -26,6 +26,12 @@ The sign cocycle F on the lattice is defined by
     F(a, b) = (-1) ** (sum_i a_i*b_i + sum_{i>j} a_i*b_j*(alpha_i, alpha_j))
 
 and supplies the structure constants of the Lie bracket in `liealg`.
+Its exponent mod 2 depends only on the parities of a and b, so F is read
+off the 7-bit odd masks by one kernel, `_sign_parity`.  Its laws come
+from two routes: an F2 certificate on the 7 x 7 matrix of that kernel
+proves them for every lattice vector, and a seeded sweep over root
+pairs, sampled lattice pairs and triples, and simple-root triples checks
+them directly.
 """
 
 from __future__ import annotations
@@ -303,18 +309,26 @@ def _odd(v: Vector) -> int:
             | (v4 & 1) << 4 | (v5 & 1) << 5 | (v6 & 1) << 6)
 
 
-def _parity_table() -> tuple[int, ...]:
+def _parity_table(rows) -> tuple[int, ...]:
     """Entry m is the XOR of the odd masks of the rows whose bits are
     set in m."""
     table = [0]
-    for row in _COCYCLE_ROWS:
+    for row in rows:
         # the entries 2^i .. 2^(i+1) - 1 add row i to those below 2^i
         row_mask = _odd(row)
         table += [t ^ row_mask for t in table]
     return tuple(table)
 
 
-_PARITY_TABLE = _parity_table()
+_PARITY_TABLE = _parity_table(_COCYCLE_ROWS)
+# The same table from the rows of A: (a, b) mod 2 has the parity of
+# popcount(_FORM_PARITY[odd(a)] & odd(b)), as it depends only on parities.
+_FORM_PARITY = _parity_table(CARTAN_E7)
+
+
+def _sign_parity(oa: int, ob: int) -> int:
+    """The exponent of F mod 2 on odd masks: 1 exactly where F(a, b) = -1."""
+    return (_PARITY_TABLE[oa] & ob).bit_count() & 1
 
 
 def cocycle_F(a: Vector, b: Vector) -> int:
@@ -327,7 +341,7 @@ def cocycle_F(a: Vector, b: Vector) -> int:
     odd.  Summing over the odd a_i, the exponent has the parity of
     popcount(T[odd(a)] & odd(b)), with T the 128-entry `_parity_table`.
     """
-    return -1 if (_PARITY_TABLE[_odd(a)] & _odd(b)).bit_count() & 1 else 1
+    return -1 if _sign_parity(_odd(a), _odd(b)) else 1
 
 
 def lattice_samples(seed: int) -> Iterator[Vector]:
@@ -353,67 +367,111 @@ def lattice_samples(seed: int) -> Iterator[Vector]:
 
 @dataclass(frozen=True)
 class CocycleReport:
-    ok: bool
     pairs_checked: int
     triples_checked: int
-    failures: tuple[str, ...]
+    failures: tuple[str, ...]  # the sweep's first 10, then the certificate's
+    certified: bool  # the F2 certificate `_parity_certificate` holds
+
+    @property
+    def ok(self) -> bool:
+        return self.certified and not self.failures
+
+
+def _parity_certificate() -> list[str]:
+    """The cocycle laws for every lattice vector, proved over F2.
+
+    With M_ij = bit j of T[2^i], the three checks are: T is linear, so
+    that F(a, b) = (-1)^(odd(a)^T M odd(b)) and F is bimultiplicative;
+    M + M^T = A mod 2 off the diagonal (both diagonals are even), which
+    is the symmetry law F(a, b) F(b, a) = (-1)^(a, b) and, since
+    (a, b) = -1 on a root sum, the antisymmetry there; and
+    M_ii = A_ii / 2 mod 2, which is the diagonal law
+    F(a, a) = (-1)^((a, a)/2), as the two sides are F2 quadratic forms
+    with the same polarization that agree on a basis.  Each failed law
+    gives one line.
+    """
+    table = _PARITY_TABLE
+    m = [tuple(table[1 << i] >> j & 1 for j in range(7)) for i in range(7)]
+    fails = []
+    bad = [k for k, (t, s) in enumerate(zip(table, _parity_table(m))) if t != s]
+    if bad:
+        fails.append(f"F2 certificate: parity table entry {bad[0]} is not "
+                     "the XOR of its basis entries")
+    bad = [(i, j) for i in range(7) for j in range(7)
+           if i != j and (m[i][j] + m[j][i] - CARTAN_E7[i][j]) & 1]
+    if bad:
+        i, j = bad[0]
+        fails.append(f"F2 certificate: symmetry law fails, M + M^T != A "
+                     f"mod 2 at ({i + 1}, {j + 1})")
+    bad = [i for i in range(7) if (m[i][i] - CARTAN_E7[i][i] // 2) & 1]
+    if bad:
+        fails.append(f"F2 certificate: diagonal law fails, M_ii != A_ii / 2 "
+                     f"mod 2 at i = {bad[0] + 1}")
+    return fails
 
 
 def check_cocycle_laws(seed: int, n_random: int) -> CocycleReport:
-    """Exercise the defining identities of the cocycle.
+    """The defining identities of the cocycle, by two routes.
 
-    Pair sweep: all pairs of positive E6 roots, plus `n_random` seeded
-    lattice pairs.  Checked per pair: F(a,b)F(b,a) = (-1)^(a,b), and for
-    root pairs whose sum is a root, F(a,b) = -F(b,a).  Biadditivity in both
-    arguments is checked on seeded lattice triples and on all simple-root
-    triples.  F(a,a) = (-1)^((a,a)/2) is checked on every root.
+    `_parity_certificate` proves every law for every lattice vector from
+    the 7 x 7 F2 matrix M, and `ok` requires it.  The sweep checks the
+    laws directly, on odd masks with the one sign kernel `_sign_parity`:
+    all pairs of positive E6 roots, plus `n_random` seeded lattice pairs.
+    Checked per pair: F(a,b)F(b,a) = (-1)^(a,b), and for pairs whose sum
+    is a root, F(a,b) = -F(b,a).  Biadditivity in both arguments is
+    checked on seeded lattice triples and on all simple-root triples.
+    F(a,a) = (-1)^((a,a)/2) is checked on every root.  The root pairs and
+    roots read (a, b) from the integer form; the seeded pairs read it
+    mod 2 from `_FORM_PARITY`.  The odd mask of a + b is
+    odd(a) ^ odd(b).
     """
     rs = root_system()
     rset = rs.root_set
     fails: list[str] = []
-    pairs = 0
 
-    def check_pair(a: Vector, b: Vector) -> None:
-        nonlocal pairs
-        pairs += 1
-        if cocycle_F(a, b) * cocycle_F(b, a) != (-1) ** (bilinear(a, b) & 1):
+    def check_pair(a: Vector, b: Vector, oa: int, ob: int, form_odd: int) -> None:
+        if _sign_parity(oa, ob) ^ _sign_parity(ob, oa) != form_odd:
             fails.append(f"symmetry law at {a}, {b}")
-        if a in rset and b in rset and vadd(a, b) in rset:
-            if cocycle_F(a, b) != -cocycle_F(b, a):
+            # a, b and a + b roots give (a, b) = -1, odd, where
+            # F(a, b) = F(b, a) is this failure: the antisymmetry law
+            # can fail only here
+            if a in rset and b in rset and vadd(a, b) in rset:
                 fails.append(f"antisymmetry on root sum at {a}, {b}")
 
-    for a in rs.e6_positive:
-        for b in rs.e6_positive:
-            check_pair(a, b)
+    positive = [(a, _odd(a)) for a in rs.e6_positive]
+    for a, oa in positive:
+        for b, ob in positive:
+            check_pair(a, b, oa, ob, bilinear(a, b) & 1)
 
     samples = lattice_samples(seed)
 
     for _ in range(n_random):
-        check_pair(next(samples), next(samples))
+        a, b = next(samples), next(samples)
+        oa, ob = _odd(a), _odd(b)
+        check_pair(a, b, oa, ob, (_FORM_PARITY[oa] & ob).bit_count() & 1)
 
-    triples = 0
-
-    def check_triple(a: Vector, b: Vector, c: Vector) -> None:
-        nonlocal triples
-        triples += 1
-        if cocycle_F(vadd(a, b), c) != cocycle_F(a, c) * cocycle_F(b, c):
+    def check_triple(a: Vector, b: Vector, c: Vector, oa: int, ob: int, oc: int) -> None:
+        if _sign_parity(oa ^ ob, oc) != _sign_parity(oa, oc) ^ _sign_parity(ob, oc):
             fails.append(f"additivity (first slot) at {a}, {b}, {c}")
-        if cocycle_F(a, vadd(b, c)) != cocycle_F(a, b) * cocycle_F(a, c):
+        if _sign_parity(oa, ob ^ oc) != _sign_parity(oa, ob) ^ _sign_parity(oa, oc):
             fails.append(f"additivity (second slot) at {a}, {b}, {c}")
 
     for _ in range(n_random):
-        check_triple(next(samples), next(samples), next(samples))
-    for i, j, k in itertools.product(range(1, 8), repeat=3):
-        check_triple(alpha(i), alpha(j), alpha(k))
+        a, b, c = next(samples), next(samples), next(samples)
+        check_triple(a, b, c, _odd(a), _odd(b), _odd(c))
+    simple = [(alpha(i), 1 << (i - 1)) for i in range(1, 8)]
+    for (a, oa), (b, ob), (c, oc) in itertools.product(simple, repeat=3):
+        check_triple(a, b, c, oa, ob, oc)
 
     for r in rs.roots:
-        pairs += 1
-        if cocycle_F(r, r) != (-1) ** ((bilinear(r, r) // 2) & 1):
+        o = _odd(r)
+        if _sign_parity(o, o) != (bilinear(r, r) // 2) & 1:
             fails.append(f"diagonal law at {r}")
 
+    certificate = _parity_certificate()
     return CocycleReport(
-        ok=not fails,
-        pairs_checked=pairs,
-        triples_checked=triples,
-        failures=tuple(fails[:10]),
+        pairs_checked=len(positive) ** 2 + n_random + len(rs.roots),
+        triples_checked=n_random + len(simple) ** 3,
+        failures=tuple(fails[:10]) + tuple(certificate),
+        certified=not certificate,
     )

@@ -26,6 +26,9 @@ solves every dominant block with `kernel_basis` on those rows, as the
 scan did before it counted dimensions.  `cubic_scalar_full` expands
 D(eta B) and solves for its multiple of B, as the cubic sweep once did.  `tau_dual` is the
 signed relabeling that once built the high members of the zeta family.
+`check_cocycle_laws_full` is the cocycle sweep on vectors, one
+`cocycle_F` call per sign and `vadd` for every sum, as the package ran
+it before it read odd masks and proved the laws over F2.
 Two helpers only the tests need live here too: `basis_elements` lists
 the algebra's basis and `poly_from_json` reads a serialized polynomial
 back.
@@ -33,6 +36,7 @@ back.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import comb, gcd, lcm, perm, prod
 
@@ -62,7 +66,16 @@ from e6poly.polyops import (
     psub,
 )
 from e6poly.rep import all_operators, matrix, raising_operator, weight_table
-from e6poly.rootsys import root_system
+from e6poly.rootsys import (
+    CocycleReport,
+    Vector,
+    alpha,
+    bilinear,
+    cocycle_F,
+    lattice_samples,
+    root_system,
+    vadd,
+)
 from e6poly.singular import (
     SingularScan,
     Weight,
@@ -290,6 +303,58 @@ def fraction_kernel(rows, columns):
         sign = 1 if ints[min(ints)] > 0 else -1
         basis.append({columns[j]: sign * v // g for j, v in ints.items()})
     return basis
+
+
+def check_cocycle_laws_full(seed: int, n_random: int) -> CocycleReport:
+    """The sweep of `rootsys.check_cocycle_laws` on vectors: the same
+    pairs, triples and roots in the same order, each sign from
+    `cocycle_F`, each sum from `vadd`, each pairing from `bilinear`, and
+    the antisymmetry law tested on every pair; no certificate is read."""
+    rs = root_system()
+    rset = rs.root_set
+    fails: list[str] = []
+    pairs = 0
+
+    def check_pair(a: Vector, b: Vector) -> None:
+        nonlocal pairs
+        pairs += 1
+        if cocycle_F(a, b) * cocycle_F(b, a) != (-1) ** (bilinear(a, b) & 1):
+            fails.append(f"symmetry law at {a}, {b}")
+        if a in rset and b in rset and vadd(a, b) in rset:
+            if cocycle_F(a, b) != -cocycle_F(b, a):
+                fails.append(f"antisymmetry on root sum at {a}, {b}")
+
+    for a in rs.e6_positive:
+        for b in rs.e6_positive:
+            check_pair(a, b)
+
+    samples = lattice_samples(seed)
+
+    for _ in range(n_random):
+        check_pair(next(samples), next(samples))
+
+    triples = 0
+
+    def check_triple(a: Vector, b: Vector, c: Vector) -> None:
+        nonlocal triples
+        triples += 1
+        if cocycle_F(vadd(a, b), c) != cocycle_F(a, c) * cocycle_F(b, c):
+            fails.append(f"additivity (first slot) at {a}, {b}, {c}")
+        if cocycle_F(a, vadd(b, c)) != cocycle_F(a, b) * cocycle_F(a, c):
+            fails.append(f"additivity (second slot) at {a}, {b}, {c}")
+
+    for _ in range(n_random):
+        check_triple(next(samples), next(samples), next(samples))
+    for i, j, k in itertools.product(range(1, 8), repeat=3):
+        check_triple(alpha(i), alpha(j), alpha(k))
+
+    for r in rs.roots:
+        pairs += 1
+        if cocycle_F(r, r) != (-1) ** ((bilinear(r, r) // 2) & 1):
+            fails.append(f"diagonal law at {r}")
+
+    return CocycleReport(pairs_checked=pairs, triples_checked=triples,
+                         failures=tuple(fails[:10]), certified=True)
 
 
 def tau_dual(f: Poly) -> Poly:

@@ -26,6 +26,7 @@ from e6poly.rootsys import (
     vadd,
     vneg,
 )
+from oracles import check_cocycle_laws_full
 
 
 def test_form_is_positive_definite():
@@ -151,11 +152,40 @@ def test_cocycle_values_are_signs():
 
 
 def test_cocycle_full_report():
+    # 36^2 root pairs, n sampled pairs and the 126 roots' diagonal law;
+    # n sampled triples and the 7^3 simple-root triples
+    for n in (0, 17, cli.COCYCLE_SAMPLES):
+        rep = check_cocycle_laws(cli.SEED, n)
+        assert rep.ok and rep.certified
+        assert rep.failures == ()
+        assert rep.pairs_checked == 36 ** 2 + n + 126
+        assert rep.triples_checked == n + 343
+
+
+def _sweep(rep):
+    return tuple(f for f in rep.failures if not f.startswith("F2 certificate"))
+
+
+@pytest.mark.parametrize("n_random", [0, 1, cli.COCYCLE_SAMPLES])
+@pytest.mark.parametrize("seed", [0, 1, cli.SEED])
+def test_cocycle_sweep_matches_the_vector_oracle(seed, n_random):
+    rep = check_cocycle_laws(seed, n_random)
+    full = check_cocycle_laws_full(seed, n_random)
+    assert (rep.pairs_checked, rep.triples_checked, _sweep(rep)) == (
+        full.pairs_checked, full.triples_checked, full.failures)
+
+
+# (entry, bit): a basis entry, which breaks the symmetry law, and a sum
+# entry, which breaks additivity
+@pytest.mark.parametrize("entry, bit", [(1, 1), (3, 0), (90, 4)])
+def test_cocycle_sweep_matches_the_vector_oracle_on_a_flipped_table(
+        monkeypatch, entry, bit):
+    _flip_table(monkeypatch, entry, bit)
     rep = check_cocycle_laws(cli.SEED, cli.COCYCLE_SAMPLES)
-    assert rep.ok
-    assert rep.failures == ()
-    assert rep.pairs_checked > 2000
-    assert rep.triples_checked > 1000
+    full = check_cocycle_laws_full(cli.SEED, cli.COCYCLE_SAMPLES)
+    assert _sweep(rep) != ()
+    assert (rep.pairs_checked, rep.triples_checked, _sweep(rep)) == (
+        full.pairs_checked, full.triples_checked, full.failures)
 
 
 _root_idx = st.integers(min_value=0, max_value=125)
@@ -233,21 +263,117 @@ def test_parity_table_matches_the_defining_sums_on_every_parity_pair():
     assert bad == []
 
 
+def _flip_table(monkeypatch, entry, bit):
+    table = list(rootsys._PARITY_TABLE)
+    table[entry] ^= 1 << bit
+    monkeypatch.setattr(rootsys, "_PARITY_TABLE", tuple(table))
+
+
 def test_cocycle_check_fails_when_one_parity_class_is_flipped(monkeypatch):
-    # flip F on a = alpha_1, b = alpha_2 mod 2: F(alpha_1, alpha_2) changes
-    # sign and F(alpha_2, alpha_1) does not, which breaks the symmetry law
-    real = rootsys.cocycle_F
-    flipped_class = (alpha(1), alpha(2))
-
-    def flipped(a, b):
-        f = real(a, b)
-        parities = (tuple(c & 1 for c in a), tuple(c & 1 for c in b))
-        return -f if parities == flipped_class else f
-
-    monkeypatch.setattr(rootsys, "cocycle_F", flipped)
+    # flip bit 1 of T[1]: F(a, b) changes sign for a = alpha_1 mod 2 and
+    # b with odd alpha_2 coordinate, F(b, a) does not, which breaks the
+    # symmetry law.  The first broken pair of the sweep's order is
+    # (alpha_2, alpha_1); (alpha_1, alpha_2) is broken too, but 16 sweep
+    # lines come before it, past the sweep's cut at 10.
+    _flip_table(monkeypatch, 1, 1)
     rep = check_cocycle_laws(cli.SEED, cli.COCYCLE_SAMPLES)
     assert not rep.ok
-    assert f"symmetry law at {alpha(1)}, {alpha(2)}" in rep.failures
+    assert rep.failures[0] == f"symmetry law at {alpha(2)}, {alpha(1)}"
+    assert rep.failures[10:] == (
+        "F2 certificate: parity table entry 3 is not the XOR of its basis entries",
+        "F2 certificate: symmetry law fails, M + M^T != A mod 2 at (1, 2)",
+    )
+
+
+def _linear_table(monkeypatch, i, j):
+    """Flip M_ij and install the linear table built from the new M."""
+    m = [[rootsys._PARITY_TABLE[1 << r] >> c & 1 for c in range(7)] for r in range(7)]
+    m[i][j] ^= 1
+    monkeypatch.setattr(rootsys, "_PARITY_TABLE", rootsys._parity_table(m))
+
+
+def _certificate(rep):
+    return tuple(f for f in rep.failures if f.startswith("F2 certificate"))
+
+
+def test_certificate_holds_on_the_table():
+    assert rootsys._parity_certificate() == []
+
+
+def test_certificate_fails_the_symmetry_law_on_one_flipped_M_entry(monkeypatch):
+    _linear_table(monkeypatch, 4, 2)
+    rep = check_cocycle_laws(cli.SEED, 0)
+    assert not rep.certified and not rep.ok
+    assert _certificate(rep) == (
+        "F2 certificate: symmetry law fails, M + M^T != A mod 2 at (3, 5)",)
+
+
+def test_certificate_fails_linearity_on_one_entry_off_the_xor(monkeypatch):
+    _flip_table(monkeypatch, 0b1010110, 6)
+    rep = check_cocycle_laws(cli.SEED, 0)
+    assert not rep.certified and not rep.ok
+    assert _certificate(rep) == (
+        "F2 certificate: parity table entry 86 is not the XOR of its basis entries",)
+
+
+def test_certificate_fails_the_diagonal_law_on_one_flipped_M_ii(monkeypatch):
+    _linear_table(monkeypatch, 3, 3)
+    rep = check_cocycle_laws(cli.SEED, 0)
+    assert not rep.certified and not rep.ok
+    assert _certificate(rep) == (
+        "F2 certificate: diagonal law fails, M_ii != A_ii / 2 mod 2 at i = 4",)
+
+
+def test_the_certificate_alone_sees_an_entry_the_sweep_never_reads(monkeypatch):
+    # without samples the sweep reads T only at the odd masks of roots and
+    # of sums of two simple roots; alpha_1 + alpha_2 + alpha_3 is neither
+    # a root mod 2 nor such a sum
+    _flip_table(monkeypatch, 0b111, 0)
+    rep = check_cocycle_laws(cli.SEED, 0)
+    assert not rep.certified and not rep.ok
+    assert rep.failures == (
+        "F2 certificate: parity table entry 7 is not the XOR of its basis entries",)
+
+
+@pytest.mark.parametrize("patch", [
+    lambda mp: _linear_table(mp, 4, 2),
+    lambda mp: _flip_table(mp, 0b1010110, 6),
+    lambda mp: _linear_table(mp, 3, 3),
+], ids=["symmetry", "linearity", "diagonal"])
+def test_a_failed_certificate_is_a_fail_row(capsys, monkeypatch, patch):
+    patch(monkeypatch)
+    code = cli.main(["roots", "--json"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    (row,) = [r for r in doc["reports"] if r["check_id"] == "roots.cocycle-laws"]
+    assert code == 1
+    assert row["status"] == "fail"
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cocycle_laws_hold_on_every_parity_class():
+    # F(a, b) depends on a and b only mod 2, and so do (a, b) mod 2 and
+    # (a, a)/2 mod 2, so the 128 x 128 pairs of 0/1 vectors cover every
+    # lattice pair.  Bimultiplicativity on the classes is F(a, b) as the
+    # product of its values on the unit vectors in each slot.
+    parities = list(itertools.product((0, 1), repeat=7))
+    units = [alpha(i) for i in range(1, 8)]
+    # F(u, v) and F(v, u) for each unit vector u, by the defining sum
+    left = {v: [_sum_cocycle_F(u, v) for u in units] for v in parities}
+    right = {v: [_sum_cocycle_F(v, u) for u in units] for v in parities}
+    bad = []
+    for a in parities:
+        if cocycle_F(a, a) != (-1) ** (_sum_bilinear(a, a) // 2):
+            bad.append(("diagonal", a))
+        for b in parities:
+            fab = cocycle_F(a, b)
+            if fab * cocycle_F(b, a) != (-1) ** _sum_bilinear(a, b):
+                bad.append(("symmetry", a, b))
+            first = math.prod(f for f, ai in zip(left[b], a) if ai)
+            second = math.prod(f for f, bi in zip(right[a], b) if bi)
+            if not fab == first == second:
+                bad.append(("bimultiplicative", a, b))
+    assert bad == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, cli.SEED])
