@@ -24,8 +24,10 @@ independently built matrices give its dimension:
   degree m - 3 have rows.  Its columns are the monomials those rows
   touch: every other degree-m monomial, in a row block or not, is
   killed by D and counted without being listed.  One pass over these
-  row blocks gives both the count and, from its first blocks, the
-  samples; no other function solves them.
+  row blocks gives both the count and the samples: the first
+  SAMPLE_BLOCKS blocks get explicit kernel bases, which are the
+  samples, and the rest only exact ranks, the same count by
+  rank-nullity; no other function solves them.
 
 Both routes refuse a negative degree.
 
@@ -169,9 +171,11 @@ def phi_dim(m: int) -> KernelSummary:
 
 
 def materialized_kernel_dim(m: int) -> MaterializedKernel:
-    """Dimension of Phi_m by explicit kernel bases over the monomials D
-    touches, with the bases of the first SAMPLE_BLOCKS row blocks as
-    samples, all from one pass over the row blocks.
+    """Dimension of Phi_m from one pass over the row blocks: explicit
+    kernel bases over the monomials D touches for the first SAMPLE_BLOCKS
+    blocks, which are the samples, and exact ranks for the rest.  By
+    rank-nullity a block's kernel over its touched columns is their
+    count minus the rank, so both give the same count.
 
     Every degree-m monomial outside a row block's columns has no target,
     so D kills it: it is counted, not listed.  The rows are built from
@@ -188,11 +192,15 @@ def materialized_kernel_dim(m: int) -> MaterializedKernel:
         return MaterializedKernel(dim_phi=dim, samples=samples)
     for i, targets in enumerate(weight_buckets(m - 3).values()):
         rows = _cubic_rows(targets)
-        cols = sorted(set().union(*rows))
-        basis = kernel_basis(rows, cols)
-        dim += len(basis) - len(cols)
         if i < SAMPLE_BLOCKS:
+            cols = sorted(set().union(*rows))
+            basis = kernel_basis(rows, cols)
+            dim += len(basis) - len(cols)
             samples += basis
+        else:
+            # rank-nullity: a block's kernel is len(cols) - rank, so it
+            # adds -rank; the rank cannot exceed the row count
+            dim -= _rank(rows, len(rows))
     return MaterializedKernel(dim_phi=dim, samples=samples)
 
 

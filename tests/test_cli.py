@@ -112,19 +112,59 @@ def test_materializing_obeys_the_decompose_guard_alone(capsys):
 
 
 def test_materializing_solves_each_row_block_once(capsys, monkeypatch):
-    # the samples row reads the vectors the materialized-dim row's pass
-    # already solved, so no row block is solved twice
-    solved = []
-    real = decomp.kernel_basis
+    # the first SAMPLE_BLOCKS row blocks get kernel bases and every later
+    # block one exact rank; the samples row reads the vectors the
+    # materialized-dim row's pass already solved, so no block is solved
+    # twice
+    built, solved, ranked = [], [], []
+    real_rows, real_basis, real_rank = decomp._cubic_rows, decomp.kernel_basis, decomp._rank
 
-    def counted(rows, cols):
-        solved.append(cols)
-        return real(rows, cols)
+    def recorded_rows(targets):
+        built.append(real_rows(targets))
+        return built[-1]
 
-    monkeypatch.setattr(decomp, "kernel_basis", counted)
+    def counted_basis(rows, cols):
+        solved.append(id(rows))
+        return real_basis(rows, cols)
+
+    def counted_rank(rows, full):
+        ranked.append(id(rows))
+        return real_rank(rows, full)
+
+    monkeypatch.setattr(decomp, "_cubic_rows", recorded_rows)
+    monkeypatch.setattr(decomp, "kernel_basis", counted_basis)
+    monkeypatch.setattr(decomp, "_rank", counted_rank)
     code, _out = run(capsys, "decompose", "--degree", "5", "--materialize")
     assert code == 0
-    assert len(solved) == len(singular.weight_buckets(2)) == 270
+    assert len(built) == len(singular.weight_buckets(2)) == 270
+    blocks = [id(rows) for rows in built]
+    assert solved == blocks[:decomp.SAMPLE_BLOCKS]
+    # phi_dim ranks its own source-side rows too; those are no row block
+    assert [r for r in ranked if r in blocks] == blocks[decomp.SAMPLE_BLOCKS:]
+
+
+def test_a_ranked_block_still_counts(capsys, monkeypatch):
+    # a block past the sampled ones adds only its rank to the count: with
+    # one of its rows lost the count is one too high, and the samples,
+    # which come from other blocks, still pass
+    real = decomp._cubic_rows
+    calls = []
+
+    def dropped(targets):
+        calls.append(targets)
+        rows = real(targets)
+        return rows[1:] if len(calls) == decomp.SAMPLE_BLOCKS + 1 else rows
+
+    monkeypatch.setattr(decomp, "_cubic_rows", dropped)
+    code = cli.main(["decompose", "--degree", "5", "--materialize", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    rows = {r["check_id"]: r for r in json.loads(captured.out)["reports"]}
+    row = rows["decompose.deg5.materialized-dim"]
+    assert row["status"] == "fail"
+    assert row["computed"] == str(169533 + 1)
+    assert rows["decompose.deg5.kernel-samples"]["status"] == "pass"
 
 
 @pytest.mark.parametrize("producer, materialized_row", [
@@ -598,7 +638,7 @@ def test_decompose_degree_six_golden_bytes(capsys):
 ])
 def test_decompose_golden_bytes(capsys, argv, digest):
     # both kernel routes below, at and above degree 3, and both routes at
-    # degree 7, the materialized one about 4 s
+    # degree 7, the materialized one about 1.5 s
     code, out = run(capsys, "decompose", *argv, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -179,7 +179,7 @@ def test_materialized_kernel_degree_five():
     assert materialized_kernel_dim(5).dim_phi == 169533
 
 
-@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("m", [3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
 def test_row_blocks_give_what_the_full_listing_gives(m):
     # counting the blocks D does not reach, instead of listing their unit
     # vectors, changes neither the dimension nor the samples
@@ -189,11 +189,21 @@ def test_row_blocks_give_what_the_full_listing_gives(m):
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
+def test_rank_of_a_row_block_is_its_touched_columns_less_its_kernel(m):
+    # rank-nullity over the touched columns: the blocks past the sampled
+    # ones add -rank to the count, which is what a kernel basis adds
+    for targets in weight_buckets(m - 3).values():
+        rows = _cubic_rows(targets)
+        cols = sorted(set().union(*rows))
+        assert _rank(rows, len(rows)) == len(cols) - len(kernel_basis(rows, cols))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
 def test_touched_columns_give_the_full_block_basis_without_untouched_units(
         m, monkeypatch):
-    # materialized_kernel_dim solves each row block over the monomials its
-    # rows touch; over the whole block the basis is the same vectors in
-    # the same order, plus one unit vector per untouched monomial
+    # materialized_kernel_dim solves each sampled row block over the
+    # monomials its rows touch; over the whole block the basis is the same
+    # vectors in the same order, plus one unit vector per untouched monomial
     solved = []
 
     def recorded(rows, cols):
@@ -202,7 +212,7 @@ def test_touched_columns_give_the_full_block_basis_without_untouched_units(
 
     monkeypatch.setattr(decomp, "kernel_basis", recorded)
     materialized_kernel_dim(m)
-    assert len(solved) == len(weight_buckets(m - 3))
+    assert len(solved) == min(SAMPLE_BLOCKS, len(weight_buckets(m - 3)))
     for rows, cols in solved:
         touched = set().union(*rows)
         assert cols == sorted(touched)
@@ -215,8 +225,11 @@ def test_touched_columns_give_the_full_block_basis_without_untouched_units(
 
 
 def test_materialized_route_lists_no_weight_space(monkeypatch):
+    # bases for the sampled blocks, one rank for each later block, and
+    # no degree-m weight space listed for either
     listed = []
     solved = []
+    ranked = []
 
     def counted(m, w):
         listed.append(w)
@@ -226,11 +239,17 @@ def test_materialized_route_lists_no_weight_space(monkeypatch):
         solved.append(cols)
         return kernel_basis(rows, cols)
 
+    def ranks(rows, full):
+        ranked.append(full)
+        return _rank(rows, full)
+
     monkeypatch.setattr(decomp, "weight_space", counted)
     monkeypatch.setattr(decomp, "kernel_basis", recorded)
+    monkeypatch.setattr(decomp, "_rank", ranks)
     materialized_kernel_dim(5)
     assert listed == []
-    assert len(solved) == len(weight_buckets(2))
+    assert len(solved) == SAMPLE_BLOCKS
+    assert len(ranked) == len(weight_buckets(2)) - SAMPLE_BLOCKS
 
 
 def test_eta_terms_are_squarefree():
