@@ -87,7 +87,6 @@ from .rep import (
     generator_certificate,
     generators,
     matrix,
-    raising_operator,
     weight_table,
 )
 from .rootsys import bar_basis, cocycle_F, root_system
@@ -577,13 +576,9 @@ def cubic_sweep_premises() -> bool:
     """The operator premises of the cubic sweep's certificate: D commutes
     with the algebra (`cubic_invariance`: the 12 generators under the
     generated-by certificate), eta is killed by the six raising
-    operators, and these are derivations (every term is x_i d_j)."""
-    return (
-        cubic_invariance().ok
-        and not raising_residual(build_eta())
-        and all(len(xe) == len(de) == 1
-                for k in range(1, 7) for xe, de in raising_operator(k))
-    )
+    operators, and these are derivations (`first_order_brackets` in
+    `cubic_invariance` refuses a term that is not x_i d_j)."""
+    return cubic_invariance().ok and not raising_residual(build_eta())
 
 
 def _product_coefficient(f: Poly, g: Poly, mono: Monomial) -> int:
@@ -607,11 +602,12 @@ def _certified_cubic_scalar(base: Poly, degree: int, weight) -> Fraction | None:
     """s with D(eta base) = s base, read off one coefficient, or None
     when a premise fails.
 
-    With the premises of `cubic_sweep_premises`, eta base is singular
-    whenever base is, and so is its image under D, which keeps the
-    weight and lowers the degree by 3: D commutes with every operator
-    of the algebra, the six raising ones among them.  If the scan's line at base's
-    degree and weight has dimension 1 and base is a multiple of its
+    With the premises of `cubic_sweep_premises`, whose derivation form
+    `first_order_brackets` certifies, eta base is singular whenever base
+    is, and so is its image under D, which keeps the weight and lowers
+    the degree by 3: D commutes with every operator of the algebra, the
+    six raising ones among them.  If the scan's line at base's degree
+    and weight has dimension 1 and base is a multiple of its
     basis vector, that image is s base, and s = [x^t] D(eta base) / [x^t]
     base at any monomial t of the line.  That coefficient needs eta base
     only at the monomials t x^e over the terms d^e of D.

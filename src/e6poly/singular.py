@@ -29,13 +29,14 @@ table of their terms c x_i d_j keyed by x_j, not from `apply`.
 The scan `enumerate_singular` solves few blocks.  The raising operators
 are derivations, so a product of two lower singular vectors is singular
 (Humphreys section 20-21): the scan multiplies its lower lines, one
-checked product per weight reached.  The 78 operators form a
-representation (the homomorphism check), so the degree-m polynomials
-are completely reducible and C(m + 26, 26) is the sum of dim V(w) over
-their singular lines.  Once the product weights' dimensions add up to
-it, no other block holds a line.  Blocks the count leaves open, those of
-the generators 1, x_1, zeta_1 and eta, are solved in weight order; with
-no homomorphism the count has no premise, and the scan raises.
+product per weight reached, and applies no operator to it.  The
+homomorphism check is the premise: its `first_order_brackets` refuses
+a term that is not x_i d_j, and the 78 operators form a representation,
+so the degree-m polynomials are completely reducible and C(m + 26, 26)
+is the sum of dim V(w) over their singular lines.  Once the product
+weights' dimensions add up to it, no other block holds a line.  Blocks
+the count leaves open, those of 1, x_1, zeta_1 and eta, are solved in
+weight order; if the check fails, the scan raises.
 """
 
 from __future__ import annotations
@@ -260,8 +261,9 @@ class SingularScan:
 def _product_lines(degree: int) -> dict[Weight, list[Poly]]:
     """One line per weight that a product of two lower lines reaches: the
     first basis vectors of lines of degrees d1 <= m/2 and m - d1,
-    multiplied, checked nonzero, of the summed weight in every monomial
-    and killed by the six raising operators, then normalized."""
+    multiplied, checked nonzero and of the summed weight in every
+    monomial, then normalized: singular, as the raising operators are
+    derivations (`first_order_brackets` in `verify_homomorphism`)."""
     keys = _variable_keys()
     lines: dict[Weight, list[Poly] | None] = {}  # None: the product failed
     for d1 in range(1, degree // 2 + 1):
@@ -272,7 +274,6 @@ def _product_lines(degree: int) -> dict[Weight, list[Poly]]:
                 if weight not in lines:
                     vec, key = pmul(low, high), _pack(weight)
                     ok = vec and all(sum(keys[v - 1] for v in m) == key for m in vec)
-                    ok = ok and not raising_residual(vec)
                     lines[weight] = [_normalized(vec)] if ok else None
     return {w: line for w, line in lines.items() if line}
 
@@ -282,7 +283,8 @@ def enumerate_singular(degree: int) -> SingularScan:
     """The singular lines of degree m, as (dominant weight, basis) in
     weight order: the product lines, then solved dominant blocks until
     the Weyl dimensions add up to C(m + 26, 26), else ValueError, as
-    when the homomorphism check, the count's premise, fails."""
+    when the homomorphism check fails: the premise of the count and,
+    through `first_order_brackets`, of the product lines."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if not verify_homomorphism().ok:

@@ -7,6 +7,7 @@ count of Weyl dimensions, and the dominant weight spaces that the count
 leaves open.
 """
 
+import hashlib
 import json
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -93,7 +94,9 @@ def test_degree_three_weight_zero_generator_is_the_cubic_invariant():
 
 
 def test_scanned_generators_are_annihilated():
-    for degree in range(6):
+    # every line, products included, checked by all 36 positive-root
+    # operators: the scan itself applies none to a product
+    for degree in range(9):
         for _w, basis in enumerate_singular(degree).bases:
             for vec in basis:
                 assert verify_annihilated(vec)
@@ -182,33 +185,24 @@ def test_only_the_generator_blocks_fall_back_to_full_elimination(monkeypatch,
     assert listed == {0, 1, 2, 3}
 
 
-def test_a_flipped_product_is_refused_and_the_block_is_solved(monkeypatch,
-                                                              fresh_caches):
-    # degree 5, weight lambda_6: the line eta zeta_1, which one product
-    # reaches.  With one coefficient flipped that product is no singular
-    # vector: it is refused, the count stays open, and the block is
-    # solved, giving the same line
-    real_pmul = singular.pmul
-
-    def flipped(f, g):
-        out = real_pmul(f, g)
-        mono = min(out)
-        if len(mono) == 5 and monomial_weight(mono) == LAM6:
-            out[mono] = -out[mono]
-        return out
-
-    solved = []
-    real_space = singular.singular_space
-
-    def recorded(m, w):
-        solved.append((m, w))
-        return real_space(m, w)
-
-    monkeypatch.setattr(singular, "pmul", flipped)
-    monkeypatch.setattr(singular, "singular_space", recorded)
-    scan = enumerate_singular(5)
-    assert (5, LAM6) in solved
-    assert _items(scan) == _items(enumerate_singular_full(5))
+def _scan_rows_fail(capsys, message, also=()):
+    """`singular --degree 3` and `all` exit 1 with no traceback, and every
+    line-count row of each, and the rows `also` of `all`, fail with an
+    exception whose text starts with `message`."""
+    for argv, degrees, extra in [(["singular", "--degree", "3"], [3], ()),
+                                 (["all"], range(cli.SINGULAR_DEGREE + 1), also)]:
+        code = cli.main([*argv, "--json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert "Traceback" not in captured.out
+        rows = {r["check_id"]: r for r in json.loads(captured.out)["reports"]}
+        counts = sorted(k for k in rows
+                        if k.startswith("singular.deg") and k.endswith(".line-count"))
+        assert counts == sorted(f"singular.deg{m}.line-count" for m in degrees)
+        for k in [*counts, *extra]:
+            assert rows[k]["status"] == "fail"
+            assert rows[k]["computed"].startswith(f"ValueError: {message}")
 
 
 def test_without_the_homomorphism_the_scan_fails(monkeypatch, capsys, fresh_caches):
@@ -219,21 +213,23 @@ def test_without_the_homomorphism_the_scan_fails(monkeypatch, capsys, fresh_cach
         ok=False, pairs_checked=324, failures=("pair #1",)))
     with pytest.raises(ValueError, match="homomorphism check fails"):
         enumerate_singular(2)
-    for argv, degrees in [(["singular", "--degree", "3"], [3]),
-                          (["all"], range(cli.SINGULAR_DEGREE + 1))]:
-        code = cli.main([*argv, "--json"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err == ""
-        assert "Traceback" not in captured.out
-        rows = {r["check_id"]: r for r in json.loads(captured.out)["reports"]}
-        counts = {k: r for k, r in rows.items()
-                  if k.startswith("singular.deg") and k.endswith(".line-count")}
-        assert sorted(counts) == sorted(f"singular.deg{m}.line-count" for m in degrees)
-        for row in counts.values():
-            assert row["status"] == "fail"
-            assert row["computed"].startswith(
-                "ValueError: the homomorphism check fails")
+    _scan_rows_fail(capsys, "the homomorphism check fails")
+
+
+@pytest.mark.parametrize("term", [((), ()), ((1, 5), (2,))])
+def test_a_raising_operator_off_the_derivation_form_fails_every_scan_row(
+        monkeypatch, capsys, fresh_caches, term):
+    # a product of singular lines is singular because the raising
+    # operators are derivations, and the scan checks no product: a
+    # zeroth- or second-order term must fail the premises, which run
+    # first_order_brackets over them, and with them every scan row and
+    # the cubic sweep
+    real = rep.all_operators()
+    e1 = next(k for k, w in real.items() if w is rep.raising_operator(1))
+    mutated = {**real, e1: {**real[e1], term: 1}}
+    monkeypatch.setattr(rep, "all_operators", lambda: mutated)
+    _scan_rows_fail(capsys, "not a first-order term x_i d_j",
+                    also=["invariant.cubic-action-sweep"])
 
 
 def test_a_wrong_dimension_leaves_the_count_open(monkeypatch, capsys, fresh_caches):
@@ -269,6 +265,25 @@ def test_monomial_weight_is_additive():
 
 def test_nondominant_weight_has_no_singular_vector():
     assert singular_space(1, (0, 0, 1, 0, 0, 0)) == []
+
+
+@pytest.mark.parametrize("degree, lines, digest", [
+    pytest.param(7, 8, "6e1ba1e9645caa220ff8b488bafb98590d7ea5790fcaa2e889bbcb61674ed66f",
+                 id="degree7"),
+    pytest.param(8, 10, "d96cb7e5168667a736998ba3138f7c45d9018f2a65ab28bf83a54cf10223d5f8",
+                 id="degree8"),
+    pytest.param(9, 12, "7de1c335fedcc13548e3ff514d6da9102d77f6012e05bfcc0c01ad44df2bd51b",
+                 id="degree9", marks=pytest.mark.slow),
+    pytest.param(10, 14, "033d8e570c1111c2e6c4808e0c336a1a592ae6f8ccf4f7397eea57842bf7e622",
+                 id="degree10", marks=pytest.mark.slow),
+])
+def test_singular_golden_bytes(capsys, degree, lines, digest):
+    # the lines and generators past degree 6: products of lower lines
+    # close the dimension count, so the scan lists no block of degree m
+    assert enumerate_singular(degree).total == expected_line_count(degree) == lines
+    assert cli.main(["singular", "--degree", str(degree), "--force", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_line_counts_degrees_six_and_seven():
