@@ -82,7 +82,13 @@ def derive_cartan_action(j: int) -> WeylOp:
 
 def matrix(w: WeylOp) -> dict[tuple[int, int], int]:
     """{(i, j): c} of a first-order operator sum of c x_i d_j."""
-    return {(i, j): c for ((i,), (j,)), c in w.items()}
+    out = {}
+    for key, c in w.items():
+        xe, de = key
+        if len(xe) != 1 or len(de) != 1:
+            raise ValueError(f"not a first-order term x_i d_j: {key}")
+        out[xe[0], de[0]] = c
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -32,11 +32,16 @@ from two routes: an F2 certificate on the 7 x 7 matrix of that kernel
 proves them for every lattice vector, and a seeded sweep over root
 pairs, sampled lattice pairs and triples, and simple-root triples checks
 them directly.
+
+numpy serves only the box scan, which is integer elementwise work, so the
+module caps OpenBLAS at one thread before it imports numpy (unless the
+caller set OPENBLAS_NUM_THREADS): no idle BLAS worker thread starts.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -44,6 +49,9 @@ from functools import cached_property, lru_cache
 from math import isqrt
 from operator import mul
 
+# numpy runs no BLAS routine here, so its OpenBLAS pool would only start an
+# idle worker thread; the library reads this variable once, when it loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .linalg import int_det

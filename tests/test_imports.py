@@ -95,3 +95,24 @@ def test_singular_sits_below_the_kernel_and_invariant_layers():
         elif isinstance(node, ast.Import):
             imported.update(alias.name.rpartition(".")[2] for alias in node.names)
     assert not imported & {"decomp", "invariants", "cli"}
+
+
+def _imports_numpy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "numpy")
+
+
+def test_numpy_is_imported_only_after_the_blas_pin():
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it: a
+    # module that imported numpy before rootsys sets it would start the
+    # idle worker thread again
+    paths = [*sorted(PACKAGE.glob("*.py")), *sorted(SCRIPTS.glob("*.py"))]
+    importers = [path.stem for path in paths
+                 if any(map(_imports_numpy, ast.walk(ast.parse(path.read_text()))))]
+    assert importers == ["rootsys"]
+    tree = ast.parse((PACKAGE / "rootsys.py").read_text())
+    (pin,) = [node.lineno for node in tree.body if isinstance(node, ast.Expr)
+              and ast.unparse(node) == "os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')"]
+    assert all(pin < node.lineno for node in ast.walk(tree) if _imports_numpy(node))

@@ -3,8 +3,12 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -105,6 +109,38 @@ def test_root_scan_lists_no_box_sized_block():
         tracemalloc.stop()
         root_system()
     assert peak < 4 * 2**20
+
+
+def _fresh_import(**env_set: str) -> tuple[str | None, int | None]:
+    """OPENBLAS_NUM_THREADS and the OS thread count (None where
+    /proc/self/task is absent) after `import e6poly.cli` in a fresh
+    interpreter, whose OPENBLAS_NUM_THREADS is set only if `env_set`
+    sets it."""
+    src = str(Path(rootsys.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(env_set)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import json, os, e6poly.cli\n"
+            "task = '/proc/self/task'\n"
+            "n = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+            "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), n]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return tuple(json.loads(proc.stdout))
+
+
+def test_importing_the_package_starts_no_blas_thread():
+    # rootsys caps OpenBLAS at one thread before it imports numpy
+    value, threads = _fresh_import()
+    assert value == "1"
+    if threads is None:
+        pytest.skip("no /proc/self/task to count threads")
+    assert threads == 1
+
+
+def test_the_blas_pin_keeps_the_callers_value():
+    value, _threads = _fresh_import(OPENBLAS_NUM_THREADS="2")
+    assert value == "2"
 
 
 @pytest.mark.slow
