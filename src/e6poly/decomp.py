@@ -23,11 +23,16 @@ independently built matrices give its dimension:
   share a variable with t rescaled.  So only the blocks whose weight occurs at
   degree m - 3 have rows.  Its columns are the monomials those rows
   touch: every other degree-m monomial, in a row block or not, is
-  killed by D and counted without being listed.  One pass over these
+  killed by D and counted without being listed.  A column is keyed by
+  the integer `_label` of its monomial, a packed exponent vector, so a
+  product's label is the sum of its factors' labels and no product is
+  sorted; labels order monomials of one degree as their tuples, so
+  every pivot and basis is the monomial one.  One pass over these
   row blocks gives both the count and the samples: the first
-  SAMPLE_BLOCKS blocks get explicit kernel bases, which are the
-  samples, and the rest only exact ranks, the same count by
-  rank-nullity; no other function solves them.
+  SAMPLE_BLOCKS blocks get explicit kernel bases, named back by
+  monomial, which are the samples, and the rest only exact ranks, the
+  same count by rank-nullity; no other function solves them.  Labels
+  never leave this module.
 
 Both routes refuse a negative degree.
 
@@ -104,9 +109,39 @@ def _eta_template() -> tuple[tuple[Monomial, ...], tuple[int, ...], dict[int, li
     return tuple(eta), tuple(eta.values()), holding
 
 
-def _cubic_rows(targets: list[Monomial]) -> list[dict[Monomial, int]]:
+@lru_cache(maxsize=None)
+def _places(digit: int) -> tuple[int, ...]:
+    """-2^(digit * (27 - v)) at position v = 1..27 (0 at position 0)."""
+    return (0,) + tuple(-(1 << digit * (27 - v)) for v in range(1, 28))
+
+
+def _label(mono: Monomial, m: int) -> int:
+    """Column label of `mono` among the monomials of degree m (at least
+    len(mono)): -sum over its factors x_v of 2^(digit * (27 - v)), with
+    digit = m.bit_length().
+
+    Every exponent of a degree-m monomial is below 2^digit, so the label
+    is the negated number whose base-2^digit digits are the exponents of
+    x_1 .. x_27, most significant first.  It is therefore one-to-one and
+    additive, label(s * t) = label(s) + label(t), and on monomials of
+    one degree it orders them as their index tuples: a larger exponent
+    on the first variable where two monomials differ means both a larger
+    number and a smaller tuple.
+    """
+    return sum(map(_places(m.bit_length()).__getitem__, mono))
+
+
+@lru_cache(maxsize=None)
+def _term_labels(m: int) -> tuple[int, ...]:
+    """Labels of the 45 terms of eta, in `_eta_template` order, among
+    the monomials of degree m."""
+    return tuple(_label(abc, m) for abc in _eta_template()[0])
+
+
+def _cubic_rows(targets: list[Monomial]) -> list[dict[int, int]]:
     """Rows of D / 3 on the block of one weight, one per target:
-    `targets` are the degree-(m - 3) monomials of that weight.
+    `targets` are the degree-(m - 3) monomials of that weight.  Columns
+    are the `_label`s of degree-m monomials.
 
     The only sources reaching a target t are t * x_a x_b x_c over the 45
     terms c x_a x_b x_c of eta, where c d_a d_b d_c takes the source to
@@ -117,8 +152,15 @@ def _cubic_rows(targets: list[Monomial]) -> list[dict[Monomial, int]]:
     terms, so below degree 9 some term shares no variable with t and
     keeps its coefficient 1 or -1: the row is primitive as built.
     D / 3 has the kernel of D.
+
+    A source's label is label(t) plus its term's label, so no product
+    is formed or sorted.  The labels order the columns as their
+    monomials, so pivots, ranks and kernel bases are the monomial ones,
+    relabelled.
     """
-    terms, coeffs, holding = _eta_template()
+    _, coeffs, holding = _eta_template()
+    m = len(targets[0]) + 3
+    term_labels = _term_labels(m)
     rows = []
     for t in targets:
         row = list(coeffs)
@@ -126,7 +168,7 @@ def _cubic_rows(targets: list[Monomial]) -> list[dict[Monomial, int]]:
             k = t.count(v) + 1
             for i in holding[v]:
                 row[i] *= k
-        rows.append(dict(zip([tuple(sorted(t + abc)) for abc in terms], row)))
+        rows.append(dict(zip(map(_label(t, m).__add__, term_labels), row)))
     return rows
 
 
@@ -178,7 +220,10 @@ def materialized_kernel_dim(m: int) -> MaterializedKernel:
     count minus the rank, so both give the same count.
 
     Every degree-m monomial outside a row block's columns has no target,
-    so D kills it: it is counted, not listed.  The rows are built from
+    so D kills it: it is counted, not listed.  The columns are
+    `_label`s, which sort as their monomials, so the bases are the
+    monomial ones; each sampled block maps its labels back through the
+    products its own rows touch.  The rows are built from
     the targets, independently of phi_dim's source-side matrix and orbit
     weights, so the two dimensions cross-check each other; also drives
     the materializing CLI path.
@@ -190,13 +235,20 @@ def materialized_kernel_dim(m: int) -> MaterializedKernel:
     if m < 3:
         # D vanishes: no degree-(m - 3) target, so no row block
         return MaterializedKernel(dim_phi=dim, samples=samples)
+    terms, term_labels = _eta_template()[0], _term_labels(m)
     for i, targets in enumerate(weight_buckets(m - 3).values()):
         rows = _cubic_rows(targets)
         if i < SAMPLE_BLOCKS:
             cols = sorted(set().union(*rows))
             basis = kernel_basis(rows, cols)
             dim += len(basis) - len(cols)
-            samples += basis
+            # the samples are polynomials: name each column by the
+            # product it labels, as _cubic_rows labels it
+            names = {}
+            for t in targets:
+                names.update(zip(map(_label(t, m).__add__, term_labels),
+                                 [tuple(sorted(t + abc)) for abc in terms]))
+            samples += [{names[c]: v for c, v in vec.items()} for vec in basis]
         else:
             # rank-nullity: a block's kernel is len(cols) - rank, so it
             # adds -rank; the rank cannot exceed the row count

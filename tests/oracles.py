@@ -13,11 +13,14 @@ time, and `verify_annihilated` applies all 36 positive-root operators.
 `annihilated_by_all_full` are the invariance, dual-module and
 annihilation checks over all 78 derived operators, as the package ran
 them before it read the 12 generators and the generated-by certificate.
+`cubic_rows_by_monomial` builds the materialized route's rows keyed by
+the product monomials themselves, one sorted tuple per target and term
+of eta, as the route did before it keyed its columns by integer labels.
 `materialized_kernel_dim_full` lists every weight block of degree m,
 as the materialized kernel route once did, and takes a kernel basis of
-each, unit vectors included; `kernel_samples_full` lists the sampled
-blocks in full and drops the unit vectors of the monomials no row
-touches.
+each over those rows, unit vectors included; `kernel_samples_full`
+lists the sampled blocks in full and drops the unit vectors of the
+monomials no row touches.
 `fraction_kernel` is the kernel basis by Fraction reduced row echelon
 form, the reference for `linalg.kernel_basis`.  `raising_system_full`
 builds the singular scan's raising rows with one `apply` per monomial
@@ -41,7 +44,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm, perm, prod
 
 from e6poly import golden, invariants
-from e6poly.decomp import SAMPLE_BLOCKS, _cubic_rows
+from e6poly.decomp import SAMPLE_BLOCKS, _eta_template
 from e6poly.invariants import (
     DualModuleReport,
     InvarianceReport,
@@ -214,13 +217,30 @@ def verify_dual_module_full() -> DualModuleReport:
     )
 
 
+def cubic_rows_by_monomial(targets: list[Monomial]) -> list[Poly]:
+    """Rows of D / 3 on one weight block, one per target, keyed by the
+    products t * x_a x_b x_c over the 45 terms of eta: each term's
+    coefficient in eta / 3, times the count in the product of each of
+    its variables."""
+    terms, coeffs, holding = _eta_template()
+    rows = []
+    for t in targets:
+        row = list(coeffs)
+        for v in set(t):
+            k = t.count(v) + 1
+            for i in holding[v]:
+                row[i] *= k
+        rows.append(dict(zip([tuple(sorted(t + abc)) for abc in terms], row)))
+    return rows
+
+
 def materialized_kernel_dim_full(m: int) -> int:
     """Dimension of Phi_m by kernel bases over every degree-m block."""
     if m < 3:
         return comb(m + 26, 26)
     targets = weight_buckets(m - 3)
     return sum(
-        len(kernel_basis(_cubic_rows(targets.get(key, [])), monos))
+        len(kernel_basis(cubic_rows_by_monomial(targets.get(key, [])), monos))
         for key, monos in weight_buckets(m).items()
     )
 
@@ -232,7 +252,7 @@ def kernel_samples_full(m: int) -> list[Poly]:
     out = []
     for key, targets in list(weight_buckets(m - 3).items())[:SAMPLE_BLOCKS]:
         monos = weight_buckets(m)[key]
-        rows = _cubic_rows(targets)
+        rows = cubic_rows_by_monomial(targets)
         touched = set().union(*rows)
         units = [{mono: 1} for mono in monos if mono not in touched]
         out.extend(vec for vec in kernel_basis(rows, monos) if vec not in units)

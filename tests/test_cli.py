@@ -638,7 +638,7 @@ def test_decompose_degree_six_golden_bytes(capsys):
 ])
 def test_decompose_golden_bytes(capsys, argv, digest):
     # both kernel routes below, at and above degree 3, and both routes at
-    # degree 7, the materialized one about 1.5 s
+    # degree 7, the materialized one about 0.5 s
     code, out = run(capsys, "decompose", *argv, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
