@@ -23,8 +23,8 @@ equivalent to being a highest-weight vector.  Highest weights are
 dominant, so only dominant blocks are scanned.
 
 A block is solved by `singular_space`: `linalg.kernel_basis` of the six
-raising operators' integer rows on one weight space, built from one
-table of their terms c x_i d_j keyed by x_j, not from `apply`.
+raising operators' integer rows on one weight space, built with one
+`polyops.apply` per monomial and operator.
 
 The scan `enumerate_singular` solves few blocks.  The raising operators
 are derivations, so a product of two lower singular vectors is singular
@@ -47,7 +47,7 @@ from functools import lru_cache
 from math import comb
 from operator import add
 
-from .linalg import kernel_basis, row_content
+from .linalg import kernel_basis
 from .polyops import Monomial, Poly, apply, pmul, poly
 from .rep import raising_operator, verify_homomorphism, weight_table
 from .rootsys import CARTAN_E7
@@ -126,52 +126,23 @@ def weight_space(degree: int, weight: Weight) -> list[Monomial]:
 
 def _raising_system(degree: int, weight: Weight):
     """Constraint rows of the six simple raising operators on one weight
-    space, indexed by image monomial, and the weight-space basis in
-    graded-lex column order (larger tuple first).
-
-    Each operator is a derivation sum c x_i d_j, so on a monomial holding
-    e factors x_j its term gives c e times the monomial with one x_j
-    swapped for x_i.  Two swaps j -> i and j' -> i' of one operator
-    reach the same image only if i = j' and j = i', which would give the
-    operator weight 0; so each monomial adds at most one entry to a row,
-    and entries come in basis order.
-    """
+    space, one `apply` per monomial and operator: rows indexed by
+    (operator, image monomial) in sorted order, entries in basis order,
+    and the basis in graded-lex column order (larger tuple first)."""
     basis = weight_space(degree, weight)
-    # x_j -> [(operator, x_i, c)] over the terms c x_i d_j; unpacking
-    # each key as ((i,), (j,)) refuses a term that is not first order
-    moves: dict[int, list[tuple[int, int, int]]] = {}
-    for k in range(6):
-        for ((i,), (j,)), c in raising_operator(k + 1).items():
-            moves.setdefault(j, []).append((k, i, c))
+    ops = [raising_operator(k) for k in range(1, 7)]
     rows: dict[tuple[int, Monomial], dict[Monomial, int]] = {}
     for mono in basis:
-        for j in set(mono):
-            e = mono.count(j)
-            p = mono.index(j)
-            rest = mono[:p] + mono[p + 1:]
-            for k, i, c in moves.get(j, ()):
-                q = bisect_left(rest, i)
-                key = (k, rest[:q] + (i,) + rest[q:])
-                row = rows.get(key)
-                if row is None:
-                    rows[key] = {mono: c * e}
-                else:
-                    row[mono] = c * e
+        for k, op in enumerate(ops):
+            for target, c in apply(op, {mono: 1}).items():
+                rows.setdefault((k, target), {})[mono] = c
     return [rows[key] for key in sorted(rows)], sorted(basis, reverse=True)
-
-
-def _normalized(vec: Poly) -> Poly:
-    """`vec` as `kernel_basis` gives a one-vector kernel: content 1,
-    positive on its largest monomial, keys ascending."""
-    g = row_content(vec)
-    if vec[max(vec)] < 0:
-        g = -g
-    return {mono: vec[mono] // g for mono in sorted(vec)}
 
 
 def singular_space(degree: int, weight: Weight) -> list[dict[Monomial, int]]:
     """Basis of the singular vectors of given degree and weight: the
-    kernel of the block's raising rows.
+    kernel of the block's `_raising_system` rows.  The scan solves only
+    the blocks its dimension count leaves open.
 
     Vectors are integer, content 1, positive on their canonically
     earliest monomial (largest in graded-lex order), keys ascending.
@@ -262,8 +233,13 @@ def _product_lines(degree: int) -> dict[Weight, list[Poly]]:
     """One line per weight that a product of two lower lines reaches: the
     first basis vectors of lines of degrees d1 <= m/2 and m - d1,
     multiplied, checked nonzero and of the summed weight in every
-    monomial, then normalized: singular, as the raising operators are
-    derivations (`first_order_brackets` in `verify_homomorphism`)."""
+    monomial, keys sorted.  They are singular, as the raising operators
+    are derivations (`first_order_brackets` in `verify_homomorphism`).
+
+    A product is already in `singular_space`'s normal form.  Content is
+    multiplicative (Gauss's lemma), and tuple order on one degree is
+    reverse lex on exponents, a monomial order, so the product's largest
+    monomial is the product of its factors' largest ones, positive."""
     keys = _variable_keys()
     lines: dict[Weight, list[Poly] | None] = {}  # None: the product failed
     for d1 in range(1, degree // 2 + 1):
@@ -274,7 +250,7 @@ def _product_lines(degree: int) -> dict[Weight, list[Poly]]:
                 if weight not in lines:
                     vec, key = pmul(low, high), _pack(weight)
                     ok = vec and all(sum(keys[v - 1] for v in m) == key for m in vec)
-                    lines[weight] = [_normalized(vec)] if ok else None
+                    lines[weight] = [dict(sorted(vec.items()))] if ok else None
     return {w: line for w, line in lines.items() if line}
 
 

@@ -22,11 +22,9 @@ each over those rows, unit vectors included; `kernel_samples_full`
 lists the sampled blocks in full and drops the unit vectors of the
 monomials no row touches.
 `fraction_kernel` is the kernel basis by Fraction reduced row echelon
-form, the reference for `linalg.kernel_basis`.  `raising_system_full`
-builds the singular scan's raising rows with one `apply` per monomial
-and operator, as the scan once did, and `enumerate_singular_full`
-solves every dominant block with `kernel_basis` on those rows, as the
-scan did before it counted dimensions.  `cubic_scalar_full` expands
+form, the reference for `linalg.kernel_basis`.  `enumerate_singular_full`
+solves every dominant block with `singular_space`, as the scan did
+before it counted dimensions.  `cubic_scalar_full` expands
 D(eta B) and solves for its multiple of B, as the cubic sweep once did.  `tau_dual` is the
 signed relabeling that once built the high members of the zeta family.
 `check_cocycle_laws_full` is the cocycle sweep on vectors, one
@@ -68,7 +66,7 @@ from e6poly.polyops import (
     poly,
     psub,
 )
-from e6poly.rep import all_operators, matrix, raising_operator, weight_table
+from e6poly.rep import all_operators, matrix, weight_table
 from e6poly.rootsys import (
     CocycleReport,
     Vector,
@@ -83,8 +81,8 @@ from e6poly.singular import (
     SingularScan,
     Weight,
     dominant_weights,
+    singular_space,
     weight_buckets,
-    weight_space,
 )
 
 
@@ -259,27 +257,10 @@ def kernel_samples_full(m: int) -> list[Poly]:
     return out
 
 
-def raising_system_full(degree: int, weight: Weight):
-    """The raising rows of one weight space by `apply`: rows indexed by
-    (operator, image monomial) in sorted order, entries in basis order,
-    and the basis in graded-lex column order."""
-    basis = weight_space(degree, weight)
-    if not basis:
-        return [], []
-    ops = [raising_operator(k) for k in range(1, 7)]
-    rows: dict[tuple[int, Monomial], dict[Monomial, int]] = {}
-    for mono in basis:
-        for k, op in enumerate(ops):
-            for target, c in apply(op, {mono: 1}).items():
-                rows.setdefault((k, target), {})[mono] = c
-    return [rows[key] for key in sorted(rows)], sorted(basis, reverse=True)
-
-
 def enumerate_singular_full(degree: int) -> SingularScan:
     """The singular lines of degree m with every dominant block solved:
     the kernel of its raising rows, kept where it is nonempty."""
-    spaces = ((w, kernel_basis(*raising_system_full(degree, w)))
-              for w in dominant_weights(degree))
+    spaces = ((w, singular_space(degree, w)) for w in dominant_weights(degree))
     return SingularScan(bases=tuple((w, b) for w, b in spaces if b))
 
 

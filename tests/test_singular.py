@@ -34,7 +34,6 @@ from e6poly.singular import (
 from oracles import (
     enumerate_singular_full,
     monomial_weight,
-    raising_system_full,
     verify_annihilated,
 )
 
@@ -138,18 +137,6 @@ def test_singular_command_solves_each_dominant_block_once(monkeypatch, capsys,
     assert generators == ["pass"] * pinned
 
 
-@pytest.mark.parametrize("degree", range(7))
-def test_raising_rows_equal_the_apply_rows(degree):
-    # the per-operator tables give the rows of one apply per monomial and
-    # operator: the same rows, in the same order, entries in the same order
-    for w in dominant_weights(degree):
-        rows, columns = singular._raising_system(degree, w)
-        full_rows, full_columns = raising_system_full(degree, w)
-        assert columns == full_columns
-        assert [list(row.items()) for row in rows] == [
-            list(row.items()) for row in full_rows]
-
-
 def _items(scan):
     return [(w, [list(v.items()) for v in basis]) for w, basis in scan.bases]
 
@@ -223,13 +210,16 @@ def test_a_raising_operator_off_the_derivation_form_fails_every_scan_row(
     # operators are derivations, and the scan checks no product: a
     # zeroth- or second-order term must fail the premises, which run
     # first_order_brackets over them, and with them every scan row and
-    # the cubic sweep
+    # the cubic sweep.  The premise is the only guard: no block is solved
     real = rep.all_operators()
     e1 = next(k for k, w in real.items() if w is rep.raising_operator(1))
     mutated = {**real, e1: {**real[e1], term: 1}}
     monkeypatch.setattr(rep, "all_operators", lambda: mutated)
+    solved = []
+    monkeypatch.setattr(singular, "_raising_system", lambda *block: solved.append(block))
     _scan_rows_fail(capsys, "not a first-order term x_i d_j",
                     also=["invariant.cubic-action-sweep", "rep.operators"])
+    assert solved == []
 
 
 def test_a_wrong_dimension_leaves_the_count_open(monkeypatch, capsys, fresh_caches):
