@@ -75,6 +75,7 @@ from oracles import (
     annihilated_by_all_full,
     commutator,
     cubic_scalar_full,
+    dual_columns_full,
     monomial_weight,
     multiplication,
     tau_dual,
@@ -258,7 +259,6 @@ def test_zeta_family_matches_printed_low_members():
 def test_zeta_family_spans_rank_27():
     r = verify_dual_module()
     assert r.rank == 27
-    assert r.span_failures == ()
     assert r.ok
 
 
@@ -282,28 +282,40 @@ def test_nu_signs():
     assert signs.count(-1) == 14
 
 
-def test_dual_module_applies_each_operator_to_each_member_once(monkeypatch):
-    build_zeta_family()
+def test_dual_module_applies_and_solves_no_member(monkeypatch):
+    # the action on the family is read off the operators' matrices: no
+    # zeta reaches `apply` and no image is solved in the span
+    fam = build_zeta_family()
     all_operators()
-    counts = {"apply": 0, "express": 0}
+    applied, solved = [], []
     real_apply = invariants.apply
     real_express = linalg.SpanCoordinates.express
 
     def counted_apply(w, f):
-        counts["apply"] += 1
+        applied.append(f)
         return real_apply(w, f)
 
     def counted_express(self, f):
-        counts["express"] += 1
+        solved.append(f)
         return real_express(self, f)
 
     monkeypatch.setattr(invariants, "apply", counted_apply)
     monkeypatch.setattr(linalg.SpanCoordinates, "express", counted_express)
-    assert verify_dual_module().ok
-    # one image and one coordinate column per (operator, member) pair,
-    # over the 48 operators the checks read: 36 positive roots, the 6
-    # lowering generators and the 6 Cartan elements
-    assert counts == {"apply": 48 * 27, "express": 48 * 27}
+    r = verify_dual_module()
+    assert r.ok and r.ops_checked == 42
+    assert not any(f == z for f in applied for z in fam.values())
+    assert solved == []
+
+
+def test_dual_matrices_equal_the_apply_and_solve_columns():
+    # the gradient rule gives every operator's columns, all 78 of them,
+    # exactly as applying it to each zeta and solving the image does
+    full = dual_columns_full()
+    assert len(full) == 78
+    for key, w in all_operators().items():
+        solved = {(l, k): c for k, col in enumerate(full[key], start=1)
+                  for l, c in col.items()}
+        assert invariants._dual_matrix(w) == solved, key
 
 
 _N = None
@@ -357,30 +369,39 @@ CORRUPTED_FAMILIES = {
 }
 
 
+def _dual_row_fails(capsys):
+    """`invariant --json` exits 1 with no traceback, and its
+    `invariant.dual-family` row fails."""
+    code = cli.main(["invariant", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err + captured.out
+    rows = {r["check_id"]: r for r in json.loads(captured.out)["reports"]}
+    assert rows["invariant.dual-family"]["status"] == "fail"
+
+
 @pytest.mark.parametrize("case", sorted(CORRUPTED_FAMILIES))
-def test_dual_module_reports_a_corrupted_family(monkeypatch, case):
-    # a sign flip breaks only the dual-action law; x_1^2 also leaves the
-    # span and breaks the Cartan eigenvalues on its member
+def test_dual_module_reports_a_corrupted_family(monkeypatch, capsys, fresh_caches, case):
+    # on the 78-operator route a sign flip breaks only the dual-action
+    # law; x_1^2 also leaves the span and breaks the Cartan eigenvalues
+    # on its member.  The package reads the operators' matrices, which
+    # no family changes, so it fails the gradient premise instead
     want = CORRUPTED_FAMILIES[case]
     zetas = dict(build_zeta_family())
     k = want["member"]
     zetas[k] = want["corrupt"](zetas[k])
     monkeypatch.setattr(invariants, "build_zeta_family", lambda: zetas)
-    r = verify_dual_module()
     full = verify_dual_module_full()
     positive = [p[:6] for p in root_system().e6_positive]
-    assert r.nu_signs == tuple(zip(positive, want["signs"]))
-    # the 78-operator route names every escape; the package names those
-    # of the 12 generators, in the same root order
+    assert full.nu_signs == tuple(zip(positive, want["signs"]))
     assert full.span_failures == want["span_failures"]
-    assert r.span_failures == tuple(
-        f for f in want["span_failures"]
-        if any(f.startswith(f"root {key} ") for key in generators()))
-    assert bool(r.span_failures) == bool(want["span_failures"])
-    assert r.failures == want["failures"]
-    assert _simple_root_signs(r) != [1] * 6
-    assert r.rank == 27 and r.ops_checked == 48 and not r.ok
+    assert full.failures == want["failures"]
+    assert _simple_root_signs(full) != [1] * 6
     assert full.ops_checked == 78 and not full.ok
+    r = verify_dual_module()
+    assert r.failures == ("the family is not eta's signed gradient",)
+    assert r.rank == 27 and r.ops_checked == 42 and not r.ok
+    _dual_row_fails(capsys)
 
 
 @pytest.mark.parametrize("case", [None, *sorted(CORRUPTED_FAMILIES)])
@@ -391,9 +412,40 @@ def test_dual_module_agrees_with_the_78_operator_route(monkeypatch, case):
         zetas[want["member"]] = want["corrupt"](zetas[want["member"]])
         monkeypatch.setattr(invariants, "build_zeta_family", lambda: zetas)
     r, full = verify_dual_module(), verify_dual_module_full()
-    for field in ("rank", "nu_signs", "failures", "cartan_reference_ok", "ok"):
-        assert getattr(r, field) == getattr(full, field), field
-    assert r.ok == (case is None)
+    if case is None:
+        for field in ("rank", "nu_signs", "failures", "cartan_reference_ok"):
+            assert getattr(r, field) == getattr(full, field), field
+    assert r.ok == full.ok == (case is None)
+
+
+def test_dual_module_needs_eta_killed(monkeypatch, capsys, fresh_caches):
+    # a cubic off the invariant, one sign flipped, with its own signed
+    # gradient as the family: the matrices still satisfy the action law,
+    # so only the annihilation premise fails the row
+    eta = dict(build_eta())
+    first = min(eta)
+    eta[first] = -eta[first]
+    gradient = invariants._signed_gradient(eta)
+    fresh_caches()
+    monkeypatch.setattr(invariants, "build_eta", lambda: eta)
+    monkeypatch.setattr(invariants, "build_zeta_family", lambda: gradient)
+    r = verify_dual_module()
+    assert r.failures == ("eta is not killed by the generators under the certificate",)
+    assert r.rank == 27 and not r.ok
+    _dual_row_fails(capsys)
+
+
+def test_dual_module_needs_the_diagram_automorphism(monkeypatch, capsys):
+    # sigma sending alpha_1 to alpha_2 instead of alpha_6 breaks the
+    # dual-action law at alpha_1 alone
+    real = invariants.sigma_root
+    alpha1, alpha2 = (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)
+    monkeypatch.setattr(invariants, "sigma_root",
+                        lambda r: alpha2 if r == alpha1 else real(r))
+    r = verify_dual_module()
+    assert r.failures == (f"dual action law fails at simple root {alpha1}",)
+    assert dict(r.nu_signs)[alpha1] is None
+    _dual_row_fails(capsys)
 
 
 def test_dual_module_rank_counts_independent_members(monkeypatch):

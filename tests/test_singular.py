@@ -175,7 +175,8 @@ def test_only_the_generator_blocks_fall_back_to_full_elimination(monkeypatch,
 def _scan_rows_fail(capsys, message, also=()):
     """`singular --degree 3` and `all` exit 1 with no traceback, and every
     line-count row of each, and the rows `also` of `all`, fail with an
-    exception whose text starts with `message`."""
+    exception whose text starts with `message`.  Returns the rows of
+    `all` by check id."""
     for argv, degrees, extra in [(["singular", "--degree", "3"], [3], ()),
                                  (["all"], range(cli.SINGULAR_DEGREE + 1), also)]:
         code = cli.main([*argv, "--json"])
@@ -190,6 +191,7 @@ def _scan_rows_fail(capsys, message, also=()):
         for k in [*counts, *extra]:
             assert rows[k]["status"] == "fail"
             assert rows[k]["computed"].startswith(f"ValueError: {message}")
+    return rows
 
 
 def test_without_the_homomorphism_the_scan_fails(monkeypatch, capsys, fresh_caches):
@@ -210,16 +212,19 @@ def test_a_raising_operator_off_the_derivation_form_fails_every_scan_row(
     # operators are derivations, and the scan checks no product: a
     # zeroth- or second-order term must fail the premises, which run
     # first_order_brackets over them, and with them every scan row and
-    # the cubic sweep.  The premise is the only guard: no block is solved
+    # the cubic sweep.  The premise is the only guard: no block is solved.
+    # The mutated generator no longer kills eta, so the dual family's
+    # annihilation premise fails its row too, with no exception
     real = rep.all_operators()
     e1 = next(k for k, w in real.items() if w is rep.raising_operator(1))
     mutated = {**real, e1: {**real[e1], term: 1}}
     monkeypatch.setattr(rep, "all_operators", lambda: mutated)
     solved = []
     monkeypatch.setattr(singular, "_raising_system", lambda *block: solved.append(block))
-    _scan_rows_fail(capsys, "not a first-order term x_i d_j",
-                    also=["invariant.cubic-action-sweep", "rep.operators"])
+    rows = _scan_rows_fail(capsys, "not a first-order term x_i d_j",
+                           also=["invariant.cubic-action-sweep", "rep.operators"])
     assert solved == []
+    assert rows["invariant.dual-family"]["status"] == "fail"
 
 
 def test_a_wrong_dimension_leaves_the_count_open(monkeypatch, capsys, fresh_caches):
