@@ -19,7 +19,7 @@ from math import comb
 from operator import attrgetter
 
 from . import decomp, golden, invariants, rep, rootsys, singular, weyl
-from .polyops import apply, format_poly, poly_to_json
+from .polyops import apply, format_poly, poly, poly_to_json
 from .singular import expected_line_count
 
 # Run defaults and cost guards; degrees past a guard need --force.
@@ -411,8 +411,13 @@ def cmd_decompose(a: Assembler, m: int, materialize: bool) -> dict:
                           pick=attrgetter("dim_phi"))
     if mat is not None:
         def verify_samples() -> bool:
+            # D once per distinct monomial; a sample's image is the
+            # combination of its monomials' images
             D = invariants.cubic_operator()
-            return not any(apply(D, vec) for vec in mat.samples)
+            images = {s: apply(D, {s: 1}) for s in set().union(*mat.samples)}
+            return not any(poly((t, c * d) for s, c in vec.items()
+                                for t, d in images[s].items())
+                           for vec in mat.samples)
 
         a.check(f"decompose.deg{m}.kernel-samples",
                 "sampled kernel vectors are exactly killed by D",

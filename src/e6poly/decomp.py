@@ -8,15 +8,19 @@ independently built matrices give its dimension:
   only: D maps each weight block into the degree-(m - 3) block of the
   same weight, so no other block has rank, and eta has weight 0, so
   each of them is a weight of degree m too.  It lists each degree-(m - 3)
-  block once, certified by their `orbit_size`-weighted count, applies D
-  to every source monomial of those degree-m blocks, lazily, with an
-  early exit once a block reaches full row rank, and weights each block
-  rank by its orbit size: D commutes with all 78 generators, so
-  Weyl-conjugate blocks have equal rank.  The direct-sum check ranks
-  the images under D of eta times each monomial of the degree-(m - 3)
-  blocks, inserted sparsest first (every image must count, so none is
-  skipped), and the summary also carries the Weyl dimension terms whose
-  sum the kernel dimension must match;
+  block once, certified by their `orbit_size`-weighted count, and
+  weights each block rank by its orbit size: D commutes with all 78
+  generators, so Weyl-conjugate blocks have equal rank.  The direct-sum
+  check ranks the images under D of eta times each monomial of the
+  degree-(m - 3) block, inserted sparsest first (every image must
+  count, so none is skipped).  These images lie in D's image on the
+  degree-m block, which is no larger than the degree-(m - 3) block, so
+  a full composite rank is the block's rank too and no degree-m
+  monomial is listed.  Only a block whose composite rank falls short
+  lists its degree-m monomials and applies D to each, lazily, with an
+  early exit at full row rank, for its exact rank.  The summary also
+  carries the Weyl dimension terms whose sum the kernel dimension must
+  match;
 - the materialized route (materialized_kernel_dim) builds each row
   from its target t, whose only sources are t times the 45 terms of
   eta: a copy of the coefficients of eta / 3, with only the terms that
@@ -191,15 +195,18 @@ def phi_dim(m: int) -> KernelSummary:
         if count != comb(m + 23, 26):
             raise ValueError(f"dominant blocks of degree {m - 3} count {count} "
                              f"monomials, not C({m + 23}, 26)")
-        D = cubic_operator()
-        rank = sum(n * _rank((apply(D, {s: 1}) for s in weight_space(m, w)), len(monos))
-                   for w, n, monos in blocks)
-        eta = build_eta()
-        composite_ok = all(
-            _rank(sorted((apply(D, pmul(eta, {g: 1})) for g in monos), key=len),
-                  len(monos)) == len(monos)
-            for _, _, monos in blocks
-        )
+        D, eta = cubic_operator(), build_eta()
+        for w, n, monos in blocks:
+            # D(eta g) lies in D's image on the degree-m block of weight w,
+            # which lies in the len(monos)-dimensional degree-(m - 3) block:
+            # a full composite rank is that block's rank too
+            full = len(monos)
+            block_rank = _rank(sorted((apply(D, pmul(eta, {g: 1})) for g in monos),
+                                      key=len), full)
+            if block_rank < full:
+                composite_ok = False
+                block_rank = _rank((apply(D, {s: 1}) for s in weight_space(m, w)), full)
+            rank += n * block_rank
     return KernelSummary(
         degree=m,
         dim_Am=dim_am,

@@ -271,8 +271,8 @@ def build_eta() -> Poly:
 @lru_cache(maxsize=1)
 def eta_annihilated() -> bool:
     """eta is killed by the 12 generators under `rep.generator_certificate`,
-    so by all 78 operators; `eta_report` and `verify_dual_module` read
-    this one copy."""
+    so by all 78 operators; `eta_report`, `verify_dual_module` and
+    `cubic_sweep_premises` read this one copy."""
     return generator_certificate().ok and not any(
         apply(w, build_eta()) for w in generators().values())
 
@@ -573,10 +573,11 @@ class CubicActionReport:
 def cubic_sweep_premises() -> bool:
     """The operator premises of the cubic sweep's certificate: D commutes
     with the algebra (`cubic_invariance`: the 12 generators under the
-    generated-by certificate), eta is killed by the six raising
-    operators, and these are derivations (`first_order_brackets` in
-    `cubic_invariance` refuses a term that is not x_i d_j)."""
-    return cubic_invariance().ok and not raising_residual(build_eta())
+    generated-by certificate), eta is killed by those 12, the six raising
+    operators among them (`eta_annihilated`), and these are derivations
+    (`first_order_brackets` in `cubic_invariance` refuses a term that is
+    not x_i d_j)."""
+    return cubic_invariance().ok and eta_annihilated()
 
 
 def _product_coefficient(f: Poly, g: Poly, mono: Monomial) -> int:

@@ -24,6 +24,9 @@ as the materialized kernel route once did, and takes a kernel basis of
 each over those rows, unit vectors included; `kernel_samples_full`
 lists the sampled blocks in full and drops the unit vectors of the
 monomials no row touches.
+`source_rank_full` is D's rank on degree m from the source side, D
+applied to every degree-m monomial of each dominant block, as `phi_dim`
+took it before a full composite rank certified a block's rank.
 `fraction_kernel` is the kernel basis by Fraction reduced row echelon
 form, the reference for `linalg.kernel_basis`.  `enumerate_singular_full`
 solves every dominant block with `singular_space`, as the scan did
@@ -46,7 +49,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm, perm, prod
 
 from e6poly import golden, invariants
-from e6poly.decomp import SAMPLE_BLOCKS, _eta_template
+from e6poly.decomp import SAMPLE_BLOCKS, _eta_template, _rank
 from e6poly.invariants import (
     DualModuleReport,
     InvarianceReport,
@@ -85,8 +88,10 @@ from e6poly.singular import (
     SingularScan,
     Weight,
     dominant_weights,
+    orbit_size,
     singular_space,
     weight_buckets,
+    weight_space,
 )
 
 
@@ -274,6 +279,17 @@ def kernel_samples_full(m: int) -> list[Poly]:
         units = [{mono: 1} for mono in monos if mono not in touched]
         out.extend(vec for vec in kernel_basis(rows, monos) if vec not in units)
     return out
+
+
+def source_rank_full(m: int) -> int:
+    """D's rank on degree m from its source side: D applied to every
+    degree-m monomial of each dominant block of degree m - 3, each
+    block's rank weighted by its orbit size."""
+    D = cubic_operator()
+    return sum(
+        orbit_size(w) * _rank((apply(D, {s: 1}) for s in weight_space(m, w)),
+                              len(weight_space(m - 3, w)))
+        for w in dominant_weights(m - 3))
 
 
 def enumerate_singular_full(degree: int) -> SingularScan:

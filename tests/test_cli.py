@@ -139,7 +139,7 @@ def test_materializing_solves_each_row_block_once(capsys, monkeypatch):
     assert len(built) == len(singular.weight_buckets(2)) == 270
     blocks = [id(rows) for rows in built]
     assert solved == blocks[:decomp.SAMPLE_BLOCKS]
-    # phi_dim ranks its own source-side rows too; those are no row block
+    # phi_dim ranks its own composite rows too; those are no row block
     assert [r for r in ranked if r in blocks] == blocks[decomp.SAMPLE_BLOCKS:]
 
 
@@ -165,6 +165,28 @@ def test_a_ranked_block_still_counts(capsys, monkeypatch):
     assert row["status"] == "fail"
     assert row["computed"] == str(169533 + 1)
     assert rows["decompose.deg5.kernel-samples"]["status"] == "pass"
+
+
+def test_a_sample_off_the_kernel_fails_its_row(capsys, monkeypatch):
+    # the sample check combines D's images of the samples' monomials: a
+    # sample with one coefficient doubled is off the kernel, since every
+    # sampled monomial is one D touches
+    real = decomp.materialized_kernel_dim
+
+    def bent(m):
+        mat = real(m)
+        first, *rest = mat.samples
+        s, c = next(iter(first.items()))
+        return decomp.MaterializedKernel(mat.dim_phi, [{**first, s: 2 * c}, *rest])
+
+    monkeypatch.setattr(decomp, "materialized_kernel_dim", bent)
+    code = cli.main(["decompose", "--degree", "5", "--materialize", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    rows = {r["check_id"]: r["status"] for r in json.loads(captured.out)["reports"]}
+    assert rows["decompose.deg5.kernel-samples"] == "fail"
+    assert rows["decompose.deg5.materialized-dim"] == "pass"
 
 
 @pytest.mark.parametrize("producer, materialized_row", [

@@ -6,6 +6,7 @@ eta times the lower degree, which the directness check certifies.
 """
 
 import hashlib
+import json
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -39,6 +40,7 @@ from oracles import (
     kernel_samples_full,
     materialized_kernel_dim_full,
     monomial_weight,
+    source_rank_full,
 )
 
 
@@ -342,9 +344,11 @@ def test_materializing_degree_five_lists_no_degree_five_bucket(monkeypatch, caps
     argv = ["decompose", "--degree", "5", "--materialize", "--force", "--json"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    # the row blocks are built from degree-2 weights and degree-2 and
-    # degree-3 half buckets, never from all 169911 degree-5 monomials
-    assert {2, 3} <= set(degrees)
+    # the row blocks are built from the degree-2 buckets, and every
+    # composite block is full, so no degree-5 block is listed: neither
+    # its degree-3 half buckets nor all 169911 degree-5 monomials
+    assert 2 in degrees
+    assert 3 not in degrees
     assert 5 not in degrees
 
 
@@ -374,8 +378,9 @@ RANK_ROUTE = {
 @pytest.mark.parametrize("m", sorted(RANK_ROUTE))
 def test_phi_dim_lists_only_the_target_weights(m, monkeypatch, fresh_caches):
     # D maps the weight-w block of degree m into the one of degree m - 3,
-    # so phi_dim ranks the dominant weights of degree m - 3 and lists the
-    # degree-m monomials of those weights alone
+    # so phi_dim ranks the dominant weights of degree m - 3; every
+    # composite block is full, which proves each block's rank, so no
+    # degree-m monomial is listed
     ranked, listed = [], []
 
     def counted_weights(degree):
@@ -391,9 +396,7 @@ def test_phi_dim_lists_only_the_target_weights(m, monkeypatch, fresh_caches):
     s = phi_dim(m)
     assert ranked == [m - 3]
     targets = dominant_weights(m - 3)
-    assert sorted(w for d, w in listed if d == m) == list(targets)
-    assert sorted(w for d, w in listed if d == m - 3) == list(targets)
-    assert len(listed) == 2 * len(targets)
+    assert listed == [(m - 3, w) for w in targets]
     dim_am, dim_phi, weyl_terms = RANK_ROUTE[m]
     assert s == KernelSummary(degree=m, dim_Am=dim_am, rank_D=comb(m + 23, 26),
                               dim_phi=dim_phi, weyl_terms=weyl_terms,
@@ -416,6 +419,43 @@ def test_dominant_blocks_give_the_full_block_rank(m):
     s = phi_dim(m)
     assert (s.rank_D, s.direct_sum_ok) == (rank, direct)
     assert rank == comb(m + 23, 26)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_rank_equals_the_source_side_rank(m):
+    assert phi_dim(m).rank_D == source_rank_full(m)
+
+
+def test_a_short_composite_block_takes_the_source_rank(monkeypatch, capsys,
+                                                       fresh_caches):
+    # with eta g lost for one g, its block's composite rank falls short:
+    # the direct-sum check fails, and that block alone lists its degree-m
+    # monomials for its exact source-side rank, so the rank row passes
+    m, w = 5, (0, 0, 0, 0, 0, 1)
+    lost = {weight_space(m - 3, w)[2]: 1}
+    real = decomp.pmul
+    monkeypatch.setattr(decomp, "pmul", lambda f, g: {} if g == lost else real(f, g))
+    listed = []
+
+    def counted_space(degree, weight):
+        listed.append((degree, weight))
+        return weight_space(degree, weight)
+
+    monkeypatch.setattr(decomp, "weight_space", counted_space)
+    s = phi_dim(m)
+    assert not s.direct_sum_ok
+    assert s.rank_D == comb(m + 23, 26)
+    assert [(d, v) for d, v in listed if d == m] == [(m, w)]
+    code = cli.main(["decompose", "--degree", str(m), "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert "Traceback" not in captured.out
+    rows = {row["check_id"]: row["status"]
+            for row in json.loads(captured.out)["reports"]}
+    assert rows[f"decompose.deg{m}.directness"] == "fail"
+    assert rows[f"decompose.deg{m}.rank"] == "pass"
+    assert rows[f"decompose.deg{m}.kernel-dim"] == "pass"
 
 
 @pytest.mark.slow

@@ -793,9 +793,8 @@ def _failing_d_invariance(monkeypatch):
 
 
 def _eta_not_annihilated(monkeypatch):
-    real = invariants.raising_residual
-    monkeypatch.setattr(invariants, "raising_residual",
-                        lambda f: {(): 1} if f == build_eta() else real(f))
+    # the cached premise that eta_report and the cubic sweep both read
+    monkeypatch.setattr(invariants, "eta_annihilated", lambda: False)
 
 
 def _scan_with(monkeypatch, change):
