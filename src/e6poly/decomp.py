@@ -32,11 +32,17 @@ independently built matrices give its dimension:
   product's label is the sum of its factors' labels and no product is
   sorted; labels order monomials of one degree as their tuples, so
   every pivot and basis is the monomial one.  One pass over these
-  row blocks gives both the count and the samples: the first
+  row blocks gives both the count and the samples: kernel bases for
+  the sampled blocks, leading-column ranks for the rest.  The first
   SAMPLE_BLOCKS blocks get explicit kernel bases, named back by
-  monomial, which are the samples, and the rest only exact ranks, the
-  same count by rank-nullity; no other function solves them.  Labels
-  never leave this module.
+  monomial, which are the samples; no other function solves them.
+  Every later block is counted with no row built: row t's largest
+  column is label(t) plus the largest term label, where its entry is
+  eta / 3's coefficient times positive counts, so when that coefficient
+  is nonzero and the block's target labels are distinct the rows are
+  independent: the block's rank is its target count, which by
+  rank-nullity it takes off the count.  Both premises are checked on
+  every call.  Labels never leave this module.
 
 Both routes refuse a negative degree.
 
@@ -222,9 +228,23 @@ def phi_dim(m: int) -> KernelSummary:
 def materialized_kernel_dim(m: int) -> MaterializedKernel:
     """Dimension of Phi_m from one pass over the row blocks: explicit
     kernel bases over the monomials D touches for the first SAMPLE_BLOCKS
-    blocks, which are the samples, and exact ranks for the rest.  By
-    rank-nullity a block's kernel over its touched columns is their
-    count minus the rank, so both give the same count.
+    blocks, which are the samples, and leading-column ranks for the
+    rest.  By rank-nullity a block's kernel over its touched columns is
+    their count minus the rank, so a sampled block adds its basis size
+    less its column count, and a later block minus its rank.
+
+    A later block's rank is its target count, read off leading columns
+    with no row built.  Row t has its entries on the columns
+    `_label(t) + term label`, so its largest column is `_label(t) + L`,
+    with L the largest term label, and its entry there is eta / 3's
+    coefficient at that term times positive counts.  If that coefficient
+    is nonzero and the targets' labels are pairwise distinct, the rows
+    have distinct leading columns and are independent.  `_label` is a
+    sum over factors whatever its digit, so these two premises are all
+    the argument needs; both are checked here, and a failed one raises
+    a ValueError that names it, with no fallback to elimination.  The
+    count is read bucket by bucket, not from a closed form or phi_dim's
+    orbit weights.
 
     Every degree-m monomial outside a row block's columns has no target,
     so D kills it: it is counted, not listed.  The columns are
@@ -242,10 +262,14 @@ def materialized_kernel_dim(m: int) -> MaterializedKernel:
     if m < 3:
         # D vanishes: no degree-(m - 3) target, so no row block
         return MaterializedKernel(dim_phi=dim, samples=samples)
-    terms, term_labels = _eta_template()[0], _term_labels(m)
+    terms, coeffs, _ = _eta_template()
+    term_labels = _term_labels(m)
+    if not coeffs[term_labels.index(max(term_labels))]:
+        raise ValueError("leading-column premise failed: eta / 3 has coefficient 0 "
+                         "at its label-largest term")
     for i, targets in enumerate(weight_buckets(m - 3).values()):
-        rows = _cubic_rows(targets)
         if i < SAMPLE_BLOCKS:
+            rows = _cubic_rows(targets)
             cols = sorted(set().union(*rows))
             basis = kernel_basis(rows, cols)
             dim += len(basis) - len(cols)
@@ -256,10 +280,12 @@ def materialized_kernel_dim(m: int) -> MaterializedKernel:
                 names.update(zip(map(_label(t, m).__add__, term_labels),
                                  [tuple(sorted(t + abc)) for abc in terms]))
             samples += [{names[c]: v for c, v in vec.items()} for vec in basis]
+        elif len({_label(t, m) for t in targets}) == len(targets):
+            # distinct leading columns: the rank is the row count
+            dim -= len(targets)
         else:
-            # rank-nullity: a block's kernel is len(cols) - rank, so it
-            # adds -rank; the rank cannot exceed the row count
-            dim -= _rank(rows, len(rows))
+            raise ValueError(f"leading-column premise failed: two targets of row "
+                             f"block {i} share a label")
     return MaterializedKernel(dim_phi=dim, samples=samples)
 
 

@@ -19,11 +19,14 @@ off the operators' matrices by the gradient rule.
 `cubic_rows_by_monomial` builds the materialized route's rows keyed by
 the product monomials themselves, one sorted tuple per target and term
 of eta, as the route did before it keyed its columns by integer labels.
-`materialized_kernel_dim_full` lists every weight block of degree m,
-as the materialized kernel route once did, and takes a kernel basis of
-each over those rows, unit vectors included; `kernel_samples_full`
-lists the sampled blocks in full and drops the unit vectors of the
-monomials no row touches.
+`listed_kernel_dim_full` lists every weight block of degree m, as the
+materialized kernel route once did, and takes a kernel basis of each
+over those rows, unit vectors included; `kernel_samples_full` lists the
+sampled blocks in full and drops the unit vectors of the monomials no
+row touches.  `materialized_kernel_dim_full` is the materialized pass
+that builds every row block and takes an exact rank of each block past
+the sampled ones, as the route did before it read those ranks off
+leading columns.
 `source_rank_full` is D's rank on degree m from the source side, D
 applied to every degree-m monomial of each dominant block, as `phi_dim`
 took it before a full composite rank certified a block's rank.
@@ -49,7 +52,15 @@ from fractions import Fraction
 from math import comb, gcd, lcm, perm, prod
 
 from e6poly import golden, invariants
-from e6poly.decomp import SAMPLE_BLOCKS, _eta_template, _rank
+from e6poly.decomp import (
+    SAMPLE_BLOCKS,
+    MaterializedKernel,
+    _cubic_rows,
+    _eta_template,
+    _label,
+    _rank,
+    _term_labels,
+)
 from e6poly.invariants import (
     DualModuleReport,
     InvarianceReport,
@@ -256,7 +267,7 @@ def cubic_rows_by_monomial(targets: list[Monomial]) -> list[Poly]:
     return rows
 
 
-def materialized_kernel_dim_full(m: int) -> int:
+def listed_kernel_dim_full(m: int) -> int:
     """Dimension of Phi_m by kernel bases over every degree-m block."""
     if m < 3:
         return comb(m + 26, 26)
@@ -265,6 +276,32 @@ def materialized_kernel_dim_full(m: int) -> int:
         len(kernel_basis(cubic_rows_by_monomial(targets.get(key, [])), monos))
         for key, monos in weight_buckets(m).items()
     )
+
+
+def materialized_kernel_dim_full(m: int) -> MaterializedKernel:
+    """Dimension of Phi_m and the samples from one pass that builds and
+    eliminates every row block: kernel bases for the first SAMPLE_BLOCKS
+    blocks, which are the samples, and an exact rank for each later
+    one, which by rank-nullity adds -rank to the count."""
+    dim = comb(m + 26, 26)
+    samples = []
+    if m < 3:
+        return MaterializedKernel(dim_phi=dim, samples=samples)
+    terms, term_labels = _eta_template()[0], _term_labels(m)
+    for i, targets in enumerate(weight_buckets(m - 3).values()):
+        rows = _cubic_rows(targets)
+        if i >= SAMPLE_BLOCKS:
+            dim -= _rank(rows, len(rows))
+            continue
+        cols = sorted(set().union(*rows))
+        basis = kernel_basis(rows, cols)
+        dim += len(basis) - len(cols)
+        names = {}
+        for t in targets:
+            names.update(zip(map(_label(t, m).__add__, term_labels),
+                             [tuple(sorted(t + abc)) for abc in terms]))
+        samples += [{names[c]: v for c, v in vec.items()} for vec in basis]
+    return MaterializedKernel(dim_phi=dim, samples=samples)
 
 
 def kernel_samples_full(m: int) -> list[Poly]:

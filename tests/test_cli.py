@@ -112,10 +112,11 @@ def test_materializing_obeys_the_decompose_guard_alone(capsys):
 
 
 def test_materializing_solves_each_row_block_once(capsys, monkeypatch):
-    # the first SAMPLE_BLOCKS row blocks get kernel bases and every later
-    # block one exact rank; the samples row reads the vectors the
+    # only the first SAMPLE_BLOCKS row blocks are built, each gets one
+    # kernel basis, and the samples row reads the vectors the
     # materialized-dim row's pass already solved, so no block is solved
-    # twice
+    # twice; every later block is counted by its leading columns, with
+    # no rows built
     built, solved, ranked = [], [], []
     real_rows, real_basis, real_rank = decomp._cubic_rows, decomp.kernel_basis, decomp._rank
 
@@ -128,7 +129,7 @@ def test_materializing_solves_each_row_block_once(capsys, monkeypatch):
         return real_basis(rows, cols)
 
     def counted_rank(rows, full):
-        ranked.append(id(rows))
+        ranked.append(rows)  # held, so no id is reused by a later block
         return real_rank(rows, full)
 
     monkeypatch.setattr(decomp, "_cubic_rows", recorded_rows)
@@ -136,35 +137,74 @@ def test_materializing_solves_each_row_block_once(capsys, monkeypatch):
     monkeypatch.setattr(decomp, "_rank", counted_rank)
     code, _out = run(capsys, "decompose", "--degree", "5", "--materialize")
     assert code == 0
-    assert len(built) == len(singular.weight_buckets(2)) == 270
-    blocks = [id(rows) for rows in built]
-    assert solved == blocks[:decomp.SAMPLE_BLOCKS]
-    # phi_dim ranks its own composite rows too; those are no row block
-    assert [r for r in ranked if r in blocks] == blocks[decomp.SAMPLE_BLOCKS:]
+    assert len(built) == decomp.SAMPLE_BLOCKS < len(singular.weight_buckets(2)) == 270
+    assert solved == [id(rows) for rows in built]
+    # phi_dim ranks its own composite rows; no row block is ranked
+    assert not any(r is rows for r in ranked for rows in built)
 
 
-def test_a_ranked_block_still_counts(capsys, monkeypatch):
-    # a block past the sampled ones adds only its rank to the count: with
-    # one of its rows lost the count is one too high, and the samples,
-    # which come from other blocks, still pass
-    real = decomp._cubic_rows
-    calls = []
-
-    def dropped(targets):
-        calls.append(targets)
-        rows = real(targets)
-        return rows[1:] if len(calls) == decomp.SAMPLE_BLOCKS + 1 else rows
-
-    monkeypatch.setattr(decomp, "_cubic_rows", dropped)
+def _materialized_rows(capsys):
+    # a degree-5 materializing run that fails cleanly: its report rows
+    # by check id
     code = cli.main(["decompose", "--degree", "5", "--materialize", "--json"])
     captured = capsys.readouterr()
     assert code == 1
     assert "Traceback" not in captured.err
-    rows = {r["check_id"]: r for r in json.loads(captured.out)["reports"]}
+    return {r["check_id"]: r for r in json.loads(captured.out)["reports"]}
+
+
+def test_a_counted_block_still_counts(capsys, monkeypatch):
+    # a block past the sampled ones adds minus its target count: with one
+    # of its targets lost the count is one too high, and the samples,
+    # which come from other blocks, still pass
+    real = decomp.weight_buckets
+
+    def dropped(degree):
+        buckets = dict(real(degree))
+        key = list(buckets)[decomp.SAMPLE_BLOCKS]
+        buckets[key] = buckets[key][1:]
+        return buckets
+
+    monkeypatch.setattr(decomp, "weight_buckets", dropped)
+    rows = _materialized_rows(capsys)
     row = rows["decompose.deg5.materialized-dim"]
     assert row["status"] == "fail"
     assert row["computed"] == str(169533 + 1)
     assert rows["decompose.deg5.kernel-samples"]["status"] == "pass"
+
+
+def _zero_width_places(monkeypatch):
+    # every exponent carries out of a zero-width digit: all degree-2
+    # targets share the label -2, so two of one counted block collide
+    real = decomp._places
+    monkeypatch.setattr(decomp, "_places", lambda digit: real(0))
+    return "two targets of row block"
+
+
+def _lead_term_zeroed(monkeypatch):
+    # eta / 3 with no coefficient at its label-largest term: no row has
+    # an entry at its leading column
+    terms, coeffs, holding = decomp._eta_template()
+    labels = [decomp._label(abc, 5) for abc in terms]
+    lead = labels.index(max(labels))
+    zeroed = coeffs[:lead] + (0,) + coeffs[lead + 1:]
+    monkeypatch.setattr(decomp, "_eta_template", lambda: (terms, zeroed, holding))
+    return "coefficient 0 at its label-largest term"
+
+
+@pytest.mark.parametrize("mutate", [_zero_width_places, _lead_term_zeroed])
+def test_a_failed_leading_column_premise_fails_its_row(capsys, monkeypatch,
+                                                       fresh_caches, mutate):
+    # the counted blocks' ranks rest on two checked premises; a failed one
+    # fails the materialized-dim row by name, with no fallback elimination
+    named = mutate(monkeypatch)
+    rows = _materialized_rows(capsys)
+    row = rows["decompose.deg5.materialized-dim"]
+    assert row["status"] == "fail"
+    assert row["computed"].startswith("ValueError: leading-column premise failed")
+    assert named in row["computed"]
+    assert rows["decompose.deg5.kernel-dim"]["status"] == "pass"
+    assert "decompose.deg5.kernel-samples" not in rows
 
 
 def test_a_sample_off_the_kernel_fails_its_row(capsys, monkeypatch):
@@ -180,13 +220,9 @@ def test_a_sample_off_the_kernel_fails_its_row(capsys, monkeypatch):
         return decomp.MaterializedKernel(mat.dim_phi, [{**first, s: 2 * c}, *rest])
 
     monkeypatch.setattr(decomp, "materialized_kernel_dim", bent)
-    code = cli.main(["decompose", "--degree", "5", "--materialize", "--json"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "Traceback" not in captured.err
-    rows = {r["check_id"]: r["status"] for r in json.loads(captured.out)["reports"]}
-    assert rows["decompose.deg5.kernel-samples"] == "fail"
-    assert rows["decompose.deg5.materialized-dim"] == "pass"
+    rows = _materialized_rows(capsys)
+    assert rows["decompose.deg5.kernel-samples"]["status"] == "fail"
+    assert rows["decompose.deg5.materialized-dim"]["status"] == "pass"
 
 
 @pytest.mark.parametrize("producer, materialized_row", [

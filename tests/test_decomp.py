@@ -38,6 +38,7 @@ from e6poly.weyl import weyl_dim
 from oracles import (
     cubic_rows_by_monomial,
     kernel_samples_full,
+    listed_kernel_dim_full,
     materialized_kernel_dim_full,
     monomial_weight,
     source_rank_full,
@@ -203,18 +204,30 @@ def test_row_blocks_give_what_the_full_listing_gives(m):
     # counting the blocks D does not reach, instead of listing their unit
     # vectors, changes neither the dimension nor the samples
     mat = materialized_kernel_dim(m)
-    assert mat.dim_phi == materialized_kernel_dim_full(m)
+    assert mat.dim_phi == listed_kernel_dim_full(m)
     assert mat.samples == kernel_samples_full(m)
+
+
+@pytest.mark.parametrize("m", [*range(7), pytest.param(7, marks=pytest.mark.slow)])
+def test_leading_column_ranks_give_what_elimination_gives(m):
+    # the blocks past the sampled ones add minus their target count, read
+    # off leading columns; eliminating each of them gives the same count,
+    # and the sampled blocks the same samples
+    mat, full = materialized_kernel_dim(m), materialized_kernel_dim_full(m)
+    assert mat.dim_phi == full.dim_phi
+    assert mat.samples == full.samples
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_rank_of_a_row_block_is_its_touched_columns_less_its_kernel(m):
-    # rank-nullity over the touched columns: the blocks past the sampled
-    # ones add -rank to the count, which is what a kernel basis adds
+    # rank-nullity over the touched columns: a block's rank is what its
+    # kernel basis leaves of them, and it is the target count, which the
+    # blocks past the sampled ones add negated
     for targets in weight_buckets(m - 3).values():
         rows = _cubic_rows(targets)
         cols = sorted(set().union(*rows))
-        assert _rank(rows, len(rows)) == len(cols) - len(kernel_basis(rows, cols))
+        rank = _rank(rows, len(rows))
+        assert rank == len(cols) - len(kernel_basis(rows, cols)) == len(targets)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -247,8 +260,9 @@ def test_touched_columns_give_the_full_block_basis_without_untouched_units(
 
 
 def test_materialized_route_lists_no_weight_space(monkeypatch):
-    # bases for the sampled blocks, one rank for each later block, and
-    # no degree-m weight space listed for either
+    # bases for the sampled blocks, leading-column ranks for the later
+    # ones, so no block is eliminated for its rank, and no degree-m
+    # weight space listed for either
     listed = []
     solved = []
     ranked = []
@@ -271,7 +285,7 @@ def test_materialized_route_lists_no_weight_space(monkeypatch):
     materialized_kernel_dim(5)
     assert listed == []
     assert len(solved) == SAMPLE_BLOCKS
-    assert len(ranked) == len(weight_buckets(2)) - SAMPLE_BLOCKS
+    assert ranked == []
 
 
 def test_eta_terms_are_squarefree():
