@@ -27,22 +27,20 @@ independently built matrices give its dimension:
   share a variable with t rescaled.  So only the blocks whose weight occurs at
   degree m - 3 have rows.  Its columns are the monomials those rows
   touch: every other degree-m monomial, in a row block or not, is
-  killed by D and counted without being listed.  A column is keyed by
-  the integer `_label` of its monomial, a packed exponent vector, so a
-  product's label is the sum of its factors' labels and no product is
-  sorted; labels order monomials of one degree as their tuples, so
-  every pivot and basis is the monomial one.  One pass over these
+  killed by D and counted without being listed.  One pass over these
   row blocks gives both the count and the samples: kernel bases for
   the sampled blocks, leading-column ranks for the rest.  The first
-  SAMPLE_BLOCKS blocks get explicit kernel bases, named back by
-  monomial, which are the samples; no other function solves them.
-  Every later block is counted with no row built: row t's largest
-  column is label(t) plus the largest term label, where its entry is
-  eta / 3's coefficient times positive counts, so when that coefficient
-  is nonzero and the block's target labels are distinct the rows are
-  independent: the block's rank is its target count, which by
-  rank-nullity it takes off the count.  Both premises are checked on
-  every call.  Labels never leave this module.
+  SAMPLE_BLOCKS blocks get explicit kernel bases, which are the
+  samples; no other function solves them.  Every later block is
+  counted with no row built, by the order of its columns: on monomials
+  of one degree, tuple order is lex order on exponent vectors with
+  x_1 > ... > x_27, reversed, and lex order is a monomial order, so
+  s < s' gives s * u < s' * u.  Row t's smallest column is then
+  t * min(terms), where its entry is eta / 3's coefficient times
+  positive counts, so when that coefficient is nonzero and the block's
+  targets are distinct the rows are independent: the block's rank is
+  its target count, which by rank-nullity it takes off the count.
+  Both premises are checked on every call.
 
 Both routes refuse a negative degree.
 
@@ -119,39 +117,11 @@ def _eta_template() -> tuple[tuple[Monomial, ...], tuple[int, ...], dict[int, li
     return tuple(eta), tuple(eta.values()), holding
 
 
-@lru_cache(maxsize=None)
-def _places(digit: int) -> tuple[int, ...]:
-    """-2^(digit * (27 - v)) at position v = 1..27 (0 at position 0)."""
-    return (0,) + tuple(-(1 << digit * (27 - v)) for v in range(1, 28))
-
-
-def _label(mono: Monomial, m: int) -> int:
-    """Column label of `mono` among the monomials of degree m (at least
-    len(mono)): -sum over its factors x_v of 2^(digit * (27 - v)), with
-    digit = m.bit_length().
-
-    Every exponent of a degree-m monomial is below 2^digit, so the label
-    is the negated number whose base-2^digit digits are the exponents of
-    x_1 .. x_27, most significant first.  It is therefore one-to-one and
-    additive, label(s * t) = label(s) + label(t), and on monomials of
-    one degree it orders them as their index tuples: a larger exponent
-    on the first variable where two monomials differ means both a larger
-    number and a smaller tuple.
-    """
-    return sum(map(_places(m.bit_length()).__getitem__, mono))
-
-
-@lru_cache(maxsize=None)
-def _term_labels(m: int) -> tuple[int, ...]:
-    """Labels of the 45 terms of eta, in `_eta_template` order, among
-    the monomials of degree m."""
-    return tuple(_label(abc, m) for abc in _eta_template()[0])
-
-
-def _cubic_rows(targets: list[Monomial]) -> list[dict[int, int]]:
+def _cubic_rows(targets: list[Monomial]) -> list[Poly]:
     """Rows of D / 3 on the block of one weight, one per target:
     `targets` are the degree-(m - 3) monomials of that weight.  Columns
-    are the `_label`s of degree-m monomials.
+    are the degree-m products t * x_a x_b x_c, in `_eta_template` term
+    order.
 
     The only sources reaching a target t are t * x_a x_b x_c over the 45
     terms c x_a x_b x_c of eta, where c d_a d_b d_c takes the source to
@@ -162,15 +132,8 @@ def _cubic_rows(targets: list[Monomial]) -> list[dict[int, int]]:
     terms, so below degree 9 some term shares no variable with t and
     keeps its coefficient 1 or -1: the row is primitive as built.
     D / 3 has the kernel of D.
-
-    A source's label is label(t) plus its term's label, so no product
-    is formed or sorted.  The labels order the columns as their
-    monomials, so pivots, ranks and kernel bases are the monomial ones,
-    relabelled.
     """
-    _, coeffs, holding = _eta_template()
-    m = len(targets[0]) + 3
-    term_labels = _term_labels(m)
+    terms, coeffs, holding = _eta_template()
     rows = []
     for t in targets:
         row = list(coeffs)
@@ -178,7 +141,7 @@ def _cubic_rows(targets: list[Monomial]) -> list[dict[int, int]]:
             k = t.count(v) + 1
             for i in holding[v]:
                 row[i] *= k
-        rows.append(dict(zip(map(_label(t, m).__add__, term_labels), row)))
+        rows.append(dict(zip([tuple(sorted(t + abc)) for abc in terms], row)))
     return rows
 
 
@@ -234,23 +197,19 @@ def materialized_kernel_dim(m: int) -> MaterializedKernel:
     less its column count, and a later block minus its rank.
 
     A later block's rank is its target count, read off leading columns
-    with no row built.  Row t has its entries on the columns
-    `_label(t) + term label`, so its largest column is `_label(t) + L`,
-    with L the largest term label, and its entry there is eta / 3's
-    coefficient at that term times positive counts.  If that coefficient
-    is nonzero and the targets' labels are pairwise distinct, the rows
-    have distinct leading columns and are independent.  `_label` is a
-    sum over factors whatever its digit, so these two premises are all
-    the argument needs; both are checked here, and a failed one raises
-    a ValueError that names it, with no fallback to elimination.  The
-    count is read bucket by bucket, not from a closed form or phi_dim's
-    orbit weights.
+    with no row built.  Row t has its entries on the products t * term,
+    so under the monomial order of the module docstring its smallest
+    column is t * min(terms), and its entry there is eta / 3's
+    coefficient at min(terms) times positive counts.  If that
+    coefficient is nonzero and the targets are pairwise distinct, the
+    rows have distinct leading columns, since multiplying by one
+    monomial is one-to-one, and are independent.  Both premises are
+    checked here, and a failed one raises a ValueError that names it,
+    with no fallback to elimination.  The count is read bucket by
+    bucket, not from a closed form or phi_dim's orbit weights.
 
     Every degree-m monomial outside a row block's columns has no target,
-    so D kills it: it is counted, not listed.  The columns are
-    `_label`s, which sort as their monomials, so the bases are the
-    monomial ones; each sampled block maps its labels back through the
-    products its own rows touch.  The rows are built from
+    so D kills it: it is counted, not listed.  The rows are built from
     the targets, independently of phi_dim's source-side matrix and orbit
     weights, so the two dimensions cross-check each other; also drives
     the materializing CLI path.
@@ -263,29 +222,22 @@ def materialized_kernel_dim(m: int) -> MaterializedKernel:
         # D vanishes: no degree-(m - 3) target, so no row block
         return MaterializedKernel(dim_phi=dim, samples=samples)
     terms, coeffs, _ = _eta_template()
-    term_labels = _term_labels(m)
-    if not coeffs[term_labels.index(max(term_labels))]:
+    if not coeffs[terms.index(min(terms))]:
         raise ValueError("leading-column premise failed: eta / 3 has coefficient 0 "
-                         "at its label-largest term")
+                         "at its tuple-smallest term")
     for i, targets in enumerate(weight_buckets(m - 3).values()):
         if i < SAMPLE_BLOCKS:
             rows = _cubic_rows(targets)
             cols = sorted(set().union(*rows))
             basis = kernel_basis(rows, cols)
             dim += len(basis) - len(cols)
-            # the samples are polynomials: name each column by the
-            # product it labels, as _cubic_rows labels it
-            names = {}
-            for t in targets:
-                names.update(zip(map(_label(t, m).__add__, term_labels),
-                                 [tuple(sorted(t + abc)) for abc in terms]))
-            samples += [{names[c]: v for c, v in vec.items()} for vec in basis]
-        elif len({_label(t, m) for t in targets}) == len(targets):
+            samples += basis
+        elif len(set(targets)) == len(targets):
             # distinct leading columns: the rank is the row count
             dim -= len(targets)
         else:
             raise ValueError(f"leading-column premise failed: two targets of row "
-                             f"block {i} share a label")
+                             f"block {i} are equal")
     return MaterializedKernel(dim_phi=dim, samples=samples)
 
 

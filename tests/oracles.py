@@ -16,9 +16,6 @@ generated-by certificate.  `verify_dual_module_full` applies all 78 to
 every zeta and solves each image in the family's span
 (`dual_columns_full`), as the package ran it before it read the action
 off the operators' matrices by the gradient rule.
-`cubic_rows_by_monomial` builds the materialized route's rows keyed by
-the product monomials themselves, one sorted tuple per target and term
-of eta, as the route did before it keyed its columns by integer labels.
 `listed_kernel_dim_full` lists every weight block of degree m, as the
 materialized kernel route once did, and takes a kernel basis of each
 over those rows, unit vectors included; `kernel_samples_full` lists the
@@ -56,10 +53,7 @@ from e6poly.decomp import (
     SAMPLE_BLOCKS,
     MaterializedKernel,
     _cubic_rows,
-    _eta_template,
-    _label,
     _rank,
-    _term_labels,
 )
 from e6poly.invariants import (
     DualModuleReport,
@@ -250,30 +244,13 @@ def verify_dual_module_full() -> DualModuleFull:
     )
 
 
-def cubic_rows_by_monomial(targets: list[Monomial]) -> list[Poly]:
-    """Rows of D / 3 on one weight block, one per target, keyed by the
-    products t * x_a x_b x_c over the 45 terms of eta: each term's
-    coefficient in eta / 3, times the count in the product of each of
-    its variables."""
-    terms, coeffs, holding = _eta_template()
-    rows = []
-    for t in targets:
-        row = list(coeffs)
-        for v in set(t):
-            k = t.count(v) + 1
-            for i in holding[v]:
-                row[i] *= k
-        rows.append(dict(zip([tuple(sorted(t + abc)) for abc in terms], row)))
-    return rows
-
-
 def listed_kernel_dim_full(m: int) -> int:
     """Dimension of Phi_m by kernel bases over every degree-m block."""
     if m < 3:
         return comb(m + 26, 26)
     targets = weight_buckets(m - 3)
     return sum(
-        len(kernel_basis(cubic_rows_by_monomial(targets.get(key, [])), monos))
+        len(kernel_basis(_cubic_rows(targets.get(key, [])), monos))
         for key, monos in weight_buckets(m).items()
     )
 
@@ -287,7 +264,6 @@ def materialized_kernel_dim_full(m: int) -> MaterializedKernel:
     samples = []
     if m < 3:
         return MaterializedKernel(dim_phi=dim, samples=samples)
-    terms, term_labels = _eta_template()[0], _term_labels(m)
     for i, targets in enumerate(weight_buckets(m - 3).values()):
         rows = _cubic_rows(targets)
         if i >= SAMPLE_BLOCKS:
@@ -296,11 +272,7 @@ def materialized_kernel_dim_full(m: int) -> MaterializedKernel:
         cols = sorted(set().union(*rows))
         basis = kernel_basis(rows, cols)
         dim += len(basis) - len(cols)
-        names = {}
-        for t in targets:
-            names.update(zip(map(_label(t, m).__add__, term_labels),
-                             [tuple(sorted(t + abc)) for abc in terms]))
-        samples += [{names[c]: v for c, v in vec.items()} for vec in basis]
+        samples += basis
     return MaterializedKernel(dim_phi=dim, samples=samples)
 
 
@@ -311,7 +283,7 @@ def kernel_samples_full(m: int) -> list[Poly]:
     out = []
     for key, targets in list(weight_buckets(m - 3).items())[:SAMPLE_BLOCKS]:
         monos = weight_buckets(m)[key]
-        rows = cubic_rows_by_monomial(targets)
+        rows = _cubic_rows(targets)
         touched = set().union(*rows)
         units = [{mono: 1} for mono in monos if mono not in touched]
         out.extend(vec for vec in kernel_basis(rows, monos) if vec not in units)

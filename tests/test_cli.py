@@ -173,26 +173,32 @@ def test_a_counted_block_still_counts(capsys, monkeypatch):
     assert rows["decompose.deg5.kernel-samples"]["status"] == "pass"
 
 
-def _zero_width_places(monkeypatch):
-    # every exponent carries out of a zero-width digit: all degree-2
-    # targets share the label -2, so two of one counted block collide
-    real = decomp._places
-    monkeypatch.setattr(decomp, "_places", lambda digit: real(0))
+def _duplicated_target(monkeypatch):
+    # block SAMPLE_BLOCKS, a counted one, lists one of its targets twice:
+    # two rows share a leading column
+    real = decomp.weight_buckets
+
+    def doubled(degree):
+        buckets = dict(real(degree))
+        key = list(buckets)[decomp.SAMPLE_BLOCKS]
+        buckets[key] = buckets[key] + buckets[key][:1]
+        return buckets
+
+    monkeypatch.setattr(decomp, "weight_buckets", doubled)
     return "two targets of row block"
 
 
 def _lead_term_zeroed(monkeypatch):
-    # eta / 3 with no coefficient at its label-largest term: no row has
+    # eta / 3 with no coefficient at its tuple-smallest term: no row has
     # an entry at its leading column
     terms, coeffs, holding = decomp._eta_template()
-    labels = [decomp._label(abc, 5) for abc in terms]
-    lead = labels.index(max(labels))
+    lead = terms.index(min(terms))
     zeroed = coeffs[:lead] + (0,) + coeffs[lead + 1:]
     monkeypatch.setattr(decomp, "_eta_template", lambda: (terms, zeroed, holding))
-    return "coefficient 0 at its label-largest term"
+    return "coefficient 0 at its tuple-smallest term"
 
 
-@pytest.mark.parametrize("mutate", [_zero_width_places, _lead_term_zeroed])
+@pytest.mark.parametrize("mutate", [_duplicated_target, _lead_term_zeroed])
 def test_a_failed_leading_column_premise_fails_its_row(capsys, monkeypatch,
                                                        fresh_caches, mutate):
     # the counted blocks' ranks rest on two checked premises; a failed one

@@ -7,7 +7,6 @@ eta times the lower degree, which the directness check certifies.
 
 import hashlib
 import json
-from itertools import combinations_with_replacement
 from math import comb
 
 from hypothesis import example, given
@@ -19,7 +18,6 @@ from e6poly.decomp import (
     SAMPLE_BLOCKS,
     KernelSummary,
     _cubic_rows,
-    _label,
     _rank,
     lowering_closure,
     materialized_kernel_dim,
@@ -36,7 +34,6 @@ from e6poly.singular import (
 )
 from e6poly.weyl import weyl_dim
 from oracles import (
-    cubic_rows_by_monomial,
     kernel_samples_full,
     listed_kernel_dim_full,
     materialized_kernel_dim_full,
@@ -53,10 +50,6 @@ def _source_rows(monos):
         for k, v in apply(cubic_operator(), {mono: 1}).items():
             rows.setdefault(k, {})[mono] = v
     return list(rows.values())
-
-
-def _as_set(rows):
-    return {frozenset(row.items()) for row in rows}
 
 
 def test_decomp_reads_the_one_cubic_operator():
@@ -125,25 +118,18 @@ def test_kernel_samples_are_killed():
         assert not apply(D, vec)
 
 
-def _labelled(row, m):
-    return {_label(mono, m): c for mono, c in row.items()}
-
-
 @pytest.mark.parametrize("m", [3, 4])
 def test_target_rows_equal_source_rows_on_every_block(m):
     # the materialized route builds rows of D / 3 from targets; phi_dim
     # applies D to sources; on every weight block the target rows are
-    # exactly the source rows divided by 3, and each is primitive.  The
-    # route keys its columns by label, the oracle by monomial: the rows
-    # are the same, in the same order, once relabelled
+    # exactly the source rows divided by 3, in the same order, and each
+    # is primitive
     targets = weight_buckets(m - 3)
     for key, monos in weight_buckets(m).items():
         block = targets.get(key, [])
-        by_monomial = cubic_rows_by_monomial(block)
-        rows = _cubic_rows(block) if block else []
+        rows = _cubic_rows(block)
         thirds = [pdiv_exact(row, 3) for row in _source_rows(monos)]
-        assert _as_set(by_monomial) == _as_set(thirds)
-        assert rows == [_labelled(row, m) for row in by_monomial]
+        assert rows == thirds
         assert len(rows) == len(block)
         assert all(row_content(row) == 1 for row in rows)
 
@@ -249,14 +235,13 @@ def test_touched_columns_give_the_full_block_basis_without_untouched_units(
     for (rows, cols), targets in zip(solved, blocks):
         touched = set().union(*rows)
         assert cols == sorted(touched)
-        # every touched column labels a monomial of the targets' weight
+        # every touched column is a monomial of the targets' weight
         monos = weight_space(m, monomial_weight(targets[0]))
-        labels = [_label(mono, m) for mono in monos]
-        assert touched <= set(labels)
-        full = kernel_basis(rows, labels)
+        assert touched <= set(monos)
+        full = kernel_basis(rows, monos)
         assert [vec for vec in full if vec.keys() <= touched] == kernel_basis(rows, cols)
         assert [vec for vec in full if not vec.keys() <= touched] == [
-            {c: 1} for c in labels if c not in touched]
+            {c: 1} for c in monos if c not in touched]
 
 
 def test_materialized_route_lists_no_weight_space(monkeypatch):
@@ -295,20 +280,8 @@ def test_eta_terms_are_squarefree():
     assert all(len(set(abc)) == 3 for abc in build_eta())
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_labels_are_distinct_and_in_tuple_order(m):
-    # every degree-m monomial, in tuple order: the labels strictly rise,
-    # so no two monomials share one and sorting by label is sorting by
-    # tuple
-    monos = list(combinations_with_replacement(range(1, 28), m))
-    assert monos == sorted(monos)
-    labels = [_label(mono, m) for mono in monos]
-    assert all(a < b for a, b in zip(labels, labels[1:]))
-
-
 def _monomials(degree):
-    # crowded monomials hold large exponents, which a digit too narrow
-    # for them would carry into the next variable's digit
+    # crowded monomials hold large exponents, x_1^15 and x_27^15 among them
     extremes = st.sampled_from([(1,) * degree, (27,) * degree])
     return st.one_of(extremes, *(
         st.lists(st.integers(1, top), min_size=degree, max_size=degree)
@@ -317,28 +290,26 @@ def _monomials(degree):
 
 
 @st.composite
-def _label_cases(draw):
-    m = draw(st.integers(1, 15))
-    k = draw(st.integers(0, m))
-    return (m, draw(_monomials(k)), draw(_monomials(m - k)),
-            draw(_monomials(m)), draw(_monomials(m)))
+def _order_cases(draw):
+    d = draw(st.integers(1, 15))
+    return (draw(_monomials(draw(st.integers(0, 15)))), draw(_monomials(d)),
+            draw(_monomials(d)), draw(_monomials(draw(st.integers(0, 15)))))
 
 
-@given(_label_cases())
-@example((15, (1,) * 7, (1,) * 8, (1,) * 15, (27,) * 15))
-@example((15, (27,) * 15, (), (27,) * 15, (26,) * 15))
-@example((8, (1, 1, 1), (1, 2, 2, 2, 2), (1,) * 8, (1,) * 7 + (2,)))
-@example((15, (2,) * 15, (), (2,) * 15, (1,) + (27,) * 14))
-def test_labels_add_over_products_and_keep_tuple_order(case):
-    # a product's label is the sum of its factors' labels, and on one
-    # degree labels compare as the index tuples do; up to degree 15 every
-    # exponent fits its 4-bit digit, x_1^15 and x_27^15 included.  With
-    # a narrower digit 15 * 2^(25 d) would pass 2^(26 d): x_2^15 would
-    # sort before x_1 x_27^14
-    m, s, t, a, b = case
-    assert _label(tuple(sorted(s + t)), m) == _label(s, m) + _label(t, m)
-    assert (_label(a, m) < _label(b, m)) == (a < b)
-    assert (_label(a, m) == _label(b, m)) == (a == b)
+@given(_order_cases())
+@example(((1,) * 15, (1,) * 15, (27,) * 15, (27,) * 15))
+@example(((27,) * 15, (27,) * 15, (26,) * 15, (1,) * 15))
+@example(((), (2,) * 15, (1,) + (27,) * 14, (2,) * 15))
+def test_products_keep_tuple_order(case):
+    # the leading-column premise: on one degree, tuple order is reversed
+    # lex order on exponent vectors, a monomial order, so multiplying by
+    # a monomial keeps it.  Row t's smallest column is t * min(terms),
+    # and s < s' gives s * u < s' * u
+    t, s, s2, u = case
+    terms = list(build_eta())
+    assert (min(tuple(sorted(t + abc)) for abc in terms)
+            == tuple(sorted(t + min(terms))))
+    assert (tuple(sorted(s + u)) < tuple(sorted(s2 + u))) == (s < s2)
 
 
 def test_materializing_degree_five_lists_no_degree_five_bucket(monkeypatch, capsys,

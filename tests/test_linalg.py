@@ -180,7 +180,7 @@ def test_kernel_basis_matches_fraction_rref(system):
 
 @pytest.mark.parametrize("m", [4, 5])
 def test_kernel_basis_matches_fraction_rref_on_the_cubic_blocks(m):
-    # every row block of D at degree m, over the monomial labels its rows
+    # every row block of D at degree m, over the monomials its rows
     # touch: 27 blocks of 1 x 45 at degree 4; 243 of 1 x 45 and 27 of
     # 5 x 215 at degree 5
     for targets in weight_buckets(m - 3).values():
