@@ -48,22 +48,24 @@ them with the hand-entered reference constants of `golden`, and
 disagreements are reported, never patched.
 All of these have `int` coefficients, spans use the integer echelon,
 and both bracket lemmas use the Leibniz rule.  Every lemma scalar but
-the cubic one comes from `linalg.SpanCoordinates` through `_scalars`,
-and `Fraction` enters only there, in the cubic scalar's one division,
-and in the derived cubic scalar built from those constants; the zeta
-coordinates of an image are integers by the gradient rule.
+the cubic one is read by `_scalars` at keys that one basis vector
+holds alone, and `Fraction` enters only there, in the cubic scalar's
+one division, and in the derived cubic scalar built from those
+constants; the zeta coordinates of an image are integers by the
+gradient rule.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import perm, prod
+from itertools import chain, combinations
+from math import lcm, perm, prod
 
 from . import golden
-from .linalg import IntEchelon, SpanCoordinates
+from .linalg import IntEchelon
 from .polyops import (
     Monomial,
     Poly,
@@ -159,8 +161,7 @@ def plain_involution_defect() -> tuple[tuple[int, bool], ...]:
     reference produces vectors outside the module for 9 of the 12
     members; this records the defect for reporting."""
     fam = build_zeta_family()
-    coords = SpanCoordinates(fam.items())
-    return tuple((i, coords.express(tau(fam[28 - i])) is not None)
+    return tuple((i, _scalars(tau(fam[28 - i]), *fam.values()) is not None)
                  for i in range(16, 28))
 
 
@@ -238,8 +239,11 @@ def verify_dual_module() -> DualModuleReport:
                 cartan_reference_ok = False
                 failures.append(f"b[{i},{j}] reference disagrees")
 
+    span = IntEchelon()
+    for z in fam.values():
+        span.insert(z)
     return DualModuleReport(
-        rank=SpanCoordinates(fam.items()).rank,
+        rank=span.rank,
         ops_checked=len(positive) + 6,
         nu_signs=tuple(nu_signs),
         cartan_reference_ok=cartan_reference_ok,
@@ -427,9 +431,24 @@ def cubic_invariance() -> InvarianceReport:
 
 def _scalars(target: dict, *basis: dict) -> tuple[Fraction, ...] | None:
     """Exact coordinates of `target` on `basis`, in order, or None if it
-    lies outside their span; the one reader of every lemma's scalars."""
-    c = SpanCoordinates(enumerate(basis)).express(target)
-    return None if c is None else tuple(c.get(i, Fraction(0)) for i in range(len(basis)))
+    lies outside their span; the one reader of every lemma's scalars.
+
+    Every entry is an integer, and each basis vector holds a key that no
+    other one holds, its private key; ValueError if one holds none.  At
+    its private key only that vector meets the target, which forces its
+    coordinate there: n_i / d, with d the lcm of the basis entries at
+    those keys.  One exact check, d target - sum n_i b_i = 0, certifies
+    the n_i; when it fails, no combination gives the target.
+    """
+    held = Counter(k for b in basis for k in b)
+    keys = [next((k for k in b if held[k] == 1), None) for b in basis]
+    if None in keys:
+        raise ValueError("a basis vector holds no key of its own")
+    d = lcm(*(b[k] for b, k in zip(basis, keys)))
+    ns = [d * target.get(k, 0) // b[k] for b, k in zip(basis, keys)]
+    residual = poly(chain(((k, d * c) for k, c in target.items()),
+                          ((k, -n * c) for b, n in zip(basis, ns) for k, c in b.items())))
+    return None if residual else tuple(Fraction(n, d) for n in ns)
 
 
 @dataclass(frozen=True)

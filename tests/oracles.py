@@ -65,7 +65,7 @@ from e6poly.invariants import (
     sigma_root,
     tau,
 )
-from e6poly.linalg import SpanCoordinates, kernel_basis
+from e6poly.linalg import IntEchelon, kernel_basis
 from e6poly.polyops import (
     Monomial,
     Poly,
@@ -170,13 +170,18 @@ def verify_invariance_full(op: WeylOp, label: str = "operator") -> InvarianceRep
 
 def dual_columns_full() -> dict:
     """For each of the 78 operators w, the zeta coordinates of w(zeta_k)
-    for k = 1..27, each None when the image escapes the span: every
-    member applied and solved with `SpanCoordinates.express`.  The
-    family is read through the `invariants` module, so a test that
-    patches it there reaches this route too."""
+    for k = 1..27 as {l: coordinate} with zeros omitted, each None when
+    the image escapes the span: every member applied and solved with
+    `_scalars` over the family.  The family is read through the
+    `invariants` module, so a test that patches it there reaches this
+    route too."""
     fam = invariants.build_zeta_family()
-    coords = SpanCoordinates(fam.items())
-    return {key: [coords.express(apply(w, z)) for z in fam.values()]
+
+    def solve(image):
+        s = _scalars(image, *fam.values())
+        return None if s is None else {l: c for l, c in zip(fam, s) if c}
+
+    return {key: [solve(apply(w, z)) for z in fam.values()]
             for key, w in all_operators().items()}
 
 
@@ -234,8 +239,11 @@ def verify_dual_module_full() -> DualModuleFull:
             if expect != golden.WEIGHT_TABLE_ZETA[i - 1][j - 1]:
                 cartan_reference_ok = False
                 failures.append(f"b[{i},{j}] reference disagrees")
+    span = IntEchelon()
+    for z in invariants.build_zeta_family().values():
+        span.insert(z)
     return DualModuleFull(
-        rank=SpanCoordinates(invariants.build_zeta_family().items()).rank,
+        rank=span.rank,
         ops_checked=len(columns),
         nu_signs=tuple(nu_signs),
         cartan_reference_ok=cartan_reference_ok,

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
-from e6poly import cli, golden, invariants, linalg, polyops, singular
+from e6poly import cli, golden, invariants, polyops, singular
 from e6poly.golden import (
     CLAIMED_BRACKET_TRIPLE,
     CLAIMED_PAIRING_BRACKET,
@@ -76,6 +76,7 @@ from oracles import (
     commutator,
     cubic_scalar_full,
     dual_columns_full,
+    fraction_kernel,
     monomial_weight,
     multiplication,
     tau_dual,
@@ -289,18 +290,18 @@ def test_dual_module_applies_and_solves_no_member(monkeypatch):
     all_operators()
     applied, solved = [], []
     real_apply = invariants.apply
-    real_express = linalg.SpanCoordinates.express
+    real_scalars = invariants._scalars
 
     def counted_apply(w, f):
         applied.append(f)
         return real_apply(w, f)
 
-    def counted_express(self, f):
-        solved.append(f)
-        return real_express(self, f)
+    def counted_scalars(target, *basis):
+        solved.append(target)
+        return real_scalars(target, *basis)
 
     monkeypatch.setattr(invariants, "apply", counted_apply)
-    monkeypatch.setattr(linalg.SpanCoordinates, "express", counted_express)
+    monkeypatch.setattr(invariants, "_scalars", counted_scalars)
     r = verify_dual_module()
     assert r.ok and r.ops_checked == 42
     assert not any(f == z for f in applied for z in fam.values())
@@ -674,6 +675,66 @@ def test_euler_bracket_with_cubic_multiplication():
     m_eta = multiplication(build_eta())
     c = commutator(euler_operator(), m_eta)
     assert psub(c, pscale(3, m_eta)) == {}
+
+
+# small integer bases over int keys 0..5, vector i holding the key 10 + i
+# alone, so each has a private key; others may be private by chance
+@st.composite
+def private_key_combinations(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.integers(min_value=-5, max_value=5).filter(bool)
+    basis = [draw(st.dictionaries(st.integers(min_value=0, max_value=5), entry,
+                                  max_size=4)) | {10 + i: draw(entry)}
+             for i in range(n)]
+    coeffs = draw(st.lists(st.integers(min_value=-4, max_value=4),
+                           min_size=n, max_size=n))
+    return basis, coeffs
+
+
+@settings(max_examples=150)
+@given(private_key_combinations())
+def test_scalars_equal_the_fraction_kernel_coordinates(case):
+    basis, coeffs = case
+    n = len(basis)
+    target = polyops.poly((k, c * v) for c, b in zip(coeffs, basis) for k, v in b.items())
+    # columns (basis..., target): the kernel is the one relation
+    # sum_i x_i b_i + x_n target = 0, so coordinate i is -x_i / x_n
+    keys = sorted(set(target).union(*basis))
+    columns = [*basis, target]
+    rows = [{i: col[k] for i, col in enumerate(columns) if k in col} for k in keys]
+    (relation,) = fraction_kernel(rows, list(range(n + 1)))
+    want = tuple(Fraction(-relation.get(i, 0), relation[n]) for i in range(n))
+    assert invariants._scalars(target, *basis) == want == tuple(coeffs)
+    assert invariants._scalars(padd(target, {99: 1}), *basis) is None
+    assert invariants._scalars({}, *basis) == (0,) * n
+
+
+@pytest.mark.parametrize("basis", [({1: 1}, {1: 2, 2: 1}), ({1: 1}, {})],
+                         ids=["keys-in-another", "empty"])
+def test_scalars_need_a_private_key_per_vector(basis):
+    with pytest.raises(ValueError, match="a basis vector holds no key of its own"):
+        invariants._scalars({1: 1}, *basis)
+
+
+def test_bracket_lemma_needs_a_private_key_per_operator(monkeypatch, capsys,
+                                                        fresh_caches):
+    # D1 + Id shares Id's only key, so the reader refuses {Id, D1 + Id, D2},
+    # though that basis is independent and holds the bracket: the
+    # structure row and the sweep reading its constants fail, and no
+    # constants are reported
+    real = invariants.euler_operator
+    monkeypatch.setattr(invariants, "euler_operator",
+                        lambda: padd(real(), {((), ()): 1}))
+    code = cli.main(["invariant", "--verify", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err + captured.out
+    rows = {row["check_id"]: row for row in json.loads(captured.out)["reports"]}
+    for check_id in ("invariant.bracket.structure", "invariant.cubic-action-sweep"):
+        assert rows[check_id]["status"] == "fail"
+        assert rows[check_id]["computed"] == (
+            "ValueError: a basis vector holds no key of its own")
+    assert "invariant.bracket.constants" not in rows
 
 
 def test_bracket_triple_value():

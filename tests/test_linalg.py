@@ -1,17 +1,14 @@
 """Exact linear algebra tests: echelon rank, kernel bases, spans,
-coordinates."""
+determinants."""
 
-from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import gcd
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
 from e6poly.decomp import _cubic_rows
-from e6poly.linalg import IntEchelon, SpanCoordinates, int_det, kernel_basis
-from e6poly.polyops import padd, poly
+from e6poly.linalg import IntEchelon, int_det, kernel_basis
 from e6poly.singular import weight_buckets
 from oracles import fraction_kernel
 
@@ -52,65 +49,14 @@ def test_rank_of_dependent_rows():
     assert _rank(rows) == 2
 
 
-def test_echelon_reduce_dedup():
+def test_echelon_insert_dedup():
     span = IntEchelon(lambda k: k)
     assert span.insert({0: 1, 1: 2})
     assert not span.insert({0: 2, 1: 4})
-    # outside the span of the one row: a nonzero remainder, pivots untouched
-    pivots = {c: dict(r) for c, r in span.pivots.items()}
-    rem = span.reduce({0: 3, 1: 7})
-    assert rem and set(rem) == {1}
-    assert span.pivots == pivots
     assert span.insert({1: 1})
     assert span.rank == 2
-    assert span.reduce({0: 3, 1: 7}) == {}
+    assert not span.insert({0: 3, 1: 7})
     assert span.pivots.keys() == {0, 1}
-
-
-# both key shapes the package expresses: monomials and (x, d) pairs,
-# each pool with one key none of its vectors uses
-_MONOMIALS = [m for d in range(3) for m in combinations_with_replacement((1, 2, 3), d)]
-_KEY_POOLS = [
-    (_MONOMIALS, (9, 9, 9)),
-    ([(xm, dm) for xm in _MONOMIALS[:4] for dm in _MONOMIALS[:3]], ((9,), (9,))),
-]
-
-
-@st.composite
-def independent_spans(draw):
-    keys, fresh = draw(st.sampled_from(_KEY_POOLS))
-    n = draw(st.integers(min_value=1, max_value=4))
-    vec = st.dictionaries(st.sampled_from(keys),
-                          st.integers(min_value=-5, max_value=5).filter(bool),
-                          min_size=1, max_size=5)
-    basis = draw(st.lists(vec, min_size=n, max_size=n))
-    assume(_rank(basis) == n)
-    coeffs = draw(st.lists(st.integers(min_value=-4, max_value=4),
-                           min_size=n, max_size=n))
-    return basis, coeffs, fresh
-
-
-@settings(max_examples=150)
-@given(independent_spans())
-def test_span_coordinates_recover_an_integer_combination(case):
-    basis, coeffs, fresh = case
-    labels = "abcd"[:len(basis)]
-    span = SpanCoordinates(zip(labels, basis))
-    assert span.rank == len(basis)
-    target = poly((k, c * v) for c, b in zip(coeffs, basis) for k, v in b.items())
-    coords = span.express(target)
-    assert coords == {label: c for label, c in zip(labels, coeffs) if c}
-    assert all(type(c) is Fraction for c in coords.values())
-    assert span.express(padd(target, {fresh: 1})) is None
-    assert span.express({}) == {}
-
-
-def test_span_coordinates_rank_counts_independent_vectors():
-    span = SpanCoordinates([("a", {(1,): 1}), ("b", {(1,): 2}), ("c", {(2,): 1})])
-    assert span.rank == 2
-    coords = span.express({(1,): 4, (2,): 1})
-    # any exact solution; the dependent pair shares the (1,) entry
-    assert coords["c"] == 1 and coords.get("a", 0) + 2 * coords.get("b", 0) == 4
 
 
 _dim = 4
