@@ -14,9 +14,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from math import comb
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import decomp, golden, invariants, rep, rootsys, singular, weyl
 from .polyops import apply, format_poly, poly, poly_to_json
@@ -43,8 +43,7 @@ DERIVED = "derived"        # computed from an independent construction
 DEFINITION = "definition"  # forced by a definition or pure counting
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     check_id: str
     claim: str
     expected: str   # serialized value plus provenance tag
@@ -53,15 +52,11 @@ class VerificationReport:
     runtime_ms: int
 
     def to_dict(self, timings: bool) -> dict:
-        out = {
-            "check_id": self.check_id,
-            "claim": self.claim,
-            "expected": self.expected,
-            "computed": self.computed,
-            "status": self.status,
-        }
+        out = self._asdict()
         if timings:
             out["runtime_ms"] = str(self.runtime_ms)
+        else:
+            del out["runtime_ms"]
         return out
 
 

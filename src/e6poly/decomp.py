@@ -51,9 +51,9 @@ Both routes read eta and D from `invariants` (`build_eta`,
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .invariants import build_eta, cubic_operator, family
 from .linalg import IntEchelon, kernel_basis
@@ -73,8 +73,7 @@ __all__ = [
 SAMPLE_BLOCKS = 8  # leading row blocks whose kernel vectors are the samples
 
 
-@dataclass(frozen=True)
-class KernelSummary:
+class KernelSummary(NamedTuple):
     degree: int
     dim_Am: int
     rank_D: int
@@ -87,8 +86,7 @@ class KernelSummary:
         return sum(d for _, _, d in self.weyl_terms)
 
 
-@dataclass(frozen=True)
-class MaterializedKernel:
+class MaterializedKernel(NamedTuple):
     dim_phi: int
     samples: list[dict[Monomial, int]]  # bases of the first SAMPLE_BLOCKS row blocks
 

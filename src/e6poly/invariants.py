@@ -58,11 +58,11 @@ gradient rule.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from math import lcm, perm, prod
+from typing import NamedTuple
 
 from . import golden
 from .linalg import IntEchelon
@@ -165,8 +165,7 @@ def plain_involution_defect() -> tuple[tuple[int, bool], ...]:
                  for i in range(16, 28))
 
 
-@dataclass(frozen=True)
-class DualModuleReport:
+class DualModuleReport(NamedTuple):
     rank: int
     ops_checked: int
     nu_signs: tuple[tuple[Root6, int | None], ...]
@@ -330,8 +329,7 @@ def bilinear_relation_dim() -> int:
     return 27 - span.rank
 
 
-@dataclass(frozen=True)
-class EtaReport:
+class EtaReport(NamedTuple):
     monomial_count: int
     coefficient_values: tuple[int, ...]
     annihilated_by_all: bool
@@ -393,8 +391,7 @@ def eta_report() -> EtaReport:
     )
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     label: str
     ops_checked: int
     failures: tuple  # keys of `rep.generators` whose bracket is nonzero
@@ -451,8 +448,7 @@ def _scalars(target: dict, *basis: dict) -> tuple[Fraction, ...] | None:
     return None if residual else tuple(Fraction(n, d) for n in ns)
 
 
-@dataclass(frozen=True)
-class BracketReport:
+class BracketReport(NamedTuple):
     triple: tuple[Fraction, Fraction, Fraction] | None  # None outside the span
 
     @property
@@ -495,8 +491,7 @@ def lemma_pairing_eigenvalue(j: int, m1: int, m2: int) -> Fraction | None:
     return None if s is None else s[0]
 
 
-@dataclass(frozen=True)
-class PairingBracketReport:
+class PairingBracketReport(NamedTuple):
     pair: tuple[Fraction, Fraction] | None  # None outside the span
     eta_scalar: Fraction | None       # D2(eta) = eta_scalar * eta
     eta_x1_scalar: Fraction | None    # D2(eta x_1) = eta_x1_scalar * eta x_1
@@ -572,8 +567,7 @@ def derived_cubic_scalar(
     return total
 
 
-@dataclass(frozen=True)
-class CubicActionReport:
+class CubicActionReport(NamedTuple):
     m: int
     m1: int
     m2: int

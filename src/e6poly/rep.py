@@ -27,8 +27,8 @@ E6 part is the operator key), so rho of it is one `poly` sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import golden
 from .liealg import bracket
@@ -130,8 +130,7 @@ def generators() -> dict:
     return {key: w for key, w in all_operators().items() if key in keys}
 
 
-@dataclass(frozen=True)
-class GeneratorCertificate:
+class GeneratorCertificate(NamedTuple):
     brackets: int
     failures: tuple  # keys of `all_operators` whose bracket identity fails
 
@@ -181,12 +180,15 @@ def generator_certificate() -> GeneratorCertificate:
     )
 
 
-@dataclass(frozen=True)
-class TableComparison:
-    ok: bool                        # no mismatches outside the known-defect list
+class TableComparison(NamedTuple):
     rows_compared: int
     mismatches: tuple[str, ...]     # unexpected rows, term-by-term
     flagged: tuple[str, ...]        # known defective reference rows, term-by-term
+
+    @property
+    def ok(self) -> bool:
+        """No mismatches outside the known-defect list."""
+        return not self.mismatches
 
 
 def _row_diff(root6: Root6, mine: dict, ref: dict) -> str:
@@ -228,7 +230,6 @@ def compare_reference_operators() -> TableComparison:
         if eps is not None:
             mismatches.insert(0, f"uniform diagonal sign change: {eps}")
     return TableComparison(
-        ok=not mismatches,
         rows_compared=rows,
         mismatches=tuple(mismatches),
         flagged=tuple(flagged),
@@ -281,18 +282,19 @@ def compare_weight_tables() -> TableComparison:
                 f"x_{i+1}: derived {table[i]} vs reference {golden.WEIGHT_TABLE_X[i]}"
             )
     return TableComparison(
-        ok=not mismatches,
         rows_compared=27,
         mismatches=tuple(mismatches),
         flagged=(),
     )
 
 
-@dataclass(frozen=True)
-class HomReport:
-    ok: bool
+class HomReport(NamedTuple):
     pairs_checked: int
-    failures: tuple[str, ...]
+    failures: tuple[str, ...]  # the first 10 failed pairs
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 @lru_cache(maxsize=1)
@@ -322,4 +324,4 @@ def verify_homomorphism() -> HomReport:
             pairs += 1
             if psub(lhs[ib][ia], rho(bracket(ea, eb))):
                 fails.append(f"pair #{pairs}")
-    return HomReport(ok=not fails, pairs_checked=pairs, failures=tuple(fails[:10]))
+    return HomReport(pairs_checked=pairs, failures=tuple(fails[:10]))

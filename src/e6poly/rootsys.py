@@ -44,10 +44,10 @@ import itertools
 import os
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import isqrt
 from operator import mul
+from typing import NamedTuple
 
 # numpy runs no BLAS routine here, so its OpenBLAS pool would only start an
 # idle worker thread; the library reads this variable once, when it loads.
@@ -176,17 +176,13 @@ def _is_positive_by_first_nonzero(v: Vector) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     roots: tuple[Vector, ...]
     positive: tuple[Vector, ...]
     e6_roots: tuple[Vector, ...]
     e6_positive: tuple[Vector, ...]
     bar_positive: tuple[Vector, ...]  # k_7 = 1, in x_1..x_27 basis order
-
-    @cached_property
-    def root_set(self) -> frozenset[Vector]:
-        return frozenset(self.roots)
+    root_set: frozenset[Vector]
 
 
 @lru_cache(maxsize=None)
@@ -214,6 +210,7 @@ def root_system() -> RootSystem:
         e6_roots=tuple(e6_roots),
         e6_positive=tuple(e6_positive),
         bar_positive=bar,
+        root_set=frozenset(roots),
     )
 
 
@@ -373,8 +370,7 @@ def lattice_samples(seed: int) -> Iterator[Vector]:
         yield tuple(v)
 
 
-@dataclass(frozen=True)
-class CocycleReport:
+class CocycleReport(NamedTuple):
     pairs_checked: int
     triples_checked: int
     failures: tuple[str, ...]  # the sweep's first 10, then the certificate's

@@ -42,10 +42,10 @@ weight order; if the check fails, the scan raises.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import add
+from typing import NamedTuple
 
 from .linalg import kernel_basis
 from .polyops import Monomial, Poly, apply, pmul, poly
@@ -215,8 +215,7 @@ def dominant_weights(degree: int) -> tuple[Weight, ...]:
     return tuple(sorted(found))
 
 
-@dataclass(frozen=True)
-class SingularScan:
+class SingularScan(NamedTuple):
     bases: tuple[tuple[Weight, list[Poly]], ...]  # (weight, basis), basis nonempty
 
     @property

@@ -15,9 +15,9 @@ m1 lambda_1 + m2 lambda_6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
+from typing import NamedTuple
 
 from .rootsys import root_system
 
@@ -68,8 +68,7 @@ def weyl_dim(m1: int, m2: int) -> int:
 MAX_IDENTITY_DEGREE = 12
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(NamedTuple):
     """Truncated check that (1-q)^26 sum dim q^(m1+2m2) = 1 + q + q^2.
 
     degree_sums carries the equivalent coefficient form: its entry m is

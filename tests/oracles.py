@@ -44,9 +44,9 @@ back.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, perm, prod
+from typing import NamedTuple
 
 from e6poly import golden, invariants
 from e6poly.decomp import (
@@ -56,7 +56,6 @@ from e6poly.decomp import (
     _rank,
 )
 from e6poly.invariants import (
-    DualModuleReport,
     InvarianceReport,
     _scalars,
     build_eta,
@@ -185,13 +184,19 @@ def dual_columns_full() -> dict:
             for key, w in all_operators().items()}
 
 
-@dataclass(frozen=True)
-class DualModuleFull(DualModuleReport):
-    span_failures: tuple[str, ...] = ()  # every root and member whose image escapes
+class DualModuleFull(NamedTuple):
+    """`invariants.DualModuleReport`'s fields, plus the span check."""
+
+    rank: int
+    ops_checked: int
+    nu_signs: tuple  # (positive root, sign or None) pairs
+    cartan_reference_ok: bool
+    failures: tuple[str, ...]
+    span_failures: tuple[str, ...]  # every root and member whose image escapes
 
     @property
     def ok(self) -> bool:
-        return super().ok and not self.span_failures
+        return self.rank == 27 and not self.failures and not self.span_failures
 
 
 def verify_dual_module_full() -> DualModuleFull:

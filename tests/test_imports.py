@@ -116,3 +116,21 @@ def test_numpy_is_imported_only_after_the_blas_pin():
     (pin,) = [node.lineno for node in tree.body if isinstance(node, ast.Expr)
               and ast.unparse(node) == "os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')"]
     assert all(pin < node.lineno for node in ast.walk(tree) if _imports_numpy(node))
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    return ({alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+            | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)})
+
+
+def test_reports_are_named_tuples_without_generated_methods():
+    # a frozen dataclass execs its generated methods at every cold import,
+    # and a cached_property is a second caching mechanism: the report
+    # records are typing.NamedTuple, and RootSystem stores its root set
+    users = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if "dataclasses" in _imported_modules(tree) or _named(tree)["cached_property"]:
+            users.append(path.stem)
+    assert users == []

@@ -6,7 +6,6 @@ defective; those comparisons pin the size and location of each defect
 so that silent drift in either direction fails the suite.
 """
 
-import dataclasses
 import json
 import random
 import re
@@ -847,8 +846,7 @@ def _failing_d_invariance(monkeypatch):
 
     def broken(op, label="operator"):
         r = real(op, label)
-        return r if op is not cubic_operator() else dataclasses.replace(
-            r, failures=(("h", 1),))
+        return r if op is not cubic_operator() else r._replace(failures=(("h", 1),))
 
     monkeypatch.setattr(invariants, "verify_invariance", broken)
 

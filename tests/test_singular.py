@@ -199,7 +199,7 @@ def test_without_the_homomorphism_the_scan_fails(monkeypatch, capsys, fresh_cach
     # failed report the dimension count proves nothing, so the scan
     # raises, naming the premise, and each of its rows fails
     monkeypatch.setattr(singular, "verify_homomorphism", lambda: rep.HomReport(
-        ok=False, pairs_checked=324, failures=("pair #1",)))
+        pairs_checked=324, failures=("pair #1",)))
     with pytest.raises(ValueError, match="homomorphism check fails"):
         enumerate_singular(2)
     _scan_rows_fail(capsys, "the homomorphism check fails")
